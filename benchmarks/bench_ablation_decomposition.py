@@ -21,14 +21,14 @@ from repro.analysis.report import format_table
 from repro.config import DeviceParams
 from repro.photonics.calibration import PhaseOffsets, calibrate_to
 from repro.photonics.clements import random_unitary
-from repro.photonics.registry import make_mesh, registered_meshes
+from repro.photonics.registry import MESHES, make_mesh
 
 SIZES = (4, 8, 16, 32)
 
 
 def depth_and_loss():
     mzi_db = DeviceParams().mzi.insertion_loss_db
-    archs = {name: make_mesh(name) for name in registered_meshes()}
+    archs = {name: make_mesh(name) for name in MESHES.names()}
     rows = []
     for n in SIZES:
         u = random_unitary(n, np.random.default_rng(n))
@@ -56,7 +56,7 @@ def calibration_sweep():
 
 def test_mesh_arrangement(benchmark):
     rows = benchmark(depth_and_loss)
-    names = list(registered_meshes())
+    names = list(MESHES.names())
     table = [[r["n"]]
              + [r[f"{name}_depth"] for name in names]
              + [f"{r[f'{name}_loss']:.2f}" for name in names]

@@ -19,7 +19,7 @@ from repro.analysis.engine import (
     default_jobs,
 )
 from repro.analysis.tasks import run_from_record
-from repro.core.pipelines import configuration_names
+from repro.core.pipelines import CONFIGURATIONS
 from repro.core.system import WorkloadRun
 
 #: Paper-reported values used in the printed comparisons.
@@ -49,7 +49,7 @@ def full_sweep() -> dict[str, dict[str, WorkloadRun]]:
         PointSpec(key=f"{name}/{cfg}",
                   params={"workload": name, "configuration": cfg,
                           "shapes": "paper", "traffic_seed": 17})
-        for name in workload_names() for cfg in configuration_names()]
+        for name in workload_names() for cfg in CONFIGURATIONS.names()]
     engine = SweepEngine(jobs=default_jobs(), cache=ResultCache())
     run = engine.run("system_point", points).raise_failures()
     results: dict[str, dict[str, WorkloadRun]] = {}
@@ -66,4 +66,4 @@ def workload_names() -> list[str]:
 
 
 def configurations() -> tuple[str, ...]:
-    return configuration_names()
+    return CONFIGURATIONS.names()

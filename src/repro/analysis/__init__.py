@@ -1,6 +1,7 @@
 """Metrics, sweeps, exports, and paper-style reporting."""
 
 from repro.analysis.engine import (
+    TASKS,
     PointResult,
     PointSpec,
     ResultCache,
@@ -41,6 +42,7 @@ from repro.analysis.sweep import (
 )
 
 __all__ = [
+    "TASKS",
     "PointResult",
     "PointSpec",
     "ResultCache",

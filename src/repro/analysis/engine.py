@@ -24,8 +24,9 @@ single execution substrate:
   :class:`PointResult` (with the traceback) instead of aborting the
   sweep; callers that need all points use :meth:`SweepRun.raise_failures`.
 
-Tasks that cross process boundaries must be registered by name (see
-:func:`register_task`); plain callables are supported for inline runs.
+Tasks that cross process boundaries must be registered by name in
+``TASKS`` (see :func:`register_task`); plain callables are supported
+for inline runs.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import NULL_OBS, Obs
+from repro.registry import Registry
 
 #: Default cache location, overridable via the environment.
 CACHE_DIR_ENV = "FLUMEN_CACHE_DIR"
@@ -81,26 +83,26 @@ class TaskSpec:
     context: Callable[[], Mapping] | None = None
 
 
-_TASKS: dict[str, TaskSpec] = {}
+TASKS: Registry[TaskSpec] = Registry("task")
 
 
 def register_task(name: str, *, context: Callable[[], Mapping] | None = None):
-    """Decorator: register ``fn(params, seed) -> metrics`` under ``name``."""
+    """Decorator: register ``fn(params, seed) -> metrics`` under ``name``.
+
+    A taken name raises: cache keys hash the task *name*, so a silent
+    re-registration would be served the previous task's cached results.
+    """
     def decorate(fn: Callable[[dict, int], Mapping]):
-        _TASKS[name] = TaskSpec(name=name, fn=fn, context=context)
+        TASKS.register(name, TaskSpec(name=name, fn=fn, context=context))
         return fn
     return decorate
 
 
 def get_task(name: str) -> TaskSpec:
     """Look up a registered task, importing the built-in set on demand."""
-    if name not in _TASKS:
+    if name not in TASKS:
         from repro.analysis import tasks as _builtin  # noqa: F401
-    try:
-        return _TASKS[name]
-    except KeyError:
-        raise KeyError(f"unknown task {name!r}; "
-                       f"registered: {sorted(_TASKS)}") from None
+    return TASKS.get(name)
 
 
 # ----------------------------------------------------------------------

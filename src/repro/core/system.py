@@ -26,7 +26,7 @@ the photonic model (Section 5.3's calibration).
 The configuration set is not hardcoded: each named configuration is a
 :class:`~repro.core.pipelines.ConfigPipeline` looked up in the pipeline
 registry, so new topology/compute combinations plug in via
-``register_configuration`` and immediately appear in :meth:`run_all`,
+``CONFIGURATIONS.register`` and immediately appear in :meth:`run_all`,
 the sweep CLI, and the fault campaigns' golden-reference cross-check
 (``repro.faults.campaign.golden_reference_record``).  This model always
 simulates a healthy fabric; reliability studies attach a
@@ -44,11 +44,7 @@ from dataclasses import dataclass
 from repro.config import SystemConfig
 from repro.core.accelerator import OffloadPlan, plan_offload
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
-from repro.core.pipelines import (
-    ConfigPipeline,
-    configuration_names,
-    get_configuration,
-)
+from repro.core.pipelines import CONFIGURATIONS, ConfigPipeline
 from repro.core.scheduler import FlumenScheduler, compute_duration_cycles
 from repro.multicore.cache import CacheHierarchy, HierarchyCounts
 from repro.multicore.cpu import CoreModel
@@ -68,14 +64,6 @@ log = logging.getLogger("repro.system")
 
 #: Memory-controller endpoints on the 16-node NoP.
 MEMORY_CONTROLLERS = (0, 5, 10, 15)
-
-
-def __getattr__(name: str):
-    # Legacy alias: the static tuple became the pipeline registry; keep
-    # ``from repro.core.system import CONFIGURATIONS`` working and live.
-    if name == "CONFIGURATIONS":
-        return configuration_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -253,7 +241,7 @@ class SystemModel:
 
     def run(self, workload: Workload, configuration: str) -> WorkloadRun:
         """Evaluate one workload under one registered configuration."""
-        pipeline = get_configuration(configuration)
+        pipeline = CONFIGURATIONS.get(configuration)
         try:
             runner = self._COMPUTE_PATHS[pipeline.compute_path]
         except KeyError:
@@ -277,7 +265,7 @@ class SystemModel:
     def run_all(self, workload: Workload) -> dict[str, WorkloadRun]:
         """Evaluate the workload under every registered configuration."""
         return {cfg: self.run(workload, cfg)
-                for cfg in configuration_names()}
+                for cfg in CONFIGURATIONS.names()}
 
     def _run_baseline(self, workload: Workload,
                       pipeline: ConfigPipeline) -> WorkloadRun:

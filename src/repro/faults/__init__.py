@@ -5,8 +5,8 @@ would be hardened:
 
 :mod:`repro.faults.models`
     Frozen fault dataclasses (stuck MZI, phase drift, laser degradation,
-    dead interposer link) behind a registry shaped like
-    :mod:`repro.noc.registry`, plus deterministic seeded fault schedules.
+    dead interposer link) registered in ``FAULTS``, plus deterministic
+    seeded fault schedules.
 :mod:`repro.faults.injector`
     Applies scheduled faults to a live run: a :class:`FaultyMesh` whose
     realized phases can be pinned or drifted, and a :class:`FaultDomain`
@@ -25,6 +25,7 @@ would be hardened:
 from repro.faults.injector import FaultDomain, FaultInjector, FaultyMesh
 from repro.faults.ladder import BackoffPolicy, DegradationLadder, Rung
 from repro.faults.models import (
+    FAULTS,
     DeadLink,
     FaultEvent,
     FaultModel,
@@ -32,15 +33,10 @@ from repro.faults.models import (
     LaserDegradation,
     PhaseDrift,
     StuckMZI,
-    fault_class,
-    make_fault,
-    register_fault,
-    registered_faults,
-    temporary_fault,
-    unregister_fault,
 )
 
 __all__ = [
+    "FAULTS",
     "BackoffPolicy",
     "DeadLink",
     "DegradationLadder",
@@ -54,10 +50,4 @@ __all__ = [
     "PhaseDrift",
     "Rung",
     "StuckMZI",
-    "fault_class",
-    "make_fault",
-    "register_fault",
-    "registered_faults",
-    "temporary_fault",
-    "unregister_fault",
 ]

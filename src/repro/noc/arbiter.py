@@ -8,7 +8,37 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.noc._jit import rr_pick, wavefront_ranks
+
+def rr_pick(lines: np.ndarray, last: int, n: int) -> int:
+    """Round-robin winner among sparse request ``lines``.
+
+    Equivalent to :meth:`RoundRobinArbiter.grant` over a dense request
+    vector with exactly ``lines`` set: the winner is the line with the
+    smallest rotation distance ``(line - last - 1) mod n`` from the
+    previous grant.
+    """
+    best = lines[0]
+    best_key = (best - last - 1) % n
+    for i in range(1, lines.shape[0]):
+        key = (lines[i] - last - 1) % n
+        if key < best_key:
+            best_key = key
+            best = lines[i]
+    return int(best)
+
+
+def wavefront_ranks(rows: np.ndarray, cols: np.ndarray,
+                    priority: int, n: int) -> np.ndarray:
+    """Wave index of each sparse request cell under ``priority``.
+
+    :meth:`WavefrontArbiter.allocate` visits cell ``(i, j)`` during wave
+    ``((i + j) - priority) mod n``; sorting sparse requests by
+    ``(rank, i)`` reproduces the dense scan order exactly.
+    """
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    for k in range(rows.shape[0]):
+        out[k] = ((rows[k] + cols[k]) - priority) % n
+    return out
 
 
 class RoundRobinArbiter:

@@ -9,28 +9,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.noc.registry import backend_factory
+from repro.noc.registry import TOPOLOGIES
 from repro.noc.stats import SimulationResult
 from repro.noc.traffic import TrafficGenerator
-
-#: The paper's built-in topologies (Figure 10).  The authoritative set is
-#: the backend registry — use :func:`registered_topologies` for anything
-#: that must see plugged-in backends too.
-TOPOLOGIES = ("ring", "mesh", "optbus", "flumen")
 
 
 def make_network(name: str, nodes: int = 16,
                  vectorized: bool | None = None, **kwargs):
     """Build a ready-to-run network of any registered topology.
 
-    Resolution goes through :mod:`repro.noc.registry`; an unknown name
-    raises a :class:`ValueError` listing the currently-registered set.
+    Resolution goes through :data:`repro.noc.registry.TOPOLOGIES`; an
+    unknown name raises a :class:`ValueError` listing the registered set.
     ``vectorized=None`` serves the struct-of-arrays backend when one is
     registered; ``False`` forces the per-object oracle (the equivalence
     suite and byte-identity checks use this), ``True`` requires the
     vectorized twin.
     """
-    return backend_factory(name, vectorized=vectorized)(nodes, **kwargs)
+    return TOPOLOGIES.get(name, vectorized=vectorized)(nodes, **kwargs)
 
 
 @dataclass(frozen=True)

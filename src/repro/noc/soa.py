@@ -24,7 +24,7 @@ oracle's delivered packets, per-flit latency samples, counters, cycle
 counts, and trace event order *exactly*.  ``tests/test_soa_kernel.py``
 pins that equivalence property over random traffic; the registry serves
 the SoA twin by default and the oracle on request
-(``backend_factory(name, vectorized=False)``).
+(``TOPOLOGIES.get(name, vectorized=False)``).
 
 On top of the flat layout, the SoA backends opt into the kernel's idle
 fast-forward (``SimKernel.run``): when the network is quiescent and the

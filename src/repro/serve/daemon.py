@@ -57,7 +57,7 @@ from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler
 from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
-from repro.faults.models import FaultSchedule, fault_class
+from repro.faults.models import FAULTS, FaultSchedule
 from repro.faults.recovery import FabricRecovery
 from repro.noc.flumen_net import FlumenNetwork
 from repro.noc.packet import Packet
@@ -66,12 +66,7 @@ from repro.serve.admission import (
     AdmissionController,
     precompute_decisions,
 )
-from repro.serve.arrivals import (
-    Arrival,
-    ClientPopulation,
-    make_arrival,
-    registered_arrivals,
-)
+from repro.serve.arrivals import ARRIVALS, Arrival, ClientPopulation
 
 #: Latency histogram buckets, in cycles (shared by mvm and comm series).
 LATENCY_BOUNDS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
@@ -94,7 +89,7 @@ class ServeConfig:
     #: Cycles of the SERVING phase (arrivals accepted).
     duration: int = 4096
     seed: int = 0
-    #: Arrival-process name (:func:`~repro.serve.arrivals.make_arrival`).
+    #: Arrival-process name (a :data:`~repro.serve.arrivals.ARRIVALS` key).
     arrival: str = "poisson"
     #: Mean offered requests per tenant per cycle at intensity 1.0.
     rate: float = 0.05
@@ -141,10 +136,7 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.duration < 1:
             raise ValueError(f"duration must be >= 1, got {self.duration}")
-        if self.arrival not in registered_arrivals():
-            raise ValueError(
-                f"unknown arrival process {self.arrival!r}; "
-                f"known: {list(registered_arrivals())}")
+        ARRIVALS.get(self.arrival)  # raises listing known names
         if self.tenant_list is not None:
             roster = tuple(str(t) for t in self.tenant_list)
             if not roster:
@@ -163,7 +155,7 @@ class ServeConfig:
             raise ValueError(
                 f"batch_window must be >= 1, got {self.batch_window}")
         if self.fault is not None:
-            fault_class(self.fault)  # raises with the registered list
+            FAULTS.get(self.fault)  # raises with the registered list
 
     def tenant_names(self) -> tuple[str, ...]:
         """Stable tenant identifiers (``tenant0`` .. ``tenantN-1``).
@@ -247,7 +239,7 @@ class ServeDaemon:
                                          obs=self.obs,
                                          ladder=self.ladder)
         self.population = ClientPopulation(
-            config.tenant_names(), make_arrival(config.arrival),
+            config.tenant_names(), ARRIVALS.get(config.arrival)(),
             config.rate, config.mvm_fraction, config.nodes,
             config.seed)
         self.admission = AdmissionController(

@@ -65,6 +65,18 @@ class TestCLI:
     def test_sweep_unknown_config(self, capsys):
         assert main(["sweep", "--configs", "hypercube"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mesh", "nope"],
+        ["trace", "--small", "--mesh", "nope"],
+        ["faults", "--mesh", "nope"],
+        ["faults", "--fault", "nope"],
+        ["perf", "--small", "--mesh", "nope"],
+    ], ids=["sweep-mesh", "trace-mesh", "faults-mesh", "faults-fault",
+            "perf-mesh"])
+    def test_unknown_registry_name(self, argv, caplog):
+        assert main(argv) == 2
+        assert "'nope'; choose from" in caplog.text
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -11,6 +11,7 @@ from repro.analysis.engine import (
     cache_key,
     get_task,
     point_seed,
+    register_task,
 )
 from repro.analysis.sweep import sweep, sweep_task
 
@@ -43,6 +44,15 @@ class TestSeedsAndKeys:
     def test_unknown_task_rejected(self):
         with pytest.raises(KeyError, match="unknown task"):
             SweepEngine(jobs=1).run("no_such_task", selftest_points(1))
+
+    def test_task_name_cannot_be_reregistered(self):
+        # Cache keys hash the task *name*, not its function: a plugin
+        # silently replacing "system_point" would be served the
+        # built-in's cached results.
+        builtin = get_task("system_point")
+        with pytest.raises(ValueError, match="already registered"):
+            register_task("system_point")(lambda params, seed: {})
+        assert get_task("system_point") is builtin
 
 
 class TestCache:

@@ -14,20 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipelines import (
-    ConfigPipeline,
-    configuration_names,
-    get_configuration,
-    register_configuration,
-    temporary_configuration,
-)
+from repro.core.pipelines import CONFIGURATIONS, ConfigPipeline
 from repro.core.system import SystemModel
 from repro.noc.kernel import SimKernel
-from repro.noc.registry import (
-    register_backend,
-    registered_topologies,
-    temporary_backend,
-)
+from repro.noc.registry import TOPOLOGIES
 from repro.noc.simulation import make_network
 from repro.noc.traffic import TracePlayback
 from repro.obs import NULL_OBS
@@ -86,7 +76,7 @@ IDEAL_PIPELINE = ConfigPipeline(name="ideal", topology="ideal",
 
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert set(registered_topologies()) >= {
+        assert set(TOPOLOGIES.names()) >= {
             "ring", "mesh", "optbus", "flumen"}
 
     def test_unknown_error_lists_registered_names(self):
@@ -97,10 +87,10 @@ class TestBackendRegistry:
         message = str(err.value)
         listed = re.search(r"known: \((.*)\)", message).group(1)
         names = tuple(item.strip().strip("'") for item in listed.split(","))
-        assert names == registered_topologies()
+        assert names == TOPOLOGIES.names()
 
     def test_error_reflects_temporary_registration(self):
-        with temporary_backend("toy_listed", _make_ideal):
+        with TOPOLOGIES.temporary("toy_listed", _make_ideal):
             with pytest.raises(ValueError, match="toy_listed"):
                 make_network("nope", 16)
         with pytest.raises(ValueError) as err:
@@ -109,14 +99,14 @@ class TestBackendRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend("ring", _make_ideal)
+            TOPOLOGIES.register("ring", _make_ideal)
 
     def test_replace_allows_override(self):
-        with temporary_backend("toy_repl", _make_ideal):
-            register_backend("toy_repl", _make_ideal, replace=True)
+        with TOPOLOGIES.temporary("toy_repl", _make_ideal):
+            TOPOLOGIES.register("toy_repl", _make_ideal, replace=True)
 
     def test_registered_backend_constructs_through_factory(self):
-        with temporary_backend("toy_net", _make_ideal):
+        with TOPOLOGIES.temporary("toy_net", _make_ideal):
             net = make_network("toy_net", 8, delay=1)
             assert isinstance(net, IdealNetwork)
             assert net.nodes == 8
@@ -124,18 +114,18 @@ class TestBackendRegistry:
 
 class TestPipelineRegistry:
     def test_builtin_configurations(self):
-        assert configuration_names() == (
+        assert CONFIGURATIONS.names() == (
             "ring", "mesh", "optbus", "flumen_i", "flumen_a")
 
     def test_unknown_configuration_lists_registered(self):
         with pytest.raises(ValueError) as err:
-            get_configuration("torus")
-        for name in configuration_names():
+            CONFIGURATIONS.get("torus")
+        for name in CONFIGURATIONS.names():
             assert name in str(err.value)
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_configuration(ConfigPipeline(
+            CONFIGURATIONS.register("mesh", ConfigPipeline(
                 name="mesh", topology="mesh"))
 
     def test_invalid_fields_rejected(self):
@@ -145,7 +135,7 @@ class TestPipelineRegistry:
             ConfigPipeline(name="x", topology="mesh", compute_path="gpu")
 
     def test_flumen_a_declares_mzim_compute(self):
-        pipeline = get_configuration("flumen_a")
+        pipeline = CONFIGURATIONS.get("flumen_a")
         assert pipeline.topology == "flumen"
         assert pipeline.compute_path == "mzim"
         assert pipeline.link_energy == "flumen"
@@ -156,8 +146,8 @@ class TestToyBackendEndToEnd:
 
     @pytest.fixture()
     def ideal_registered(self):
-        with temporary_backend("ideal", _make_ideal), \
-                temporary_configuration(IDEAL_PIPELINE):
+        with TOPOLOGIES.temporary("ideal", _make_ideal), \
+                CONFIGURATIONS.temporary("ideal", IDEAL_PIPELINE):
             yield
 
     def test_system_model_runs_toy_configuration(self, ideal_registered):
@@ -170,7 +160,7 @@ class TestToyBackendEndToEnd:
 
     def test_run_all_includes_toy_configuration(self, ideal_registered):
         runs = SystemModel(traffic_seed=17).run_all(Rotation3D(vertices=34))
-        assert set(runs) == set(configuration_names())
+        assert set(runs) == set(CONFIGURATIONS.names())
         assert "ideal" in runs
 
     def test_sweep_cli_runs_toy_configuration(self, ideal_registered,
@@ -189,7 +179,7 @@ class TestToyBackendEndToEnd:
         assert records[0]["metrics"]["configuration"] == "ideal"
 
 
-@pytest.mark.parametrize("topology", registered_topologies())
+@pytest.mark.parametrize("topology", TOPOLOGIES.names())
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
        npackets=st.integers(min_value=1, max_value=60),
@@ -221,3 +211,110 @@ def test_property_finite_trace_drains_and_conserves(topology, seed,
     dropped = getattr(net, "dropped_packets", 0)
     assert offered == len(events)
     assert offered == delivered + dropped
+
+
+# ----------------------------------------------------------------------
+# the shared Registry contract, over every registry in the package
+# ----------------------------------------------------------------------
+
+def _registries():
+    from repro.analysis.engine import TASKS, get_task
+    from repro.faults import FAULTS
+    from repro.photonics.registry import MESHES
+    from repro.serve import ARRIVALS
+
+    get_task("selftest")  # loads the built-in task set
+    return [TOPOLOGIES, CONFIGURATIONS, MESHES, FAULTS, ARRIVALS, TASKS]
+
+
+REGISTRIES = _registries()
+
+
+@pytest.mark.parametrize("registry", REGISTRIES,
+                         ids=[r.kind for r in REGISTRIES])
+class TestRegistryContract:
+    def test_unknown_name_lists_live_names(self, registry):
+        from repro.registry import UnknownNameError
+
+        with registry.temporary("probe", object()):
+            with pytest.raises(UnknownNameError) as err:
+                registry.get("no_such_name")
+            assert "probe" in registry.names()
+            assert str(err.value) == (
+                f"unknown {registry.kind} 'no_such_name'; "
+                f"known: {registry.names()}")
+        assert isinstance(err.value, ValueError)
+        assert isinstance(err.value, KeyError)
+        with pytest.raises(KeyError) as err:
+            registry.get("no_such_name")
+        assert "probe" not in str(err.value)
+
+    def test_duplicate_rejected_and_replace_overrides(self, registry):
+        first, second = object(), object()
+        builtin = registry.names()[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{registry.kind} {builtin!r} is already registered; "
+                f"pass replace=True to override")):
+            registry.register(builtin, second)
+        with registry.temporary("probe", first):
+            with pytest.raises(ValueError, match="already registered"):
+                registry.register("probe", second)
+            assert registry.get("probe") is first
+            registry.register("probe", second, replace=True)
+            assert registry.get("probe") is second
+        assert "probe" not in registry
+
+    def test_temporary_cleans_up_when_body_raises(self, registry):
+        before = registry.names()
+        with pytest.raises(RuntimeError, match="boom"):
+            with registry.temporary("probe", object()):
+                assert "probe" in registry
+                raise RuntimeError("boom")
+        assert "probe" not in registry
+        assert registry.names() == before
+
+    def test_names_keep_registration_order(self, registry):
+        before = registry.names()
+        try:
+            registry.register("probe_b", object())
+            registry.register("probe_a", object())
+            assert registry.names() == (*before, "probe_b", "probe_a")
+        finally:
+            registry.unregister("probe_b")
+            registry.unregister("probe_a")
+        assert registry.names() == before
+
+    def test_slots_are_independent(self, registry):
+        reference, twin = object(), object()
+        with registry.temporary("probe", reference):
+            assert not registry.has_vectorized("probe")
+            assert registry.get("probe") is reference
+            registry.register("probe", twin, vectorized=True)
+            assert registry.has_vectorized("probe")
+            assert registry.get("probe") is twin
+            assert registry.get("probe", vectorized=False) is reference
+            registry.unregister("probe", vectorized=True)
+            assert registry.get("probe") is reference
+            with pytest.raises(ValueError,
+                               match="has no vectorized implementation"):
+                registry.get("probe", vectorized=True)
+            registry.register("probe", twin, vectorized=True)
+            registry.unregister("probe", vectorized=False)
+            assert registry.get("probe") is twin
+            with pytest.raises(ValueError,
+                               match="has no reference implementation"):
+                registry.get("probe", vectorized=False)
+            registry.unregister("probe", vectorized=True)
+            assert "probe" not in registry
+        assert "probe" not in registry
+
+    def test_decorator_form_and_silent_removal(self, registry):
+        @registry.register("probe")
+        def entry():
+            pass
+
+        assert registry.get("probe") is entry
+        registry.unregister("probe")
+        registry.unregister("probe")  # a missing name is a no-op
+        registry.unregister("probe", vectorized=True)
+        assert "probe" not in registry

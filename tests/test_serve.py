@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.obs import Obs, parse_exposition, validate_events
 from repro.serve import (
+    ARRIVALS,
     AdmissionController,
     ClientPopulation,
     DaemonState,
@@ -24,9 +25,6 @@ from repro.serve import (
     ServeConfig,
     ServeDaemon,
     TokenBucket,
-    make_arrival,
-    registered_arrivals,
-    temporary_arrival,
 )
 from repro.serve.arrivals import ArrivalProcess, BurstyArrivals, DiurnalArrivals
 
@@ -50,23 +48,23 @@ def _artifacts(daemon: ServeDaemon, report: dict) -> str:
 
 class TestArrivals:
     def test_registry_lists_builtins(self):
-        names = registered_arrivals()
+        names = ARRIVALS.names()
         assert {"poisson", "bursty", "diurnal"} <= set(names)
-        assert isinstance(make_arrival("poisson"), ArrivalProcess)
+        assert isinstance(ARRIVALS.get("poisson")(), ArrivalProcess)
 
     def test_make_arrival_unknown_name(self):
         with pytest.raises(ValueError, match="unknown arrival"):
-            make_arrival("tsunami")
+            ARRIVALS.get("tsunami")
 
     def test_temporary_arrival_scoped(self):
         class Flat(ArrivalProcess):
             def intensity(self, cycle):
                 return 2.0
 
-        with temporary_arrival("flat", Flat):
-            assert "flat" in registered_arrivals()
-            assert make_arrival("flat").intensity(0) == 2.0
-        assert "flat" not in registered_arrivals()
+        with ARRIVALS.temporary("flat", Flat):
+            assert "flat" in ARRIVALS.names()
+            assert ARRIVALS.get("flat")().intensity(0) == 2.0
+        assert "flat" not in ARRIVALS.names()
 
     def test_bursty_mean_preserving(self):
         proc = BurstyArrivals(period=512, duty=0.25, peak=4.0)
@@ -81,7 +79,8 @@ class TestArrivals:
         assert proc.intensity(0) == pytest.approx(proc.intensity(2048))
 
     def test_population_deterministic(self):
-        kwargs = dict(tenants=("a", "b"), process=make_arrival("poisson"),
+        kwargs = dict(tenants=("a", "b"),
+                      process=ARRIVALS.get("poisson")(),
                       rate=0.2, mvm_fraction=0.5, nodes=8, seed=11)
         pop1 = ClientPopulation(**kwargs)
         pop2 = ClientPopulation(**kwargs)
@@ -92,10 +91,10 @@ class TestArrivals:
     def test_population_tenant_streams_independent(self):
         """Adding a tenant must not perturb existing tenants' streams."""
         small = ClientPopulation(tenants=("a",),
-                                 process=make_arrival("poisson"),
+                                 process=ARRIVALS.get("poisson")(),
                                  rate=0.3, mvm_fraction=0.5, nodes=8, seed=3)
         big = ClientPopulation(tenants=("a", "b"),
-                               process=make_arrival("poisson"),
+                               process=ARRIVALS.get("poisson")(),
                                rate=0.3, mvm_fraction=0.5, nodes=8, seed=3)
         for cycle in range(200):
             only_a = [r for r in big.requests_for_cycle(cycle)

@@ -12,16 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.arbiter import RoundRobinArbiter, WavefrontArbiter
-from repro.noc.registry import (
-    backend_factory,
-    has_vectorized,
-    registered_topologies,
-)
+from repro.noc.registry import TOPOLOGIES
 from repro.noc.simulation import make_network
 from repro.noc.stats import UtilizationTracker
 from repro.noc.traffic import TracePlayback, TrafficGenerator
 
-VECTORIZED = [t for t in registered_topologies() if has_vectorized(t)]
+VECTORIZED = [t for t in TOPOLOGIES.names() if TOPOLOGIES.has_vectorized(t)]
 
 
 def _summary(net) -> dict:
@@ -50,15 +46,15 @@ def _run_pair(topology, traffic_fn, cycles, **kwargs):
 def test_every_vectorized_backend_is_registered():
     # The tentpole ships a struct-of-arrays twin for every topology; a
     # new topology without one should make this list explicit.
-    assert set(VECTORIZED) == set(registered_topologies())
+    assert set(VECTORIZED) == set(TOPOLOGIES.names())
 
 
 def test_backend_factory_prefers_vectorized():
     for topology in VECTORIZED:
-        oracle = backend_factory(topology, vectorized=False)
-        fast = backend_factory(topology, vectorized=True)
+        oracle = TOPOLOGIES.get(topology, vectorized=False)
+        fast = TOPOLOGIES.get(topology, vectorized=True)
         assert oracle is not fast
-        assert backend_factory(topology) is fast
+        assert TOPOLOGIES.get(topology) is fast
 
 
 @settings(max_examples=20, deadline=None)
