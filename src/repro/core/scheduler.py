@@ -79,6 +79,16 @@ def electrical_duration_cycles(plan: OffloadPlan,
     return max(1, int(math.ceil(cost.total_cycles)))
 
 
+def _first_fit(taken: list[bool], size: int) -> tuple[int, int] | None:
+    """First-fit contiguous free fabric port range ``[lo, hi)`` of ``size``."""
+    run = 0
+    for p, busy in enumerate(taken):
+        run = 0 if busy else run + 1
+        if run == size:
+            return p - size + 1, p + 1
+    return None
+
+
 @dataclass
 class _ElectricalJob:
     """A compute request being serviced on the electrical fallback path."""
@@ -299,25 +309,44 @@ class FlumenScheduler:
     # -- Algorithm 1, lines 19-28 ---------------------------------------
 
     def _partitioner(self) -> None:
-        """Scan the compute buffer, granting partitions where buffers allow."""
+        """Scan the compute buffer once, granting partitions buffers allow.
+
+        Two facts hold for the whole pass: grants only ever take ports,
+        and nothing the pass does touches the request buffers β reads
+        (``block_ports`` and the fabric mirror change neither).  So the
+        free-port map is built once and marked per grant, a size whose
+        first-fit scan failed defers every later request that large or
+        larger, placements are found once per size between grants, and
+        β is memoised per placement.  Each request still gets its own
+        events, counters, histogram sample and tracer instants, in
+        buffer order (DESIGN.md §13).
+        """
         if self.ladder is not None and self.ladder.electrical_fallback:
             self._fallback_to_electrical()
             return
         network = self.control.network
-        remaining = []
-        for request in list(self.control.compute_buffer):
-            placement = self._find_ports(
-                self._effective_ports(request.ports_needed))
+        taken = self._taken_ports()
+        # First-fit placement per ports_needed, valid until a grant.
+        placements: dict[int, tuple[int, int] | None] = {}
+        # Smallest effective size whose first-fit scan failed.
+        no_fit = len(taken) + 1
+        betas: dict[tuple[int, int], float] = {}
+        kept: list[ComputeRequest] = []
+        for request in self.control.compute_buffer:
+            need = request.ports_needed
+            if need in placements:
+                placement = placements[need]
+            else:
+                size = self._effective_ports(need)
+                placement = (_first_fit(taken, size) if size < no_fit
+                             else None)
+                if placement is None:
+                    no_fit = min(no_fit, size)
+                placements[need] = placement
             if placement is None:
-                remaining.append(request)
-                self.stats.deferred_evaluations += 1
-                self._m_deferrals.inc()
-                if self._events.enabled:
-                    self._events.emit(
-                        "partition_defer", self.cycle,
-                        tenant=request.tenant,
-                        request_id=request.request_id, reason="no_ports",
-                        ports_needed=request.ports_needed)
+                kept.append(request)
+                self._defer(request, "no_ports",
+                            ports_needed=request.ports_needed)
                 if self._tracer.enabled:
                     self._tracer.instant(
                         "core", "alg1", "partition_defer", self.cycle,
@@ -325,9 +354,11 @@ class FlumenScheduler:
                         ports_needed=request.ports_needed)
                 continue
             lo, hi = placement
-            endpoints = self.control.port_range_endpoints(lo, hi)
-            beta = network.buffer_utilization(
-                sorted(endpoints), scan_depth=self.cfg.zeta)
+            beta = betas.get(placement)
+            if beta is None:
+                beta = betas[placement] = network.buffer_utilization(
+                    sorted(self.control.port_range_endpoints(lo, hi)),
+                    scan_depth=self.cfg.zeta)
             granted = beta <= self.cfg.eta
             self._h_beta.observe(beta)
             if self._tracer.enabled:
@@ -336,49 +367,76 @@ class FlumenScheduler:
                     request_id=request.request_id, beta=round(beta, 6),
                     eta=self.cfg.eta, zeta=self.cfg.zeta, granted=granted)
             if granted:
-                network.block_ports(endpoints)
-                duration = (request.duration_override
-                            if request.duration_override is not None
-                            else compute_duration_cycles(
-                                request.plan, self.system))
-                comp = ActiveComputation(
-                    request=request, lo_port=lo, hi_port=hi,
-                    total_cycles=duration, remaining_cycles=duration,
-                    grant_cycle=self.cycle)
-                if self.fabric is not None:
-                    comp.fabric_partition = self.fabric.split(lo, hi)
-                self.active.append(comp)
-                self.stats.granted += 1
-                self._m_grants.inc()
-                wait = self.cycle - request.submit_cycle
-                self.stats.total_wait_cycles += wait
-                self.control.compute_buffer.remove(request)
-                self._account_tenant("core.tenant_partition_grants",
-                                     request.tenant)
-                self._account_tenant("core.tenant_wait_cycles",
-                                     request.tenant, wait)
-                if self._events.enabled:
-                    self._events.emit(
-                        "partition_grant", self.cycle,
-                        tenant=request.tenant,
-                        request_id=request.request_id,
-                        lo_port=lo, hi_port=hi, beta=round(beta, 6),
-                        wait_cycles=wait, duration=duration)
-                if self._tracer.enabled:
-                    self._tracer.instant(
-                        "core", "alg1", "mzim_block", self.cycle,
-                        request_id=request.request_id, lo_port=lo,
-                        hi_port=hi, endpoints=sorted(endpoints))
+                taken[lo:hi] = [True] * (hi - lo)
+                placements.clear()
+                self._grant(request, lo, hi, beta)
             else:
-                remaining.append(request)
-                self.stats.deferred_evaluations += 1
-                self._m_deferrals.inc()
-                if self._events.enabled:
-                    self._events.emit(
-                        "partition_defer", self.cycle,
-                        tenant=request.tenant,
-                        request_id=request.request_id, reason="beta",
-                        beta=round(beta, 6), eta=self.cfg.eta)
+                kept.append(request)
+                self._defer(request, "beta", beta=round(beta, 6),
+                            eta=self.cfg.eta)
+        self.control.compute_buffer.clear()
+        self.control.compute_buffer.extend(kept)
+
+    def _taken_ports(self) -> list[bool]:
+        """Per fabric port: held by an active partition or retired.
+
+        Ports the degradation ladder has retired (dead-link endpoints)
+        are never part of a placement.
+        """
+        taken = [False] * self.control.fabric_ports
+        for comp in self.active:
+            taken[comp.lo_port:comp.hi_port] = \
+                [True] * (comp.hi_port - comp.lo_port)
+        if self.ladder is not None:
+            for p in self.ladder.unusable_ports:
+                if 0 <= p < len(taken):
+                    taken[p] = True
+        return taken
+
+    def _defer(self, request: ComputeRequest, reason: str,
+               **payload: object) -> None:
+        """Account one deferred evaluation (the request stays queued)."""
+        self.stats.deferred_evaluations += 1
+        self._m_deferrals.inc()
+        if self._events.enabled:
+            self._events.emit(
+                "partition_defer", self.cycle, tenant=request.tenant,
+                request_id=request.request_id, reason=reason, **payload)
+
+    def _grant(self, request: ComputeRequest, lo: int, hi: int,
+               beta: float) -> None:
+        """Start a compute partition on ports ``[lo, hi)`` for ``request``.
+
+        The caller drops the request from the compute buffer.
+        """
+        endpoints = self.control.port_range_endpoints(lo, hi)
+        self.control.network.block_ports(endpoints)
+        duration = (request.duration_override
+                    if request.duration_override is not None
+                    else compute_duration_cycles(request.plan, self.system))
+        comp = ActiveComputation(
+            request=request, lo_port=lo, hi_port=hi,
+            total_cycles=duration, remaining_cycles=duration,
+            grant_cycle=self.cycle)
+        if self.fabric is not None:
+            comp.fabric_partition = self.fabric.split(lo, hi)
+        self.active.append(comp)
+        self.stats.granted += 1
+        self._m_grants.inc()
+        wait = self.cycle - request.submit_cycle
+        self.stats.total_wait_cycles += wait
+        self._account_tenant("core.tenant_partition_grants", request.tenant)
+        self._account_tenant("core.tenant_wait_cycles", request.tenant, wait)
+        if self._events.enabled:
+            self._events.emit(
+                "partition_grant", self.cycle, tenant=request.tenant,
+                request_id=request.request_id, lo_port=lo, hi_port=hi,
+                beta=round(beta, 6), wait_cycles=wait, duration=duration)
+        if self._tracer.enabled:
+            self._tracer.instant(
+                "core", "alg1", "mzim_block", self.cycle,
+                request_id=request.request_id, lo_port=lo, hi_port=hi,
+                endpoints=sorted(endpoints))
 
     def _effective_ports(self, ports_needed: int) -> int:
         """Partition size after the ladder's SHRINK cap (even, >= 2)."""
@@ -416,27 +474,6 @@ class FlumenScheduler:
                     "core", "faults", "electrical_fallback", self.cycle,
                     request_id=request.request_id, node=request.node,
                     duration=duration)
-
-    def _find_ports(self, ports_needed: int) -> tuple[int, int] | None:
-        """First-fit contiguous free fabric port range.
-
-        Ports the degradation ladder has retired (dead-link endpoints)
-        are never part of a placement.
-        """
-        taken = [False] * self.control.fabric_ports
-        for comp in self.active:
-            for p in range(comp.lo_port, comp.hi_port):
-                taken[p] = True
-        if self.ladder is not None:
-            for p in self.ladder.unusable_ports:
-                if 0 <= p < len(taken):
-                    taken[p] = True
-        run = 0
-        for p in range(self.control.fabric_ports):
-            run = run + 1 if not taken[p] else 0
-            if run == ports_needed:
-                return p - ports_needed + 1, p + 1
-        return None
 
     # -- Algorithm 1, lines 1-18 -----------------------------------------
 

@@ -46,7 +46,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -71,6 +73,23 @@ from repro.serve.arrivals import ARRIVALS, Arrival, ClientPopulation
 #: Latency histogram buckets, in cycles (shared by mvm and comm series).
 LATENCY_BOUNDS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
                   1024.0, 2048.0, 4096.0)
+
+
+#: Numeric :class:`ServeConfig` fields: name -> (valid?, rule text).
+#: Checked at construction, so a bad value never reaches a pool worker.
+_FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "batch_size": (lambda v: v >= 1, ">= 1"),
+    "batch_window": (lambda v: v >= 1, ">= 1"),
+    "rate": (lambda v: v >= 0.0, ">= 0"),
+    "mvm_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "admission_rate": (lambda v: v > 0.0, "> 0"),
+    "admission_burst": (lambda v: v >= 1.0, ">= 1"),
+    "probe_interval": (lambda v: v >= 1, ">= 1"),
+    "snapshot_interval": (lambda v: v >= 1, ">= 1"),
+    "packet_flits": (lambda v: v >= 1, ">= 1"),
+    "drain_limit": (lambda v: v >= 0, ">= 0"),
+    "max_events": (lambda v: v is None or v >= 1, ">= 1 or None"),
+}
 
 
 class DaemonState(enum.Enum):
@@ -148,12 +167,10 @@ class ServeConfig:
             object.__setattr__(self, "tenants", len(roster))
         if self.tenants < 1:
             raise ValueError(f"tenants must be >= 1, got {self.tenants}")
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}")
-        if self.batch_window < 1:
-            raise ValueError(
-                f"batch_window must be >= 1, got {self.batch_window}")
+        for name, (valid, rule) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ValueError(f"{name} must be {rule}, got {value}")
         if self.fault is not None:
             FAULTS.get(self.fault)  # raises with the registered list
 

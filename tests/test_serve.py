@@ -134,6 +134,35 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
+# Config validation
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("rate", -0.1),
+        ("mvm_fraction", -0.01),
+        ("mvm_fraction", 1.5),
+        ("admission_rate", 0.0),
+        ("admission_rate", -1.0),
+        ("admission_burst", 0.5),
+        ("probe_interval", 0),
+        ("snapshot_interval", 0),
+        ("packet_flits", 0),
+        ("drain_limit", -5),
+        ("max_events", 0),
+    ])
+    def test_rejects_invalid_value_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        config = ServeConfig(rate=0.0, mvm_fraction=1.0, admission_burst=1.0,
+                             drain_limit=0, max_events=1, probe_interval=1,
+                             snapshot_interval=1, packet_flits=1)
+        assert config.drain_limit == 0
+
+
+# ---------------------------------------------------------------------------
 # Daemon determinism
 
 
