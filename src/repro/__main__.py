@@ -306,9 +306,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.obs import (
         TelemetryServer,
-        parse_exposition,
         prometheus_exposition,
-        validate_events,
         write_telemetry_dir,
     )
     from repro.serve import LiveTelemetryStore, ServeConfig, ServeDaemon
@@ -323,10 +321,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admission_burst=args.admission_burst, fault=args.fault,
         fault_magnitude=args.fault_magnitude,
         max_events=args.max_events)
-    vectorized = args.loop != "oracle"
     if args.replicas > 1:
-        return _cmd_serve_cluster(args, config, vectorized)
-    daemon = ServeDaemon(config, vectorized=vectorized)
+        return _cmd_serve_cluster(args, config)
+    daemon = ServeDaemon(config)
     server = None
     if args.http_port is not None:
         store = LiveTelemetryStore(
@@ -397,20 +394,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
              + ", ".join(p.name for p in paths.values()))
 
     if args.check:
-        problems = list(validate_events(
-            list(daemon.obs.events.events)))
-        _, expo_problems = parse_exposition(prometheus_exposition(
-            daemon.obs.metrics.to_dict()))
-        problems += [f"exposition: {p}" for p in expo_problems]
-        if not report["conserved"]:
-            problems.append(f"ledger not conserved: {ledger}")
-        if not report["drained"]:
-            problems.append(
-                f"drain incomplete: in_flight={ledger['in_flight']} "
-                f"after {config.drain_limit} extra cycles")
-        for problem in problems:
-            log.error("serve: %s", problem)
-        if problems:
+        if not _serve_check("serve", report,
+                            list(daemon.obs.events.events),
+                            prometheus_exposition(
+                                daemon.obs.metrics.to_dict())):
             return 1
         emit(f"serve check: ok ({report['events']} events, "
              f"{report['snapshots']} snapshots, ledger conserved, "
@@ -418,19 +405,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_cluster(args: argparse.Namespace, config,
-                       vectorized: bool) -> int:
+def _serve_check(label: str, report: dict, events: list[dict],
+                 exposition: str,
+                 problems: tuple[str, ...] | list[str] = ()) -> bool:
+    """The ``serve --check`` validator, single daemon and cluster alike.
+
+    Checks the event log, the Prometheus exposition, ledger
+    conservation and the drain, on top of any caller ``problems``;
+    logs each problem under ``label`` and returns True when clean.
+    """
+    from repro.obs import parse_exposition, validate_events
+
+    problems = list(problems) + list(validate_events(events))
+    _, expo_problems = parse_exposition(exposition)
+    problems += [f"exposition: {p}" for p in expo_problems]
+    ledger = report["ledger"]
+    if not report["conserved"]:
+        problems.append(f"ledger not conserved: {ledger}")
+    if not report["drained"]:
+        problems.append(
+            f"drain incomplete: in_flight={ledger['in_flight']} after "
+            f"{report['config']['drain_limit']} extra cycles")
+    for problem in problems:
+        log.error("%s: %s", label, problem)
+    return not problems
+
+
+def _cmd_serve_cluster(args: argparse.Namespace, config) -> int:
     """``repro serve --replicas R``: the replica-sharded serving tier."""
     import json
     import time
 
     from repro.analysis.report import format_table
-    from repro.obs import TelemetryServer, validate_events
+    from repro.obs import TelemetryServer
     from repro.obs.export import write_metrics_jsonl
     from repro.serve import ClusterTelemetryStore, ReplicaSet
 
-    replica_set = ReplicaSet(config, args.replicas,
-                             vectorized=vectorized)
+    replica_set = ReplicaSet(config, args.replicas)
     report = replica_set.run(jobs=args.jobs)
 
     rows = [[i, ",".join(r["tenants"]), r["cycles"], r["completed"],
@@ -501,17 +512,11 @@ def _cmd_serve_cluster(args: argparse.Namespace, config,
              f"{report['snapshots']} snapshots) to {root}")
 
     if args.check:
-        problems = list(validate_events(replica_set.merged_events))
-        if not report["conserved"]:
-            problems.append(f"ledger not conserved: {ledger}")
-        if not report["drained"]:
-            problems.append(
-                f"drain incomplete: in_flight={ledger['in_flight']}")
+        problems: list[str] = []
         if args.jobs > 1:
             # The cluster's execution-invariance contract: a process
             # pool must be byte-identical to the sequential oracle.
-            oracle = ReplicaSet(config, args.replicas,
-                                vectorized=vectorized)
+            oracle = ReplicaSet(config, args.replicas)
             oracle.run(jobs=1)
             if oracle.per_tenant_streams() \
                     != replica_set.per_tenant_streams():
@@ -523,9 +528,9 @@ def _cmd_serve_cluster(args: argparse.Namespace, config,
                 problems.append(
                     "cluster report differs between the process pool "
                     "and the sequential oracle")
-        for problem in problems:
-            log.error("serve cluster: %s", problem)
-        if problems:
+        if not _serve_check("serve cluster", report,
+                            replica_set.merged_events,
+                            store.exposition(), problems):
             return 1
         emit(f"serve cluster check: ok ({report['events']} merged "
              f"events, {report['snapshots']} merged snapshots, ledger "
@@ -944,11 +949,6 @@ def main(argv: list[str] | None = None) -> int:
                      help="run replicas across a J-worker process "
                           "pool (default: 1, sequential; results are "
                           "byte-identical either way)")
-    svd.add_argument("--loop", default="vectorized",
-                     choices=("vectorized", "oracle"),
-                     help="serve hot-loop implementation: the "
-                          "vectorized fast path (default) or the "
-                          "per-cycle oracle it is verified against")
     svd.add_argument("--out", default=None, metavar="PATH",
                      help="write the session report as canonical JSON")
     svd.add_argument("--telemetry-dir", default=None, metavar="DIR",

@@ -144,7 +144,7 @@ class FaultInjector:
 
         ``None`` means the injector is permanently idle (no scheduled
         events left, no continuous faults stepping).  Idle fast-forward
-        loops (the serve daemon's vectorized path) use this to jump
+        loops (the serve daemon's run loop) use this to jump
         over stretches where skipping :meth:`tick` is observably
         equivalent to calling it.
         """

@@ -13,18 +13,20 @@ yields the same decisions, preserving byte-identical session replay.
 
 from __future__ import annotations
 
-import numpy as np
+
+def _check_policy(rate_per_cycle: float, burst: float) -> None:
+    if rate_per_cycle <= 0.0:
+        raise ValueError(
+            f"rate_per_cycle must be > 0, got {rate_per_cycle}")
+    if burst < 1.0:
+        raise ValueError(f"burst must be >= 1, got {burst}")
 
 
 class TokenBucket:
     """Deterministic token bucket keyed to the simulated clock."""
 
     def __init__(self, rate_per_cycle: float, burst: float) -> None:
-        if rate_per_cycle <= 0.0:
-            raise ValueError(
-                f"rate_per_cycle must be > 0, got {rate_per_cycle}")
-        if burst < 1.0:
-            raise ValueError(f"burst must be >= 1, got {burst}")
+        _check_policy(rate_per_cycle, burst)
         self.rate_per_cycle = float(rate_per_cycle)
         self.burst = float(burst)
         #: Buckets start full so a session's first requests are not
@@ -58,6 +60,7 @@ class AdmissionController:
     """Per-tenant token buckets with one shared rate/burst policy."""
 
     def __init__(self, rate_per_cycle: float, burst: float) -> None:
+        _check_policy(rate_per_cycle, burst)
         self.rate_per_cycle = float(rate_per_cycle)
         self.burst = float(burst)
         self._buckets: dict[str, TokenBucket] = {}
@@ -75,54 +78,18 @@ class AdmissionController:
         return self.bucket(tenant).try_take(cycle)
 
 
-def precompute_decisions(wheel, tenants: tuple[str, ...],
-                         rate_per_cycle: float,
-                         burst: float) -> dict[int, list[bool]]:
-    """Array-form token-bucket replay over a pre-drawn arrival wheel.
+def precompute_decisions(wheel,
+                         admission: AdmissionController
+                         ) -> dict[int, list[bool]]:
+    """Admission verdicts for every arrival on a pre-drawn wheel.
 
-    Evaluates, for every arrival bucketed on ``wheel``, the decision the
-    scalar per-tenant :class:`TokenBucket` path would make — but with
-    the refill applied to *all* arriving tenants at once as a numpy
-    ``minimum`` over token/last-cycle arrays instead of one Python
-    method chain per request.  ``np.minimum(burst, tokens + rate * dt)``
-    on float64 arrays is the same IEEE operation sequence as the scalar
-    ``min`` in :meth:`TokenBucket._refill`, and takes stay sequential
-    in offer order, so the decision stream is bit-identical to the
-    oracle's.
-
-    Returns ``{cycle: [admitted, ...]}`` aligned, per cycle, with the
-    wheel's tenant-ordered arrival list.  Buckets start full at cycle 0
-    (matching created-on-first-sight semantics: the first refill tops
-    an untouched bucket back to ``burst`` regardless of elapsed time).
+    Replays the wheel's buckets in cycle order through ``admission``,
+    one :meth:`AdmissionController.admit` per arrival in offer order,
+    so the verdicts are exactly those live per-cycle admission would
+    give.  Returns ``{cycle: [admitted, ...]}`` aligned, per cycle,
+    with the wheel's tenant-ordered arrival list; ``admission`` is left
+    holding the buckets' end-of-schedule state.
     """
-    if rate_per_cycle <= 0.0:
-        raise ValueError(
-            f"rate_per_cycle must be > 0, got {rate_per_cycle}")
-    if burst < 1.0:
-        raise ValueError(f"burst must be >= 1, got {burst}")
-    index = {tenant: i for i, tenant in enumerate(tenants)}
-    tokens = np.full(len(tenants), float(burst))
-    last_cycle = np.zeros(len(tenants), dtype=np.int64)
-    decisions: dict[int, list[bool]] = {}
-    cursor = wheel.next_arrival_cycle(0)
-    while cursor is not None:
-        arrivals = wheel.requests_for_cycle(cursor)
-        idx = np.fromiter(
-            sorted({index[a.tenant] for a in arrivals}), dtype=np.int64)
-        dt = cursor - last_cycle[idx]
-        grown = tokens[idx] + float(rate_per_cycle) * dt
-        tokens[idx] = np.where(dt > 0,
-                               np.minimum(float(burst), grown),
-                               tokens[idx])
-        last_cycle[idx] = cursor
-        verdicts: list[bool] = []
-        for arrival in arrivals:
-            slot = index[arrival.tenant]
-            if tokens[slot] >= 1.0:
-                tokens[slot] -= 1.0
-                verdicts.append(True)
-            else:
-                verdicts.append(False)
-        decisions[cursor] = verdicts
-        cursor = wheel.next_arrival_cycle(cursor + 1)
-    return decisions
+    return {cycle: [admission.admit(arrival.tenant, cycle)
+                    for arrival in arrivals]
+            for cycle, arrivals in wheel}

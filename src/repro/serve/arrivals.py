@@ -162,19 +162,16 @@ class ClientPopulation:
     def requests_for_cycle(self, cycle: int) -> list[Arrival]:
         """All requests offered this cycle, in fixed tenant order."""
         lam = self.rate * self.process.intensity(cycle)
+        nodes = self.nodes
         out: list[Arrival] = []
-        for tenant in self.tenants:
-            rng = self._rngs[tenant]
+        for tenant, rng in self._rngs.items():
             for _ in range(int(rng.poisson(lam))):
                 if rng.random() < self.mvm_fraction:
-                    out.append(Arrival(
-                        tenant=tenant, kind="mvm",
-                        node=int(rng.integers(self.nodes))))
+                    out.append(Arrival(tenant=tenant, kind="mvm",
+                                       node=int(rng.integers(nodes))))
                 else:
-                    src = int(rng.integers(self.nodes))
-                    dst = (src + 1
-                           + int(rng.integers(self.nodes - 1))) \
-                        % self.nodes
+                    src = int(rng.integers(nodes))
+                    dst = (src + 1 + int(rng.integers(nodes - 1))) % nodes
                     out.append(Arrival(tenant=tenant, kind="comm",
                                        src=src, dst=dst))
         return out
@@ -182,13 +179,11 @@ class ClientPopulation:
     def prebuild(self, duration: int) -> "ArrivalWheel":
         """Pre-draw the whole arrival schedule for cycles ``[0, duration)``.
 
-        Consumes this population's generators: the wheel replays, per
-        tenant, the *exact* RNG call sequence
-        :meth:`requests_for_cycle` would have issued over those cycles
-        (one ``poisson`` per cycle, then the per-request draws), so the
-        resulting stream is byte-identical to live drawing.  A
-        population is touched either live or through one wheel — never
-        both — since the draws are consumed up front.
+        Consumes this population's generators: the wheel is filled by
+        calling :meth:`requests_for_cycle` for every cycle of the
+        horizon, so its stream is exactly the live one.  A population
+        is touched either live or through one wheel — never both —
+        since the draws are consumed up front.
         """
         return ArrivalWheel(self, duration)
 
@@ -196,17 +191,11 @@ class ClientPopulation:
 class ArrivalWheel:
     """Cycle-bucketed pre-drawn arrivals over a fixed horizon.
 
-    The wheel is the fast-path counterpart of live per-cycle drawing
-    (mirroring the SoA NoC kernel's pre-drawn injection wheel): all
-    Poisson counts and per-request shape draws for ``[0, duration)``
-    are materialized once, bucketed by cycle, keeping the hot loop free
-    of per-cycle RNG calls and giving the idle fast-forward an exact
-    "next arrival" query.
-
-    Per-tenant generators are independent, so drawing tenant-major
-    (each tenant's full horizon in one pass) reproduces exactly the
-    stream the cycle-major live path yields; within a cycle bucket,
-    arrivals stay in fixed tenant order.
+    Mirrors the SoA NoC kernel's pre-drawn injection wheel: every
+    arrival in ``[0, duration)`` is drawn once, up front, and bucketed
+    by cycle in fixed tenant order.  The serve loop then makes no RNG
+    calls, and its idle fast-forward gets an exact "next arrival"
+    query.
     """
 
     def __init__(self, population: ClientPopulation,
@@ -214,30 +203,17 @@ class ArrivalWheel:
         if duration < 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
         self.duration = int(duration)
-        process = population.process
-        lams = [population.rate * process.intensity(cycle)
-                for cycle in range(self.duration)]
-        mvm_fraction = population.mvm_fraction
-        nodes = population.nodes
         buckets: dict[int, list[Arrival]] = {}
-        for tenant in population.tenants:
-            rng = population._rngs[tenant]
-            for cycle, lam in enumerate(lams):
-                for _ in range(int(rng.poisson(lam))):
-                    if rng.random() < mvm_fraction:
-                        arrival = Arrival(
-                            tenant=tenant, kind="mvm",
-                            node=int(rng.integers(nodes)))
-                    else:
-                        src = int(rng.integers(nodes))
-                        dst = (src + 1
-                               + int(rng.integers(nodes - 1))) % nodes
-                        arrival = Arrival(tenant=tenant, kind="comm",
-                                          src=src, dst=dst)
-                    buckets.setdefault(cycle, []).append(arrival)
+        for cycle in range(self.duration):
+            arrivals = population.requests_for_cycle(cycle)
+            if arrivals:
+                buckets[cycle] = arrivals
         self._by_cycle = buckets
-        self._cycles = np.array(sorted(buckets), dtype=np.int64)
-        self.total = sum(len(v) for v in buckets.values())
+        self._cycles = np.array(list(buckets), dtype=np.int64)
+
+    def __iter__(self):
+        """``(cycle, arrivals)`` for every non-empty bucket, in cycle order."""
+        return iter(self._by_cycle.items())
 
     def requests_for_cycle(self, cycle: int) -> list[Arrival]:
         """Arrivals bucketed at ``cycle`` (empty outside the horizon)."""

@@ -11,13 +11,11 @@ would have offered: arrival and matrix RNGs are keyed by tenant name
 (:func:`~repro.analysis.engine.point_seed`), not by position, so a
 shard draws byte-identical streams for its roster.
 
-Execution is a two-slot pattern at the cluster level, mirroring the
-daemon's own oracle/vectorized split: replicas run either sequentially
-in-process (the oracle ordering) or across a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Each replica is a
-pure function of its shard config, so the shard payloads — report,
-event stream, snapshot series — are byte-identical whichever way they
-were executed, and so are the merged telemetry
+Replicas run either sequentially in-process (the oracle ordering) or
+across a :class:`~concurrent.futures.ProcessPoolExecutor`.  Each
+replica is a pure function of its shard config, so the shard payloads
+— report, event stream, snapshot series — are byte-identical whichever
+way they were executed, and so are the merged telemetry
 (:func:`~repro.obs.merge.merge_event_logs`) and the aggregated cluster
 report (which deliberately records no execution detail like a job
 count).  ``repro serve --check`` exploits this: with ``--jobs > 1`` it
@@ -64,14 +62,14 @@ def shard_configs(config: ServeConfig,
             for shard in shard_tenants(config.tenant_names(), replicas)]
 
 
-def _run_shard(config: ServeConfig, vectorized: bool) -> dict:
+def _run_shard(config: ServeConfig) -> dict:
     """Run one replica to completion; returns a picklable payload.
 
     Top-level (not a method) so a process pool can ship it to workers;
     the payload carries everything the cluster aggregates, including
     the raw latency samples the cluster-level quantiles need.
     """
-    daemon = ServeDaemon(config, vectorized=vectorized)
+    daemon = ServeDaemon(config)
     report = daemon.run()
     return {
         "report": report,
@@ -85,11 +83,9 @@ def _run_shard(config: ServeConfig, vectorized: bool) -> dict:
 class ReplicaSet:
     """R tenant-sharded serve replicas run as one logical cluster."""
 
-    def __init__(self, config: ServeConfig, replicas: int,
-                 vectorized: bool = True) -> None:
+    def __init__(self, config: ServeConfig, replicas: int) -> None:
         self.config = config
         self.replicas = int(replicas)
-        self.vectorized = bool(vectorized)
         self.shards = shard_configs(config, self.replicas)
         #: Per-replica payloads from :func:`_run_shard`, in shard order.
         self.results: list[dict] | None = None
@@ -106,14 +102,12 @@ class ReplicaSet:
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        flags = [self.vectorized] * len(self.shards)
         if jobs == 1:
-            results = [_run_shard(shard, vec)
-                       for shard, vec in zip(self.shards, flags)]
+            results = [_run_shard(shard) for shard in self.shards]
         else:
             workers = min(jobs, len(self.shards))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_shard, self.shards, flags))
+                results = list(pool.map(_run_shard, self.shards))
         self.results = results
         self.merged_events = merge_event_logs(
             [r["events"] for r in results])
@@ -224,19 +218,33 @@ class ClusterTelemetryStore:
         return snaps[-1] if snaps else None
 
     def exposition(self) -> str:
-        """Prometheus text for the latest merged snapshot."""
+        """Prometheus text for every replica's final snapshot.
+
+        Each replica's registry is exposed under a ``replica`` label,
+        so a series summed over ``replica`` is the cluster total (the
+        ``serve.offered`` sum is the report's ledger ``offered``).
+        """
         from repro.obs.telemetry import prometheus_exposition
 
-        snap = self.latest_snapshot()
-        if snap is None:
+        snaps = self._set.merged_snapshots
+        if not snaps:
             return ""
+        metrics: dict[str, dict] = {}
+        for replica, result in enumerate(self._set.results):
+            label = f"replica={replica}"
+            for kind, series in result["snapshots"][-1]["metrics"].items():
+                merged = metrics.setdefault(kind, {})
+                for key, value in series.items():
+                    key = (f"{key[:-1]},{label}}}" if key.endswith("}")
+                           else f"{key}{{{label}}}")
+                    merged[key] = value
         meta = {
-            "telemetry.snapshot_cycle": snap["cycle"],
-            "telemetry.snapshots": len(self._set.merged_snapshots),
+            "telemetry.snapshot_cycle": snaps[-1]["cycle"],
+            "telemetry.snapshots": len(snaps),
             "telemetry.events": len(self._set.merged_events),
             "telemetry.replicas": self._set.replicas,
         }
-        return prometheus_exposition(snap["metrics"], extra_gauges=meta)
+        return prometheus_exposition(metrics, extra_gauges=meta)
 
     def health(self) -> dict:
         ledger = self._report["ledger"]

@@ -64,10 +64,7 @@ from repro.faults.recovery import FabricRecovery
 from repro.noc.flumen_net import FlumenNetwork
 from repro.noc.packet import Packet
 from repro.obs import Obs, percentile_summary
-from repro.serve.admission import (
-    AdmissionController,
-    precompute_decisions,
-)
+from repro.serve.admission import AdmissionController, precompute_decisions
 from repro.serve.arrivals import ARRIVALS, Arrival, ClientPopulation
 
 #: Latency histogram buckets, in cycles (shared by mvm and comm series).
@@ -227,8 +224,7 @@ class ServeDaemon:
     """
 
     def __init__(self, config: ServeConfig,
-                 obs: Obs | None = None,
-                 vectorized: bool = True) -> None:
+                 obs: Obs | None = None) -> None:
         self.config = config
         self.obs = obs if obs is not None else Obs.telemetry(
             snapshot_interval=config.snapshot_interval,
@@ -317,28 +313,17 @@ class ServeDaemon:
         self._c_admitted: dict[str, object] = {}
         self._c_rejected: dict[str, object] = {}
         self._c_completed: dict[str, object] = {}
-        # -- vectorized fast path (two-slot oracle/fast pattern) ----------
-        # The fast slot pre-draws the whole arrival schedule (wheel),
-        # replays admission as array-form token buckets, memoizes the
-        # fleet-MVM flush and the healthy-mesh probe, and lets run() /
-        # _drain() fast-forward provably idle cycles.  Every artifact —
-        # events, snapshots, ledger, report — is byte-identical to the
-        # oracle slot (``vectorized=False``), which keeps the original
-        # per-cycle objects live.
-        self.vectorized = bool(vectorized)
-        if self.vectorized:
-            self._wheel = self.population.prebuild(config.duration)
-            self._decisions: dict[int, list[bool]] | None = \
-                precompute_decisions(
-                    self._wheel, config.tenant_names(),
-                    config.admission_rate, config.admission_burst)
-            self._arrival_source = self._wheel
-            self.control.mvm_memo_entries = max(8, 4 * config.tenants)
-            self.recovery.probe_memo = True
-        else:
-            self._wheel = None
-            self._decisions = None
-            self._arrival_source = self.population
+        # The whole arrival schedule is drawn up front (the wheel) and
+        # its admission verdicts replayed through ``self.admission``;
+        # the fleet-MVM flush and the healthy-mesh probe are memoized,
+        # and run() / _drain() fast-forward provably idle cycles.
+        # ``tests/reference_serve.py`` holds the per-cycle loop every
+        # artifact is byte-compared against.
+        self._wheel = self.population.prebuild(config.duration)
+        self._decisions = precompute_decisions(self._wheel,
+                                               self.admission)
+        self.control.mvm_memo_entries = max(8, 4 * config.tenants)
+        self.recovery.probe_memo = True
 
     # -- accounting --------------------------------------------------------
 
@@ -366,20 +351,12 @@ class ServeDaemon:
             cache[tenant] = counter
         return counter
 
-    def _offer(self, arrival: Arrival,
-               admit: bool | None = None) -> None:
-        """Offer one arrival; ``admit`` carries a precomputed verdict.
-
-        The oracle slot passes ``None`` and consults the live
-        :class:`AdmissionController`; the vectorized slot passes the
-        array-form replay's (bit-identical) decision.
-        """
+    def _offer(self, arrival: Arrival, admit: bool) -> None:
+        """Offer one arrival with its admission verdict."""
         self.offered += 1
         self._m_offered.inc()
         tenant = self._per_tenant[arrival.tenant]
         tenant["offered"] += 1
-        if admit is None:
-            admit = self.admission.admit(arrival.tenant, self.cycle)
         if not admit:
             self.rejected += 1
             self._m_rejected.inc()
@@ -524,17 +501,9 @@ class ServeDaemon:
 
     def step(self) -> None:
         """One simulated cycle of the serving (or draining) loop."""
-        serving = self.state is DaemonState.SERVING
-        if serving:
-            arrivals = self._arrival_source.requests_for_cycle(
-                self.cycle)
-            if self._decisions is None:
-                for arrival in arrivals:
-                    self._offer(arrival)
-            else:
-                verdicts = self._decisions.get(self.cycle, ())
-                for arrival, verdict in zip(arrivals, verdicts):
-                    self._offer(arrival, verdict)
+        if self.state is DaemonState.SERVING:
+            for arrival, admit in self._arrivals(self.cycle):
+                self._offer(arrival, admit)
             self.injector.tick(self.cycle)
         self.recovery.service(self.cycle)
         self._dispatch_due()
@@ -542,27 +511,29 @@ class ServeDaemon:
         self.net.step()
         self._collect_completions()
         sampler = self.obs.sampler
-        offer = sampler is not None and self.cycle & 63 == 0
-        if offer or not self.vectorized:
+        if sampler is not None and self.cycle & 63 == 0:
             # Gauges are only *read* at snapshot samples and at
-            # finish(), and both gauges are pure functions of current
-            # daemon state, so the fast slot syncs them just before a
-            # snapshot offer instead of every cycle — the sampled
-            # values are identical either way.
+            # finish(), and both are pure functions of current daemon
+            # state, so they are synced just before a snapshot offer
+            # instead of every cycle.  The offer is throttled; the
+            # sampler's interval stays the sampling authority, as in
+            # SimKernel.run.
             self._sync_gauges()
-        if offer:
-            # Throttled snapshot offer (the sampler's interval stays
-            # the sampling authority, as in SimKernel.run).
             sampler.tick(self.cycle)
         self.cycle += 1
 
-    # -- idle fast-forward (vectorized slot only) --------------------------
+    def _arrivals(self, cycle: int):
+        """``(arrival, admitted)`` pairs offered at ``cycle``."""
+        return zip(self._wheel.requests_for_cycle(cycle),
+                   self._decisions.get(cycle, ()))
+
+    # -- idle fast-forward -------------------------------------------------
 
     def _idle_skip(self, end: int) -> int:
         """Length of the provably no-op cycle run starting at ``cycle``.
 
         Returns 0 whenever the next cycle might do *anything* the
-        oracle slot's :meth:`step` would do — an arrival, a fault-event
+        per-cycle :meth:`step` would do — an arrival, a fault-event
         or continuous-fault tick, a probe (every ``probe_interval``
         cycles), a batch reaching its size or age threshold (a held-due
         batch re-evaluates the dispatch gate, and so its metrics, every
@@ -592,7 +563,7 @@ class ServeDaemon:
                 return 0
             bound = min(bound, due_cycle)
         if self.state is DaemonState.SERVING:
-            if self._arrival_source.requests_for_cycle(cycle):
+            if self._wheel.requests_for_cycle(cycle):
                 return 0
             next_arrival = self._wheel.next_arrival_cycle(cycle + 1)
             if next_arrival is not None:
@@ -631,7 +602,7 @@ class ServeDaemon:
         self.cycle += cycles
 
     def _advance_until(self, end: int) -> None:
-        """Vectorized loop body: fast-forward idle runs, step the rest."""
+        """Loop body: fast-forward an idle run, or step one cycle."""
         skip = self._idle_skip(end)
         if skip > 1:
             self._skip_cycles(skip)
@@ -647,10 +618,7 @@ class ServeDaemon:
                     and not self._in_scheduler
                     and self.net.quiescent()):
                 break
-            if self.vectorized:
-                self._advance_until(deadline)
-            else:
-                self.step()
+            self._advance_until(deadline)
         else:
             self.drained = False
         self.drained = self.drained and self.in_flight == 0
@@ -668,19 +636,14 @@ class ServeDaemon:
     def run(self) -> dict:
         """The whole session: start, serve, drain, report.
 
-        The vectorized slot fast-forwards idle cycle runs here (and in
-        :meth:`_drain`); :meth:`step` itself stays strictly
-        single-cycle so manual drivers behave identically in both
-        slots.
+        Idle cycle runs are fast-forwarded here (and in :meth:`_drain`);
+        :meth:`step` itself stays strictly single-cycle, so a manual
+        driver gets the same report.
         """
         self.start()
-        if self.vectorized:
-            end = self.config.duration
-            while self.cycle < end:
-                self._advance_until(end)
-        else:
-            for _ in range(self.config.duration):
-                self.step()
+        end = self.config.duration
+        while self.cycle < end:
+            self._advance_until(end)
         return self.finish()
 
     # -- reporting ---------------------------------------------------------

@@ -1,0 +1,47 @@
+"""Test-only reference for the serve daemon's run loop.
+
+:class:`PerCycleDaemon` keeps the per-cycle loop that
+:class:`repro.serve.daemon.ServeDaemon` replaced with a pre-drawn
+arrival wheel, a replayed admission schedule, two memos and an idle
+fast-forward.  It draws every cycle's arrivals live from a fresh
+:class:`ClientPopulation`, admits each one live through a fresh
+:class:`AdmissionController`, recomputes every fleet MVM flush and mesh
+probe, syncs the gauges every cycle and steps every cycle.  It is the
+oracle the single loop is held to, byte for byte (report, events,
+snapshots), by ``tests/test_serve_cluster.py``; it lives under
+``tests/`` so production code carries one serve loop only.
+"""
+
+from __future__ import annotations
+
+from repro.serve import ARRIVALS, AdmissionController, ClientPopulation
+from repro.serve.daemon import ServeDaemon
+
+
+class PerCycleDaemon(ServeDaemon):
+    """:class:`ServeDaemon` stepping, drawing and admitting per cycle."""
+
+    def __init__(self, config, obs=None) -> None:
+        super().__init__(config, obs=obs)
+        # The wheel consumed the parent's generators and the replay
+        # spent its buckets; start both over for live use.
+        self.population = ClientPopulation(
+            config.tenant_names(), ARRIVALS.get(config.arrival)(),
+            config.rate, config.mvm_fraction, config.nodes, config.seed)
+        self.admission = AdmissionController(
+            config.admission_rate, config.admission_burst)
+        self.control.mvm_memo_entries = 0
+        self.recovery.probe_memo = False
+
+    def _arrivals(self, cycle: int):
+        return [(arrival, self.admission.admit(arrival.tenant, cycle))
+                for arrival in self.population.requests_for_cycle(cycle)]
+
+    def _collect_completions(self) -> None:
+        # The last call before the snapshot offer in step(): syncing
+        # here keeps the gauges current every cycle, not only at offers.
+        super()._collect_completions()
+        self._sync_gauges()
+
+    def _advance_until(self, end: int) -> None:
+        self.step()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
-from repro.obs import Obs, parse_exposition, validate_events
+from repro.obs import parse_exposition, validate_events
 from repro.serve import (
     ARRIVALS,
     AdmissionController,
@@ -131,6 +131,13 @@ class TestAdmission:
         assert ctl.admit("a", 0)
         assert not ctl.admit("a", 0)
         assert ctl.admit("b", 0)  # b's bucket untouched by a's spend
+
+    @pytest.mark.parametrize("rate,burst", [(0.0, 1.0), (-0.5, 4.0),
+                                            (0.1, 0.5)])
+    def test_controller_rejects_bad_policy_at_construction(self, rate,
+                                                           burst):
+        with pytest.raises(ValueError):
+            AdmissionController(rate, burst)
 
 
 # ---------------------------------------------------------------------------

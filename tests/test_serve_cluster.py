@@ -2,10 +2,11 @@
 
 Covers the cluster's execution-invariance contract (sequential oracle
 == process pool, byte for byte, per tenant and in aggregate; a shard
-run standalone matches the same shard inside a cluster), the
-vectorized serve hot loop against its per-cycle oracle, the bulk
-skip machinery's legality guards, token-bucket admission properties
-(hypothesis), and bounded-drain / zero-rate lifecycle edges.
+run standalone matches the same shard inside a cluster), the serve
+loop against the test-only per-cycle oracle
+(``tests/reference_serve.py``), the bulk skip machinery's legality
+guards, token-bucket admission properties (hypothesis), bounded-drain /
+zero-rate lifecycle edges, and the shared ``serve --check`` validator.
 """
 
 import json
@@ -15,11 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
-from repro.obs import (
-    merge_event_logs,
-    merge_snapshot_series,
-    validate_events,
-)
+from repro.obs import Obs, parse_exposition, validate_events
 from repro.obs.events import MonotoneClock
 from repro.serve import (
     DaemonState,
@@ -31,6 +28,7 @@ from repro.serve import (
     shard_tenants,
 )
 from repro.serve.cluster import ClusterTelemetryStore, _run_shard
+from tests.reference_serve import PerCycleDaemon
 
 
 def _canonical(obj) -> str:
@@ -45,18 +43,25 @@ def _artifacts(daemon: ServeDaemon, report: dict) -> str:
     })
 
 
+def _oracle_pair(config: ServeConfig, obs=None) -> list[str]:
+    """Artifacts of the per-cycle oracle and of the serve loop.
+
+    ``obs`` builds a fresh bundle per daemon (None: the default).
+    """
+    outs = []
+    for cls in (PerCycleDaemon, ServeDaemon):
+        daemon = cls(config, obs=None if obs is None else obs())
+        outs.append(_artifacts(daemon, daemon.run()))
+    return outs
+
+
 # ---------------------------------------------------------------------------
-# vectorized serve hot loop vs the per-cycle oracle
+# the serve loop vs the test-only per-cycle oracle
 
 
 class TestVectorizedLoop:
     def _pair(self, **kwargs):
-        outs = []
-        for vectorized in (False, True):
-            daemon = ServeDaemon(ServeConfig(**kwargs),
-                                 vectorized=vectorized)
-            outs.append(_artifacts(daemon, daemon.run()))
-        return outs
+        return _oracle_pair(ServeConfig(**kwargs))
 
     def test_poisson_byte_identical(self):
         oracle, fast = self._pair(rate=0.08, duration=768, seed=0)
@@ -67,7 +72,13 @@ class TestVectorizedLoop:
                                   duration=768, seed=7)
         assert oracle == fast
 
-    @pytest.mark.parametrize("fault", ["phase_drift", "dead_link"])
+    def test_diurnal_byte_identical(self):
+        oracle, fast = self._pair(rate=0.1, arrival="diurnal",
+                                  duration=1024, seed=5)
+        assert oracle == fast
+
+    @pytest.mark.parametrize(
+        "fault", ["phase_drift", "dead_link", "laser_degradation"])
     def test_fault_session_byte_identical(self, fault):
         oracle, fast = self._pair(rate=0.05, duration=640, seed=3,
                                   fault=fault)
@@ -77,16 +88,43 @@ class TestVectorizedLoop:
         oracle, fast = self._pair(rate=0.0, duration=512, seed=1)
         assert oracle == fast
 
-    def test_default_slot_is_vectorized(self):
-        assert ServeDaemon(ServeConfig(duration=16)).vectorized
-        assert not ServeDaemon(ServeConfig(duration=16),
-                               vectorized=False).vectorized
+    def test_admission_overload_byte_identical(self):
+        # Offered load above the refill rate with a shallow bucket, so
+        # the replayed verdicts include rejections.
+        oracle, fast = self._pair(rate=0.3, duration=512, seed=8,
+                                  admission_burst=4.0)
+        assert oracle == fast
+        assert json.loads(fast)["report"]["ledger"]["rejected"] > 0
+
+    def test_bounded_event_log_byte_identical(self):
+        oracle, fast = self._pair(rate=0.1, duration=640, seed=2,
+                                  max_events=64)
+        assert oracle == fast
+        assert json.loads(fast)["report"]["events"] == 64
+
+    def test_cluster_shard_byte_identical(self):
+        config = ServeConfig(rate=0.08, duration=640, seed=4,
+                             tenants=6)
+        oracle, fast = _oracle_pair(shard_configs(config, 3)[1])
+        assert oracle == fast
+
+    def test_active_obs_bundle_byte_identical(self):
+        # The tracer is on, so the loop's idle skip stays off and both
+        # daemons step every cycle; the trace itself must agree too.
+        config = ServeConfig(rate=0.06, duration=512, seed=6)
+        traces = []
+        for cls in (PerCycleDaemon, ServeDaemon):
+            daemon = cls(config, obs=Obs.active(snapshot_interval=128))
+            report = daemon.run()
+            traces.append((_artifacts(daemon, report),
+                           _canonical(list(daemon.obs.tracer.events))))
+        assert traces[0] == traces[1]
 
 
 class TestSkipMachinery:
     def test_scheduler_skip_refuses_unstarted_computation(self):
         daemon = ServeDaemon(ServeConfig(rate=0.2, duration=256,
-                                         seed=0), vectorized=False)
+                                         seed=0))
         daemon.start()
         sched = daemon.scheduler
         while not sched.active:
@@ -101,7 +139,7 @@ class TestSkipMachinery:
 
     def test_scheduler_skip_refuses_partitioner_window(self):
         daemon = ServeDaemon(ServeConfig(rate=0.2, duration=256,
-                                         seed=0), vectorized=False)
+                                         seed=0))
         daemon.start()
         sched = daemon.scheduler
         while not sched.control.compute_buffer:
@@ -113,8 +151,7 @@ class TestSkipMachinery:
 
     def test_net_skip_refuses_waiting_sources_and_completions(self):
         daemon = ServeDaemon(ServeConfig(rate=0.2, duration=256,
-                                         seed=0, mvm_fraction=0.0),
-                             vectorized=False)
+                                         seed=0, mvm_fraction=0.0))
         daemon.start()
         net = daemon.net
         while not net._circuits:
@@ -213,7 +250,7 @@ class TestDrainEdges:
     def test_drain_limit_reports_undrained_but_conserved(self):
         config = ServeConfig(rate=0.3, duration=128, seed=0,
                              drain_limit=2)
-        daemon = ServeDaemon(config, vectorized=False)
+        daemon = ServeDaemon(config)
         report = daemon.run()
         assert not report["drained"]
         assert report["conserved"]
@@ -226,11 +263,8 @@ class TestDrainEdges:
     def test_drain_limit_vectorized_matches_oracle(self):
         config = ServeConfig(rate=0.3, duration=128, seed=0,
                              drain_limit=2)
-        outs = []
-        for vectorized in (False, True):
-            daemon = ServeDaemon(config, vectorized=vectorized)
-            outs.append(_artifacts(daemon, daemon.run()))
-        assert outs[0] == outs[1]
+        oracle, fast = _oracle_pair(config)
+        assert oracle == fast
 
     def test_zero_rate_walks_full_lifecycle_with_empty_ledger(self):
         daemon = ServeDaemon(ServeConfig(rate=0.0, duration=256,
@@ -310,7 +344,7 @@ class TestReplicaSet:
         replica_set = ReplicaSet(config, 3)
         replica_set.run(jobs=1)
         shard = replica_set.shards[1]
-        assert replica_set.results[1] == _run_shard(shard, True)
+        assert replica_set.results[1] == _run_shard(shard)
 
     def test_per_tenant_streams_match_unsharded_session(self):
         # The Design-B contract: sharding changes *which daemon* serves
@@ -370,6 +404,17 @@ class TestReplicaSet:
         assert health["replicas"] == 2
         assert health["in_flight"] == 0
 
+    def test_exposition_covers_every_replica(self):
+        replica_set = ReplicaSet(ServeConfig(**_CLUSTER_CFG), 3)
+        report = replica_set.run(jobs=1)
+        samples, problems = parse_exposition(
+            ClusterTelemetryStore(replica_set).exposition())
+        assert problems == []
+        offered = {key: value for key, value in samples.items()
+                   if key.startswith("repro_serve_offered_total{")}
+        assert len(offered) == 3
+        assert sum(offered.values()) == report["ledger"]["offered"]
+
     def test_store_requires_completed_run(self):
         replica_set = ReplicaSet(ServeConfig(**_CLUSTER_CFG), 2)
         with pytest.raises(RuntimeError):
@@ -409,7 +454,17 @@ class TestClusterCLI:
         assert (root / "snapshots.jsonl").exists()
         assert (root / "metrics.prom").exists()
 
-    def test_oracle_loop_flag(self, capsys):
-        assert main(["serve", "--duration", "256", "--loop", "oracle",
-                     "--check"]) == 0
-        assert "serve check: ok" in capsys.readouterr().out
+    @pytest.mark.parametrize("replicas", ["1", "2"])
+    def test_check_rejects_bad_exposition(self, replicas, monkeypatch,
+                                          caplog):
+        # Single daemon and cluster share one --check validator, so a
+        # malformed exposition fails both.
+        import repro.obs
+
+        monkeypatch.setattr(repro.obs, "prometheus_exposition",
+                            lambda *a, **k: "not a sample line\n")
+        monkeypatch.setattr(ClusterTelemetryStore, "exposition",
+                            lambda self: "not a sample line\n")
+        args = self._ARGS[:-1] + [replicas, "--check"]
+        assert main(args) == 1
+        assert "exposition: line 1: unparseable sample" in caplog.text
