@@ -86,11 +86,22 @@ def _parameter_tables() -> dict:
     }
 
 
+#: The last workload :func:`_find_workload` built, as ``((name, shapes),
+#: workload)``.  One slot: a sweep's points arrive grouped by workload,
+#: so consecutive points reuse it while peak memory holds one workload.
+_last_workload: tuple[tuple[str, str], object] | None = None
+
+
 def _find_workload(name: str, shapes: str):
     # Builds only the named workload — constructing all five per sweep
     # point is measurable (paper-shape weight tensors are megabytes).
+    # Callers (system_point, trace, perf) only read the workload, so
+    # handing the same instance to consecutive points is safe.
+    global _last_workload
     from repro.workloads import make_workload
-    return make_workload(name, shapes)
+    if _last_workload is None or _last_workload[0] != (name, shapes):
+        _last_workload = ((name, shapes), make_workload(name, shapes))
+    return _last_workload[1]
 
 
 @register_task("system_point", context=_parameter_tables)

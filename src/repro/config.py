@@ -70,6 +70,15 @@ def watts_to_dbm(power_w: float) -> float:
     return 10.0 * math.log10(power_w / 1.0e-3)
 
 
+def _require_positive(config: object, *names: str) -> None:
+    """Reject a construction whose named fields are not all positive."""
+    for name in names:
+        value = getattr(config, name)
+        if value <= 0:
+            raise ValueError(f"{type(config).__name__}.{name} must be "
+                             f"positive, got {value}")
+
+
 @dataclass(frozen=True)
 class CoreConfig:
     """Per-core parameters (Table 1, "Core" rows)."""
@@ -85,6 +94,9 @@ class CoreConfig:
     macs_per_cycle: float = 2.0
     #: Fraction of memory stall cycles hidden by out-of-order overlap.
     memory_level_parallelism: float = 4.0
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "l1i_size_b", "l1d_size_b")
 
 
 @dataclass(frozen=True)
@@ -102,6 +114,10 @@ class CacheConfig:
     l1_assoc: int = 8
     l2_assoc: int = 8
     l3_assoc: int = 16
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "l2_size_b", "l3_size_b", "line_size_b",
+                          "l1_assoc", "l2_assoc", "l3_assoc")
 
 
 @dataclass(frozen=True)

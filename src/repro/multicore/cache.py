@@ -40,6 +40,11 @@ class Cache:
 
     def __init__(self, size_b: int, assoc: int, line_b: int,
                  name: str = "cache") -> None:
+        for field_name, value in (("size_b", size_b), ("assoc", assoc),
+                                  ("line_b", line_b)):
+            if value <= 0:
+                raise ValueError(
+                    f"{name}: {field_name} must be positive, got {value}")
         if size_b % (assoc * line_b):
             raise ValueError(
                 f"{name}: size {size_b} not divisible by assoc*line")
@@ -83,6 +88,14 @@ class HierarchyCounts:
     l2: CacheStats = field(default_factory=CacheStats)
     l3: CacheStats = field(default_factory=CacheStats)
     dram_accesses: int = 0
+
+    def add(self, other: HierarchyCounts) -> None:
+        """Accumulate ``other``'s counts into this one, level by level."""
+        for mine, theirs in ((self.l1, other.l1), (self.l2, other.l2),
+                             (self.l3, other.l3)):
+            mine.accesses += theirs.accesses
+            mine.hits += theirs.hits
+        self.dram_accesses += other.dram_accesses
 
 
 class CacheHierarchy:
@@ -136,12 +149,21 @@ class CacheHierarchy:
             l3=_delta(before.l3, after.l3),
             dram_accesses=after.dram_accesses - before.dram_accesses,
         )
+        self.account(counts)
+        return counts
+
+    def account(self, counts: HierarchyCounts) -> None:
+        """Feed one stream's per-level counts into the metric counters.
+
+        :meth:`access_stream` calls this for every stream it runs; the
+        system model's hierarchy-count memo calls it to replay a stream
+        it did not simulate again.
+        """
         for level, stats in (("l1", counts.l1), ("l2", counts.l2),
                              ("l3", counts.l3)):
             self._m_hits[level].inc(stats.hits)
             self._m_misses[level].inc(stats.misses)
         self._m_dram.inc(counts.dram_accesses)
-        return counts
 
     def snapshot(self) -> HierarchyCounts:
         return HierarchyCounts(

@@ -95,6 +95,11 @@ class Workload(abc.ABC):
         ``weight_reuse`` times (capped to bound simulation cost — reuse
         beyond a few passes is already fully resident), an input stream,
         and an output stream, at cache-line granularity.
+
+        A stream must be a pure function of :meth:`phases`: the system
+        model memoizes hierarchy counts keyed by this method and the
+        phase list (``repro.core.system._COUNTS_CACHE``), so an override
+        that reads any other state would be served stale counts.
         """
         line = 64
         for phase in self.phases():

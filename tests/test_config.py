@@ -6,6 +6,8 @@ import pytest
 from repro.config import (
     DEFAULT_DEVICES,
     DEFAULT_SYSTEM,
+    CacheConfig,
+    CoreConfig,
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
@@ -93,6 +95,28 @@ class TestSystemConfig:
     def test_config_is_frozen(self):
         with pytest.raises(Exception):
             DEFAULT_SYSTEM.core.count = 128  # type: ignore[misc]
+
+
+class TestGeometryValidation:
+    @pytest.mark.parametrize("config, field", [
+        (CacheConfig, "l2_size_b"),
+        (CacheConfig, "l3_size_b"),
+        (CacheConfig, "line_size_b"),
+        (CacheConfig, "l1_assoc"),
+        (CacheConfig, "l2_assoc"),
+        (CacheConfig, "l3_assoc"),
+        (CoreConfig, "l1i_size_b"),
+        (CoreConfig, "l1d_size_b"),
+    ])
+    @pytest.mark.parametrize("value", [0, -8])
+    def test_non_positive_field_rejected(self, config, field, value):
+        with pytest.raises(ValueError, match=f"{config.__name__}.{field}"):
+            config(**{field: value})
+
+    def test_defaults_and_replace_still_build(self):
+        assert DEFAULT_SYSTEM.replace(
+            cache=CacheConfig(l2_size_b=256 * 1024)).cache.l2_size_b \
+            == 256 * 1024
 
 
 class TestDeviceParams:

@@ -49,6 +49,19 @@ class TestCache:
         with pytest.raises(ValueError):
             Cache(1000, 3, 64)
 
+    @pytest.mark.parametrize("size_b, assoc, line_b, field", [
+        (-1024, 8, 64, "size_b"),
+        (0, 8, 64, "size_b"),
+        (1024, 0, 64, "assoc"),
+        (1024, -8, 64, "assoc"),
+        (1024, 8, 0, "line_b"),
+        (1024, 8, -64, "line_b"),
+    ])
+    def test_non_positive_geometry_rejected(self, size_b, assoc, line_b,
+                                            field):
+        with pytest.raises(ValueError, match=field):
+            Cache(size_b, assoc, line_b)
+
     def test_stats_track_hit_rate(self):
         c = Cache(1024, 2, 64)
         c.access(0)

@@ -4,11 +4,20 @@ These run the full pipeline on *reduced* workload shapes so the suite
 stays fast; the benchmarks run the paper shapes.
 """
 
+import math
+
 import pytest
 
 from repro.core.pipelines import CONFIGURATIONS
 from repro.core.system import SystemModel
-from repro.workloads import ImageBlur, JPEGWorkload, Rotation3D, VGG16FC
+from repro.obs import Obs
+from repro.workloads import (
+    VGG16FC,
+    ImageBlur,
+    JPEGWorkload,
+    Rotation3D,
+    make_workload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +117,59 @@ class TestWorkloadTrends:
     def test_jpeg_speedup_positive(self, model):
         runs = model.run_all(JPEGWorkload(height=64, width=64))
         assert runs["mesh"].runtime_s / runs["flumen_a"].runtime_s > 1.0
+
+
+class TestSchedulerCoSimulation:
+    """The Algorithm 1 co-simulation keeps ``SimKernel.run``'s bookkeeping."""
+
+    @staticmethod
+    def _run_flumen_a(monkeypatch, obs=None, on_build=None):
+        """Run small rotation3d under flumen_a; returns the co-sim net."""
+        import repro.core.system as system
+
+        built = []
+        make_network = system.make_network
+
+        def capture(*args, **kwargs):
+            net = make_network(*args, **kwargs)
+            if on_build is not None:
+                on_build(net)
+            built.append(net)
+            return net
+
+        monkeypatch.setattr(system, "make_network", capture)
+        model = SystemModel() if obs is None else SystemModel(obs=obs)
+        model.run(make_workload("rotation3d", "small"), "flumen_a")
+        return built[-1]
+
+    def test_trailing_utilization_interval_is_flushed(self, monkeypatch):
+        net = self._run_flumen_a(monkeypatch)
+        interval = net.utilization.interval_cycles
+        assert net.cycle % interval  # a partial trailing interval exists
+        assert len(net.utilization.timeline) == math.ceil(
+            net.cycle / interval)
+
+    def test_trailing_link_busy_counter_is_traced(self, monkeypatch):
+        obs = Obs.active()
+        net = self._run_flumen_a(monkeypatch, obs=obs)
+        busy = [e for e in obs.tracer.events
+                if e["name"] == "link_busy_fraction"]
+        # The last counter closes the partial interval, stamped at its
+        # nominal end.
+        interval = net.utilization.interval_cycles
+        assert busy[-1]["ts"] == math.ceil(net.cycle / interval) * interval
+        assert busy[-1]["args"]["busy"] == net.utilization.timeline[-1]
+
+    def test_run_hooks_fire_around_the_loop(self, monkeypatch):
+        # The hooks are where electrical backends publish noc.flit_hops.
+        calls = []
+
+        def record_hooks(net):
+            for hook in ("_begin_run", "_end_run"):
+                original = getattr(net, hook)
+                monkeypatch.setattr(
+                    net, hook, lambda hook=hook, original=original: (
+                        calls.append((hook, net.cycle)), original()))
+
+        net = self._run_flumen_a(monkeypatch, on_build=record_hooks)
+        assert calls == [("_begin_run", 0), ("_end_run", net.cycle)]
