@@ -79,6 +79,19 @@ def _require_positive(config: object, *names: str) -> None:
                              f"positive, got {value}")
 
 
+def _require_range(config: object, name: str, low: float, high: float,
+                   low_open: bool = False) -> None:
+    """Reject a construction whose named field leaves ``[low, high]``.
+
+    ``low_open`` excludes ``low`` itself: the range is ``(low, high]``.
+    """
+    value = getattr(config, name)
+    if value < low or (low_open and value == low) or value > high:
+        bracket = "(" if low_open else "["
+        raise ValueError(f"{type(config).__name__}.{name} must be in "
+                         f"{bracket}{low}, {high}], got {value}")
+
+
 @dataclass(frozen=True)
 class CoreConfig:
     """Per-core parameters (Table 1, "Core" rows)."""
@@ -152,6 +165,11 @@ class FlumenComputeConfig:
     comm_switch_delay_s: float = 1.0 * NANO
     equivalent_precision_bits: int = 8
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "computation_wavelengths",
+                          "input_modulation_hz", "mzim_switch_delay_s",
+                          "comm_switch_delay_s", "equivalent_precision_bits")
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -163,6 +181,13 @@ class SchedulerConfig:
     eta: float = 0.40
     #: Buffer scan depth ζ (fraction of the most-utilized buffers examined).
     zeta: float = 0.50
+
+    def __post_init__(self) -> None:
+        if self.tau_cycles < 1:
+            raise ValueError(f"SchedulerConfig.tau_cycles must be >= 1, "
+                             f"got {self.tau_cycles}")
+        _require_range(self, "eta", 0.0, 1.0)
+        _require_range(self, "zeta", 0.0, 1.0, low_open=True)
 
 
 @dataclass(frozen=True)
@@ -185,6 +210,9 @@ class SystemConfig:
     #: rescaled.  Every rescale is logged (logger ``repro.system``) so
     #: no run is capped silently.
     max_simulated_packets: int = 3000
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "max_simulated_packets")
 
     @property
     def chiplets(self) -> int:

@@ -16,16 +16,21 @@ arbitration logic:
 
 Backends register themselves with :mod:`repro.noc.registry`, so adding
 a topology is one module: subclass :class:`SimKernel`, implement the
-four hooks, register a factory.
+four hooks, register a factory.  Two optional hooks let a backend
+fast-forward trace playback: ``_skip_idle`` (quiescent stretches) and
+``_solo_forward`` (one packet crossing an otherwise empty network).
 """
 
 from __future__ import annotations
 
+import logging
 import time
 
 from repro.noc.packet import Packet
 from repro.noc.stats import LatencyStats, SimulationResult, UtilizationTracker
 from repro.obs import NULL_OBS, Obs
+
+log = logging.getLogger("repro.noc")
 
 
 class SimKernel:
@@ -58,6 +63,7 @@ class SimKernel:
         #: kernel to one tenant's request stream.
         self.tenant = ""
         self._bind_accounting()
+        self._sample_end = 0
         if self._tracer.enabled:
             tracer = self._tracer
             interval = utilization_interval
@@ -130,6 +136,41 @@ class SimKernel:
         self.cycle += idle_cycles
         self.utilization.record_idle_cycles(idle_cycles)
 
+    def _skip_to_next_event(self, traffic, remaining: int) -> int:
+        """Skip a quiescent network to the next event; return the cycles."""
+        nxt = traffic.next_event_cycle(self.cycle)
+        idle = remaining if nxt is None else min(remaining, nxt - self.cycle)
+        if idle <= 0:
+            return 0
+        self._skip_idle(idle)
+        return idle
+
+    # -- solo-packet fast-forward ----------------------------------------
+
+    def _solo_forward(self, packet: Packet, horizon: int) -> int:
+        """Carry ``packet``, just offered to a quiescent network, alone.
+
+        Called only when no other packet can be offered within the next
+        ``horizon`` cycles.  A backend may advance up to ``horizon``
+        cycles on its own — leaving exactly the state as many ``step()``
+        calls would, sampler ticks included (:meth:`_sample_stepped`) —
+        and return how many it advanced; 0 declines, and :meth:`run`
+        steps the cycle as usual.  The base kernel declines.
+        """
+        return 0
+
+    def _sample_stepped(self, first: int, last: int) -> None:
+        """Tick the sampler as stepping to cycles ``first..last`` would.
+
+        The run loop ticks after each step that lands on a multiple of
+        64, up to the end of the run window; the drain loop never ticks.
+        """
+        if self._sampler is None:
+            return
+        last = min(last, self._sample_end)
+        for cycle in range(-(-first // 64) * 64, last + 1, 64):
+            self._sampler.tick(cycle)
+
     # -- traffic ---------------------------------------------------------
 
     def offer_packet(self, packet: Packet) -> None:
@@ -162,13 +203,22 @@ class SimKernel:
 
         ``traffic`` provides ``packets_for_cycle(cycle)``.  With ``drain``
         the simulation continues (without new injection) until every
-        in-flight packet is delivered or the drain budget runs out.
+        in-flight packet is delivered or the drain budget runs out; an
+        exhausted budget leaves the network busy and logs a warning on
+        logger ``repro.noc``.
 
-        When the backend supports idle fast-forward, tracing is off, and
-        the traffic source can name its next event cycle (trace playback
-        can; random generators draw RNG every cycle and cannot), runs of
-        quiescent cycles collapse into one ``_skip_idle`` jump.  Every
-        observable — cycle counts, utilization timeline, latencies,
+        Two fast-forwards apply when the backend supports idle skip,
+        tracing is off, and the traffic source can name its next event
+        cycle (trace playback can; random generators draw RNG every cycle
+        and cannot):
+
+        * **idle skip** — runs of quiescent cycles collapse into one
+          ``_skip_idle`` jump;
+        * **solo packet** — a packet offered alone to a quiescent
+          network goes to ``_solo_forward``, bounded by the next event
+          cycle, the cycles left, and (when draining) the drain budget.
+
+        Every observable — cycle counts, utilization timeline, latencies,
         arbiter state at the next busy cycle — is identical either way.
         """
         self.latency.warmup_cycles = warmup
@@ -179,10 +229,27 @@ class SimKernel:
                         and not self._tracer.enabled
                         and hasattr(traffic, "next_event_cycle"))
         sampler = self._sampler
+        #: Last cycle the main loop can step to: a solo fast-forward
+        #: offers the sampler the 64-cycle marks up to here, as stepping
+        #: would, and none in the drain phase.
+        self._sample_end = start_cycle + cycles
         remaining = cycles
+        drain_budget = max_drain_cycles if drain else 0
         while remaining > 0:
-            for packet in traffic.packets_for_cycle(self.cycle):
-                self.offer_packet(packet)
+            offered = traffic.packets_for_cycle(self.cycle)
+            if fast_forward and len(offered) == 1 and self.quiescent():
+                advanced = self._offer_solo(traffic, offered[0], remaining,
+                                            drain_budget)
+                if advanced:
+                    drain_budget -= max(0, advanced - remaining)
+                    remaining -= advanced
+                    if remaining > 0 and self.quiescent():
+                        remaining -= self._skip_to_next_event(traffic,
+                                                              remaining)
+                    continue
+            else:
+                for packet in offered:
+                    self.offer_packet(packet)
             self.step()
             remaining -= 1
             if sampler is not None and self.cycle & 63 == 0:
@@ -196,17 +263,9 @@ class SimKernel:
                 # mutations by construction).
                 sampler.tick(self.cycle)
             if remaining > 0 and fast_forward and self.quiescent():
-                nxt = traffic.next_event_cycle(self.cycle)
-                idle = remaining if nxt is None \
-                    else min(remaining, nxt - self.cycle)
-                if idle > 0:
-                    self._skip_idle(idle)
-                    remaining -= idle
+                remaining -= self._skip_to_next_event(traffic, remaining)
         if drain:
-            budget = max_drain_cycles
-            while not self.quiescent() and budget > 0:
-                self.step()
-                budget -= 1
+            self._drain(drain_budget, max_drain_cycles)
         if sampler is not None:
             sampler.tick(self.cycle)
         self.utilization.finish()
@@ -222,6 +281,33 @@ class SimKernel:
                 start_cycle, self.cycle,
                 cycles=self.cycle - start_cycle,
                 injected=self.injected_packets)
+
+    def _offer_solo(self, traffic, packet: Packet, remaining: int,
+                    drain_budget: int) -> int:
+        """Offer a packet arriving alone at a quiescent network.
+
+        Hands it to :meth:`_solo_forward`, bounded by the cycle the
+        trace's next packet arrives — past the run window (``remaining``
+        cycles) only the drain loop, with ``drain_budget`` cycles, would
+        step.  Returns the cycles advanced; 0 leaves the cycle to step.
+        """
+        nxt = traffic.next_event_cycle(self.cycle)
+        horizon = remaining + drain_budget
+        if nxt is not None and nxt - self.cycle < remaining:
+            horizon = nxt - self.cycle
+        self.offer_packet(packet)
+        return self._solo_forward(packet, horizon)
+
+    def _drain(self, budget: int, max_drain_cycles: int) -> None:
+        """Step until quiescent or ``budget`` cycles; warn if still busy."""
+        while not self.quiescent() and budget > 0:
+            self.step()
+            budget -= 1
+        if not self.quiescent():
+            log.warning(
+                "%s: drain budget of %d cycles exhausted with %d flits "
+                "still queued; results cover a busy network",
+                self.name, max_drain_cycles, self.total_queued_flits())
 
     def _begin_run(self) -> None:
         """Hook fired as :meth:`run` starts (before any injection)."""

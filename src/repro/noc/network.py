@@ -18,7 +18,7 @@ from collections import deque
 from repro.noc.kernel import SimKernel
 from repro.noc.packet import Flit, Packet
 from repro.noc.router import Router
-from repro.noc.topology import LOCAL_PORT, Topology
+from repro.noc.topology import LOCAL_PORT, Topology, check_router_geometry
 from repro.obs import NULL_OBS, Obs
 
 #: Effectively infinite credits for ejection ports.
@@ -32,6 +32,7 @@ class Network(SimKernel):
                  buffer_depth: int = 8, utilization_interval: int = 100,
                  router_pipeline_cycles: int = 2,
                  obs: Obs = NULL_OBS) -> None:
+        check_router_geometry(num_vcs, buffer_depth, router_pipeline_cycles)
         super().__init__(name=topology.name,
                          num_links=topology.num_links(),
                          utilization_interval=utilization_interval,

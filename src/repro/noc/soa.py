@@ -35,6 +35,17 @@ would have touched — the cycle counter, the utilization intervals, and
 (for Flumen) the wavefront priority diagonal, which the oracle rotates
 on every cycle, busy or not.
 
+The router network (:class:`SoANetwork`) also takes the kernel's
+solo-packet fast-forward: a packet offered alone to a quiescent ring or
+mesh, with no other packet due before it could be delivered, crosses
+uncontended, so its crossing depends only on ``(src, dst, size_flits)``.
+The first such packet per key is stepped while recording its cycle
+count, per-cycle busy links, counter deltas, and every arbiter slot it
+writes; later ones replay the recording in one jump.  Single-requester
+arbitration makes each recorded write independent of the prior arbiter
+state, and credits, owners and pending sets return to empty, so a
+replay leaves the network exactly as stepping would.
+
 Ordering contracts the SoA step preserves (DESIGN.md §14):
 
 * ``Network``: routers are processed in ascending id, so at most one
@@ -60,11 +71,48 @@ from repro.noc.arbiter import WavefrontArbiter
 from repro.noc.flumen_net import DEFAULT_RECONFIG_CYCLES
 from repro.noc.kernel import SimKernel
 from repro.noc.packet import Flit, Packet
-from repro.noc.topology import LOCAL_PORT, Topology
+from repro.noc.topology import LOCAL_PORT, Topology, check_router_geometry
 from repro.obs import NULL_OBS, Obs
 
 #: Effectively infinite credits for ejection ports (oracle's value).
 _EJECT_CREDITS = 10 ** 9
+
+
+class _SlotLog(list):
+    """Arbiter-state list that records every slot written while swapped in.
+
+    Solo-packet recording swaps these in for ``vc_last``, ``sw_in_last``
+    and ``sw_out_last``.  Each write lands in ``writes`` (slot -> last
+    value) even when it stores the value already there: a replay applies
+    the written slots, not a before/after diff, so it reproduces the
+    write from whatever arbiter state the network holds at the time.
+    """
+
+    def __init__(self, values: list[int]) -> None:
+        super().__init__(values)
+        self.writes: dict[int, int] = {}
+
+    def __setitem__(self, index, value) -> None:
+        self.writes[index] = value
+        super().__setitem__(index, value)
+
+
+class _SoloPath:
+    """One recorded lone crossing of a ``(src, dst, size_flits)`` packet."""
+
+    __slots__ = ("steps", "busy_runs", "flit_hops", "link_traversals",
+                 "ejected_flits", "vc_writes", "sw_in_writes",
+                 "sw_out_writes")
+
+    def __init__(self, steps, busy_runs, deltas, logs) -> None:
+        #: Cycles from offer to delivery; delivery lands on the last.
+        self.steps = steps
+        #: ``(busy_links, cycles)`` runs, in order, for the utilization
+        #: tracker.
+        self.busy_runs = busy_runs
+        self.flit_hops, self.link_traversals, self.ejected_flits = deltas
+        self.vc_writes, self.sw_in_writes, self.sw_out_writes = (
+            tuple(log.writes.items()) for log in logs)
 
 
 def _rr_sparse(lines, last: int, n: int) -> int:
@@ -92,6 +140,7 @@ class SoANetwork(SimKernel):
                  buffer_depth: int = 8, utilization_interval: int = 100,
                  router_pipeline_cycles: int = 2,
                  obs: Obs = NULL_OBS) -> None:
+        check_router_geometry(num_vcs, buffer_depth, router_pipeline_cycles)
         super().__init__(name=topology.name,
                          num_links=topology.num_links(),
                          utilization_interval=utilization_interval,
@@ -173,6 +222,10 @@ class SoANetwork(SimKernel):
         self._m_hops = obs.metrics.counter(
             "noc.flit_hops", topology=topology.name)
         self._run_hops_base = 0
+        #: Recorded lone crossings keyed ``(src, dst, size_flits)``.
+        self._solo_paths: dict[tuple[int, int, int], _SoloPath] = {}
+        #: Cycles advanced by replaying a recorded lone crossing.
+        self.solo_cycles_jumped = 0
 
     # -- pending-set maintenance ----------------------------------------
 
@@ -282,6 +335,82 @@ class SoANetwork(SimKernel):
         # A quiescent router network moves no arbiter state on an idle
         # cycle, so only the kernel-side clock advances.
         self._advance_idle(idle_cycles)
+
+    def _solo_forward(self, packet: Packet, horizon: int) -> int:
+        # A lone packet's crossing from a quiescent network depends only
+        # on its key: every arbitration has a single requester, so each
+        # winner (and each rotation write) is fixed, and credits, owners
+        # and pending sets return to empty on delivery.  The first such
+        # packet per key is stepped and recorded; later ones replay.
+        key = (packet.src, packet.dst, packet.size_flits)
+        path = self._solo_paths.get(key)
+        if path is None:
+            return self._record_solo(key, horizon)
+        steps = path.steps
+        if steps > horizon:
+            return 0
+        self.source_queues[packet.src].clear()
+        self._waiting_sources.clear()
+        for slots, writes in ((self.vc_last, path.vc_writes),
+                              (self.sw_in_last, path.sw_in_writes),
+                              (self.sw_out_last, path.sw_out_writes)):
+            for index, value in writes:
+                slots[index] = value
+        self.flit_hops += path.flit_hops
+        self.link_traversals += path.link_traversals
+        self.ejected_flits += path.ejected_flits
+        start, end = self.cycle, self.cycle + steps
+        # Delivery lands in the last step, after the ticks of every
+        # earlier one; most crossings pass no 64-cycle sample mark.
+        sampled = self._sampler is not None and end >> 6 != start >> 6
+        if sampled:
+            self._sample_stepped(start + 1, end - 1)
+        self._deliver(packet, end - 1, f"node{packet.src}")
+        record = self.utilization.record_cycles
+        for busy, cycles in path.busy_runs:
+            record(busy, cycles)
+        self.cycle = end
+        if sampled:
+            self._sample_stepped(end, end)
+        self.solo_cycles_jumped += steps
+        return steps
+
+    def _record_solo(self, key: tuple[int, int, int], horizon: int) -> int:
+        """Step the lone packet up to ``horizon`` cycles, recording it.
+
+        The path is memoised only if the packet is delivered within the
+        horizon; otherwise the steps taken stand as ordinary stepping.
+        """
+        logs = (_SlotLog(self.vc_last), _SlotLog(self.sw_in_last),
+                _SlotLog(self.sw_out_last))
+        self.vc_last, self.sw_in_last, self.sw_out_last = logs
+        start = (self.flit_hops, self.link_traversals, self.ejected_flits)
+        busy_runs: list[tuple[int, int]] = []
+        steps = 0
+        try:
+            while steps < horizon:
+                before = self.link_traversals
+                self.step()
+                if self.cycle & 63 == 0:
+                    self._sample_stepped(self.cycle, self.cycle)
+                steps += 1
+                busy = self.link_traversals - before
+                if busy_runs and busy_runs[-1][0] == busy:
+                    busy_runs[-1] = (busy, busy_runs[-1][1] + 1)
+                else:
+                    busy_runs.append((busy, 1))
+                if self.quiescent():
+                    break
+        finally:
+            self.vc_last, self.sw_in_last, self.sw_out_last = (
+                list(log) for log in logs)
+        if self.quiescent():
+            deltas = (self.flit_hops - start[0],
+                      self.link_traversals - start[1],
+                      self.ejected_flits - start[2])
+            self._solo_paths[key] = _SoloPath(steps, tuple(busy_runs),
+                                              deltas, logs)
+        return steps
 
     def _route_stage(self, router: int) -> None:
         pending = self._route_pending.pop(router)

@@ -96,6 +96,11 @@ class UtilizationTracker:
     timeline: list[float] = field(default_factory=list)
     on_flush: Callable[[int, float], None] | None = None
 
+    def __post_init__(self) -> None:
+        if self.interval_cycles < 1:
+            raise ValueError(f"utilization interval_cycles must be >= 1, "
+                             f"got {self.interval_cycles}")
+
     def record_cycle(self, busy_links: int) -> None:
         if busy_links > self.num_links:
             raise ValueError(

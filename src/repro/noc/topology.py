@@ -17,6 +17,17 @@ from dataclasses import dataclass
 LOCAL_PORT = 0
 
 
+def check_router_geometry(num_vcs: int, buffer_depth: int,
+                          router_pipeline_cycles: int) -> None:
+    """Reject a wormhole router geometry no network can simulate."""
+    for name, value, low in (("num_vcs", num_vcs, 1),
+                             ("buffer_depth", buffer_depth, 1),
+                             ("router_pipeline_cycles",
+                              router_pipeline_cycles, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class Link:
     """A unidirectional router-to-router channel."""

@@ -8,6 +8,9 @@ from repro.config import (
     DEFAULT_SYSTEM,
     CacheConfig,
     CoreConfig,
+    FlumenComputeConfig,
+    SchedulerConfig,
+    SystemConfig,
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
@@ -117,6 +120,55 @@ class TestGeometryValidation:
         assert DEFAULT_SYSTEM.replace(
             cache=CacheConfig(l2_size_b=256 * 1024)).cache.l2_size_b \
             == 256 * 1024
+
+
+class TestAlgorithmOneValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("tau_cycles", 0), ("tau_cycles", -5), ("tau_cycles", 0.5),
+        ("eta", -0.1), ("eta", 1.5),
+        ("zeta", 0.0), ("zeta", -0.2), ("zeta", 1.01),
+    ])
+    def test_out_of_range_scheduler_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"SchedulerConfig.{field}"):
+            SchedulerConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tau_cycles": 1}, {"tau_cycles": 25}, {"eta": 0.0},
+        {"eta": 1.0}, {"zeta": 1.0}, {"zeta": 1e-3},
+    ])
+    def test_range_endpoints_still_build(self, kwargs):
+        assert SchedulerConfig(**kwargs)
+
+    def test_sensitivity_sweep_values_build(self):
+        # The Section 3.4 sweeps in benchmarks/bench_alg1_sensitivity.py.
+        for tau in (25, 50, 100, 150, 200, 300):
+            assert SchedulerConfig(tau_cycles=tau).tau_cycles == tau
+        for eta in (0.1, 0.25, 0.4, 0.55, 0.7, 0.9):
+            assert SchedulerConfig(eta=eta).eta == eta
+        for zeta in (0.125, 0.25, 0.5, 1.0):
+            assert SchedulerConfig(zeta=zeta).zeta == zeta
+
+    @pytest.mark.parametrize("field", [
+        "computation_wavelengths", "input_modulation_hz",
+        "mzim_switch_delay_s", "comm_switch_delay_s",
+        "equivalent_precision_bits"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_compute_field_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"FlumenComputeConfig.{field}"):
+            FlumenComputeConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_non_positive_packet_cap_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match="SystemConfig.max_simulated_packets"):
+            SystemConfig(max_simulated_packets=value)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValueError, match="SchedulerConfig.zeta"):
+            DEFAULT_SYSTEM.replace(scheduler=SchedulerConfig(zeta=2.0))
+        assert DEFAULT_SYSTEM.replace(
+            max_simulated_packets=1).max_simulated_packets == 1
 
 
 class TestDeviceParams:

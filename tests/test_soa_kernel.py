@@ -8,14 +8,20 @@ fast-forward path.  All assertions are exact equality; any tolerance
 would hide an ordering bug.
 """
 
+import logging
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.arbiter import RoundRobinArbiter, WavefrontArbiter
+from repro.noc.kernel import SimKernel
 from repro.noc.registry import TOPOLOGIES
 from repro.noc.simulation import make_network
+from repro.noc.soa import SoANetwork
 from repro.noc.stats import UtilizationTracker
 from repro.noc.traffic import TracePlayback, TrafficGenerator
+from repro.obs import Obs
 
 VECTORIZED = [t for t in TOPOLOGIES.names() if TOPOLOGIES.has_vectorized(t)]
 
@@ -192,3 +198,238 @@ def test_trace_playback_next_event_cycle():
     assert trace.next_event_cycle(5) == 9
     trace.packets_for_cycle(9)
     assert trace.next_event_cycle(9) is None
+
+
+# -- solo-packet fast-forward ----------------------------------------------
+#
+# A packet offered alone to a quiescent ring or mesh is stepped once per
+# (src, dst, size) key while recorded, and every later lone packet with
+# that key replays the recording.  Each corpus below runs the SoA twin
+# (which takes the solo path) against the per-object oracle (which steps
+# every cycle) and demands exact equality, arbiter state included.
+
+ROUTED = ["mesh", "ring"]
+
+
+def _arbiter_starts(net) -> list[int]:
+    """Every router arbiter's next scan start, in the oracle's terms.
+
+    The SoA twin sizes each router's arbiters for the widest router, so
+    a narrower router stores an equivalent rotation index in a wider
+    space; the first line each arbiter scans next compares exactly.
+    """
+    starts: list[int] = []
+    if hasattr(net, "routers"):
+        for router in net.routers:
+            arbiters = [arb for row in router._vc_arbiters for arb in row]
+            arbiters += router._sw_input + router._sw_output
+            starts += [(arb._last + 1) % arb.n for arb in arbiters]
+        return starts
+    P, V = net._P, net._V
+
+    def start(last: int, width: int, lines: int) -> int:
+        first = (last + 1) % width
+        return first if first < lines else 0
+
+    for r in range(net.topology.num_routers):
+        ports = range(net.topology.num_ports(r))
+        lines = len(ports) * V
+        starts += [start(net.vc_last[(r * P + op) * V + ov], P * V, lines)
+                   for op in ports for ov in range(V)]
+        starts += [start(net.sw_in_last[r * P + p], V, V) for p in ports]
+        starts += [start(net.sw_out_last[r * P + op], P * V, lines)
+                   for op in ports]
+    return starts
+
+
+def _solo_pair(topology, events, cycles, max_drain_cycles=30_000):
+    """Run oracle and SoA twin on one trace; return the SoA twin."""
+    nets = [make_network(topology, 16, vectorized=v) for v in (False, True)]
+    for net in nets:
+        net.run(TracePlayback(list(events)), cycles=cycles, drain=True,
+                max_drain_cycles=max_drain_cycles)
+    oracle, soa = nets
+    assert _summary(soa) == _summary(oracle)
+    assert soa.ejected_flits == oracle.ejected_flits
+    assert _arbiter_starts(soa) == _arbiter_starts(oracle)
+    return soa
+
+
+def _replayed_cycles(events, latencies) -> int:
+    """Cycles a solo replay covers: every repeat of a key, delivered alone.
+
+    Valid for traces whose packets all travel alone: the first packet of
+    each key is stepped (and recorded); each later one takes
+    ``latency + 1`` cycles from offer to delivery.
+    """
+    seen: set[tuple[int, int, int]] = set()
+    total = 0
+    for (_, src, dst, size), latency in zip(sorted(events), latencies):
+        if (src, dst, size) in seen:
+            total += latency + 1
+        seen.add((src, dst, size))
+    return total
+
+
+_SOLO_KEYS = [(0, 15, 3), (5, 10, 1), (12, 3, 5), (0, 15, 3), (7, 6, 2)]
+
+
+@pytest.mark.parametrize("topology", ROUTED)
+def test_solo_packets_replay_exactly(topology):
+    events = [(i * 70, *_SOLO_KEYS[i % len(_SOLO_KEYS)]) for i in range(20)]
+    soa = _solo_pair(topology, events, cycles=20 * 70)
+    assert soa.solo_cycles_jumped == _replayed_cycles(
+        events, soa.latency.latencies) > 0
+
+
+@pytest.mark.parametrize("topology", ROUTED)
+def test_solo_packet_finishing_in_drain_replays(topology):
+    # The last lone packet is offered two cycles before the window ends;
+    # its replay runs on into the drain phase.
+    events = [(0, 2, 13, 4), (80, 2, 13, 4), (158, 2, 13, 4)]
+    soa = _solo_pair(topology, events, cycles=160)
+    assert soa.cycle > 160
+    # Both repeats replay, the one finishing in the drain included.
+    assert soa.solo_cycles_jumped == 2 * (soa.cycle - 158) == \
+        _replayed_cycles(events, soa.latency.latencies)
+
+
+@pytest.mark.parametrize("topology", ROUTED)
+def test_solo_packet_past_drain_budget_is_stepped(topology):
+    # The last lone packet needs more cycles than the window plus the
+    # drain budget leave it, so it must not replay: it is stepped until
+    # the budget runs out, undelivered, exactly as the oracle does.
+    events = [(0, 2, 13, 4), (158, 2, 13, 4)]
+    soa = _solo_pair(topology, events, cycles=160, max_drain_cycles=3)
+    assert soa.solo_cycles_jumped == 0
+    assert soa.latency.received == 1 and not soa.quiescent()
+    assert soa.cycle == 163
+
+
+@pytest.mark.parametrize("topology", ROUTED)
+@pytest.mark.parametrize("events", [
+    # contention: two packets offered in the same cycle, every time
+    [(i * 60 + 5, 1, 14, 3) for i in range(6)]
+    + [(i * 60 + 5, 9, 14, 3) for i in range(6)],
+    # injection mid-flight: a lone packet is recorded, then every repeat
+    # of its key has the next packet arriving before it is delivered
+    [(0, 3, 12, 4)] + [(100 + i * 40 + d, 3, 12, 4)
+                       for i in range(5) for d in (0, 2)],
+    # multi-packet bursts from one source and from many
+    [(i * 50, 4, dst, 2) for i in range(5) for dst in (0, 9, 15)]
+    + [(300 + i * 50, src, 8, 1) for i in range(5) for src in (1, 2, 3)],
+], ids=["contention", "mid_flight", "bursts"])
+def test_solo_path_stays_off_for_shared_traffic(topology, events):
+    soa = _solo_pair(topology, events, cycles=700)
+    assert soa.solo_cycles_jumped == 0
+    assert soa.latency.received == len(events)
+
+
+_LONE = (0, 15, 3)
+_BURST = [(1, 15, 3), (4, 15, 3), (0, 11, 2), (5, 15, 1), (3, 14, 2)]
+
+
+@pytest.mark.parametrize("topology", ROUTED)
+@pytest.mark.parametrize("prelude", [
+    [],
+    # The lone key also travels in an opening burst beside a packet
+    # that never meets it, so its recording later rewrites arbiter
+    # slots with the values already there.  Only a record of written
+    # slots (not a before/after diff) keeps those writes.
+    [(0, *_LONE), (0, 10, 9, 2)],
+], ids=["fresh", "rewrites_same_values"])
+def test_solo_replay_after_burst_rewrites_arbiter_slots(topology, prelude):
+    # Lone (0 -> 15), then a burst through the same routers and output
+    # ports that leaves their arbiters rotated elsewhere, then lone
+    # (0 -> 15) again: the replay must restore every slot the recorded
+    # crossing writes, whatever the burst left there.
+    events = list(prelude) + [(50, *_LONE)]
+    for k in range(3):
+        start = 150 + k * 200
+        events += [(start, *packet) for packet in _BURST]
+        events.append((start + 100, *_LONE))
+    soa = _solo_pair(topology, events, cycles=800)
+    assert soa.solo_cycles_jumped > 0
+
+
+@pytest.mark.parametrize("topology", ROUTED)
+def test_solo_replay_is_invisible_to_telemetry(topology, monkeypatch):
+    # The oracle steps idle stretches the twin skips, so it samples at
+    # other cycles; compare the twin with its own stepped run instead.
+    # Lone packets, recorded and replayed, straddle 64-cycle sample
+    # marks, and the last one runs into the drain phase, where the run
+    # loop never samples.
+    events = [(50 + i * 37, *_SOLO_KEYS[i % 3]) for i in range(28)]
+    events += [(1111, *_SOLO_KEYS[0]), (1111, 6, 9, 2)]
+    events.append((1200 - 3, *_SOLO_KEYS[0]))
+
+    def run() -> tuple[dict, list, list]:
+        obs = Obs.telemetry(snapshot_interval=64)
+        net = make_network(topology, 16, obs=obs)
+        net.run(TracePlayback(list(events)), cycles=1200, drain=True)
+        return (_summary(net), _arbiter_starts(net), obs.sampler.series,
+                obs.metrics.to_dict(), net.solo_cycles_jumped)
+
+    *replayed, jumped = run()
+    monkeypatch.setattr(SoANetwork, "_solo_forward",
+                        SimKernel._solo_forward)
+    *stepped, none = run()
+    assert replayed == stepped
+    assert jumped > 0 and none == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(topology=st.sampled_from(ROUTED),
+       episodes=st.lists(
+           st.tuples(st.integers(min_value=0, max_value=90),
+                     st.lists(st.integers(min_value=0, max_value=5),
+                              min_size=1, max_size=4)),
+           min_size=2, max_size=25),
+       tail=st.integers(min_value=1, max_value=40))
+def test_property_solo_interleavings_match_oracle(topology, episodes, tail):
+    # Lone packets and bursts drawn from a small key pool, at gaps from
+    # back-to-back to idle, so recorded keys recur around bursts that
+    # disturb their arbiter slots, mid-flight arrivals, and the drain.
+    pool = [(0, 15, 3), (15, 0, 2), (5, 10, 1), (9, 6, 4), (1, 15, 3),
+            (12, 3, 2)]
+    events, cycle = [], 0
+    for gap, picks in episodes:
+        cycle += gap
+        events += [(cycle, *pool[p]) for p in picks]
+    _solo_pair(topology, events, cycles=cycle + tail)
+
+
+# -- construction-time validation and drain reporting ----------------------
+
+@pytest.mark.parametrize("vectorized", [False, True])
+@pytest.mark.parametrize("field, value", [
+    ("num_vcs", 0), ("buffer_depth", 0), ("router_pipeline_cycles", -1)])
+def test_router_geometry_rejected_at_construction(vectorized, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= "):
+        make_network("mesh", 16, vectorized=vectorized, **{field: value})
+
+
+def test_zero_utilization_interval_rejected():
+    with pytest.raises(ValueError, match="interval_cycles must be >= 1"):
+        UtilizationTracker(num_links=4, interval_cycles=0)
+
+
+@pytest.mark.parametrize("topology", VECTORIZED)
+def test_exhausted_drain_is_flagged(topology, caplog):
+    traffic = TracePlayback([(0, 1, 14, 6), (0, 2, 14, 6), (1, 3, 14, 6)])
+    net = make_network(topology, 16)
+    with caplog.at_level(logging.WARNING, logger="repro.noc"):
+        net.run(traffic, cycles=2, drain=True, max_drain_cycles=2)
+    assert not net.quiescent()
+    [record] = caplog.records
+    assert record.name == "repro.noc"
+    message = record.getMessage()
+    assert message.startswith(f"{net.name}: drain budget of 2 cycles")
+    assert f"with {net.total_queued_flits()} flits" in message
+
+
+def test_completed_drain_is_silent(caplog):
+    net = make_network("ring", 16)
+    with caplog.at_level(logging.WARNING, logger="repro.noc"):
+        net.run(TracePlayback([(0, 1, 14, 6)]), cycles=2, drain=True)
+    assert net.quiescent() and not caplog.records
