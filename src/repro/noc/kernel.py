@@ -18,7 +18,8 @@ Backends register themselves with :mod:`repro.noc.registry`, so adding
 a topology is one module: subclass :class:`SimKernel`, implement the
 four hooks, register a factory.  Two optional hooks let a backend
 fast-forward trace playback: ``_skip_idle`` (quiescent stretches) and
-``_solo_forward`` (one packet crossing an otherwise empty network).
+``_forward_period`` (a busy period, from the offers that wake a
+quiescent network back to quiescence).
 """
 
 from __future__ import annotations
@@ -145,17 +146,22 @@ class SimKernel:
         self._skip_idle(idle)
         return idle
 
-    # -- solo-packet fast-forward ----------------------------------------
+    # -- busy-period fast-forward ----------------------------------------
 
-    def _solo_forward(self, packet: Packet, horizon: int) -> int:
-        """Carry ``packet``, just offered to a quiescent network, alone.
+    def _forward_period(self, traffic, offered: list[Packet],
+                        remaining: int, drain_budget: int) -> int:
+        """Carry the busy period ``offered`` starts at a quiescent network.
 
-        Called only when no other packet can be offered within the next
-        ``horizon`` cycles.  A backend may advance up to ``horizon``
-        cycles on its own — leaving exactly the state as many ``step()``
-        calls would, sampler ticks included (:meth:`_sample_stepped`) —
-        and return how many it advanced; 0 declines, and :meth:`run`
-        steps the cycle as usual.  The base kernel declines.
+        ``offered`` is this cycle's packets, not yet offered; ``traffic``
+        supplies the later ones; ``remaining`` cycles are left in the run
+        window and ``drain_budget`` after it.  A backend may take the
+        period over: offer ``offered`` (and every later packet the run
+        loop would offer), advance up to ``remaining + drain_budget``
+        cycles — leaving exactly the state as many ``step()`` calls
+        would, sampler ticks included (:meth:`_sample_stepped`) — and
+        return how many it advanced.  0 declines without offering, and
+        :meth:`run` offers and steps the cycle as usual.  The base kernel
+        declines.
         """
         return 0
 
@@ -214,9 +220,10 @@ class SimKernel:
 
         * **idle skip** — runs of quiescent cycles collapse into one
           ``_skip_idle`` jump;
-        * **solo packet** — a packet offered alone to a quiescent
-          network goes to ``_solo_forward``, bounded by the next event
-          cycle, the cycles left, and (when draining) the drain budget.
+        * **busy period** — packets offered to a quiescent network go
+          to ``_forward_period``, which may carry the whole period to
+          the next quiescent cycle, bounded by the cycles left plus
+          (when draining) the drain budget.
 
         Every observable — cycle counts, utilization timeline, latencies,
         arbiter state at the next busy cycle — is identical either way.
@@ -229,7 +236,7 @@ class SimKernel:
                         and not self._tracer.enabled
                         and hasattr(traffic, "next_event_cycle"))
         sampler = self._sampler
-        #: Last cycle the main loop can step to: a solo fast-forward
+        #: Last cycle the main loop can step to: a period fast-forward
         #: offers the sampler the 64-cycle marks up to here, as stepping
         #: would, and none in the drain phase.
         self._sample_end = start_cycle + cycles
@@ -237,9 +244,9 @@ class SimKernel:
         drain_budget = max_drain_cycles if drain else 0
         while remaining > 0:
             offered = traffic.packets_for_cycle(self.cycle)
-            if fast_forward and len(offered) == 1 and self.quiescent():
-                advanced = self._offer_solo(traffic, offered[0], remaining,
-                                            drain_budget)
+            if fast_forward and offered and self.quiescent():
+                advanced = self._forward_period(traffic, offered, remaining,
+                                                drain_budget)
                 if advanced:
                     drain_budget -= max(0, advanced - remaining)
                     remaining -= advanced
@@ -247,9 +254,8 @@ class SimKernel:
                         remaining -= self._skip_to_next_event(traffic,
                                                               remaining)
                     continue
-            else:
-                for packet in offered:
-                    self.offer_packet(packet)
+            for packet in offered:
+                self.offer_packet(packet)
             self.step()
             remaining -= 1
             if sampler is not None and self.cycle & 63 == 0:
@@ -281,22 +287,6 @@ class SimKernel:
                 start_cycle, self.cycle,
                 cycles=self.cycle - start_cycle,
                 injected=self.injected_packets)
-
-    def _offer_solo(self, traffic, packet: Packet, remaining: int,
-                    drain_budget: int) -> int:
-        """Offer a packet arriving alone at a quiescent network.
-
-        Hands it to :meth:`_solo_forward`, bounded by the cycle the
-        trace's next packet arrives — past the run window (``remaining``
-        cycles) only the drain loop, with ``drain_budget`` cycles, would
-        step.  Returns the cycles advanced; 0 leaves the cycle to step.
-        """
-        nxt = traffic.next_event_cycle(self.cycle)
-        horizon = remaining + drain_budget
-        if nxt is not None and nxt - self.cycle < remaining:
-            horizon = nxt - self.cycle
-        self.offer_packet(packet)
-        return self._solo_forward(packet, horizon)
 
     def _drain(self, budget: int, max_drain_cycles: int) -> None:
         """Step until quiescent or ``budget`` cycles; warn if still busy."""

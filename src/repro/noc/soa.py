@@ -36,15 +36,18 @@ would have touched — the cycle counter, the utilization intervals, and
 on every cycle, busy or not.
 
 The router network (:class:`SoANetwork`) also takes the kernel's
-solo-packet fast-forward: a packet offered alone to a quiescent ring or
-mesh, with no other packet due before it could be delivered, crosses
-uncontended, so its crossing depends only on ``(src, dst, size_flits)``.
-The first such packet per key is stepped while recording its cycle
-count, per-cycle busy links, counter deltas, and every arbiter slot it
-writes; later ones replay the recording in one jump.  Single-requester
-arbitration makes each recorded write independent of the prior arbiter
-state, and credits, owners and pending sets return to empty, so a
-replay leaves the network exactly as stepping would.
+busy-period fast-forward.  A busy period runs from the offers that wake
+a quiescent ring or mesh back to quiescence; at either end credits,
+owners, buffers and pending sets hold their reset values, so only the
+three arbiter rotation arrays, the counters and the clock carry over.
+A period's outcome is therefore fixed by its offers and by the arbiter
+slots it reads *decisively* — in an arbitration with two or more
+candidates, before the period writes that slot.  Each new period is
+stepped while recording its offers, deliveries, busy links, counter
+deltas, slots written and decisive reads; a later period with the same
+offers, met while those slots hold the recorded values, replays the
+recording in one jump.  A lone packet never meets a second candidate,
+so it reads nothing and replays from any arbiter state.
 
 Ordering contracts the SoA step preserves (DESIGN.md §14):
 
@@ -78,41 +81,68 @@ from repro.obs import NULL_OBS, Obs
 _EJECT_CREDITS = 10 ** 9
 
 
-class _SlotLog(list):
-    """Arbiter-state list that records every slot written while swapped in.
+#: Cap on the offers one network's period memo stores; once it is full,
+#: busy periods are stepped and nothing new is recorded.
+MEMO_OFFER_CAP = 8192
 
-    Solo-packet recording swaps these in for ``vc_last``, ``sw_in_last``
-    and ``sw_out_last``.  Each write lands in ``writes`` (slot -> last
+
+class _SlotLog(list):
+    """Arbiter-state list that logs its writes and first reads.
+
+    Period recording swaps these in for ``vc_last``, ``sw_in_last`` and
+    ``sw_out_last``.  Each write lands in ``writes`` (slot -> last
     value) even when it stores the value already there: a replay applies
     the written slots, not a before/after diff, so it reproduces the
-    write from whatever arbiter state the network holds at the time.
+    write from whatever arbiter state the network holds at the time.  A
+    read of a slot not yet written lands in ``reads`` with the value it
+    saw; arbitrations read a slot only when two or more candidates
+    compete, so these are exactly the reads that steer the period.
     """
 
     def __init__(self, values: list[int]) -> None:
         super().__init__(values)
         self.writes: dict[int, int] = {}
+        self.reads: dict[int, int] = {}
+
+    def __getitem__(self, index):
+        value = super().__getitem__(index)
+        if index not in self.writes:
+            self.reads.setdefault(index, value)
+        return value
 
     def __setitem__(self, index, value) -> None:
         self.writes[index] = value
         super().__setitem__(index, value)
 
 
-class _SoloPath:
-    """One recorded lone crossing of a ``(src, dst, size_flits)`` packet."""
+class _Period:
+    """One recorded busy period of a :class:`SoANetwork`."""
 
-    __slots__ = ("steps", "busy_runs", "flit_hops", "link_traversals",
-                 "ejected_flits", "vc_writes", "sw_in_writes",
-                 "sw_out_writes")
+    __slots__ = ("steps", "later", "deliveries", "busy_runs", "deltas",
+                 "reads", "writes")
 
-    def __init__(self, steps, busy_runs, deltas, logs) -> None:
-        #: Cycles from offer to delivery; delivery lands on the last.
+    def __init__(self, steps, later, deliveries, busy_runs, deltas,
+                 logs) -> None:
+        #: Cycles from the first offers to quiescence.
         self.steps = steps
+        #: ``(offset, src, dst, size_flits)`` of each offer after the
+        #: first cycle, in offer order (a list, as the lookup builds).
+        self.later = later
+        #: ``(packet index, offset)`` per delivery, in delivery order;
+        #: packets are indexed in offer order.
+        self.deliveries = deliveries
         #: ``(busy_links, cycles)`` runs, in order, for the utilization
         #: tracker.
         self.busy_runs = busy_runs
-        self.flit_hops, self.link_traversals, self.ejected_flits = deltas
-        self.vc_writes, self.sw_in_writes, self.sw_out_writes = (
-            tuple(log.writes.items()) for log in logs)
+        #: ``flit_hops``, ``link_traversals``, ``ejected_flits`` deltas.
+        self.deltas = deltas
+        #: ``(array, slot, value)`` per decisive read, the array
+        #: numbered as in :meth:`SoANetwork._arbiter_arrays`.
+        self.reads = tuple((array, index, value)
+                           for array, log in enumerate(logs)
+                           for index, value in log.reads.items())
+        #: Per arbiter array: ``(slot, value)`` per slot written.
+        self.writes = tuple(tuple(log.writes.items()) for log in logs)
 
 
 def _rr_sparse(lines, last: int, n: int) -> int:
@@ -222,10 +252,14 @@ class SoANetwork(SimKernel):
         self._m_hops = obs.metrics.counter(
             "noc.flit_hops", topology=topology.name)
         self._run_hops_base = 0
-        #: Recorded lone crossings keyed ``(src, dst, size_flits)``.
-        self._solo_paths: dict[tuple[int, int, int], _SoloPath] = {}
-        #: Cycles advanced by replaying a recorded lone crossing.
+        #: Recorded busy periods keyed by their first cycle's
+        #: ``(src, dst, size_flits)`` offers.
+        self._periods: dict[tuple, list[_Period]] = {}
+        #: Offers stored across ``_periods`` (bounded by MEMO_OFFER_CAP).
+        self._memo_offers = 0
+        #: Cycles advanced by replaying one-packet / multi-packet periods.
         self.solo_cycles_jumped = 0
+        self.period_cycles_jumped = 0
 
     # -- pending-set maintenance ----------------------------------------
 
@@ -336,80 +370,155 @@ class SoANetwork(SimKernel):
         # cycle, so only the kernel-side clock advances.
         self._advance_idle(idle_cycles)
 
-    def _solo_forward(self, packet: Packet, horizon: int) -> int:
-        # A lone packet's crossing from a quiescent network depends only
-        # on its key: every arbitration has a single requester, so each
-        # winner (and each rotation write) is fixed, and credits, owners
-        # and pending sets return to empty on delivery.  The first such
-        # packet per key is stepped and recorded; later ones replay.
-        key = (packet.src, packet.dst, packet.size_flits)
-        path = self._solo_paths.get(key)
-        if path is None:
-            return self._record_solo(key, horizon)
-        steps = path.steps
-        if steps > horizon:
+    def _arbiter_arrays(self) -> tuple[list[int], list[int], list[int]]:
+        return self.vc_last, self.sw_in_last, self.sw_out_last
+
+    def _reads_hold(self, reads: tuple[tuple[int, int, int], ...]) -> bool:
+        arrays = self._arbiter_arrays()
+        return all(arrays[array][index] == value
+                   for array, index, value in reads)
+
+    def _forward_period(self, traffic, offered: list[Packet],
+                        remaining: int, drain_budget: int) -> int:
+        # A recording replays when this period's offers are its offers —
+        # the first cycle's by key, later ones looked up in the trace up
+        # to the period's end or the window's, past which the run loop
+        # offers nothing — and every slot it read decisively still holds
+        # the value it read.  Otherwise the period is stepped and
+        # recorded, while the memo has room.
+        key = tuple([(p.src, p.dst, p.size_flits) for p in offered])
+        horizon = remaining + drain_budget
+        start = self.cycle
+        window_end = start + remaining
+        for period in self._periods.get(key, ()):
+            if period.steps > horizon or (
+                    period.reads and not self._reads_hold(period.reads)):
+                continue
+            until = min(start + period.steps, window_end)
+            if period.later == [
+                    (cycle - start, src, dst, size) for cycle, src, dst, size
+                    in traffic.upcoming(until)]:
+                return self._replay(period, traffic, offered)
+        if self._memo_offers >= MEMO_OFFER_CAP:
             return 0
-        self.source_queues[packet.src].clear()
+        return self._record(key, traffic, offered, window_end, horizon)
+
+    def _replay(self, period: _Period, traffic,
+                offered: list[Packet]) -> int:
+        start, steps = self.cycle, period.steps
+        packets = list(offered)
+        for packet in packets:
+            self.offer_packet(packet)
+        # Offers and deliveries in cycle order, each after the sampler
+        # ticks of the cycles before it, as stepping would interleave
+        # them; offers precede a same-cycle delivery.
+        sampled = self._sampler is not None
+        later = iter(period.later)
+        nxt = next(later, None)
+        ticked = start
+        for index, offset in period.deliveries:
+            while nxt is not None and nxt[0] <= offset:
+                cycle = start + nxt[0]
+                if sampled:
+                    self._sample_stepped(ticked + 1, cycle)
+                    ticked = cycle
+                for packet in traffic.packets_for_cycle(cycle):
+                    self.offer_packet(packet)
+                    packets.append(packet)
+                    nxt = next(later, None)
+            cycle = start + offset
+            if sampled:
+                self._sample_stepped(ticked + 1, cycle)
+                ticked = cycle
+            packet = packets[index]
+            self._deliver(packet, cycle, f"node{packet.src}")
+        if sampled:
+            self._sample_stepped(ticked + 1, start + steps)
+        for packet in packets:
+            self.source_queues[packet.src].clear()
         self._waiting_sources.clear()
-        for slots, writes in ((self.vc_last, path.vc_writes),
-                              (self.sw_in_last, path.sw_in_writes),
-                              (self.sw_out_last, path.sw_out_writes)):
+        for slots, writes in zip(self._arbiter_arrays(), period.writes):
             for index, value in writes:
                 slots[index] = value
-        self.flit_hops += path.flit_hops
-        self.link_traversals += path.link_traversals
-        self.ejected_flits += path.ejected_flits
-        start, end = self.cycle, self.cycle + steps
-        # Delivery lands in the last step, after the ticks of every
-        # earlier one; most crossings pass no 64-cycle sample mark.
-        sampled = self._sampler is not None and end >> 6 != start >> 6
-        if sampled:
-            self._sample_stepped(start + 1, end - 1)
-        self._deliver(packet, end - 1, f"node{packet.src}")
+        hops, traversals, ejected = period.deltas
+        self.flit_hops += hops
+        self.link_traversals += traversals
+        self.ejected_flits += ejected
         record = self.utilization.record_cycles
-        for busy, cycles in path.busy_runs:
+        for busy, cycles in period.busy_runs:
             record(busy, cycles)
-        self.cycle = end
-        if sampled:
-            self._sample_stepped(end, end)
-        self.solo_cycles_jumped += steps
+        self.cycle = start + steps
+        if len(packets) == 1:
+            self.solo_cycles_jumped += steps
+        else:
+            self.period_cycles_jumped += steps
         return steps
 
-    def _record_solo(self, key: tuple[int, int, int], horizon: int) -> int:
-        """Step the lone packet up to ``horizon`` cycles, recording it.
+    def _record(self, key: tuple, traffic, offered: list[Packet],
+                window_end: int, horizon: int) -> int:
+        """Step the period up to ``horizon`` cycles, recording it.
 
-        The path is memoised only if the packet is delivered within the
-        horizon; otherwise the steps taken stand as ordinary stepping.
+        Offers each trace packet as the run loop would, none from
+        ``window_end`` on.  The period is memoised only if it ends within
+        the horizon and the memo has room for its offers; otherwise the
+        steps taken stand as ordinary stepping.
         """
-        logs = (_SlotLog(self.vc_last), _SlotLog(self.sw_in_last),
-                _SlotLog(self.sw_out_last))
-        self.vc_last, self.sw_in_last, self.sw_out_last = logs
-        start = (self.flit_hops, self.link_traversals, self.ejected_flits)
+        start = self.cycle
+        room = MEMO_OFFER_CAP - self._memo_offers
+        # Offered packets stay referenced here, so their ids stay unique.
+        packets: list[Packet] = []
+        index: dict[int, int] = {}
+        later: list[tuple[int, int, int, int]] = []
+        deliveries: list[tuple[int, int]] = []
         busy_runs: list[tuple[int, int]] = []
-        steps = 0
+
+        sample = self._deliver
+
+        def deliver(packet, cycle, track, **trace_args) -> None:
+            deliveries.append((index[id(packet)], cycle - start))
+            sample(packet, cycle, track, **trace_args)
+
+        logs = tuple(_SlotLog(slots) for slots in self._arbiter_arrays())
+        self.vc_last, self.sw_in_last, self.sw_out_last = logs
+        self._deliver = deliver
+        counts = (self.flit_hops, self.link_traversals, self.ejected_flits)
+        arrivals = offered
         try:
-            while steps < horizon:
+            while True:
+                for packet in arrivals:
+                    index[id(packet)] = len(packets)
+                    packets.append(packet)
+                    if self.cycle > start:
+                        later.append((self.cycle - start, packet.src,
+                                      packet.dst, packet.size_flits))
+                    self.offer_packet(packet)
                 before = self.link_traversals
                 self.step()
                 if self.cycle & 63 == 0:
                     self._sample_stepped(self.cycle, self.cycle)
-                steps += 1
                 busy = self.link_traversals - before
                 if busy_runs and busy_runs[-1][0] == busy:
                     busy_runs[-1] = (busy, busy_runs[-1][1] + 1)
                 else:
                     busy_runs.append((busy, 1))
-                if self.quiescent():
+                if (self.quiescent() or self.cycle - start >= horizon
+                        or len(packets) > room):
                     break
+                arrivals = (traffic.packets_for_cycle(self.cycle)
+                            if self.cycle < window_end else ())
         finally:
+            del self._deliver
             self.vc_last, self.sw_in_last, self.sw_out_last = (
                 list(log) for log in logs)
-        if self.quiescent():
-            deltas = (self.flit_hops - start[0],
-                      self.link_traversals - start[1],
-                      self.ejected_flits - start[2])
-            self._solo_paths[key] = _SoloPath(steps, tuple(busy_runs),
-                                              deltas, logs)
+        steps = self.cycle - start
+        if self.quiescent() and len(packets) <= room:
+            deltas = (self.flit_hops - counts[0],
+                      self.link_traversals - counts[1],
+                      self.ejected_flits - counts[2])
+            self._periods.setdefault(key, []).append(_Period(
+                steps, later, tuple(deliveries), tuple(busy_runs), deltas,
+                logs))
+            self._memo_offers += len(packets)
         return steps
 
     def _route_stage(self, router: int) -> None:
@@ -457,11 +566,12 @@ class SoANetwork(SimKernel):
         for out_key, lines in requests.items():
             if owner[out_key] != -1:
                 continue
-            last = self.vc_last[out_key]
+            # A lone requester wins without reading the rotation state
+            # (period recording counts every read as decisive).
             if len(lines) == 1:
                 winner = lines[0]
             else:
-                winner = _rr_sparse(lines, last, PV)
+                winner = _rr_sparse(lines, self.vc_last[out_key], PV)
             # The arbiter rotates on every grant, even one discarded
             # below because the input already won another VC this cycle.
             self.vc_last[out_key] = winner
@@ -483,22 +593,25 @@ class SoANetwork(SimKernel):
         rp_base = router * self._P
         # Stage 1: each input port nominates one ready VC (credit-gated,
         # per-input round-robin over the VCs).
+        # The rotation state is read only when two or more VCs are ready.
         nominated: list[int] = []
         for p in sorted(ports):
             pbase = base + p * V
-            last = sw_in_last[rp_base + p]
-            best_key, best_v = V, -1
+            ready: list[int] = []
             for v in range(V):
                 i = pbase + v
                 ov = out_vc[i]
                 if ov != -1 and bufs[i] \
                         and credits[base + out_port[i] * V + ov] > 0:
-                    key = (v - last - 1) % V
-                    if key < best_key:
-                        best_key, best_v = key, v
-            if best_v != -1:
-                sw_in_last[rp_base + p] = best_v
-                nominated.append(p * V + best_v)
+                    ready.append(v)
+            if not ready:
+                continue
+            if len(ready) == 1:
+                best_v = ready[0]
+            else:
+                best_v = _rr_sparse(ready, sw_in_last[rp_base + p], V)
+            sw_in_last[rp_base + p] = best_v
+            nominated.append(p * V + best_v)
         if not nominated:
             return 0
         # Stage 2: each output port picks among nominated inputs, groups

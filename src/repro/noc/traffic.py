@@ -218,6 +218,22 @@ class TracePlayback:
             return None
         return self.events[self._pos][0]
 
+    def upcoming(self, until_cycle: int) -> list[tuple[int, int, int, int]]:
+        """Unplayed events before ``until_cycle`` that become packets.
+
+        Read-only lookahead: the ``(cycle, src, dst, size)`` events that
+        :meth:`packets_for_cycle` would turn into packets, in play order,
+        with self-traffic dropped as it drops it.
+        """
+        found = []
+        events, pos = self.events, self._pos
+        while pos < len(events) and events[pos][0] < until_cycle:
+            event = events[pos]
+            if event[1] != event[2]:
+                found.append(event)
+            pos += 1
+        return found
+
     @property
     def exhausted(self) -> bool:
         return self._pos >= len(self.events)

@@ -18,6 +18,7 @@ from repro.noc.arbiter import RoundRobinArbiter, WavefrontArbiter
 from repro.noc.kernel import SimKernel
 from repro.noc.registry import TOPOLOGIES
 from repro.noc.simulation import make_network
+from repro.noc import soa as soa_module
 from repro.noc.soa import SoANetwork
 from repro.noc.stats import UtilizationTracker
 from repro.noc.traffic import TracePlayback, TrafficGenerator
@@ -242,17 +243,28 @@ def _arbiter_starts(net) -> list[int]:
     return starts
 
 
-def _solo_pair(topology, events, cycles, max_drain_cycles=30_000):
-    """Run oracle and SoA twin on one trace; return the SoA twin."""
+def _oracle_pair(topology, runs, max_drain_cycles=30_000):
+    """Run oracle and SoA twin through ``runs``; return the SoA twin.
+
+    Each run is ``(events, cycles)``, drained, on the same two networks;
+    event cycles count from the cycle the run starts at.
+    """
     nets = [make_network(topology, 16, vectorized=v) for v in (False, True)]
     for net in nets:
-        net.run(TracePlayback(list(events)), cycles=cycles, drain=True,
-                max_drain_cycles=max_drain_cycles)
+        for events, cycles in runs:
+            trace = [(net.cycle + t, *rest) for t, *rest in events]
+            net.run(TracePlayback(trace), cycles=cycles, drain=True,
+                    max_drain_cycles=max_drain_cycles)
     oracle, soa = nets
     assert _summary(soa) == _summary(oracle)
     assert soa.ejected_flits == oracle.ejected_flits
     assert _arbiter_starts(soa) == _arbiter_starts(oracle)
     return soa
+
+
+def _solo_pair(topology, events, cycles, max_drain_cycles=30_000):
+    """Run oracle and SoA twin on one trace; return the SoA twin."""
+    return _oracle_pair(topology, [(events, cycles)], max_drain_cycles)
 
 
 def _replayed_cycles(events, latencies) -> int:
@@ -371,8 +383,8 @@ def test_solo_replay_is_invisible_to_telemetry(topology, monkeypatch):
                 obs.metrics.to_dict(), net.solo_cycles_jumped)
 
     *replayed, jumped = run()
-    monkeypatch.setattr(SoANetwork, "_solo_forward",
-                        SimKernel._solo_forward)
+    monkeypatch.setattr(SoANetwork, "_forward_period",
+                        SimKernel._forward_period)
     *stepped, none = run()
     assert replayed == stepped
     assert jumped > 0 and none == 0
@@ -396,6 +408,201 @@ def test_property_solo_interleavings_match_oracle(topology, episodes, tail):
     for gap, picks in episodes:
         cycle += gap
         events += [(cycle, *pool[p]) for p in picks]
+    _solo_pair(topology, events, cycles=cycle + tail)
+
+
+# -- busy-period replay -------------------------------------------------------
+#
+# A busy period runs from the offers that wake a quiescent ring or mesh
+# back to quiescence.  It replays when its offers recur and every
+# arbiter slot it read with two or more candidates competing holds the
+# value it read then; otherwise it is stepped and recorded again.  Each
+# corpus compares the SoA twin with the per-object oracle exactly and
+# pins the cycles that multi-packet replays jumped.  Nodes 4 and 6 sit
+# either side of node 5 on both topologies, so their packets to 5 reach
+# its ejection port in the same cycle and contend for it.
+
+_PAIR = [(0, 4, 5, 4), (0, 6, 5, 4)]
+_STAGGERED = [(0, 4, 5, 3), (0, 6, 5, 3), (1, 1, 5, 2), (2, 9, 5, 2)]
+
+
+def _periods(template, starts):
+    return [(start + t, *rest) for start in starts for t, *rest in template]
+
+
+def _recordings(soa) -> int:
+    return sum(len(recorded) for recorded in soa._periods.values())
+
+
+def test_trace_playback_upcoming():
+    trace = TracePlayback([(5, 0, 1, 2), (6, 3, 3, 1), (7, 2, 3, 1),
+                           (9, 4, 5, 2)])
+    assert trace.upcoming(5) == []
+    assert trace.upcoming(9) == [(5, 0, 1, 2), (7, 2, 3, 1)]
+    assert trace.upcoming(9) == [(5, 0, 1, 2), (7, 2, 3, 1)]
+    trace.packets_for_cycle(5)
+    assert trace.upcoming(100) == [(7, 2, 3, 1), (9, 4, 5, 2)]
+    trace.packets_for_cycle(7)
+    assert [(p.src, p.dst) for p in trace.packets_for_cycle(9)] == [(4, 5)]
+    assert trace.upcoming(100) == []
+
+
+@pytest.mark.parametrize("topology, jumped", [("mesh", 4 * 11),
+                                              ("ring", 5 * 11)])
+def test_period_recurring_contended_pair_replays(topology, jumped):
+    # Seven pairs.  The mesh's ejection arbiters alternate between two
+    # states, so it records three periods (fresh, then one per state)
+    # before replaying; the ring settles after its fresh recording.
+    soa = _solo_pair(topology, _periods(_PAIR, range(5, 400, 60)), 400)
+    assert soa.period_cycles_jumped == jumped
+    assert soa.solo_cycles_jumped == 0
+    assert _recordings(soa) == 7 - jumped // 11
+
+
+@pytest.mark.parametrize("topology, jumped", [("mesh", 3 * 13),
+                                              ("ring", 3 * 17)])
+def test_period_recurring_staggered_bursts_replay(topology, jumped):
+    # Four sources, two of them joining the period after it starts; a
+    # self-addressed event inside the period is dropped by the trace and
+    # must be skipped by the lookahead too.
+    template = _STAGGERED + [(1, 7, 7, 2)]
+    soa = _solo_pair(topology, _periods(template, range(0, 400, 80)), 420)
+    assert soa.period_cycles_jumped == jumped
+    assert soa.latency.received == 4 * 5
+
+
+@pytest.mark.parametrize("topology, steps", [("mesh", 67), ("ring", 70)])
+def test_period_long_train_replays_every_delivery(topology, steps):
+    # Twenty packets from two sources, offered every five cycles, keep
+    # the network busy for one long period in which the first packets
+    # are delivered (and may be freed) before the last are offered; the
+    # replay must still deliver each packet it recorded, in order.
+    train = [(5 * k, 4, 5, 3) for k in range(10)]
+    train += [(5 * k + 2, 12, 3, 2) for k in range(10)]
+    soa = _solo_pair(topology, _periods(train, [0, 200, 400]), 600)
+    assert soa.period_cycles_jumped == 2 * steps
+
+
+@pytest.mark.parametrize("topology, jumped, recorded", [
+    ("mesh", 1 * 11, 5), ("ring", 3 * 11, 3)])
+def test_period_reads_rotated_by_a_burst_record_again(topology, jumped,
+                                                      recorded):
+    # Between recurrences of the pair, packets from nodes 6 and 7 eject
+    # at node 5 and rotate the ejection arbiter the pair reads; the next
+    # pair must record again (it would eject in the other order), not
+    # replay a recording made from the old rotation.  The ring replays
+    # that new recording once; the mesh's alternating arbiters reach a
+    # state of their own after the burst and record once more.
+    events = _periods(_PAIR, [5, 65, 125, 185])
+    events += [(240, 6, 5, 2), (241, 7, 5, 1)]
+    events += _periods(_PAIR, [305, 365])
+    soa = _solo_pair(topology, events, 440)
+    assert soa.period_cycles_jumped == jumped
+    assert len(soa._periods[((4, 5, 4), (6, 5, 4))]) == recorded
+
+
+@pytest.mark.parametrize("topology, jumped", [("mesh", 3 * 11),
+                                              ("ring", 4 * 11)])
+def test_period_crossing_window_end_replays_into_drain(topology, jumped):
+    # The last pair starts three cycles before the window closes and
+    # replays on through the drain phase.
+    soa = _solo_pair(topology, _periods(_PAIR, [5, 65, 125, 185, 245, 297]),
+                     300)
+    assert soa.cycle == 297 + 11
+    assert soa.period_cycles_jumped == jumped
+
+
+@pytest.mark.parametrize("topology, steps", [("mesh", 13), ("ring", 17)])
+def test_period_cut_by_window_end_records_what_was_offered(topology, steps):
+    # The window closes one cycle into the last burst: its late joiners
+    # are never offered (the oracle leaves them in the trace), so it may
+    # neither replay the full recording nor record them.  Two full
+    # recordings (fresh, then settled) replay twice; the cut burst is a
+    # third recording, of its first cycle's offers alone.
+    starts = [0, 80, 160, 240, 319]
+    soa = _solo_pair(topology, _periods(_STAGGERED, starts), 320)
+    assert soa.injected_packets == 4 * 4 + 2
+    *full, cut = soa._periods[((4, 5, 3), (6, 5, 3))]
+    assert [p.later for p in full] == 2 * [[(1, 1, 5, 2), (2, 9, 5, 2)]]
+    assert cut.later == []
+    assert soa.period_cycles_jumped == 2 * steps
+
+
+@pytest.mark.parametrize("topology, steps", [("mesh", 10), ("ring", 19)])
+def test_period_recorded_in_a_closing_window_meets_a_wider_one(topology,
+                                                               steps):
+    # Two packets that never meet, so the period reads no arbiter slot.
+    # The first run's window closes before the second packet, so its
+    # recording holds only the first.  The second run meets the whole
+    # period: it must record it afresh, then replay that twice.
+    train = [(0, 4, 5, 3), (2, 9, 14, 2)]
+    soa = _oracle_pair(topology, [(_periods(train, [8]), 10),
+                                  (_periods(train, [10, 90, 170]), 260)])
+    first, whole = soa._periods[((4, 5, 3),)]
+    assert first.later == [] and whole.later == [(2, 9, 14, 2)]
+    assert soa.period_cycles_jumped == 2 * whole.steps == 2 * steps
+
+
+@pytest.mark.parametrize("topology", ROUTED)
+def test_period_memo_stops_growing_at_its_cap(topology, monkeypatch):
+    # With room for five offers, two recordings of the pair fill four;
+    # neither a third pair (two more) nor the staggered burst (four) fits,
+    # so every later period that does not replay is stepped, unrecorded.
+    monkeypatch.setattr(soa_module, "MEMO_OFFER_CAP", 5)
+    events = _periods(_PAIR, range(5, 600, 120))
+    events += _periods(_STAGGERED, range(60, 600, 120))
+    soa = _solo_pair(topology, events, 640)
+    assert soa._memo_offers == 4
+    assert list(soa._periods) == [((4, 5, 4), (6, 5, 4))]
+    assert len(soa._periods[((4, 5, 4), (6, 5, 4))]) == 2
+    assert soa.period_cycles_jumped == 3 * 11
+
+
+@pytest.mark.parametrize("topology, jumped", [("mesh", 15 * 11 + 5 * 13),
+                                              ("ring", 17 * 11 + 4 * 17)])
+def test_period_replay_is_invisible_to_telemetry(topology, jumped,
+                                                 monkeypatch):
+    # Pairs and bursts straddle 64-cycle sample marks, with offers and
+    # deliveries on both sides of a mark; the last pair runs on into the
+    # drain, where the run loop never samples.
+    events = _periods(_PAIR, range(59, 1200, 64))
+    events += _periods(_STAGGERED, range(88, 1200, 192))
+    events += _periods(_PAIR, [1200 - 3])
+
+    def run() -> tuple:
+        obs = Obs.telemetry(snapshot_interval=64)
+        net = make_network(topology, 16, obs=obs)
+        net.run(TracePlayback(list(events)), cycles=1200, drain=True)
+        return (_summary(net), _arbiter_starts(net), obs.sampler.series,
+                obs.metrics.to_dict(), net.period_cycles_jumped)
+
+    *replayed, jumped_here = run()
+    monkeypatch.setattr(SoANetwork, "_forward_period",
+                        SimKernel._forward_period)
+    *stepped, none = run()
+    assert replayed == stepped
+    assert jumped_here == jumped and none == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(topology=st.sampled_from(ROUTED),
+       episodes=st.lists(
+           st.tuples(st.integers(min_value=0, max_value=60),
+                     st.integers(min_value=0, max_value=3)),
+           min_size=2, max_size=25),
+       tail=st.integers(min_value=1, max_value=30))
+def test_property_period_interleavings_match_oracle(topology, episodes,
+                                                    tail):
+    # Recurring multi-packet periods — contended, staggered, and a lone
+    # rotator of their arbiter slots — at gaps from overlapping to idle,
+    # so recordings recur from rotated arbiter state, merge into longer
+    # periods, and run into the drain.
+    templates = [_PAIR, _STAGGERED, [(0, 6, 5, 2)],
+                 [(0, 1, 5, 2), (3, 9, 5, 3), (3, 6, 5, 1)]]
+    events, cycle = [], 0
+    for gap, pick in episodes:
+        cycle += gap
+        events += _periods(templates[pick], [cycle])
     _solo_pair(topology, events, cycles=cycle + tail)
 
 
