@@ -13,7 +13,7 @@ Paper findings under test:
 from repro.analysis.engine import default_jobs
 from repro.analysis.report import format_table
 from repro.analysis.sweep import sweep_task
-from repro.noc.flumen_net import FlumenNetwork
+from repro.noc.simulation import make_network
 
 SIM_CYCLES = 4000
 #: Fixed traffic seed the paper-matching assertions were tuned against.
@@ -79,7 +79,7 @@ def test_eta_sensitivity(benchmark):
 
 def test_zeta_scan_depth(benchmark):
     def build():
-        net = FlumenNetwork(16, request_buffer_capacity=8)
+        net = make_network("flumen", 16, request_buffer_capacity=8)
         net.block_ports(set(range(16)))
         # Two hot nodes in an otherwise idle network.
         from repro.noc.packet import Packet

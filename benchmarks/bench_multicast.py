@@ -9,10 +9,8 @@ electrical mesh, across fanouts.
 
 from repro.analysis.report import format_table
 from repro.noc.energy import NetworkEnergyModel
-from repro.noc.network import Network
-from repro.noc.flumen_net import FlumenNetwork
 from repro.noc.packet import Packet
-from repro.noc.topology import MeshTopology
+from repro.noc.simulation import make_network
 
 SIZE_FLITS = 8
 FANOUTS = (2, 4, 8, 15)
@@ -21,7 +19,7 @@ FANOUTS = (2, 4, 8, 15)
 def run_case(fanout: int):
     dsts = list(range(1, fanout + 1))
 
-    flumen = FlumenNetwork(16)
+    flumen = make_network("flumen", 16)
     flumen.offer_packet(Packet(
         src=0, dst=dsts[0], size_flits=SIZE_FLITS, create_cycle=0,
         multicast_dsts=tuple(dsts)))
@@ -30,7 +28,7 @@ def run_case(fanout: int):
         if flumen.quiescent():
             break
 
-    mesh = Network(MeshTopology(16))
+    mesh = make_network("mesh", 16)
     for d in dsts:
         mesh.offer_packet(Packet(src=0, dst=d, size_flits=SIZE_FLITS,
                                  create_cycle=0))

@@ -15,7 +15,7 @@ from repro.config import SchedulerConfig, SystemConfig
 from repro.core.accelerator import BlockMatmul, plan_offload
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler
-from repro.noc import FlumenNetwork, TrafficGenerator
+from repro.noc import TrafficGenerator, make_network
 
 PHASES = [  # (cycles, offered load) — a bursty application profile
     (600, 0.05),
@@ -29,7 +29,7 @@ PHASES = [  # (cycles, offered load) — a bursty application profile
 def main() -> None:
     system = SystemConfig().replace(
         scheduler=SchedulerConfig(tau_cycles=100, eta=0.40, zeta=0.50))
-    net = FlumenNetwork(16)
+    net = make_network("flumen", 16)
     control = MZIMControlUnit(net, system)
     scheduler = FlumenScheduler(control, system)
     control.matrix_memory.store("kernel", BlockMatmul(np.eye(8), 8))

@@ -111,10 +111,8 @@ def system_point(params: dict, seed: int) -> dict:
     Params: ``workload`` (name), ``configuration`` (any registered
     pipeline name), ``shapes`` ("paper"/"small", default "paper"),
     ``traffic_seed`` (optional override of the engine-derived seed),
-    ``vectorized`` (NoP backend selection: absent/None serves the
-    struct-of-arrays twin, ``false`` pins the per-object oracle — the
-    perf suite's equivalence leg uses this), ``mesh_architecture``
-    (registry name; absent = the SystemConfig default, Clements).
+    ``mesh_architecture`` (registry name; absent = the SystemConfig
+    default, Clements).
     """
     # Resolve early so an unknown name fails with the registered list
     # before any simulation work happens.
@@ -126,8 +124,7 @@ def system_point(params: dict, seed: int) -> dict:
         system = SystemConfig().replace(
             mesh_architecture=str(params["mesh_architecture"]))
     model = SystemModel(system=system,
-                        traffic_seed=int(params.get("traffic_seed", seed)),
-                        vectorized=params.get("vectorized"))
+                        traffic_seed=int(params.get("traffic_seed", seed)))
     return run_to_record(model.run(workload, configuration))
 
 
@@ -142,7 +139,7 @@ def alg1_mix(params: dict, seed: int) -> dict:
     from repro.core.accelerator import plan_offload
     from repro.core.control_unit import ComputeRequest, MZIMControlUnit
     from repro.core.scheduler import FlumenScheduler
-    from repro.noc.flumen_net import FlumenNetwork
+    from repro.noc.simulation import make_network
     from repro.noc.traffic import TrafficGenerator
 
     overrides = {k: params[k] for k in ("tau_cycles", "eta", "zeta")
@@ -157,7 +154,7 @@ def alg1_mix(params: dict, seed: int) -> dict:
     traffic_seed = int(params.get("traffic_seed", seed))
 
     job = plan_offload(8, 8, 256, 8, 8)
-    net = FlumenNetwork(16)
+    net = make_network("flumen", 16)
     control = MZIMControlUnit(net, system)
     scheduler = FlumenScheduler(control, system)
     traffic = TrafficGenerator(16, "uniform", load, seed=traffic_seed)
@@ -198,10 +195,7 @@ def noc_latency(params: dict, seed: int) -> dict:
     ``buffer_depth`` (electrical) and ``reconfig_cycles``,
     ``arbitration``, ``pipelined_setup`` (Flumen).
     """
-    from repro.noc.flumen_net import FlumenNetwork
-    from repro.noc.network import Network
-    from repro.noc.optbus import OptBusNetwork
-    from repro.noc.topology import make_topology
+    from repro.noc.simulation import make_network
     from repro.noc.traffic import TrafficGenerator
 
     topology = params.get("topology", "mesh")
@@ -212,13 +206,19 @@ def noc_latency(params: dict, seed: int) -> dict:
         kwargs = {k: params[k] for k in
                   ("reconfig_cycles", "arbitration", "pipelined_setup")
                   if k in params}
-        net = FlumenNetwork(nodes, **kwargs)
     elif topology == "optbus":
-        net = OptBusNetwork(nodes)
+        kwargs = {}
     else:
         kwargs = {k: int(params[k]) for k in ("num_vcs", "buffer_depth")
                   if k in params}
+    if topology == "mesh_wf":
+        # Per-flit adaptive routing: only the per-object router
+        # network draws a route for each head flit.
+        from repro.noc.network import Network
+        from repro.noc.topology import make_topology
         net = Network(make_topology(topology, nodes), **kwargs)
+    else:
+        net = make_network(topology, nodes, **kwargs)
     traffic = TrafficGenerator(
         nodes, params.get("pattern", "uniform"),
         float(params.get("load", 0.1)),

@@ -4,7 +4,7 @@ Owns the photonic fabric's request buffers, the compute-request queue, the
 matrix memory holding precomputed phase mappings, and the arbitration
 waveguide through which chiplets talk to the controller.  Communication
 arbitration itself (the wavefront arbiter) lives in
-:class:`repro.noc.flumen_net.FlumenNetwork`; this class layers the
+:class:`repro.noc.soa.SoAFlumenNetwork`; this class layers the
 compute-side state on top and exposes the utilization feedback nodes use to
 decide between offloading and computing locally.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.accelerator import BlockMatmul, OffloadPlan, block_matmul_many
-from repro.noc.flumen_net import FlumenNetwork
+from repro.noc.soa import SoAFlumenNetwork
 from repro.obs import NULL_OBS, Obs
 
 _request_ids = itertools.count()
@@ -210,7 +210,7 @@ class MVMResult:
 class MZIMControlUnit:
     """Compute-side brain of the Flumen fabric."""
 
-    def __init__(self, network: FlumenNetwork,
+    def __init__(self, network: SoAFlumenNetwork,
                  system: SystemConfig | None = None,
                  matrix_memory_blocks: int = 256,
                  arbitration_latency_cycles: int = 2,

@@ -8,7 +8,7 @@ buffers of the nodes it would displace are under the utilization threshold
 results through a many-to-one configuration and the partition rejoins the
 communication set.
 
-This module drives a :class:`~repro.noc.flumen_net.FlumenNetwork` (port
+This module drives a :class:`~repro.noc.soa.SoAFlumenNetwork` (port
 blocking models the partition stealing fabric bandwidth) and accounts the
 compute timeline from the Table 1 parameters (6 ns programming, 5 GHz input
 modulation, WDM width).

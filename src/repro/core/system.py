@@ -91,19 +91,13 @@ class SystemModel:
 
     def __init__(self, system: SystemConfig | None = None,
                  parallel_cores: int = 8, nodes: int = 16,
-                 traffic_seed: int = 17, vectorized: bool | None = None,
-                 obs: Obs = NULL_OBS) -> None:
+                 traffic_seed: int = 17, obs: Obs = NULL_OBS) -> None:
         self.system = system or SystemConfig()
         #: Cores that share one workload (these kernels do not scale to
         #: all 64 cores; two chiplets' worth is the paper-era assumption).
         self.parallel_cores = parallel_cores
         self.nodes = nodes
         self.traffic_seed = traffic_seed
-        #: NoP backend selection, forwarded to ``make_network``: None
-        #: serves the struct-of-arrays twin when registered, False pins
-        #: the per-object oracle (the equivalence benches and the
-        #: byte-identity suite diff the two), True requires the twin.
-        self.vectorized = vectorized
         self.obs = obs
         self.core_model = CoreModel(self.system.core)
         #: Fraction of memory-miss latency still exposed to the cores when
@@ -209,8 +203,7 @@ class SystemModel:
         Returns (comm_cycles, nop_energy_as_breakdown, avg_latency, net).
         """
         events, scale = self._traffic_events(counts, int(core_cycles))
-        net = make_network(pipeline.topology, self.nodes,
-                           vectorized=self.vectorized, obs=self.obs)
+        net = make_network(pipeline.topology, self.nodes, obs=self.obs)
         trace = TracePlayback(events)
         window = max(1, int(core_cycles) // scale)
         net.run(trace, cycles=window, drain=True, max_drain_cycles=20_000)
@@ -399,8 +392,7 @@ class SystemModel:
             if consumer == mc:
                 consumer = free[-1]
             events.append((cycle, mc, consumer, line_flits))
-        net = make_network(pipeline.topology, self.nodes,
-                           vectorized=self.vectorized, obs=self.obs)
+        net = make_network(pipeline.topology, self.nodes, obs=self.obs)
         control = MZIMControlUnit(net, self.system, obs=self.obs)
         fabric = None
         if self.obs.tracer.enabled:

@@ -5,7 +5,7 @@ fabric + network:
 
 * a :class:`~repro.faults.injector.FaultyMesh` programmed with a random
   unitary target stands in for the compute partition's SVD circuit;
-* a :class:`~repro.noc.flumen_net.FlumenNetwork` carries synthetic
+* a :class:`~repro.noc.soa.SoAFlumenNetwork` carries synthetic
   traffic while Algorithm 1 grants compute partitions;
 * a seeded :class:`~repro.faults.models.FaultSchedule` fires mid-run;
 * the control unit's :class:`~repro.core.control_unit.HealthMonitor`
@@ -41,7 +41,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
 from repro.faults.models import FAULTS, FaultSchedule
 from repro.faults.recovery import NOMINAL_RECEIVED_POWER_W, FabricRecovery
-from repro.noc.flumen_net import FlumenNetwork
+from repro.noc.simulation import make_network
 from repro.noc.traffic import TrafficGenerator
 from repro.obs import NULL_OBS, Obs
 from repro.photonics.noise import effective_bits, snr_to_enob
@@ -138,7 +138,7 @@ class _CampaignRun:
         self.domain = self.recovery.domain
         self.ladder = self.recovery.ladder
         self.monitor = self.recovery.monitor
-        self.net = FlumenNetwork(spec.nodes, obs=obs)
+        self.net = make_network("flumen", spec.nodes, obs=obs)
         self.recovery.bind_network(self.net)
         self.control = MZIMControlUnit(self.net, self.system, obs=obs,
                                        health=self.monitor)

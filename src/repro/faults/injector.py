@@ -31,7 +31,7 @@ from repro.photonics.calibration import PhaseOffsets, PhysicalMesh
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.ladder import DegradationLadder
-    from repro.noc.flumen_net import FlumenNetwork
+    from repro.noc.soa import SoAFlumenNetwork
     from repro.photonics.clements import MZIMesh
 
 
@@ -93,7 +93,7 @@ class FaultDomain:
     """Mutable fault state shared by injector, monitor, and ladder."""
 
     mesh: FaultyMesh | None = None
-    network: FlumenNetwork | None = None
+    network: SoAFlumenNetwork | None = None
     ladder: DegradationLadder | None = None
     #: Remaining laser output as a fraction of nominal.
     laser_power_fraction: float = 1.0

@@ -13,7 +13,7 @@ climbing to the next:
   circuit on fault-free columns; fixes localized stuck devices and buys
   insertion-loss headroom against laser degradation.
 * **REROUTE** — program detours around dead interposer paths
-  (:meth:`repro.noc.flumen_net.FlumenNetwork.reroute_pair`) and retire
+  (:meth:`repro.noc.soa.SoAFlumenNetwork.reroute_pair`) and retire
   the affected fabric port from partition placement.
 * **ELECTRICAL** — terminal fallback: compute requests are serviced on
   the electrical core path (:mod:`repro.core.scheduler`), never the

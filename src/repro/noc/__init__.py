@@ -13,13 +13,9 @@ from repro.noc.arbiter import (
     WavefrontArbiter,
 )
 from repro.noc.energy import EnergyReport, NetworkEnergyModel
-from repro.noc.flumen_net import DEFAULT_RECONFIG_CYCLES, FlumenNetwork
 from repro.noc.kernel import SimKernel
-from repro.noc.network import Network
-from repro.noc.optbus import OptBusNetwork
 from repro.noc.packet import Flit, Packet, reset_packet_ids
 from repro.noc.registry import TOPOLOGIES
-from repro.noc.router import Router, VCState
 from repro.noc.simulation import (
     SweepConfig,
     load_sweep,
@@ -28,6 +24,7 @@ from repro.noc.simulation import (
     saturation_load,
     zero_load_latency,
 )
+from repro.noc.soa import DEFAULT_RECONFIG_CYCLES
 from repro.noc.stats import LatencyStats, SimulationResult, UtilizationTracker
 from repro.noc.topology import (
     LOCAL_PORT,
@@ -47,18 +44,14 @@ __all__ = [
     "DEFAULT_RECONFIG_CYCLES",
     "EnergyReport",
     "Flit",
-    "FlumenNetwork",
     "LOCAL_PORT",
     "LatencyStats",
     "MeshTopology",
-    "Network",
     "NetworkEnergyModel",
-    "OptBusNetwork",
     "PATTERNS",
     "Packet",
     "RingTopology",
     "RoundRobinArbiter",
-    "Router",
     "SeparableAllocator",
     "SimKernel",
     "SimulationResult",
@@ -68,7 +61,6 @@ __all__ = [
     "TracePlayback",
     "TrafficGenerator",
     "UtilizationTracker",
-    "VCState",
     "WavefrontArbiter",
     "load_sweep",
     "make_network",

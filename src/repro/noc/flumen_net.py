@@ -35,10 +35,8 @@ import numpy as np
 from repro.noc.arbiter import WavefrontArbiter
 from repro.noc.kernel import SimKernel
 from repro.noc.packet import Packet
+from repro.noc.soa import DEFAULT_RECONFIG_CYCLES
 from repro.obs import NULL_OBS, Obs
-
-#: 1 ns phase programming at a 2.5 GHz network clock (Section 4.1).
-DEFAULT_RECONFIG_CYCLES = 3
 
 
 @dataclass
@@ -366,8 +364,7 @@ class FlumenNetwork(SimKernel):
         — the wavefront priority diagonal (rotated every cycle, busy or
         not), the utilization intervals (all-idle), and the cycle
         counter — so applying those in bulk is byte-equivalent to
-        ``cycles`` empty steps.  The serve daemon's vectorized loop
-        uses this to fast-forward between known-future events.
+        ``cycles`` empty steps.
         """
         if cycles <= 0:
             return

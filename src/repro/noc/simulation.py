@@ -14,18 +14,13 @@ from repro.noc.stats import SimulationResult
 from repro.noc.traffic import TrafficGenerator
 
 
-def make_network(name: str, nodes: int = 16,
-                 vectorized: bool | None = None, **kwargs):
+def make_network(name: str, nodes: int = 16, **kwargs):
     """Build a ready-to-run network of any registered topology.
 
     Resolution goes through :data:`repro.noc.registry.TOPOLOGIES`; an
     unknown name raises a :class:`ValueError` listing the registered set.
-    ``vectorized=None`` serves the struct-of-arrays backend when one is
-    registered; ``False`` forces the per-object oracle (the equivalence
-    suite and byte-identity checks use this), ``True`` requires the
-    vectorized twin.
     """
-    return TOPOLOGIES.get(name, vectorized=vectorized)(nodes, **kwargs)
+    return TOPOLOGIES.get(name)(nodes, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Struct-of-arrays (SoA) NoP backends, bit-identical to the per-object ones.
+"""Struct-of-arrays (SoA) NoP backends: the ones every production path runs.
 
 The per-object simulators (:class:`~repro.noc.network.Network`'s
 ``Router`` pipeline, :class:`~repro.noc.flumen_net.FlumenNetwork`'s
@@ -17,14 +17,17 @@ indexing for the per-element hot fields, so the SoA arrays are plain
 lists; NumPy builds the precomputed route/VC-class tables and serves
 the wide arbiter paths in :mod:`repro.noc.arbiter`.)
 
-The per-object classes stay registered as the **bit-identity oracle**
-(exactly as ``MZIMesh._reference_propagate`` anchors the vectorized
-photonic kernel): for every backend the SoA twin must reproduce the
-oracle's delivered packets, per-flit latency samples, counters, cycle
-counts, and trace event order *exactly*.  ``tests/test_soa_kernel.py``
-pins that equivalence property over random traffic; the registry serves
-the SoA twin by default and the oracle on request
-(``TOPOLOGIES.get(name, vectorized=False)``).
+``TOPOLOGIES`` registers only these classes; the sweep, serve, the
+fault campaigns and the sweep tasks all build them through
+``make_network``.  The per-object classes are the **bit-identity
+oracle**, constructed directly by the equivalence suite and by
+``repro perf`` (exactly as ``MZIMesh._reference_propagate`` anchors the
+columnized photonic kernel): for every backend the SoA class must
+reproduce the oracle's delivered packets, per-flit latency samples,
+counters, cycle counts, and trace event order *exactly*.
+``tests/test_soa_kernel.py`` pins that equivalence property over random
+traffic.  The one topology the SoA router network refuses is
+``mesh_wf``, whose adaptive routing draws a route per head flit.
 
 On top of the flat layout, the SoA backends opt into the kernel's idle
 fast-forward (``SimKernel.run``): when the network is quiescent and the
@@ -33,7 +36,10 @@ loop jumps straight there instead of stepping empty cycles one by one.
 Each backend's ``_skip_idle`` advances exactly the state an idle step
 would have touched — the cycle counter, the utilization intervals, and
 (for Flumen) the wavefront priority diagonal, which the oracle rotates
-on every cycle, busy or not.
+on every cycle, busy or not.  The Flumen backend's ``_skip_idle`` also
+covers *quiet* windows, circuits in setup or transfer with no grant and
+no delivery due, which is how the serve daemon's
+``skip_quiet_cycles`` jumps.
 
 The router network (:class:`SoANetwork`) also takes the kernel's
 busy-period fast-forward.  A busy period runs from the offers that wake
@@ -71,11 +77,13 @@ from collections import deque
 import numpy as np
 
 from repro.noc.arbiter import WavefrontArbiter
-from repro.noc.flumen_net import DEFAULT_RECONFIG_CYCLES
 from repro.noc.kernel import SimKernel
 from repro.noc.packet import Flit, Packet
 from repro.noc.topology import LOCAL_PORT, Topology, check_router_geometry
 from repro.obs import NULL_OBS, Obs
+
+#: 1 ns phase programming at a 2.5 GHz network clock (Section 4.1).
+DEFAULT_RECONFIG_CYCLES = 3
 
 #: Effectively infinite credits for ejection ports (oracle's value).
 _EJECT_CREDITS = 10 ** 9
@@ -171,6 +179,12 @@ class SoANetwork(SimKernel):
                  router_pipeline_cycles: int = 2,
                  obs: Obs = NULL_OBS) -> None:
         check_router_geometry(num_vcs, buffer_depth, router_pipeline_cycles)
+        if not topology.fixed_routes:
+            # The route table keeps one draw per (router, dst); the
+            # per-object Network draws again for every head flit.
+            raise ValueError(
+                f"{topology.name!r} routes each head flit afresh; "
+                f"SoANetwork needs a fixed route per (router, dst)")
         super().__init__(name=topology.name,
                          num_links=topology.num_links(),
                          utilization_interval=utilization_interval,
@@ -893,13 +907,75 @@ class SoAFlumenNetwork(SimKernel):
                                  self.cycle, total=self.arbiter_conflicts)
         self.cycle += 1
 
-    def _skip_idle(self, idle_cycles: int) -> None:
-        # An idle step still rotates the wavefront priority diagonal
-        # (the oracle's allocate() rotates on every call, requests or
-        # not); sequential arbitration moves nothing when idle.
+    def _skip_idle(self, cycles: int) -> None:
+        """Apply ``cycles`` quiet steps in one jump.
+
+        A step is *quiet* when no source has anything buffered and no
+        circuit delivers: it counts setups down, moves one flit on each
+        set-up circuit, records utilization and rotates the wavefront
+        priority diagonal (the oracle's allocate() rotates on every
+        call, requests or not; sequential arbitration moves nothing).
+        A quiescent network is the case with no circuits at all.  The
+        busy-link count changes only when a setup elapses, so the
+        utilization timeline is replayed one constant segment at a time.
+        """
+        order = self._order
+        if order:
+            setup_left, remaining = self._setup_left, self._remaining
+            points = sorted({setup_left[src] for src in order
+                             if 0 < setup_left[src] < cycles})
+            prev = 0
+            for point in points + [cycles]:
+                busy = sum(1 for src in order if setup_left[src] <= prev)
+                self.utilization.record_cycles(busy, point - prev)
+                prev = point
+            for src in order:
+                elapsed = min(setup_left[src], cycles)
+                setup_left[src] -= elapsed
+                moved = cycles - elapsed
+                remaining[src] -= moved
+                self.flit_hops += moved
+                self.link_traversals += moved
+            self.cycle += cycles
+        else:
+            self._advance_idle(cycles)
+        for src in self._pending_srcs:
+            self._p_setup[src] = max(0, self._p_setup[src] - cycles)
         if self.arbitration == "wavefront":
-            self._arbiter.rotate(idle_cycles)
-        self._advance_idle(idle_cycles)
+            self._arbiter.rotate(cycles)
+
+    def quiet_countdown(self) -> int | None:
+        """Cycles until the earliest in-flight delivery.
+
+        ``None`` means the network is quiescent; ``0`` means it is not
+        quiet (a buffered packet could earn a grant, so per-cycle
+        arbitration must run).  A positive ``r`` means the next
+        ``r - 1`` steps are quiet: :meth:`skip_quiet_cycles` may apply
+        any strict prefix of them (the ``r``-th delivers a packet).
+        """
+        if self._waiting_sources:
+            return 0
+        if not self._order:
+            return None if not self._pending_srcs else 0
+        return min(self._setup_left[src] + self._remaining[src]
+                   for src in self._order)
+
+    def skip_quiet_cycles(self, cycles: int) -> None:
+        """Advance ``cycles`` quiet steps (``cycles < quiet_countdown()``).
+
+        Raises rather than skip a grant or a delivery.  The tracer must
+        be off, as for every fast-forward.
+        """
+        if cycles <= 0:
+            return
+        if self._waiting_sources:
+            raise RuntimeError("skip_quiet_cycles with buffered packets "
+                               "would skip arbitration")
+        if any(self._setup_left[src] + self._remaining[src] <= cycles
+               for src in self._order):
+            raise RuntimeError("skip_quiet_cycles across a delivery "
+                               "would drop in-flight work")
+        self._skip_idle(cycles)
 
     def _activate(self, src: int, packet: Packet, setup: int,
                   grant_cycle: int) -> None:

@@ -42,6 +42,9 @@ class Topology:
     """Interface the network engine programs against."""
 
     name = "abstract"
+    #: False when :meth:`route` draws a fresh choice on every call, so
+    #: each head flit may take a different path.
+    fixed_routes = True
 
     def __init__(self, nodes: int) -> None:
         self.nodes = nodes
@@ -206,6 +209,7 @@ class WestFirstMeshTopology(MeshTopology):
     """
 
     name = "mesh_wf"
+    fixed_routes = False
 
     def __init__(self, nodes: int, seed: int = 0) -> None:
         super().__init__(nodes)

@@ -7,18 +7,17 @@ the CLIs all resolve architectures here, so adding a mesh arrangement is
 one ``MESHES.register`` call — no edits to the decomposition call sites,
 the energy model, or the sweeps.
 
-Each name carries the per-MZI reference implementation (the bit-identity
-*oracle*) and a columnized ``vectorized=True`` twin.  Dispatch serves
-the twin, while ``MESHES.get(name, vectorized=False)`` reaches the
-oracle the equivalence suite pins it against (see :mod:`repro.registry`;
-the same split DESIGN.md §13 established for the NoP kernels).
+Each name holds one architecture, which simulates with the columnized
+kernels of :class:`~repro.photonics.clements.MZIMesh`.  Their per-MZI
+reference oracles (``MZIMesh._reference_propagate`` and
+``clements._reference_trace_hops``) are not registered: the equivalence
+suite calls them directly (DESIGN.md §16).
 
 A :class:`MeshArchitecture` fixes the contract every fabric must
-satisfy: decompose-to-mesh, exact ``matrix``/``propagate`` (vectorized
-or oracle per the registration slot), hop tracing for per-path loss,
-per-column metadata for :mod:`repro.photonics.batch` stacking, device
-enumeration + fault domains for the injector, and depth/device-count
-accounting for the energy model.
+satisfy: decompose-to-mesh, exact ``matrix``/``propagate``, per-column
+metadata for :mod:`repro.photonics.batch` stacking, device enumeration
++ fault domains for the injector, and depth/device-count accounting for
+the energy model.
 
 The three architectures register themselves below with lazy imports
 (the factories import their decomposition module on first use), keeping
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.photonics.clements import MZIMesh, _reference_trace_hops
+from repro.photonics.clements import MZIMesh
 from repro.registry import Registry
 
 
@@ -49,9 +48,6 @@ class MeshArchitecture:
     """
 
     name: str
-    #: Vectorized (columnized) simulation when True; the per-MZI
-    #: reference oracle when False.
-    vectorized: bool
     #: ``(unitary, tol) -> MZIMesh`` in propagation order.
     decompose_fn: Callable[..., MZIMesh]
     #: Worst-case virtual mesh columns at size ``n``.
@@ -76,16 +72,8 @@ class MeshArchitecture:
         return mesh.matrix()
 
     def propagate(self, mesh: MZIMesh, fields: np.ndarray) -> np.ndarray:
-        """Forward E-field propagation, vectorized or oracle per slot."""
-        if self.vectorized:
-            return mesh.propagate(fields)
-        return mesh._reference_propagate(fields)
-
-    def trace_hops(self, mesh: MZIMesh) -> np.ndarray:
-        """Per-path MZI counts (``hops[out, in]``; -1 = unconnected)."""
-        if self.vectorized:
-            return mesh.mzis_per_path()
-        return _reference_trace_hops(mesh)
+        """Forward E-field propagation."""
+        return mesh.propagate(fields)
 
     def column_metadata(self, mesh: MZIMesh) -> tuple:
         """Structure signature for fleet stacking (``photonics.batch``).
@@ -134,25 +122,21 @@ class MeshArchitecture:
 MESHES = Registry("mesh architecture")
 
 
-def make_mesh(name: str | MeshArchitecture,
-              *, vectorized: bool | None = None, **kwargs
-              ) -> MeshArchitecture:
+def make_mesh(name: str | MeshArchitecture, **kwargs) -> MeshArchitecture:
     """Resolve an architecture by name (an instance passes through)."""
     if isinstance(name, MeshArchitecture):
         return name
-    return MESHES.get(name, vectorized=vectorized)(**kwargs)
+    return MESHES.get(name)(**kwargs)
 
 
 # -- the three architectures ------------------------------------------------
-#
-# Each registers its per-MZI oracle and its columnized twin; dispatch
-# serves the twin, the equivalence suite diffs the two.
 
 
-def _clements(vectorized: bool) -> MeshArchitecture:
+@MESHES.register("clements")
+def _make_clements(**kwargs) -> MeshArchitecture:
     from repro.photonics.clements import decompose
     return MeshArchitecture(
-        name="clements", vectorized=vectorized,
+        name="clements",
         decompose_fn=decompose,
         depth_fn=lambda n: max(0, n) if n != 1 else 0,
         device_count_fn=lambda n: n * (n - 1) // 2,
@@ -160,20 +144,11 @@ def _clements(vectorized: bool) -> MeshArchitecture:
     )
 
 
-@MESHES.register("clements")
-def _make_clements(**kwargs) -> MeshArchitecture:
-    return _clements(vectorized=False)
-
-
-@MESHES.register("clements", vectorized=True)
-def _make_clements_vec(**kwargs) -> MeshArchitecture:
-    return _clements(vectorized=True)
-
-
-def _reck(vectorized: bool) -> MeshArchitecture:
+@MESHES.register("reck")
+def _make_reck(**kwargs) -> MeshArchitecture:
     from repro.photonics.reck import decompose_reck
     return MeshArchitecture(
-        name="reck", vectorized=vectorized,
+        name="reck",
         decompose_fn=decompose_reck,
         depth_fn=lambda n: 0 if n < 2 else 2 * n - 3,
         device_count_fn=lambda n: n * (n - 1) // 2,
@@ -181,17 +156,8 @@ def _reck(vectorized: bool) -> MeshArchitecture:
     )
 
 
-@MESHES.register("reck")
-def _make_reck(**kwargs) -> MeshArchitecture:
-    return _reck(vectorized=False)
-
-
-@MESHES.register("reck", vectorized=True)
-def _make_reck_vec(**kwargs) -> MeshArchitecture:
-    return _reck(vectorized=True)
-
-
-def _bricks(vectorized: bool) -> MeshArchitecture:
+@MESHES.register("bricks")
+def _make_bricks(**kwargs) -> MeshArchitecture:
     from repro.photonics.bricks import (
         brick_fault_domain,
         bricks_depth,
@@ -200,20 +166,10 @@ def _bricks(vectorized: bool) -> MeshArchitecture:
         decompose_bricks,
     )
     return MeshArchitecture(
-        name="bricks", vectorized=vectorized,
+        name="bricks",
         decompose_fn=decompose_bricks,
         depth_fn=bricks_depth,
         device_count_fn=bricks_device_count,
         passes_fn=bricks_passes,
         fault_domain_fn=brick_fault_domain,
     )
-
-
-@MESHES.register("bricks")
-def _make_bricks(**kwargs) -> MeshArchitecture:
-    return _bricks(vectorized=False)
-
-
-@MESHES.register("bricks", vectorized=True)
-def _make_bricks_vec(**kwargs) -> MeshArchitecture:
-    return _bricks(vectorized=True)

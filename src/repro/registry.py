@@ -7,19 +7,17 @@ sweep tasks.  Each lives in one module-level :class:`Registry`
 ``ARRIVALS``, ``TASKS``), so adding a choice is one ``register`` call
 and no dispatch code changes.
 
-Each name holds up to two entries: the reference implementation (the
-bit-identity *oracle*) and an optional ``vectorized=True`` twin.
-:meth:`Registry.get` prefers the twin and falls back to the reference;
-``get(name, vectorized=False)`` always reaches the oracle, which is how
-the equivalence suites pin the two against each other.
+Each name holds one entry: the implementation production code runs.
+Reference oracles are not registered; the equivalence suites construct
+them directly, or shadow an entry with :meth:`Registry.temporary`.
 
 Rules shared by every registry:
 
 * names list in registration order;
-* registering a taken slot raises unless ``replace=True``;
+* registering a taken name raises unless ``replace=True``;
 * an unknown name raises :class:`UnknownNameError` listing the live
   names;
-* removing a missing name or slot is a no-op.
+* removing a missing name is a no-op.
 """
 
 from __future__ import annotations
@@ -43,79 +41,58 @@ class UnknownNameError(ValueError, KeyError):
 
 
 class Registry(Generic[T]):
-    """Named entries of one ``kind``, each with an optional fast twin."""
+    """Named entries of one ``kind``."""
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
-        #: name -> [reference entry | None, vectorized entry | None].
-        self._slots: dict[str, list[T | None]] = {}
+        self._entries: dict[str, T] = {}
 
     def register(self, name: str, entry: T | None = None, *,
-                 vectorized: bool = False, replace: bool = False):
+                 replace: bool = False):
         """Register ``entry`` under ``name``; usable as a decorator.
 
-        ``vectorized=True`` fills the twin slot, which then becomes the
-        default dispatch for the name.  Re-registering a filled slot
-        raises unless ``replace=True``.
+        Re-registering a taken name raises unless ``replace=True``.
         """
         def _register(target: T) -> T:
-            slots = self._slots.setdefault(name, [None, None])
-            if slots[vectorized] is not None and not replace:
+            if name in self._entries and not replace:
                 raise ValueError(f"{self.kind} {name!r} is already "
                                  f"registered; pass replace=True to override")
-            slots[vectorized] = target
+            self._entries[name] = target
             return target
         return _register if entry is None else _register(entry)
 
-    def unregister(self, name: str, *, vectorized: bool | None = None) -> None:
-        """Remove ``name``; pass ``vectorized`` to drop just one slot."""
-        if vectorized is None:
-            self._slots.pop(name, None)
-            return
-        slots = self._slots.get(name)
-        if slots is not None:
-            slots[vectorized] = None
-            if slots[0] is None and slots[1] is None:
-                del self._slots[name]
+    def unregister(self, name: str) -> None:
+        """Remove ``name``."""
+        self._entries.pop(name, None)
 
-    def get(self, name: str, *, vectorized: bool | None = None) -> T:
-        """The entry for ``name``.
-
-        ``vectorized=None`` prefers the twin and falls back to the
-        reference; ``True`` or ``False`` require that slot.
-        """
+    def get(self, name: str) -> T:
+        """The entry for ``name``."""
         try:
-            reference, twin = self._slots[name]
+            return self._entries[name]
         except KeyError:
             raise UnknownNameError(f"unknown {self.kind} {name!r}; "
                                    f"known: {self.names()}") from None
-        if vectorized is None:
-            entry = twin if twin is not None else reference
-        else:
-            entry = twin if vectorized else reference
-        if entry is None:
-            slot = "vectorized" if vectorized else "reference"
-            raise ValueError(
-                f"{self.kind} {name!r} has no {slot} implementation")
-        return entry
-
-    def has_vectorized(self, name: str) -> bool:
-        """True when ``name`` has a registered vectorized twin."""
-        return self._slots.get(name, [None, None])[1] is not None
 
     def names(self) -> tuple[str, ...]:
         """Every registered name, in registration order."""
-        return tuple(self._slots)
+        return tuple(self._entries)
 
     @contextmanager
-    def temporary(self, name: str, entry: T,
-                  *, vectorized: bool = False) -> Iterator[T]:
-        """Register ``entry`` for the duration of a ``with`` block."""
-        self.register(name, entry, vectorized=vectorized)
+    def temporary(self, name: str, entry: T) -> Iterator[T]:
+        """Register ``entry`` for the duration of a ``with`` block.
+
+        A taken name is shadowed and gets its entry back, in its place
+        in the order, when the block exits.
+        """
+        previous = self._entries.get(name)
+        self._entries[name] = entry
         try:
             yield entry
         finally:
-            self.unregister(name, vectorized=vectorized)
+            if previous is None:
+                self._entries.pop(name, None)
+            else:
+                self._entries[name] = previous
 
     def __contains__(self, name: object) -> bool:
-        return name in self._slots
+        return name in self._entries

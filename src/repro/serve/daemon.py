@@ -61,8 +61,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
 from repro.faults.models import FAULTS, FaultSchedule
 from repro.faults.recovery import FabricRecovery
-from repro.noc.flumen_net import FlumenNetwork
 from repro.noc.packet import Packet
+from repro.noc.soa import SoAFlumenNetwork
 from repro.obs import Obs, percentile_summary
 from repro.serve.admission import AdmissionController, precompute_decisions
 from repro.serve.arrivals import ARRIVALS, Arrival, ClientPopulation
@@ -198,8 +198,8 @@ class _Batch:
     submit_cycles: list[int] = field(default_factory=list)
 
 
-class _ServeNetwork(FlumenNetwork):
-    """FlumenNetwork that surfaces per-packet delivery to the daemon.
+class _ServeNetwork(SoAFlumenNetwork):
+    """Flumen network that surfaces per-packet delivery to the daemon.
 
     The kernel's latency stats are aggregate; the daemon needs each
     delivery attributed to the tenant that offered the packet, so this

@@ -43,7 +43,7 @@ from repro.faults.campaign import (
     run_fault_campaign,
     run_single,
 )
-from repro.noc.flumen_net import FlumenNetwork
+from repro.noc.simulation import make_network
 from repro.noc.traffic import TrafficGenerator
 from repro.obs import Obs
 from repro.photonics.calibration import matrix_error
@@ -321,7 +321,7 @@ class TestDegradationLadder:
 class TestElectricalFallback:
     def _make(self, ladder=None):
         system = SystemConfig()
-        net = FlumenNetwork(16)
+        net = make_network("flumen", 16)
         control = MZIMControlUnit(net, system)
         scheduler = FlumenScheduler(control, system, ladder=ladder)
         return net, control, scheduler
@@ -351,7 +351,7 @@ class TestElectricalFallback:
             fabric_ports=8, policy=BackoffPolicy(max_retries=0), obs=obs)
         walk_ladder(ladder, Rung.SHRINK)
         system = SystemConfig()
-        net = FlumenNetwork(16, obs=obs)
+        net = make_network("flumen", 16, obs=obs)
         control = MZIMControlUnit(net, system, obs=obs)
         scheduler = FlumenScheduler(control, system, obs=obs,
                                     ladder=ladder)
@@ -392,14 +392,14 @@ class TestElectricalFallback:
 
 class TestReroute:
     def test_reroute_pair_penalizes_setup(self):
-        net = FlumenNetwork(16)
+        net = make_network("flumen", 16)
         net.reroute_pair(2, 9, 6)
         assert net.reroute_penalties[(2, 9)] == 6
         with pytest.raises(ValueError):
             net.reroute_pair(2, 9, -1)
 
     def test_rerouted_traffic_still_delivers(self):
-        net = FlumenNetwork(16)
+        net = make_network("flumen", 16)
         net.reroute_pair(0, 5, 8)
         traffic = TrafficGenerator(16, "uniform", 0.2, seed=3)
         net.run(traffic, cycles=400, warmup=0)

@@ -14,7 +14,7 @@ from repro.config import SystemConfig
 from repro.core.accelerator import BlockMatmul
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler
-from repro.noc.flumen_net import FlumenNetwork
+from repro.noc.simulation import make_network
 from repro.noc.packet import Packet
 from repro.photonics.fabric import FlumenFabric, PartitionKind
 
@@ -22,7 +22,7 @@ from repro.photonics.fabric import FlumenFabric, PartitionKind
 @pytest.fixture
 def stack():
     system = SystemConfig()
-    net = FlumenNetwork(16)
+    net = make_network("flumen", 16)
     control = MZIMControlUnit(net, system)
     scheduler = FlumenScheduler(control, system)
     fabric = FlumenFabric(system.mzim_ports)

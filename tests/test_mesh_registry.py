@@ -2,11 +2,12 @@
 
 Three layers of coverage (ISSUE 8 / DESIGN.md §16):
 
-* registry mechanics — the two-slot register/lookup/temporary contract
-  mirrored from ``noc/registry``;
+* registry mechanics — the one-slot register/lookup/temporary contract
+  shared with ``noc/registry``;
 * architecture properties — hypothesis-driven invariants every
   registrant must satisfy (unitarity, ``propagate == matrix @ a``,
-  decompose∘matrix reconstruction, vectorized/oracle bit-identity),
+  decompose∘matrix reconstruction, bit-identity of the columnized
+  kernels with the per-MZI oracles),
   plus the bricks mesh's parity/depth/fault-domain structure;
 * end-to-end plumbing — SVD programming, fabric compute partitions,
   calibration, the energy model, and the ``mesh_comparison`` sweep task
@@ -19,7 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.photonics.bricks import bricks_depth, decompose_bricks
-from repro.photonics.clements import decompose, random_unitary
+from repro.photonics.clements import (
+    _reference_trace_hops,
+    decompose,
+    random_unitary,
+)
 from repro.photonics.registry import MESHES, make_mesh
 
 ALL_MESHES = MESHES.names()
@@ -44,15 +49,17 @@ class TestRegistrySemantics:
         with pytest.raises(ValueError, match="clements"):
             MESHES.get("moebius")
 
-    def test_every_builtin_has_both_slots(self):
+    def test_every_builtin_has_one_slot(self):
+        # One architecture per name, simulating with the columnized
+        # kernels.
+        u = haar(6, 0)
+        fields = np.arange(6) + 1j
         for name in ("clements", "reck", "bricks"):
-            assert MESHES.has_vectorized(name)
-            oracle = make_mesh(name, vectorized=False)
-            twin = make_mesh(name, vectorized=True)
-            assert not oracle.vectorized
-            assert twin.vectorized
-            # Default dispatch prefers the vectorized twin.
-            assert make_mesh(name).vectorized
+            arch = make_mesh(name)
+            assert arch.name == name
+            mesh = arch.decompose(u)
+            assert np.array_equal(arch.propagate(mesh, fields),
+                                  mesh.propagate(fields))
 
     def test_instance_passes_through(self):
         arch = make_mesh("reck")
@@ -60,12 +67,11 @@ class TestRegistrySemantics:
 
     def test_temporary_mesh_registers_and_cleans_up(self):
         def factory(**kwargs):
-            return make_mesh("clements", vectorized=False)
+            return make_mesh("clements")
 
         with MESHES.temporary("probe", factory):
             assert "probe" in MESHES.names()
             assert make_mesh("probe").name == "clements"
-            assert not MESHES.has_vectorized("probe")
         assert "probe" not in MESHES.names()
 
     def test_duplicate_registration_rejected(self):
@@ -75,20 +81,18 @@ class TestRegistrySemantics:
         with MESHES.temporary("probe", factory):
             with pytest.raises(ValueError, match="already registered"):
                 MESHES.register("probe", factory)
-            # The vectorized slot is independent — and removable alone.
-            MESHES.register("probe", factory, vectorized=True)
-            assert MESHES.has_vectorized("probe")
-            MESHES.unregister("probe", vectorized=True)
-            assert not MESHES.has_vectorized("probe")
+            assert MESHES.get("probe") is factory
 
-    def test_missing_slot_error_names_the_kind(self):
+    def test_temporary_shadows_a_builtin_and_restores_it(self):
+        builtin = MESHES.get("reck")
+
         def factory(**kwargs):
-            return make_mesh("clements", vectorized=True)
+            return make_mesh("clements")
 
-        with MESHES.temporary("vec-only", factory, vectorized=True):
-            assert make_mesh("vec-only") is not None
-            with pytest.raises(ValueError, match="no reference"):
-                MESHES.get("vec-only", vectorized=False)
+        with MESHES.temporary("reck", factory):
+            assert make_mesh("reck").name == "clements"
+        assert MESHES.get("reck") is builtin
+        assert make_mesh("reck").name == "reck"
 
 
 # ----------------------------------------------------------------------
@@ -125,16 +129,14 @@ class TestArchitectureProperties:
     @given(n=st.integers(min_value=2, max_value=10),
            seed=st.integers(min_value=0, max_value=2**31))
     def test_vectorized_matches_oracle_bitwise(self, name, n, seed):
-        oracle = make_mesh(name, vectorized=False)
-        twin = make_mesh(name, vectorized=True)
-        u = haar(n, seed)
-        mesh = oracle.decompose(u)
+        arch = make_mesh(name)
+        mesh = arch.decompose(haar(n, seed))
         rng = np.random.default_rng(seed ^ 0x1234)
         fields = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.array_equal(twin.propagate(mesh, fields),
-                              oracle.propagate(mesh, fields))
-        assert np.array_equal(np.asarray(twin.trace_hops(mesh)),
-                              np.asarray(oracle.trace_hops(mesh)))
+        assert np.array_equal(arch.propagate(mesh, fields),
+                              mesh._reference_propagate(fields))
+        assert np.array_equal(np.asarray(mesh.mzis_per_path()),
+                              np.asarray(_reference_trace_hops(mesh)))
 
     def test_accounting_contract(self, name):
         arch = make_mesh(name)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.accelerator import BlockMatmul, block_matmul_many
 from repro.core.control_unit import MZIMControlUnit
-from repro.noc.flumen_net import FlumenNetwork
+from repro.noc.simulation import make_network
 from repro.photonics.batch import (
     apply_jobs,
     apply_svd_stacked,
@@ -163,7 +163,7 @@ def test_block_matmul_result_numerically_close_to_digital():
 
 def test_control_unit_queue_and_flush_fleet():
     rng = np.random.default_rng(8)
-    control = MZIMControlUnit(FlumenNetwork(16))
+    control = MZIMControlUnit(make_network("flumen", 16))
     matrices = {}
     for i in range(3):
         key = f"m{i}"
@@ -186,6 +186,6 @@ def test_control_unit_queue_and_flush_fleet():
 
 
 def test_control_unit_queue_requires_preloaded_matrix():
-    control = MZIMControlUnit(FlumenNetwork(16))
+    control = MZIMControlUnit(make_network("flumen", 16))
     with pytest.raises(KeyError):
         control.queue_mvm("missing", np.zeros((8, 1)))

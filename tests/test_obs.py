@@ -111,12 +111,11 @@ class TestMetricsRegistry:
             "sum_s"] == pytest.approx(0.123)
 
     def test_kernel_run_records_timer(self):
-        from repro.noc.network import Network
-        from repro.noc.topology import make_topology
+        from repro.noc.simulation import make_network
         from repro.noc.traffic import TrafficGenerator
 
         obs = Obs.active()
-        net = Network(make_topology("mesh", 16), obs=obs)
+        net = make_network("mesh", 16, obs=obs)
         net.run(TrafficGenerator(16, "uniform", 0.1, seed=2),
                 cycles=200, drain=True)
         t = obs.metrics.timer("noc.run_seconds", topology="mesh")
@@ -245,11 +244,11 @@ class TestNullBackend:
     def test_instrumentation_does_not_perturb_simulation(self):
         # The observability hooks must be read-only: a traced network
         # and a null-backend network produce identical numerics.
-        from repro.noc.flumen_net import FlumenNetwork
+        from repro.noc.simulation import make_network
         from repro.noc.traffic import TrafficGenerator
 
         def run(obs):
-            net = FlumenNetwork(8, obs=obs)
+            net = make_network("flumen", 8, obs=obs)
             traffic = TrafficGenerator(8, "uniform", 0.3, seed=3)
             net.run(traffic, cycles=500, warmup=100)
             return (net.latency.average, net.latency.received,

@@ -24,7 +24,7 @@ from repro.core.accelerator import plan_offload
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import ActiveComputation, FlumenScheduler
 from repro.faults.ladder import DegradationLadder
-from repro.noc.flumen_net import FlumenNetwork
+from repro.noc.simulation import make_network
 from repro.noc.packet import Packet
 from repro.obs import Obs
 from repro.photonics.fabric import FlumenFabric
@@ -62,7 +62,7 @@ def _build(cls: type[FlumenScheduler], seed: int,
                           zeta=float(rng.choice([0.25, 0.5, 1.0])))
     system = SystemConfig().replace(scheduler=cfg)
     obs = Obs.active() if traced else Obs.telemetry()
-    net = FlumenNetwork(NODES, obs=obs)
+    net = make_network("flumen", NODES, obs=obs)
     # Buffer occupancies from empty to overflowing, so some placements
     # clear eta and others defer on beta.  Packet ids are explicit: the
     # default factory is a process-global counter.
@@ -160,7 +160,7 @@ def _one_free_range_backlog(sizes):
     """
     system = SystemConfig().replace(
         scheduler=SchedulerConfig(eta=0.4, zeta=0.5))
-    net = FlumenNetwork(NODES)
+    net = make_network("flumen", NODES)
     control = MZIMControlUnit(net, system)
     scheduler = FlumenScheduler(control, system)
     request = ComputeRequest(node=0, plan=PLAN, matrix_key="held",

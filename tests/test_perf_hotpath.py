@@ -343,10 +343,10 @@ class TestActiveSetStepping:
         # A long idle stretch before traffic must not change how that
         # traffic is then served (same per-packet service latencies).
         from repro.noc.packet import Packet
-        from repro.noc.flumen_net import FlumenNetwork
+        from repro.noc.simulation import make_network
 
         def serve(idle_cycles):
-            net = FlumenNetwork(8)
+            net = make_network("flumen", 8)
             for _ in range(idle_cycles):
                 net.step()
             base = net.cycle

@@ -285,28 +285,18 @@ class TestRegistryContract:
         assert registry.names() == before
 
     def test_slots_are_independent(self, registry):
-        reference, twin = object(), object()
-        with registry.temporary("probe", reference):
-            assert not registry.has_vectorized("probe")
-            assert registry.get("probe") is reference
-            registry.register("probe", twin, vectorized=True)
-            assert registry.has_vectorized("probe")
-            assert registry.get("probe") is twin
-            assert registry.get("probe", vectorized=False) is reference
-            registry.unregister("probe", vectorized=True)
-            assert registry.get("probe") is reference
-            with pytest.raises(ValueError,
-                               match="has no vectorized implementation"):
-                registry.get("probe", vectorized=True)
-            registry.register("probe", twin, vectorized=True)
-            registry.unregister("probe", vectorized=False)
-            assert registry.get("probe") is twin
-            with pytest.raises(ValueError,
-                               match="has no reference implementation"):
-                registry.get("probe", vectorized=False)
-            registry.unregister("probe", vectorized=True)
-            assert "probe" not in registry
-        assert "probe" not in registry
+        # One slot per name: shadowing one swaps only its entry, and the
+        # original comes back, in its place in the order, on exit.
+        builtin, *others = registry.names()
+        original = registry.get(builtin)
+        untouched = {name: registry.get(name) for name in others}
+        shadow = object()
+        with registry.temporary(builtin, shadow):
+            assert registry.get(builtin) is shadow
+            assert registry.names() == (builtin, *others)
+            assert {name: registry.get(name) for name in others} == untouched
+        assert registry.get(builtin) is original
+        assert registry.names() == (builtin, *others)
 
     def test_decorator_form_and_silent_removal(self, registry):
         @registry.register("probe")
@@ -316,5 +306,4 @@ class TestRegistryContract:
         assert registry.get("probe") is entry
         registry.unregister("probe")
         registry.unregister("probe")  # a missing name is a no-op
-        registry.unregister("probe", vectorized=True)
         assert "probe" not in registry

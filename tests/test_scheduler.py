@@ -11,7 +11,7 @@ from repro.core.control_unit import (
     MZIMControlUnit,
 )
 from repro.core.scheduler import FlumenScheduler, compute_duration_cycles
-from repro.noc.flumen_net import FlumenNetwork
+from repro.noc.simulation import make_network
 from repro.noc.packet import Packet
 
 
@@ -22,7 +22,7 @@ def small_plan(vectors=8):
 def make_stack(scheduler_cfg: SchedulerConfig | None = None):
     system = SystemConfig() if scheduler_cfg is None else \
         SystemConfig().replace(scheduler=scheduler_cfg)
-    net = FlumenNetwork(16)
+    net = make_network("flumen", 16)
     control = MZIMControlUnit(net, system)
     scheduler = FlumenScheduler(control, system)
     return net, control, scheduler

@@ -1,15 +1,20 @@
 """Struct-of-arrays NoC backends vs. their per-object oracles.
 
-Every registered topology with a vectorized twin must reproduce the
-oracle *bit for bit*: same delivered packets, same individual flit
-latencies, same arbitration outcomes, same counters, same utilization
-timeline — across random traffic, idle/active transitions, and the idle
-fast-forward path.  All assertions are exact equality; any tolerance
-would hide an ordering bug.
+Every registered topology's struct-of-arrays kernel must reproduce its
+per-object oracle (``tests/reference_noc.py``) *bit for bit*: same
+delivered packets, same individual flit latencies, same arbitration
+outcomes, same counters, same utilization timeline — across random
+traffic, idle/active transitions, the idle and quiet fast-forwards, and
+the production paths end to end.  All assertions are exact equality;
+any tolerance would hide an ordering bug.
 """
 
+import copy
+import hashlib
+import json
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +24,20 @@ from repro.noc.kernel import SimKernel
 from repro.noc.registry import TOPOLOGIES
 from repro.noc.simulation import make_network
 from repro.noc import soa as soa_module
+from repro.noc.packet import Packet
 from repro.noc.soa import SoANetwork
 from repro.noc.stats import UtilizationTracker
+from repro.noc.topology import make_topology
 from repro.noc.traffic import TracePlayback, TrafficGenerator
 from repro.obs import Obs
+from tests.reference_noc import (
+    ORACLES,
+    OracleServeNetwork,
+    make_oracle,
+    oracle_topologies,
+)
 
-VECTORIZED = [t for t in TOPOLOGIES.names() if TOPOLOGIES.has_vectorized(t)]
+BACKENDS = list(TOPOLOGIES.names())
 
 
 def _summary(net) -> dict:
@@ -42,30 +55,26 @@ def _summary(net) -> dict:
 
 
 def _run_pair(topology, traffic_fn, cycles, **kwargs):
-    nets = [make_network(topology, 16, vectorized=v, **kwargs)
-            for v in (False, True)]
+    nets = [make_oracle(topology, 16, **kwargs),
+            make_network(topology, 16, **kwargs)]
     for net in nets:
         net.run(traffic_fn(), cycles=cycles, drain=True,
                 max_drain_cycles=30_000)
     return nets
 
 
-def test_every_vectorized_backend_is_registered():
-    # The tentpole ships a struct-of-arrays twin for every topology; a
-    # new topology without one should make this list explicit.
-    assert set(VECTORIZED) == set(TOPOLOGIES.names())
+def test_every_topology_has_an_oracle():
+    # A new topology needs a per-object oracle to be pinned against.
+    assert set(ORACLES) == set(BACKENDS)
 
 
-def test_backend_factory_prefers_vectorized():
-    for topology in VECTORIZED:
-        oracle = TOPOLOGIES.get(topology, vectorized=False)
-        fast = TOPOLOGIES.get(topology, vectorized=True)
-        assert oracle is not fast
-        assert TOPOLOGIES.get(topology) is fast
+def test_registry_builds_only_soa_kernels():
+    for topology in BACKENDS:
+        assert type(make_network(topology)).__module__ == soa_module.__name__
 
 
 @settings(max_examples=20, deadline=None)
-@given(topology=st.sampled_from(VECTORIZED),
+@given(topology=st.sampled_from(BACKENDS),
        pattern=st.sampled_from(["uniform", "bit_reversal", "shuffle",
                                 "tornado", "neighbor"]),
        load=st.floats(min_value=0.02, max_value=0.5),
@@ -82,7 +91,7 @@ def test_property_soa_matches_oracle(topology, pattern, load, packet_size,
 
 
 @settings(max_examples=12, deadline=None)
-@given(topology=st.sampled_from(VECTORIZED),
+@given(topology=st.sampled_from(BACKENDS),
        gap=st.integers(min_value=5, max_value=1200),
        bursts=st.integers(min_value=1, max_value=5),
        seed=st.integers(min_value=0, max_value=10**6))
@@ -127,8 +136,8 @@ def test_property_flumen_variants_match(reconfig, arbitration, pipelined,
 
 def test_flumen_scheduler_hooks_match_after_blocking():
     observed = []
-    for vectorized in (False, True):
-        net = make_network("flumen", 16, vectorized=vectorized)
+    for make in (make_oracle, make_network):
+        net = make("flumen", 16)
         traffic = TrafficGenerator(16, "uniform", 0.3, seed=9)
         net.block_ports(set(range(8)))
         net.run(traffic, cycles=200)
@@ -162,8 +171,6 @@ def test_property_sparse_rr_matches_dense(n, last, lines, seed):
 
 
 def test_wavefront_rotate_matches_repeated_empty_allocates():
-    import numpy as np
-
     a, b = WavefrontArbiter(7), WavefrontArbiter(7)
     for _ in range(5):
         a.allocate(np.zeros((7, 7), dtype=bool))
@@ -249,7 +256,7 @@ def _oracle_pair(topology, runs, max_drain_cycles=30_000):
     Each run is ``(events, cycles)``, drained, on the same two networks;
     event cycles count from the cycle the run starts at.
     """
-    nets = [make_network(topology, 16, vectorized=v) for v in (False, True)]
+    nets = [make_oracle(topology, 16), make_network(topology, 16)]
     for net in nets:
         for events, cycles in runs:
             trace = [(net.cycle + t, *rest) for t, *rest in events]
@@ -608,12 +615,12 @@ def test_property_period_interleavings_match_oracle(topology, episodes,
 
 # -- construction-time validation and drain reporting ----------------------
 
-@pytest.mark.parametrize("vectorized", [False, True])
+@pytest.mark.parametrize("soa", [False, True])
 @pytest.mark.parametrize("field, value", [
     ("num_vcs", 0), ("buffer_depth", 0), ("router_pipeline_cycles", -1)])
-def test_router_geometry_rejected_at_construction(vectorized, field, value):
+def test_router_geometry_rejected_at_construction(soa, field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= "):
-        make_network("mesh", 16, vectorized=vectorized, **{field: value})
+        (make_network if soa else make_oracle)("mesh", 16, **{field: value})
 
 
 def test_zero_utilization_interval_rejected():
@@ -621,7 +628,7 @@ def test_zero_utilization_interval_rejected():
         UtilizationTracker(num_links=4, interval_cycles=0)
 
 
-@pytest.mark.parametrize("topology", VECTORIZED)
+@pytest.mark.parametrize("topology", BACKENDS)
 def test_exhausted_drain_is_flagged(topology, caplog):
     traffic = TracePlayback([(0, 1, 14, 6), (0, 2, 14, 6), (1, 3, 14, 6)])
     net = make_network(topology, 16)
@@ -640,3 +647,225 @@ def test_completed_drain_is_silent(caplog):
     with caplog.at_level(logging.WARNING, logger="repro.noc"):
         net.run(TracePlayback([(0, 1, 14, 6)]), cycles=2, drain=True)
     assert net.quiescent() and not caplog.records
+
+
+# -- adaptive routing -----------------------------------------------------
+
+def test_soa_router_network_rejects_per_flit_routing():
+    # west-first routing draws a route per head flit; a fixed route
+    # table would silently take one draw per (router, dst) instead.
+    with pytest.raises(ValueError, match="mesh_wf"):
+        SoANetwork(make_topology("mesh_wf", 16))
+
+
+def test_noc_latency_mesh_wf_stays_on_the_per_object_network():
+    from repro.analysis.engine import canonical_json
+    from repro.analysis.tasks import noc_latency
+
+    out = noc_latency({"topology": "mesh_wf", "pattern": "transpose",
+                       "load": 0.35, "cycles": 1500, "warmup": 500}, 3)
+    assert out["avg_latency"] == 37.07520325203252
+    assert hashlib.sha256(canonical_json(out).encode()).hexdigest() == \
+        "872284cee1eba851e09c866ec5c9600d584b26f07ac30b567211fb0d68e99887"
+
+
+# -- Flumen quiet skip ----------------------------------------------------
+#
+# serve fast-forwards windows in which circuits only count down (no
+# buffered source, no delivery) through ``skip_quiet_cycles``, which on
+# the struct-of-arrays class is the same ``_skip_idle`` the kernel's idle
+# skip runs.  Every quiet window of seeded runs, with reroute penalties,
+# pipelined pre-grants and both arbitration modes, is skipped by every
+# prefix length and compared with stepping and with the oracle's skip.
+
+def _flumen_state(net) -> dict:
+    """Everything a quiet step may touch, in backend-neutral terms."""
+    def key(p: Packet) -> tuple:
+        return p.src, p.dst, p.size_flits, p.create_cycle
+
+    if hasattr(net, "_circuits"):
+        active = [(c.setup_left, c.remaining_flits, key(c.packet))
+                  for c in net._circuits.values()]
+        pending = sorted((c.setup_left, c.remaining_flits, key(c.packet))
+                         for c in net._pending.values())
+    else:
+        active = [(net._setup_left[src], net._remaining[src],
+                   key(net._packets[src])) for src in net._order]
+        pending = sorted((net._p_setup[src], net._p_remaining[src],
+                          key(net._p_packets[src]))
+                         for src in net._pending_srcs)
+    util = net.utilization
+    return {
+        **_summary(net),
+        "active": active,
+        "pending": pending,
+        "busy_outputs": sorted(net._busy_outputs),
+        "arbiter": (net._arbiter._priority, net._sequential_rr),
+        "interval": (util._busy_in_interval, util._cycle_in_interval),
+        "counters": (net.reconfigurations, net.rerouted_grants,
+                     net.arbiter_conflicts),
+    }
+
+
+def _offer_burst(nets, seed: int, cycle: int) -> None:
+    rng = np.random.default_rng(seed)
+    burst = []
+    for src in range(16):
+        for _ in range(int(rng.integers(0, 3))):
+            dst = (src + int(rng.integers(1, 16))) % 16
+            burst.append((src, dst, int(rng.integers(1, 12))))
+    for net in nets:
+        for src, dst, size in burst:
+            net.offer_packet(Packet(src=src, dst=dst, size_flits=size,
+                                    create_cycle=cycle))
+
+
+def _quiet_pair(arbitration: str, seed: int):
+    """Oracle and SoA Flumen nets with reroutes and one offered burst."""
+    nets = [make("flumen", 16, arbitration=arbitration)
+            for make in (make_oracle, make_network)]
+    rng = np.random.default_rng(seed + 1000)
+    for _ in range(5):
+        src, dst = (int(x) for x in rng.choice(16, size=2, replace=False))
+        penalty = int(rng.integers(1, 6))
+        for net in nets:
+            net.reroute_pair(src, dst, penalty)
+    _offer_burst(nets, seed, 0)
+    return nets
+
+
+def _finish(net, seed: int) -> dict:
+    """Offer a later burst, run to quiescence; the final state."""
+    _offer_burst([net], seed + 1, net.cycle)
+    for _ in range(5000):
+        if net.quiescent():
+            break
+        net.step()
+    return _flumen_state(net)
+
+
+@pytest.mark.parametrize("arbitration", ["wavefront", "sequential"])
+@pytest.mark.parametrize("seed", range(6))
+def test_quiet_skip_matches_stepping_and_the_oracle(arbitration, seed):
+    oracle, soa = _quiet_pair(arbitration, seed)
+    windows = 0
+    while not soa.quiescent():
+        countdown = soa.quiet_countdown()
+        assert oracle.quiet_countdown() == countdown
+        if countdown and countdown > 1:
+            windows += 1
+            for k in range(1, countdown):
+                skipped, stepped, oracle_skipped = (
+                    copy.deepcopy(soa), copy.deepcopy(soa),
+                    copy.deepcopy(oracle))
+                skipped.skip_quiet_cycles(k)
+                for _ in range(k):
+                    stepped.step()
+                oracle_skipped.skip_quiet_cycles(k)
+                state = _flumen_state(skipped)
+                assert state == _flumen_state(stepped)
+                assert state == _flumen_state(oracle_skipped)
+                final = _finish(skipped, seed)
+                assert final == _finish(stepped, seed)
+                assert final == _finish(oracle_skipped, seed)
+        oracle.step()
+        soa.step()
+    assert windows
+    assert _flumen_state(soa) == _flumen_state(oracle)
+
+
+def test_quiet_skip_corpus_covers_pregrants_and_reroutes():
+    pending = rerouted = 0
+    for arbitration in ("wavefront", "sequential"):
+        for seed in range(6):
+            _, soa = _quiet_pair(arbitration, seed)
+            while not soa.quiescent():
+                if (soa.quiet_countdown() or 0) > 1 and soa._pending_srcs:
+                    pending += 1
+                soa.step()
+            rerouted += soa.rerouted_grants
+    assert pending and rerouted
+
+
+def _serve_network(name, nodes, **kwargs):
+    from repro.serve.daemon import _ServeNetwork
+    return _ServeNetwork(nodes, **kwargs)
+
+
+@pytest.mark.parametrize("make", [make_oracle, make_network,
+                                  _serve_network])
+def test_quiet_skip_refuses_buffered_sources_and_deliveries(make):
+    net = make("flumen", 16)
+    _offer_burst([net], 0, 0)
+    assert net.quiet_countdown() == 0
+    before = _flumen_state(net)
+    with pytest.raises(RuntimeError, match="buffered"):
+        net.skip_quiet_cycles(1)
+    assert _flumen_state(net) == before
+    while not net.quiet_countdown():
+        net.step()
+    countdown = net.quiet_countdown()
+    before = _flumen_state(net)
+    with pytest.raises(RuntimeError, match="delivery"):
+        net.skip_quiet_cycles(countdown)
+    assert _flumen_state(net) == before
+
+
+# -- end-to-end oracle comparisons ----------------------------------------
+#
+# Production paths build every network through ``TOPOLOGIES``; these run
+# them once as shipped and once with the per-object oracles swapped in,
+# and demand identical output.
+
+def test_end_to_end_sweep_matches_the_oracles():
+    from repro.analysis.tasks import system_point
+    from repro.core.pipelines import CONFIGURATIONS
+    from repro.workloads import WORKLOAD_NAMES
+
+    def grid():
+        return [system_point({"workload": wl, "configuration": cfg,
+                              "shapes": "small"}, 17)
+                for wl in WORKLOAD_NAMES for cfg in CONFIGURATIONS.names()]
+
+    records = grid()
+    with oracle_topologies():
+        assert type(make_network("ring")).__name__ == "Network"
+        oracle_records = grid()
+    assert records == oracle_records
+
+
+def test_end_to_end_serve_matches_the_oracle(monkeypatch):
+    import repro.serve.daemon as daemon_module
+    from repro.serve import ServeConfig, ServeDaemon
+
+    config = ServeConfig(rate=0.08, arrival="bursty", duration=1024,
+                         seed=7, fault="dead_link")
+
+    def artifacts(network_class) -> str:
+        daemon = ServeDaemon(config)
+        assert type(daemon.net) is network_class
+        report = daemon.run()
+        return json.dumps({"report": report,
+                           "events": list(daemon.obs.events.events),
+                           "snapshots": list(daemon.obs.sampler.series)},
+                          sort_keys=True)
+
+    served = artifacts(daemon_module._ServeNetwork)
+    # The ladder walks up to REROUTE, which programs a detour.
+    assert json.loads(served)["report"]["ladder"]["recovered_rungs"] == \
+        ["REROUTE"]
+    monkeypatch.setattr(daemon_module, "_ServeNetwork", OracleServeNetwork)
+    assert served == artifacts(OracleServeNetwork)
+
+
+def test_end_to_end_fault_campaign_matches_the_oracle():
+    from repro.analysis.engine import canonical_json
+    from repro.faults.campaign import CampaignSpec, run_fault_campaign
+
+    spec = CampaignSpec(fault="dead_link", runs=1, cycles=600,
+                        golden_reference=False)
+    campaign = run_fault_campaign(spec)
+    assert campaign["runs"][0]["ladder"]["recovered_rungs"] == ["REROUTE"]
+    report = canonical_json(campaign)
+    with oracle_topologies():
+        assert canonical_json(run_fault_campaign(spec)) == report

@@ -21,7 +21,7 @@ from repro.core.accelerator import BlockMatmul, plan_offload
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler
 from repro.faults.campaign import CampaignSpec, run_fault_campaign
-from repro.noc.flumen_net import FlumenNetwork
+from repro.noc.simulation import make_network
 from repro.obs import (
     EVENT_SCHEMA_VERSION,
     EVENT_TYPES,
@@ -493,7 +493,7 @@ class TestTenantAccounting:
     def test_scheduler_splits_tenant_counters(self):
         obs = Obs.telemetry()
         system = SystemConfig()
-        net = FlumenNetwork(16, obs=obs)
+        net = make_network("flumen", 16, obs=obs)
         control = MZIMControlUnit(net, system, obs=obs)
         scheduler = FlumenScheduler(control, system, obs=obs)
         tenant_request(control, "acme", 0, request_id=0)
@@ -511,7 +511,7 @@ class TestTenantAccounting:
 
     def test_mvm_flush_reports_tenant_breakdown(self):
         obs = Obs.telemetry()
-        net = FlumenNetwork(16, obs=obs)
+        net = make_network("flumen", 16, obs=obs)
         control = MZIMControlUnit(net, SystemConfig(), obs=obs)
         control.matrix_memory.store("w", BlockMatmul(np.eye(8), 8))
         vectors = np.eye(8)[:, :2]
