@@ -42,8 +42,8 @@ PAPER_GEOMEAN = {"speedup": 3.6, "energy": 2.5, "edp": 9.3}
 def full_sweep() -> dict[str, dict[str, WorkloadRun]]:
     """All (workload, configuration) runs at paper shapes — cached.
 
-    ``traffic_seed`` is pinned to the :class:`SystemModel` default so
-    the engine path reproduces the historical serial sweep exactly.
+    The ``traffic_seed`` param is kept (the system model no longer
+    reads it) so the points keep their historical cache keys.
     """
     points = [
         PointSpec(key=f"{name}/{cfg}",

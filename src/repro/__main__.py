@@ -75,6 +75,40 @@ def _check_names(registry, names, *extra: str) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _write_json(path: str, payload: object, what: str) -> None:
+    """Write ``payload`` as canonical indented JSON to an ``--out`` path."""
+    import json
+
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    emit(f"wrote {what} to {path}")
+
+
+def _write_telemetry(directory: str, events, snapshots, exposition: str,
+                     merged: bool = False) -> None:
+    """Write a ``--telemetry-dir`` and report what went into it."""
+    from pathlib import Path
+
+    from repro.obs import write_telemetry_dir
+
+    paths = write_telemetry_dir(directory, events, snapshots, exposition)
+    counts = f"({len(events)} events, {len(snapshots)} snapshots)"
+    if merged:
+        emit(f"wrote merged telemetry {counts} to {Path(directory)}")
+    else:
+        emit(f"wrote telemetry {counts} to {directory}: "
+             + ", ".join(p.name for p in paths.values()))
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.config import DEFAULT_SYSTEM
@@ -178,8 +212,6 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.engine import (
         PointSpec,
         ResultCache,
@@ -189,10 +221,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.pipelines import CONFIGURATIONS
     from repro.photonics.registry import MESHES
     from repro.workloads import paper_workloads
-
-    if args.jobs < 1:
-        log.error("--jobs must be >= 1, got %d", args.jobs)
-        return 2
 
     meshes = list(dict.fromkeys(args.mesh or []))
     if code := _check_names(MESHES, meshes):
@@ -285,140 +313,198 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     emit(f"telemetry: {run.telemetry.summary()}")
 
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(run.records(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        emit(f"wrote {len(run.results)} records to {args.out}")
+        _write_json(args.out, run.records(), f"{len(run.results)} records")
     if args.telemetry_dir:
-        from repro.obs import write_telemetry_dir
+        from repro.obs import prometheus_exposition
 
-        paths = write_telemetry_dir(args.telemetry_dir, obs)
-        emit(f"wrote telemetry ({len(obs.events)} events, "
-             f"{len(obs.sampler)} snapshots) to {args.telemetry_dir}: "
-             + ", ".join(p.name for p in paths.values()))
+        _write_telemetry(args.telemetry_dir, obs.events.events,
+                         obs.sampler.series,
+                         prometheus_exposition(obs.metrics.to_dict()))
     return 1 if run.failed_results() else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    from repro.analysis.report import format_table
-    from repro.obs import (
-        TelemetryServer,
-        prometheus_exposition,
-        write_telemetry_dir,
+    """``repro serve``: one daemon, or ``--replicas R`` as a cluster."""
+    from repro.obs import prometheus_exposition
+    from repro.serve import (
+        ClusterTelemetryStore,
+        LiveTelemetryStore,
+        ReplicaSet,
+        ServeConfig,
+        ServeDaemon,
     )
-    from repro.serve import LiveTelemetryStore, ServeConfig, ServeDaemon
 
-    config = ServeConfig(
-        duration=args.duration, seed=args.seed, arrival=args.arrival,
-        rate=args.rate, tenants=args.tenants,
-        mvm_fraction=args.mvm_fraction, nodes=args.nodes,
-        ports=args.ports, batch_size=args.batch_size,
-        batch_window=args.batch_window,
-        admission_rate=args.admission_rate,
-        admission_burst=args.admission_burst, fault=args.fault,
-        fault_magnitude=args.fault_magnitude,
-        max_events=args.max_events)
-    if args.replicas > 1:
-        return _cmd_serve_cluster(args, config)
-    daemon = ServeDaemon(config)
-    server = None
-    if args.http_port is not None:
+    try:
+        config = ServeConfig(
+            duration=args.duration, seed=args.seed, arrival=args.arrival,
+            rate=args.rate, tenants=args.tenants,
+            mvm_fraction=args.mvm_fraction, nodes=args.nodes,
+            ports=args.ports, batch_size=args.batch_size,
+            batch_window=args.batch_window,
+            admission_rate=args.admission_rate,
+            admission_burst=args.admission_burst, fault=args.fault,
+            fault_magnitude=args.fault_magnitude,
+            max_events=args.max_events)
+        cluster = (ReplicaSet(config, args.replicas)
+                   if args.replicas > 1 else None)
+        daemon = ServeDaemon(config) if cluster is None else None
+    except ValueError as exc:
+        log.error("%s", exc)
+        return 2
+
+    if cluster is None:
         store = LiveTelemetryStore(
             daemon.obs, daemon=daemon,
             describe=f"serve session seed={config.seed}")
-        server = TelemetryServer(store, host=args.host,
-                                 port=args.http_port)
-        server.start()
-        emit(f"live telemetry on http://{args.host}:{server.port}"
-             f"/metrics (also /healthz /events /snapshots)")
+        report = _serve_http(
+            args, store, "live telemetry",
+            f"session over; serving /metrics for {args.linger:g}s more "
+            "(Ctrl-C stops)", body=daemon.run)
+        events = list(daemon.obs.events.events)
+        snapshots = list(daemon.obs.sampler.series)
+        exposition = prometheus_exposition(daemon.obs.metrics.to_dict())
+    else:
+        report = cluster.run(jobs=args.jobs)
+        store = ClusterTelemetryStore(
+            cluster, describe=f"serve cluster seed={config.seed} "
+                              f"replicas={args.replicas}")
+        events, snapshots = cluster.merged_events, cluster.merged_snapshots
+        exposition = store.exposition()
+
+    _emit_serve_report(args, report)
+    if cluster is not None:
+        _serve_http(args, store, "merged telemetry",
+                    f"serving the merged view for {args.linger:g}s "
+                    "(Ctrl-C stops)")
+    if args.out:
+        _write_json(args.out, report, "session report" if cluster is None
+                    else "cluster report")
+    if args.telemetry_dir:
+        _write_telemetry(args.telemetry_dir, events, snapshots, exposition,
+                         merged=cluster is not None)
+    if args.check:
+        return _serve_check(args, report, events, exposition, cluster)
+    return 0
+
+
+def _serve_http(args: argparse.Namespace, store, what: str,
+                linger_note: str, body=lambda: None):
+    """Run ``body`` while ``store`` is served on ``--http-port``.
+
+    ``--linger`` keeps the endpoint up after ``body`` returns (Ctrl-C
+    stops).  Without ``--http-port`` only ``body`` runs; either way its
+    result is returned.
+    """
+    if args.http_port is None:
+        return body()
+    import time
+
+    from repro.obs import TelemetryServer
+
+    server = TelemetryServer(store, host=args.host, port=args.http_port)
+    server.start()
+    emit(f"{what} on http://{args.host}:{server.port}"
+         f"/metrics (also /healthz /events /snapshots)")
     try:
-        report = daemon.run()
-        if server is not None and args.linger > 0:
-            emit(f"session over; serving /metrics for {args.linger:g}s "
-                 "more (Ctrl-C stops)")
+        result = body()
+        if args.linger > 0:
+            emit(linger_note)
             try:
                 time.sleep(args.linger)
             except KeyboardInterrupt:
                 pass
     finally:
-        if server is not None:
-            server.shutdown()
+        server.shutdown()
+    return result
 
-    ledger = report["ledger"]
-    rows = []
-    for tenant, t in sorted(report["per_tenant"].items()):
-        rows.append([tenant, t["offered"], t["admitted"],
-                     t["rejected"], t["completed"]])
+
+def _emit_serve_report(args: argparse.Namespace, report: dict) -> None:
+    """Print a serve report's tables and its one-line ledger.
+
+    A cluster (``--replicas`` > 1) leads with the replica table and
+    names its merged telemetry; a single session adds the latency
+    table and its final rung.
+    """
+    from repro.analysis.report import format_table
+
+    cluster = args.replicas > 1
+    if cluster:
+        emit(format_table(
+            ["replica", "tenants", "cycles", "completed", "goodput",
+             "rung"],
+            [[i, ",".join(r["tenants"]), r["cycles"], r["completed"],
+              f"{r['goodput_per_kcycle']:.1f}", r["final_rung"]]
+             for i, r in enumerate(report["per_replica"])],
+            title=f"serve cluster: seed={args.seed} "
+                  f"replicas={args.replicas} jobs={args.jobs} "
+                  f"rate={args.rate:g} ({report['cycles']} cycles)"))
+        emit()
+        title = "per-tenant ledger"
+        tail = (f"{report['events']} merged events, "
+                f"{report['snapshots']} merged snapshots")
+    else:
+        title = (f"serve session: seed={args.seed} "
+                 f"arrival={args.arrival} rate={args.rate:g} "
+                 f"({report['cycles']} cycles)")
+        tail = (f"final rung {report['final_rung']} "
+                f"(electrical={report['electrical_completions']})")
     emit(format_table(
         ["tenant", "offered", "admitted", "rejected", "completed"],
-        rows,
-        title=f"serve session: seed={config.seed} "
-              f"arrival={config.arrival} rate={config.rate:g} "
-              f"({report['cycles']} cycles)"))
+        [[tenant, t["offered"], t["admitted"], t["rejected"],
+          t["completed"]]
+         for tenant, t in sorted(report["per_tenant"].items())],
+        title=title))
     emit()
-    lat = report["latency"]
-    lat_rows = []
-    for kind in ("mvm", "comm"):
-        p = lat[kind]
-        lat_rows.append([
-            kind, p["count"],
-            "-" if p["p50"] is None else f"{p['p50']:.0f}",
-            "-" if p["p95"] is None else f"{p['p95']:.0f}",
-            "-" if p["p99"] is None else f"{p['p99']:.0f}"])
-    emit(format_table(
-        ["kind", "served", "p50 (cyc)", "p95 (cyc)", "p99 (cyc)"],
-        lat_rows, title="request latency"))
-    emit()
+    if not cluster:
+        rows = []
+        for kind in ("mvm", "comm"):
+            p = report["latency"][kind]
+            rows.append([kind, p["count"],
+                         *("-" if p[q] is None else f"{p[q]:.0f}"
+                           for q in ("p50", "p95", "p99"))])
+        emit(format_table(
+            ["kind", "served", "p50 (cyc)", "p95 (cyc)", "p99 (cyc)"],
+            rows, title="request latency"))
+        emit()
+    ledger = report["ledger"]
     emit(f"ledger: offered={ledger['offered']} "
          f"admitted={ledger['admitted']} "
          f"rejected={ledger['rejected']} "
          f"completed={ledger['completed']} "
          f"in_flight={ledger['in_flight']} | "
          f"goodput={report['goodput_per_kcycle']:.1f} req/kcycle | "
-         f"final rung {report['final_rung']} "
-         f"(electrical={report['electrical_completions']})")
-
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        emit(f"wrote session report to {args.out}")
-    if args.telemetry_dir:
-        paths = write_telemetry_dir(args.telemetry_dir, daemon.obs)
-        emit(f"wrote telemetry ({len(daemon.obs.events)} events, "
-             f"{len(daemon.obs.sampler)} snapshots) to "
-             f"{args.telemetry_dir}: "
-             + ", ".join(p.name for p in paths.values()))
-
-    if args.check:
-        if not _serve_check("serve", report,
-                            list(daemon.obs.events.events),
-                            prometheus_exposition(
-                                daemon.obs.metrics.to_dict())):
-            return 1
-        emit(f"serve check: ok ({report['events']} events, "
-             f"{report['snapshots']} snapshots, ledger conserved, "
-             "drained)")
-    return 0
+         f"{tail}")
 
 
-def _serve_check(label: str, report: dict, events: list[dict],
-                 exposition: str,
-                 problems: tuple[str, ...] | list[str] = ()) -> bool:
+def _serve_check(args: argparse.Namespace, report: dict, events: list,
+                 exposition: str, cluster) -> int:
     """The ``serve --check`` validator, single daemon and cluster alike.
 
-    Checks the event log, the Prometheus exposition, ledger
-    conservation and the drain, on top of any caller ``problems``;
-    logs each problem under ``label`` and returns True when clean.
+    The shared telemetry check (:func:`repro.obs.validate_telemetry`)
+    plus ledger conservation and the drain.  A cluster run on a pool
+    (``--jobs > 1``) is also byte-compared against a sequential oracle
+    re-run.  Logs each problem; returns the exit code.
     """
-    from repro.obs import parse_exposition, validate_events
+    import json
 
-    problems = list(problems) + list(validate_events(events))
-    _, expo_problems = parse_exposition(exposition)
-    problems += [f"exposition: {p}" for p in expo_problems]
+    from repro.obs import validate_telemetry
+    from repro.serve import ReplicaSet
+
+    problems: list[str] = []
+    pooled = cluster is not None and args.jobs > 1
+    if pooled:
+        oracle = ReplicaSet(cluster.config, cluster.replicas)
+        oracle.run(jobs=1)
+        if oracle.per_tenant_streams() != cluster.per_tenant_streams():
+            problems.append(
+                "per-tenant event streams differ between the "
+                "process pool and the sequential oracle")
+        if json.dumps(oracle.report(), sort_keys=True) \
+                != json.dumps(report, sort_keys=True):
+            problems.append(
+                "cluster report differs between the process pool "
+                "and the sequential oracle")
+    problems += validate_telemetry(events, exposition)
     ledger = report["ledger"]
     if not report["conserved"]:
         problems.append(f"ledger not conserved: {ledger}")
@@ -426,135 +512,26 @@ def _serve_check(label: str, report: dict, events: list[dict],
         problems.append(
             f"drain incomplete: in_flight={ledger['in_flight']} after "
             f"{report['config']['drain_limit']} extra cycles")
+    label = "serve" if cluster is None else "serve cluster"
     for problem in problems:
         log.error("%s: %s", label, problem)
-    return not problems
-
-
-def _cmd_serve_cluster(args: argparse.Namespace, config) -> int:
-    """``repro serve --replicas R``: the replica-sharded serving tier."""
-    import json
-    import time
-
-    from repro.analysis.report import format_table
-    from repro.obs import TelemetryServer
-    from repro.obs.export import write_metrics_jsonl
-    from repro.serve import ClusterTelemetryStore, ReplicaSet
-
-    replica_set = ReplicaSet(config, args.replicas)
-    report = replica_set.run(jobs=args.jobs)
-
-    rows = [[i, ",".join(r["tenants"]), r["cycles"], r["completed"],
-             f"{r['goodput_per_kcycle']:.1f}", r["final_rung"]]
-            for i, r in enumerate(report["per_replica"])]
-    emit(format_table(
-        ["replica", "tenants", "cycles", "completed", "goodput", "rung"],
-        rows,
-        title=f"serve cluster: seed={config.seed} "
-              f"replicas={args.replicas} jobs={args.jobs} "
-              f"rate={config.rate:g} ({report['cycles']} cycles)"))
-    emit()
-    rows = []
-    for tenant, t in sorted(report["per_tenant"].items()):
-        rows.append([tenant, t["offered"], t["admitted"],
-                     t["rejected"], t["completed"]])
-    emit(format_table(
-        ["tenant", "offered", "admitted", "rejected", "completed"],
-        rows, title="per-tenant ledger"))
-    emit()
-    ledger = report["ledger"]
-    emit(f"ledger: offered={ledger['offered']} "
-         f"admitted={ledger['admitted']} "
-         f"rejected={ledger['rejected']} "
-         f"completed={ledger['completed']} "
-         f"in_flight={ledger['in_flight']} | "
-         f"goodput={report['goodput_per_kcycle']:.1f} req/kcycle | "
-         f"{report['events']} merged events, "
-         f"{report['snapshots']} merged snapshots")
-
-    store = ClusterTelemetryStore(
-        replica_set,
-        describe=f"serve cluster seed={config.seed} "
-                 f"replicas={args.replicas}")
-    if args.http_port is not None:
-        server = TelemetryServer(store, host=args.host,
-                                 port=args.http_port)
-        server.start()
-        emit(f"merged telemetry on http://{args.host}:{server.port}"
-             f"/metrics (also /healthz /events /snapshots)")
-        try:
-            if args.linger > 0:
-                emit(f"serving the merged view for {args.linger:g}s "
-                     "(Ctrl-C stops)")
-                try:
-                    time.sleep(args.linger)
-                except KeyboardInterrupt:
-                    pass
-        finally:
-            server.shutdown()
-
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        emit(f"wrote cluster report to {args.out}")
-    if args.telemetry_dir:
-        from pathlib import Path
-
-        root = Path(args.telemetry_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        write_metrics_jsonl(root / "events.jsonl",
-                            replica_set.merged_events)
-        write_metrics_jsonl(root / "snapshots.jsonl",
-                            replica_set.merged_snapshots)
-        (root / "metrics.prom").write_text(store.exposition())
-        emit(f"wrote merged telemetry ({report['events']} events, "
-             f"{report['snapshots']} snapshots) to {root}")
-
-    if args.check:
-        problems: list[str] = []
-        if args.jobs > 1:
-            # The cluster's execution-invariance contract: a process
-            # pool must be byte-identical to the sequential oracle.
-            oracle = ReplicaSet(config, args.replicas)
-            oracle.run(jobs=1)
-            if oracle.per_tenant_streams() \
-                    != replica_set.per_tenant_streams():
-                problems.append(
-                    "per-tenant event streams differ between the "
-                    "process pool and the sequential oracle")
-            if json.dumps(oracle.report(), sort_keys=True) \
-                    != json.dumps(report, sort_keys=True):
-                problems.append(
-                    "cluster report differs between the process pool "
-                    "and the sequential oracle")
-        if not _serve_check("serve cluster", report,
-                            replica_set.merged_events,
-                            store.exposition(), problems):
-            return 1
-        emit(f"serve cluster check: ok ({report['events']} merged "
-             f"events, {report['snapshots']} merged snapshots, ledger "
-             "conserved, drained"
-             + (", pool == sequential oracle)" if args.jobs > 1
-                else ")"))
+    if problems:
+        return 1
+    merged = "" if cluster is None else "merged "
+    emit(f"{label} check: ok ({report['events']} {merged}events, "
+         f"{report['snapshots']} {merged}snapshots, ledger conserved, "
+         "drained" + (", pool == sequential oracle)" if pooled else ")"))
     return 0
 
 
 def _cmd_metrics_server(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        TelemetryServer,
-        TelemetryStore,
-        load_and_validate_events,
-        parse_exposition,
-    )
+    from repro.obs import TelemetryServer, TelemetryStore, validate_telemetry
     from repro.obs.telemetry import EVENTS_FILE
 
     store = TelemetryStore(args.dir)
     if args.check:
-        problems = list(load_and_validate_events(
-            store.root / EVENTS_FILE))
-        _, expo_problems = parse_exposition(store.exposition())
-        problems += [f"exposition: {p}" for p in expo_problems]
+        problems = validate_telemetry(store.root / EVENTS_FILE,
+                                      store.exposition())
         for problem in problems:
             log.error("telemetry: %s", problem)
         if problems:
@@ -620,11 +597,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             return code
 
     shapes = "small" if args.small else "paper"
-    log.info("tracing %s under %s (%s shapes, seed=%d)",
-             args.workload, args.config, shapes, args.seed)
+    log.info("tracing %s under %s (%s shapes)",
+             args.workload, args.config, shapes)
     trace = trace_workload(args.workload, configuration=args.config,
-                           shapes=shapes, traffic_seed=args.seed,
-                           mesh_architecture=args.mesh)
+                           shapes=shapes, mesh_architecture=args.mesh)
 
     coverage = trace.layer_coverage()
     emit(format_table(
@@ -655,8 +631,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.engine import PointSpec, ResultCache, SweepEngine
     from repro.analysis.export import to_csv
     from repro.analysis.report import format_table
@@ -668,9 +642,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults.models import FAULTS
     from repro.photonics.registry import MESHES
 
-    if args.jobs < 1:
-        log.error("--jobs must be >= 1, got %d", args.jobs)
-        return 2
     faults = list(dict.fromkeys(args.fault or campaign_fault_kinds()))
     if code := (_check_names(FAULTS, faults, NO_FAULT)
                 or _check_names(MESHES, [args.mesh])):
@@ -723,10 +694,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     emit(f"telemetry: {run.telemetry.summary()}")
 
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(run.records(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        emit(f"wrote {len(run.results)} campaign records to {args.out}")
+        _write_json(args.out, run.records(),
+                    f"{len(run.results)} campaign records")
     if args.csv:
         campaigns = [r.metrics for r in run.ok_results()]
         with open(args.csv, "w") as handle:
@@ -821,7 +790,13 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser, every subcommand included.
+
+    Flags shared across subcommands are declared once, on argparse
+    parents: ``--jobs`` (sweep, serve, faults) and ``--no-cache`` /
+    ``--cache-dir`` (sweep, faults).
+    """
     # Registry names feed ``choices``; reading them at parser-build
     # time keeps the CLI plugin-aware.
     from repro.core.pipelines import CONFIGURATIONS
@@ -836,6 +811,21 @@ def main(argv: list[str] | None = None) -> int:
         choices=["debug", "info", "warning", "error"],
         help="diagnostic verbosity on stderr (default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def jobs_parent(help_text: str = "worker processes (default: 1)",
+                    metavar: str | None = None) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--jobs", type=_positive_int, default=1,
+                            metavar=metavar, help=help_text)
+        return parent
+
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--no-cache", action="store_true",
+                       help="bypass the on-disk result cache")
+    cache.add_argument("--cache-dir", default=None,
+                       help="cache directory (default: $FLUMEN_CACHE_DIR "
+                            "or .flumen_cache)")
+    engine = [jobs_parent(), cache]
 
     sub.add_parser("info", help="configuration + workload inventory")
 
@@ -854,8 +844,9 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("area", help="area report (Section 5.1)")
 
     swp = sub.add_parser(
-        "sweep", help="parallel workload x configuration sweep "
-                      "(Figures 13-15 grid)")
+        "sweep", parents=engine,
+        help="parallel workload x configuration sweep "
+             "(Figures 13-15 grid)")
     swp.add_argument("--workloads", nargs="+", metavar="NAME",
                      help="workload subset (default: all five)")
     swp.add_argument("--configs", nargs="+", metavar="CFG",
@@ -871,13 +862,6 @@ def main(argv: list[str] | None = None) -> int:
                           "default: the Clements default for "
                           "system_point, every registered arrangement "
                           "for mesh_comparison)")
-    swp.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (default: 1)")
-    swp.add_argument("--no-cache", action="store_true",
-                     help="bypass the on-disk result cache")
-    swp.add_argument("--cache-dir", default=None,
-                     help="cache directory (default: $FLUMEN_CACHE_DIR "
-                          "or .flumen_cache)")
     swp.add_argument("--small", action="store_true",
                      help="reduced workload shapes (fast smoke runs)")
     swp.add_argument("--seed", type=int, default=17,
@@ -893,8 +877,11 @@ def main(argv: list[str] | None = None) -> int:
                           "'metrics-server --dir DIR')")
 
     svd = sub.add_parser(
-        "serve", help="long-lived serving daemon under live traffic "
-                      "(DESIGN.md §17)")
+        "serve", parents=[jobs_parent(
+            "run replicas across a J-worker process pool (default: 1, "
+            "sequential; results are byte-identical either way)", "J")],
+        help="long-lived serving daemon under live traffic "
+             "(DESIGN.md §17)")
     svd.add_argument("--duration", type=int, default=4096,
                      help="cycles of the serving phase (default: 4096); "
                           "draining afterwards runs until every "
@@ -940,15 +927,12 @@ def main(argv: list[str] | None = None) -> int:
                      metavar="N",
                      help="bound the in-memory event log (default: "
                           "unbounded)")
-    svd.add_argument("--replicas", type=int, default=1, metavar="R",
+    svd.add_argument("--replicas", type=_positive_int, default=1,
+                     metavar="R",
                      help="shard tenants across R independent fabric "
                           "replicas (default: 1, the single daemon); "
                           "per-tenant streams are byte-identical to "
                           "the unsharded session's")
-    svd.add_argument("--jobs", type=int, default=1, metavar="J",
-                     help="run replicas across a J-worker process "
-                          "pool (default: 1, sequential; results are "
-                          "byte-identical either way)")
     svd.add_argument("--out", default=None, metavar="PATH",
                      help="write the session report as canonical JSON")
     svd.add_argument("--telemetry-dir", default=None, metavar="DIR",
@@ -1019,8 +1003,6 @@ def main(argv: list[str] | None = None) -> int:
                           "the only one exercising all five layers)")
     trc.add_argument("--small", action="store_true",
                      help="reduced workload shapes (fast smoke runs)")
-    trc.add_argument("--seed", type=int, default=17,
-                     help="traffic seed (same seed -> identical trace)")
     trc.add_argument("--out", default="trace.json", metavar="PATH",
                      help="trace output path (default: trace.json)")
     trc.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -1034,8 +1016,9 @@ def main(argv: list[str] | None = None) -> int:
                           "(registry name; default: clements)")
 
     flt = sub.add_parser(
-        "faults", help="fault-injection campaigns with graceful "
-                       "degradation (DESIGN.md §12)")
+        "faults", parents=engine,
+        help="fault-injection campaigns with graceful degradation "
+             "(DESIGN.md §12)")
     flt.add_argument("--fault", nargs="+", metavar="KIND",
                      help="fault kinds to campaign (default: every "
                           "registered kind plus the 'none' control)")
@@ -1050,13 +1033,6 @@ def main(argv: list[str] | None = None) -> int:
     flt.add_argument("--seed", type=int, default=0,
                      help="base seed; same seed -> byte-identical "
                           "artifacts")
-    flt.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (default: 1)")
-    flt.add_argument("--no-cache", action="store_true",
-                     help="bypass the on-disk result cache")
-    flt.add_argument("--cache-dir", default=None,
-                     help="cache directory (default: $FLUMEN_CACHE_DIR "
-                          "or .flumen_cache)")
     flt.add_argument("--no-golden", action="store_true",
                      help="skip the golden-numbers cross-check on the "
                           "zero-fault control")
@@ -1101,7 +1077,11 @@ def main(argv: list[str] | None = None) -> int:
                           "architecture (shorthand for --only "
                           "mesh_depth/ARCH)")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper()),
         format="%(levelname)s %(name)s: %(message)s")

@@ -408,7 +408,7 @@ def _bench_telemetry_overhead(small: bool) -> dict:
         t0 = time.perf_counter()
         for wl, cfg in grid:
             obs = obs_factory()
-            SystemModel(traffic_seed=17, obs=obs).run(workloads[wl], cfg)
+            SystemModel(obs=obs).run(workloads[wl], cfg)
             bundles.append(obs)
         return time.perf_counter() - t0, bundles
 

@@ -1,8 +1,8 @@
 """Built-in sweep tasks for :mod:`repro.analysis.engine`.
 
 A task is a module-level function ``fn(params, seed) -> metrics`` so it
-can cross a :class:`~concurrent.futures.ProcessPoolExecutor` boundary by
-name.  The registered set covers the repository's standing experiments:
+can cross the engine's process-pool boundary by name.  The registered
+set covers the repository's standing experiments:
 
 ``system_point``
     One (workload, configuration) cell of the Figures 13-15 system sweep.
@@ -21,6 +21,9 @@ name.  The registered set covers the repository's standing experiments:
     (DESIGN.md §16): decomposition fidelity, drift and stuck-device
     degradation, recalibration residual, and the compute-energy window
     under that architecture's depth/device accounting.
+``serve_replica``
+    One replica of a serve cluster (DESIGN.md §18), run to completion;
+    :class:`~repro.serve.ReplicaSet` maps it over its tenant shards.
 ``selftest``
     A cheap deterministic task exercised by the engine's own tests and
     the CI smoke job; ``params={"fail": true}`` raises on purpose to
@@ -110,9 +113,9 @@ def system_point(params: dict, seed: int) -> dict:
 
     Params: ``workload`` (name), ``configuration`` (any registered
     pipeline name), ``shapes`` ("paper"/"small", default "paper"),
-    ``traffic_seed`` (optional override of the engine-derived seed),
     ``mesh_architecture`` (registry name; absent = the SystemConfig
-    default, Clements).
+    default, Clements).  The system model draws no random numbers, so
+    the seed is unused; a ``traffic_seed`` param only keys the cache.
     """
     # Resolve early so an unknown name fails with the registered list
     # before any simulation work happens.
@@ -123,9 +126,8 @@ def system_point(params: dict, seed: int) -> dict:
     if params.get("mesh_architecture"):
         system = SystemConfig().replace(
             mesh_architecture=str(params["mesh_architecture"]))
-    model = SystemModel(system=system,
-                        traffic_seed=int(params.get("traffic_seed", seed)))
-    return run_to_record(model.run(workload, configuration))
+    return run_to_record(
+        SystemModel(system=system).run(workload, configuration))
 
 
 @register_task("alg1_mix")
@@ -333,6 +335,23 @@ def mesh_comparison(params: dict, seed: int) -> dict:
         "energy_per_mac_j": energy.per_mac,
         "laser_power_per_vector_w": model.laser_power_per_vector_w(ports),
     }
+
+
+@register_task("serve_replica")
+def serve_replica(params: dict, seed: int) -> dict:
+    """One tenant-sharded serve replica, run to completion.
+
+    Params: the shard's :meth:`~repro.serve.ServeConfig.to_dict` record.
+    The shard config carries the session seed, so the engine-derived
+    seed is unused.  Returns the payload :class:`~repro.serve.ReplicaSet`
+    aggregates: report, event stream, snapshot series, latency samples.
+    """
+    from repro.faults.ladder import BackoffPolicy
+    from repro.serve.cluster import _run_shard
+    from repro.serve.daemon import ServeConfig
+
+    return _run_shard(ServeConfig(
+        **{**params, "backoff": BackoffPolicy(**params["backoff"])}))
 
 
 @register_task("selftest")

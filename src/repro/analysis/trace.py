@@ -37,7 +37,6 @@ class TraceRun:
     workload: str
     configuration: str
     shapes: str
-    traffic_seed: int
     obs: Obs
     run: WorkloadRun
 
@@ -47,7 +46,6 @@ class TraceRun:
             "workload": self.workload,
             "configuration": self.configuration,
             "shapes": self.shapes,
-            "traffic_seed": self.traffic_seed,
         }
 
     def payload(self) -> dict:
@@ -61,7 +59,6 @@ class TraceRun:
             "workload": self.workload,
             "configuration": self.configuration,
             "shapes": self.shapes,
-            "traffic_seed": self.traffic_seed,
             "metrics": self.obs.metrics.to_dict(),
         }
 
@@ -77,7 +74,6 @@ class TraceRun:
 def trace_workload(workload_name: str,
                    configuration: str = DEFAULT_CONFIGURATION,
                    shapes: str = "paper",
-                   traffic_seed: int = 17,
                    obs: Obs | None = None,
                    mesh_architecture: str | None = None) -> TraceRun:
     """Run one workload with full instrumentation attached.
@@ -99,8 +95,6 @@ def trace_workload(workload_name: str,
     if mesh_architecture is not None:
         from repro.config import SystemConfig
         system = SystemConfig().replace(mesh_architecture=mesh_architecture)
-    model = SystemModel(system=system, traffic_seed=traffic_seed, obs=obs)
-    run = model.run(workload, configuration)
+    run = SystemModel(system=system, obs=obs).run(workload, configuration)
     return TraceRun(workload=workload_name, configuration=configuration,
-                    shapes=shapes, traffic_seed=traffic_seed,
-                    obs=obs, run=run)
+                    shapes=shapes, obs=obs, run=run)

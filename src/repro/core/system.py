@@ -91,13 +91,12 @@ class SystemModel:
 
     def __init__(self, system: SystemConfig | None = None,
                  parallel_cores: int = 8, nodes: int = 16,
-                 traffic_seed: int = 17, obs: Obs = NULL_OBS) -> None:
+                 obs: Obs = NULL_OBS) -> None:
         self.system = system or SystemConfig()
         #: Cores that share one workload (these kernels do not scale to
         #: all 64 cores; two chiplets' worth is the paper-era assumption).
         self.parallel_cores = parallel_cores
         self.nodes = nodes
-        self.traffic_seed = traffic_seed
         self.obs = obs
         self.core_model = CoreModel(self.system.core)
         #: Fraction of memory-miss latency still exposed to the cores when

@@ -305,7 +305,7 @@ def golden_reference_record() -> dict:
     """The golden-numbers cross-check for zero-fault campaigns.
 
     Runs the exact configuration the pinned golden tests use —
-    ``SystemModel(traffic_seed=17)`` on ``ImageBlur(64, 64)`` across
+    ``SystemModel()`` on ``ImageBlur(64, 64)`` across
     every registered configuration — so a campaign artifact with no
     faults enabled carries proof that the fault subsystem left the
     simulation byte-identical.
@@ -314,7 +314,7 @@ def golden_reference_record() -> dict:
     from repro.core.system import SystemModel
     from repro.workloads import ImageBlur
 
-    model = SystemModel(traffic_seed=17)
+    model = SystemModel()
     workload = ImageBlur(height=64, width=64)
     runs = model.run_all(workload)
     return {name: run_to_record(run) for name, run in runs.items()}

@@ -47,7 +47,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     validate_events,
     write_chrome_trace,
-    write_event_log,
     write_metrics_jsonl,
 )
 from repro.obs.merge import (
@@ -76,6 +75,7 @@ from repro.obs.telemetry import (
     prometheus_exposition,
     registry_exposition,
     render_top,
+    validate_telemetry,
     write_telemetry_dir,
 )
 from repro.obs.tracer import (
@@ -122,8 +122,8 @@ __all__ = [
     "render_top",
     "validate_chrome_trace",
     "validate_events",
+    "validate_telemetry",
     "write_chrome_trace",
-    "write_event_log",
     "write_metrics_jsonl",
     "write_telemetry_dir",
 ]

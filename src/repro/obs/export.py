@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, JSONL metrics, event logs.
+"""Exporters: Chrome trace-event JSON and canonical JSONL.
 
 ``chrome_trace_payload`` produces the JSON object format of the Chrome
 trace-event specification (loadable in Perfetto and ``chrome://tracing``):
@@ -10,28 +10,25 @@ identical simulations produce byte-identical files.
 and the tests run against emitted traces: every event must carry
 ``name`` / ``ph`` / ``ts`` / ``pid`` / ``tid``.
 
-``write_event_log`` / ``load_and_validate_events`` are the structured
-event log's disk round-trip (:mod:`repro.obs.events`): append-only
-JSONL, one canonical record per line.  The loader is deliberately
-paranoid — it flags truncated lines, unknown schema versions,
-out-of-order sequence numbers, non-monotonic cycle timestamps, unknown
-event types, and missing per-type payload fields, because consumers
-(``metrics-server --check``, ``serve --check``, ``repro top``) ingest
-logs they did not write.
+``write_metrics_jsonl`` writes any record stream — metric snapshots or
+the structured event log (:mod:`repro.obs.events`) — as JSONL, one
+canonical record per line; ``load_and_validate_events`` is the event
+log's read side.  The loader is deliberately paranoid — it flags
+truncated lines, unknown schema versions, out-of-order sequence
+numbers, non-monotonic cycle timestamps, unknown event types, and
+missing per-type payload fields, because consumers (``metrics-server
+--check``, ``serve --check``, ``repro top``) ingest logs they did not
+write.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
-from repro.obs.events import (
-    EVENT_SCHEMA_VERSION,
-    EVENT_TYPES,
-    EventLog,
-    NullEventLog,
-)
+from repro.obs.events import EVENT_SCHEMA_VERSION, EVENT_TYPES
 from repro.obs.tracer import CycleTracer, NullTracer
 
 #: Event keys every Chrome trace event must carry.
@@ -69,12 +66,12 @@ def write_chrome_trace(path: str | os.PathLike,
 
 
 def write_metrics_jsonl(path: str | os.PathLike,
-                        snapshots: list[dict]) -> Path:
-    """Write metric snapshots, one canonical-JSON object per line."""
+                        records: Iterable[dict]) -> Path:
+    """Write snapshots or event records, one canonical-JSON object per line."""
     path = Path(path)
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [_canonical(snap) for snap in snapshots]
+    lines = [_canonical(record) for record in records]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
     return path
 
@@ -121,18 +118,7 @@ def load_and_validate(path: str | os.PathLike) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# structured event log (repro.obs.events) round-trip
-
-
-def write_event_log(path: str | os.PathLike,
-                    log: EventLog | NullEventLog) -> Path:
-    """Write an event log as canonical JSONL; returns the path written."""
-    path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [_canonical(record) for record in log.events]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return path
+# structured event log (repro.obs.events) read side
 
 
 def _validate_event_record(i: int, record: object,

@@ -10,6 +10,8 @@ Everything here is stdlib-only.  The pieces:
 * :func:`parse_exposition` — a minimal parser/validator for that format;
   CI scrapes the endpoint and fails if the exposition does not parse or
   histogram buckets are not cumulative.
+* :func:`write_telemetry_dir` / :func:`validate_telemetry` — the one
+  writer and the one check of a telemetry directory's contents.
 * :class:`TelemetryStore` — read side of a telemetry directory
   (``events.jsonl`` + ``snapshots.jsonl`` + ``metrics.prom``); files are
   re-read per request, so a directory being appended to serves live data.
@@ -34,11 +36,16 @@ import json
 import os
 import re
 import threading
+from collections.abc import Iterable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.export import write_event_log, write_metrics_jsonl
+from repro.obs.export import (
+    load_and_validate_events,
+    validate_events,
+    write_metrics_jsonl,
+)
 
 #: File names inside a telemetry directory.
 EVENTS_FILE = "events.jsonl"
@@ -262,26 +269,43 @@ def parse_exposition(text: str) -> tuple[dict[str, float], list[str]]:
 # telemetry directory: write + read sides
 
 
-def write_telemetry_dir(root: str | os.PathLike, obs) -> dict[str, Path]:
-    """Serialize an Obs bundle's telemetry into ``root``.
+def write_telemetry_dir(root: str | os.PathLike, events: Iterable[dict],
+                        snapshots: Iterable[dict],
+                        exposition: str) -> dict[str, Path]:
+    """Write one telemetry directory into ``root``.
 
-    Writes ``events.jsonl`` (the structured event log),
-    ``snapshots.jsonl`` (the cycle-driven snapshot series) and
-    ``metrics.prom`` (final-state exposition).  All three are canonical
-    — same-seed runs produce byte-identical directories.
+    ``events.jsonl`` (the structured event log), ``snapshots.jsonl``
+    (the cycle-driven snapshot series) and ``metrics.prom`` (the
+    final-state exposition) — the one writer for a sweep's or a serve
+    daemon's :class:`~repro.obs.Obs` bundle and a serve cluster's
+    merged view alike.  All three are canonical, so same-seed runs
+    produce byte-identical directories.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "events": write_event_log(root / EVENTS_FILE, obs.events),
-        "snapshots": write_metrics_jsonl(
-            root / SNAPSHOTS_FILE,
-            list(obs.sampler.series) if obs.sampler is not None else []),
+    (root / EXPOSITION_FILE).write_text(exposition)
+    return {
+        "events": write_metrics_jsonl(root / EVENTS_FILE, events),
+        "snapshots": write_metrics_jsonl(root / SNAPSHOTS_FILE, snapshots),
+        "exposition": root / EXPOSITION_FILE,
     }
-    prom = prometheus_exposition(obs.metrics.to_dict())
-    (root / EXPOSITION_FILE).write_text(prom)
-    paths["exposition"] = root / EXPOSITION_FILE
-    return paths
+
+
+def validate_telemetry(events: list[object] | str | os.PathLike,
+                       exposition: str) -> list[str]:
+    """Problems of an event stream plus an exposition (empty = ok).
+
+    ``events`` is a list of parsed records, or the path of an
+    ``events.jsonl`` to load (its truncated lines are flagged too).
+    This is the one telemetry check behind ``serve --check`` (single
+    daemon and cluster) and ``metrics-server --check``.
+    """
+    if isinstance(events, (str, os.PathLike)):
+        problems = load_and_validate_events(events)
+    else:
+        problems = validate_events(events)
+    _, expo_problems = parse_exposition(exposition)
+    return problems + [f"exposition: {p}" for p in expo_problems]
 
 
 class TelemetryStore:

@@ -11,8 +11,10 @@ would have offered: arrival and matrix RNGs are keyed by tenant name
 (:func:`~repro.analysis.engine.point_seed`), not by position, so a
 shard draws byte-identical streams for its roster.
 
-Replicas run either sequentially in-process (the oracle ordering) or
-across a :class:`~concurrent.futures.ProcessPoolExecutor`.  Each
+Each replica is one ``serve_replica`` point of the sweep engine
+(:class:`~repro.analysis.engine.SweepEngine`, uncached): in-process in
+shard order (the oracle ordering) or across the engine's process pool,
+which captures a replica that raises or whose worker dies.  Each
 replica is a pure function of its shard config, so the shard payloads
 — report, event stream, snapshot series — are byte-identical whichever
 way they were executed, and so are the merged telemetry
@@ -29,8 +31,8 @@ idle-wait the stragglers.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 
+from repro.analysis.engine import PointSpec, SweepEngine
 from repro.obs import (
     merge_event_logs,
     merge_snapshot_series,
@@ -65,9 +67,10 @@ def shard_configs(config: ServeConfig,
 def _run_shard(config: ServeConfig) -> dict:
     """Run one replica to completion; returns a picklable payload.
 
-    Top-level (not a method) so a process pool can ship it to workers;
-    the payload carries everything the cluster aggregates, including
-    the raw latency samples the cluster-level quantiles need.
+    The body of the ``serve_replica`` engine task
+    (:mod:`repro.analysis.tasks`); the payload carries everything the
+    cluster aggregates, including the raw latency samples the
+    cluster-level quantiles need.
     """
     daemon = ServeDaemon(config)
     report = daemon.run()
@@ -95,19 +98,17 @@ class ReplicaSet:
     def run(self, jobs: int = 1) -> dict:
         """Execute every replica; returns the aggregated cluster report.
 
-        ``jobs == 1`` runs the shards sequentially in-process (the
-        oracle ordering); ``jobs > 1`` fans them out over a process
-        pool.  ``pool.map`` preserves shard order, so downstream
-        aggregation sees identical inputs either way.
+        Each shard is one ``serve_replica`` point, ``replica/<r>``, of
+        an uncached :class:`~repro.analysis.engine.SweepEngine`: ``jobs
+        == 1`` runs the shards in-process (the oracle ordering), ``jobs
+        > 1`` over the engine's process pool.  Results come back in
+        shard order either way.  A replica that raises, or whose worker
+        dies, raises ``RuntimeError`` naming its point.
         """
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if jobs == 1:
-            results = [_run_shard(shard) for shard in self.shards]
-        else:
-            workers = min(jobs, len(self.shards))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_shard, self.shards))
+        points = [PointSpec(key=f"replica/{r}", params=shard.to_dict())
+                  for r, shard in enumerate(self.shards)]
+        results = SweepEngine(jobs=jobs, cache=None).run(
+            "serve_replica", points).raise_failures().metrics()
         self.results = results
         self.merged_events = merge_event_logs(
             [r["events"] for r in results])

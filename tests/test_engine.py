@@ -1,19 +1,33 @@
 """Tests for the parallel sweep engine and its on-disk result cache."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from repro.analysis.engine import (
+    TASKS,
     PointSpec,
     ResultCache,
     SweepEngine,
+    TaskSpec,
     cache_key,
     get_task,
     point_seed,
     register_task,
 )
 from repro.analysis.sweep import sweep, sweep_task
+
+#: Tasks registered inside a test reach pool workers only by fork.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="needs the fork start method")
+
+
+def exit_worker(params: dict, seed: int) -> dict:
+    """A task whose worker process dies mid-task."""
+    os._exit(1)
 
 
 def selftest_points(n: int) -> list[PointSpec]:
@@ -150,6 +164,20 @@ class TestParallelism:
         assert "RuntimeError" in failed.error
         assert "kaput" in failed.error
         with pytest.raises(RuntimeError, match="1/3 sweep points failed"):
+            run.raise_failures()
+
+    @fork_only
+    def test_worker_death_recorded_not_raised(self, deadline):
+        spec = TaskSpec(name="exit_worker", fn=exit_worker)
+        with TASKS.temporary("exit_worker", spec):
+            run = SweepEngine(jobs=2).run("exit_worker",
+                                          selftest_points(3))
+        assert run.telemetry.failures == 3
+        assert [r.key for r in run.failed_results()] == ["pt0", "pt1",
+                                                         "pt2"]
+        assert all("BrokenProcessPool" in r.error
+                   for r in run.failed_results())
+        with pytest.raises(RuntimeError, match="3/3 sweep points failed"):
             run.raise_failures()
 
     def test_failed_points_never_cached(self, tmp_path):

@@ -9,7 +9,7 @@ no numeric drift.
 
 If a deliberate modelling change moves these numbers, regenerate them
 with the snippet in this module's docstring history (run each
-configuration through a fresh ``SystemModel(traffic_seed=17)`` on
+configuration through a fresh ``SystemModel()`` on
 ``ImageBlur(height=64, width=64)``) and say so in the commit message.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from repro.core.system import SystemModel
 from repro.workloads import ImageBlur
 
-#: Exact outputs of SystemModel(traffic_seed=17) on ImageBlur(64x64),
+#: Exact outputs of SystemModel() on ImageBlur(64x64),
 #: captured at commit 00a9445 (pre-refactor seed state).
 GOLDEN = {
     "ring": dict(
@@ -52,7 +52,7 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def golden_runs():
-    model = SystemModel(traffic_seed=17)
+    model = SystemModel()
     workload = ImageBlur(height=64, width=64)
     return {cfg: model.run(workload, cfg) for cfg in GOLDEN}
 

@@ -289,8 +289,7 @@ class TestTraceRun:
     def test_same_seed_runs_are_byte_identical(self, tmp_path):
         paths = []
         for i in range(2):
-            trace = trace_workload("rotation3d", shapes="small",
-                                   traffic_seed=17)
+            trace = trace_workload("rotation3d", shapes="small")
             path = tmp_path / f"trace{i}.json"
             write_chrome_trace(path, trace.obs.tracer,
                                other_data=trace.other_data())

@@ -151,7 +151,7 @@ class TestToyBackendEndToEnd:
             yield
 
     def test_system_model_runs_toy_configuration(self, ideal_registered):
-        model = SystemModel(traffic_seed=17)
+        model = SystemModel()
         run = model.run(Rotation3D(vertices=34), "ideal")
         assert run.configuration == "ideal"
         assert run.runtime_s > 0
@@ -159,7 +159,7 @@ class TestToyBackendEndToEnd:
         assert run.energy.nop > 0
 
     def test_run_all_includes_toy_configuration(self, ideal_registered):
-        runs = SystemModel(traffic_seed=17).run_all(Rotation3D(vertices=34))
+        runs = SystemModel().run_all(Rotation3D(vertices=34))
         assert set(runs) == set(CONFIGURATIONS.names())
         assert "ideal" in runs
 

@@ -10,12 +10,16 @@ zero-rate lifecycle edges, and the shared ``serve --check`` validator.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
+from repro.analysis.engine import TASKS, TaskSpec
+from repro.analysis.tasks import serve_replica
 from repro.obs import Obs, parse_exposition, validate_events
 from repro.obs.events import MonotoneClock
 from repro.serve import (
@@ -397,6 +401,37 @@ class TestReplicaSet:
             goodput[replicas] = report["goodput_per_kcycle"]
         assert goodput[4] >= 2.0 * goodput[1]
 
+    @staticmethod
+    def _failing_replica(fail):
+        """A ``serve_replica`` that calls ``fail`` on tenant1's shard."""
+        def task(params: dict, seed: int) -> dict:
+            if "tenant1" in params["tenant_list"]:
+                fail()
+            return serve_replica(params, seed)
+        return TaskSpec(name="serve_replica", fn=task)
+
+    def test_replica_failure_names_its_point(self):
+        def fail():
+            raise ValueError("replica exploded")
+
+        replica_set = ReplicaSet(ServeConfig(**_CLUSTER_CFG), 2)
+        with TASKS.temporary("serve_replica", self._failing_replica(fail)):
+            with pytest.raises(RuntimeError, match=r"1/2 sweep points "
+                               r"failed \(replica/1: ValueError: replica "
+                               r"exploded\)"):
+                replica_set.run(jobs=1)
+        assert replica_set.results is None
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="needs the fork start method")
+    def test_killed_replica_worker_raises(self, deadline):
+        replica_set = ReplicaSet(ServeConfig(**_CLUSTER_CFG), 2)
+        spec = self._failing_replica(lambda: os._exit(1))
+        with TASKS.temporary("serve_replica", spec):
+            with pytest.raises(RuntimeError,
+                               match=r"replica/1: BrokenProcessPool"):
+                replica_set.run(jobs=2)
+
     def test_cluster_store_surface(self):
         replica_set = ReplicaSet(ServeConfig(**_CLUSTER_CFG), 2)
         replica_set.run(jobs=1)
@@ -460,6 +495,26 @@ class TestClusterCLI:
         assert validate_events(events) == []
         assert (root / "snapshots.jsonl").exists()
         assert (root / "metrics.prom").exists()
+
+    @pytest.mark.parametrize("replicas, banner", [
+        ("1", "live telemetry on http://127.0.0.1:"),
+        ("2", "merged telemetry on http://127.0.0.1:")])
+    def test_http_endpoint_both_branches(self, replicas, banner, capsys):
+        # One HTTP/linger helper serves the live daemon and the merged
+        # cluster view; port 0 binds a free local port.
+        args = self._ARGS[:-1] + [replicas, "--http-port", "0",
+                                  "--linger", "0.05"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert banner in out
+        assert "(Ctrl-C stops)" in out
+
+    def test_metrics_server_checks_cluster_telemetry(self, tmp_path,
+                                                     capsys):
+        root = tmp_path / "telemetry"
+        assert main(self._ARGS + ["--telemetry-dir", str(root)]) == 0
+        assert main(["metrics-server", "--dir", str(root), "--check"]) == 0
+        assert "telemetry check: ok" in capsys.readouterr().out
 
     @pytest.mark.parametrize("replicas", ["1", "2"])
     def test_check_rejects_bad_exposition(self, replicas, monkeypatch,

@@ -39,9 +39,16 @@ from repro.obs import (
     registry_exposition,
     render_top,
     validate_events,
-    write_event_log,
+    validate_telemetry,
+    write_metrics_jsonl,
     write_telemetry_dir,
 )
+
+
+def write_obs_telemetry(root, obs):
+    """A telemetry directory of one Obs bundle, as the CLI writes it."""
+    return write_telemetry_dir(root, obs.events.events, obs.sampler.series,
+                               prometheus_exposition(obs.metrics.to_dict()))
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +151,8 @@ def sample_log() -> EventLog:
 
 class TestEventExport:
     def test_round_trip_validates_clean(self, tmp_path):
-        path = write_event_log(tmp_path / "events.jsonl", sample_log())
+        path = write_metrics_jsonl(tmp_path / "events.jsonl",
+                                   sample_log().events)
         assert load_and_validate_events(path) == []
 
     def test_unreadable_file_is_one_problem(self, tmp_path):
@@ -153,7 +161,8 @@ class TestEventExport:
         assert "unreadable" in problems[0]
 
     def test_truncated_jsonl_reported(self, tmp_path):
-        path = write_event_log(tmp_path / "events.jsonl", sample_log())
+        path = write_metrics_jsonl(tmp_path / "events.jsonl",
+                                   sample_log().events)
         raw = path.read_bytes()
         # Chop mid-record: the torn final line must be called out.
         path.write_bytes(raw[:-10])
@@ -163,7 +172,7 @@ class TestEventExport:
     def test_unknown_schema_version_reported(self, tmp_path):
         log = sample_log()
         log.events[1]["v"] = 99
-        path = write_event_log(tmp_path / "events.jsonl", log)
+        path = write_metrics_jsonl(tmp_path / "events.jsonl", log.events)
         problems = load_and_validate_events(path)
         assert any("schema version" in p for p in problems)
 
@@ -191,6 +200,35 @@ class TestEventExport:
 # ----------------------------------------------------------------------
 # histogram quantiles, gauge dec, registry iteration
 # ----------------------------------------------------------------------
+
+
+class TestValidateTelemetry:
+    """The one check behind ``serve --check`` and ``metrics-server``."""
+
+    def test_clean_stream_and_exposition(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.counter("serve.offered", tenant="a").inc(3)
+        exposition = prometheus_exposition(registry.to_dict())
+        events = list(sample_log().events)
+        assert validate_telemetry(events, exposition) == []
+        path = write_metrics_jsonl(tmp_path / "events.jsonl", events)
+        assert validate_telemetry(path, exposition) == []
+        assert validate_telemetry(str(path), exposition) == []
+
+    def test_path_flags_truncated_lines(self, tmp_path):
+        path = write_metrics_jsonl(tmp_path / "events.jsonl",
+                                   sample_log().events)
+        path.write_bytes(path.read_bytes()[:-10])
+        problems = validate_telemetry(path, "")
+        assert any("unparseable JSON" in p for p in problems)
+
+    def test_event_and_exposition_problems_both_reported(self):
+        records = list(sample_log().events)
+        records[1] = dict(records[1], seq=7)
+        problems = validate_telemetry(records, "not a sample line\n")
+        assert problems == [
+            "event[1] has sequence 7, expected 1",
+            "exposition: line 1: unparseable sample 'not a sample line'"]
 
 
 class TestHistogramQuantiles:
@@ -405,12 +443,13 @@ class TestFaultCampaignEvents:
 
     def test_event_log_validates(self, tmp_path):
         obs = telemetry_campaign()
-        path = write_event_log(tmp_path / "events.jsonl", obs.events)
+        path = write_metrics_jsonl(tmp_path / "events.jsonl",
+                                   obs.events.events)
         assert load_and_validate_events(path) == []
 
     def test_same_seed_campaign_byte_identical(self, tmp_path):
-        first = write_telemetry_dir(tmp_path / "a", telemetry_campaign())
-        second = write_telemetry_dir(tmp_path / "b", telemetry_campaign())
+        first = write_obs_telemetry(tmp_path / "a", telemetry_campaign())
+        second = write_obs_telemetry(tmp_path / "b", telemetry_campaign())
         for name in first:
             assert first[name].read_bytes() == second[name].read_bytes(), \
                 f"{name} differs between identical same-seed runs"
@@ -554,7 +593,7 @@ class TestTenantAccounting:
 def telemetry_dir(tmp_path):
     obs = telemetry_campaign()
     root = tmp_path / "telemetry"
-    write_telemetry_dir(root, obs)
+    write_obs_telemetry(root, obs)
     return root
 
 
