@@ -318,8 +318,9 @@ class FlumenScheduler:
         first-fit scan failed defers every later request that large or
         larger, placements are found once per size between grants, and
         β is memoised per placement.  Each request still gets its own
-        events, counters, histogram sample and tracer instants, in
-        buffer order (DESIGN.md §13).
+        event, histogram sample and tracer instants, in buffer order;
+        the deferrals between two grants are counted and appended to the
+        event log as one run (DESIGN.md §13).
         """
         if self.ladder is not None and self.ladder.electrical_fallback:
             self._fallback_to_electrical()
@@ -332,6 +333,8 @@ class FlumenScheduler:
         no_fit = len(taken) + 1
         betas: dict[tuple[int, int], float] = {}
         kept: list[ComputeRequest] = []
+        # partition_defer rows of the current run of deferrals.
+        defers: list[tuple[str, int, dict]] = []
         for request in self.control.compute_buffer:
             need = request.ports_needed
             if need in placements:
@@ -344,36 +347,37 @@ class FlumenScheduler:
                     no_fit = min(no_fit, size)
                 placements[need] = placement
             if placement is None:
-                kept.append(request)
-                self._defer(request, "no_ports",
-                            ports_needed=request.ports_needed)
+                payload = {"reason": "no_ports", "ports_needed": need}
                 if self._tracer.enabled:
                     self._tracer.instant(
                         "core", "alg1", "partition_defer", self.cycle,
-                        request_id=request.request_id, reason="no_ports",
-                        ports_needed=request.ports_needed)
-                continue
-            lo, hi = placement
-            beta = betas.get(placement)
-            if beta is None:
-                beta = betas[placement] = network.buffer_utilization(
-                    sorted(self.control.port_range_endpoints(lo, hi)),
-                    scan_depth=self.cfg.zeta)
-            granted = beta <= self.cfg.eta
-            self._h_beta.observe(beta)
-            if self._tracer.enabled:
-                self._tracer.instant(
-                    "core", "alg1", "beta_eval", self.cycle,
-                    request_id=request.request_id, beta=round(beta, 6),
-                    eta=self.cfg.eta, zeta=self.cfg.zeta, granted=granted)
-            if granted:
-                taken[lo:hi] = [True] * (hi - lo)
-                placements.clear()
-                self._grant(request, lo, hi, beta)
+                        request_id=request.request_id, **payload)
             else:
-                kept.append(request)
-                self._defer(request, "beta", beta=round(beta, 6),
-                            eta=self.cfg.eta)
+                lo, hi = placement
+                beta = betas.get(placement)
+                if beta is None:
+                    beta = betas[placement] = network.buffer_utilization(
+                        sorted(self.control.port_range_endpoints(lo, hi)),
+                        scan_depth=self.cfg.zeta)
+                granted = beta <= self.cfg.eta
+                self._h_beta.observe(beta)
+                if self._tracer.enabled:
+                    self._tracer.instant(
+                        "core", "alg1", "beta_eval", self.cycle,
+                        request_id=request.request_id, beta=round(beta, 6),
+                        eta=self.cfg.eta, zeta=self.cfg.zeta,
+                        granted=granted)
+                if granted:
+                    taken[lo:hi] = [True] * (hi - lo)
+                    placements.clear()
+                    self._end_deferral_run(defers)
+                    self._grant(request, lo, hi, beta)
+                    continue
+                payload = {"reason": "beta", "beta": round(beta, 6),
+                           "eta": self.cfg.eta}
+            kept.append(request)
+            defers.append((request.tenant, request.request_id, payload))
+        self._end_deferral_run(defers)
         self.control.compute_buffer.clear()
         self.control.compute_buffer.extend(kept)
 
@@ -393,15 +397,16 @@ class FlumenScheduler:
                     taken[p] = True
         return taken
 
-    def _defer(self, request: ComputeRequest, reason: str,
-               **payload: object) -> None:
-        """Account one deferred evaluation (the request stays queued)."""
-        self.stats.deferred_evaluations += 1
-        self._m_deferrals.inc()
-        if self._events.enabled:
-            self._events.emit(
-                "partition_defer", self.cycle, tenant=request.tenant,
-                request_id=request.request_id, reason=reason, **payload)
+    def _end_deferral_run(self, defers: list[tuple[str, int, dict]]
+                          ) -> None:
+        """Account a run of deferred evaluations (the requests stay
+        queued) and append its ``partition_defer`` rows as one batch.
+        """
+        if defers:
+            self.stats.deferred_evaluations += len(defers)
+            self._m_deferrals.inc(len(defers))
+            self._events.emit_many("partition_defer", self.cycle, defers)
+            defers.clear()
 
     def _grant(self, request: ComputeRequest, lo: int, hi: int,
                beta: float) -> None:
@@ -454,26 +459,24 @@ class FlumenScheduler:
         conservation holds) while compute requests are serviced
         electrically.
         """
-        for request in list(self.control.compute_buffer):
+        rows: list[tuple[str, int, dict]] = []
+        for request in self.control.compute_buffer:
             duration = electrical_duration_cycles(request.plan, self.system)
             self.electrical.append(_ElectricalJob(
                 request=request, total_cycles=duration,
                 remaining_cycles=duration, start_cycle=self.cycle))
-            self.control.compute_buffer.remove(request)
             self._m_electrical.inc()
             self._account_tenant("core.tenant_electrical_jobs",
                                  request.tenant)
-            if self._events.enabled:
-                self._events.emit(
-                    "electrical_fallback", self.cycle,
-                    tenant=request.tenant,
-                    request_id=request.request_id, node=request.node,
-                    duration=duration)
+            rows.append((request.tenant, request.request_id,
+                         {"node": request.node, "duration": duration}))
             if self._tracer.enabled:
                 self._tracer.instant(
                     "core", "faults", "electrical_fallback", self.cycle,
                     request_id=request.request_id, node=request.node,
                     duration=duration)
+        self.control.compute_buffer.clear()
+        self._events.emit_many("electrical_fallback", self.cycle, rows)
 
     # -- Algorithm 1, lines 1-18 -----------------------------------------
 

@@ -30,6 +30,7 @@ runs pay nothing.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
 #: Version stamp carried by every record; bump on breaking layout change.
 EVENT_SCHEMA_VERSION = 1
@@ -139,31 +140,63 @@ class EventLog:
              request_id: int | None = None,
              **payload: object) -> dict:
         """Append one record; returns it (tests inspect the envelope)."""
+        return self._append(event_type, cycle,
+                            ((tenant, request_id, payload),))
+
+    def emit_many(self, event_type: str, cycle: int,
+                  rows: Sequence[tuple[str | None, int | None, dict]]
+                  ) -> None:
+        """Append one ``event_type`` record per ``(tenant, request_id,
+        payload)`` row, all at ``cycle``, in row order.
+
+        The log ends up exactly as after one :meth:`emit` per row
+        (records, ``seq``, rebased cycle, ``dropped``), but each distinct
+        payload key set is validated once and the clock advanced once.
+        A row that fails validation raises before any row is appended.
+        """
+        if rows:
+            self._append(event_type, cycle, rows)
+
+    def _append(self, event_type: str, cycle: int,
+                rows: Sequence[tuple[str | None, int | None, dict]]
+                ) -> dict:
+        """Validate ``rows``, then append them; returns the last record."""
         required = EVENT_TYPES.get(event_type)
         if required is None:
             raise ValueError(f"unknown event type {event_type!r}; "
                              f"known: {sorted(EVENT_TYPES)}")
-        missing = [k for k in required if k not in payload]
-        if missing:
-            raise ValueError(f"event {event_type!r} missing required "
-                             f"payload fields {missing}")
-        clash = RESERVED_KEYS.intersection(payload)
-        if clash:
-            raise ValueError(f"payload keys {sorted(clash)} collide with "
-                             "the event envelope")
-        record: dict = {"v": EVENT_SCHEMA_VERSION, "seq": self._seq,
-                        "cycle": self.clock.advance(cycle),
-                        "type": event_type}
-        if tenant is not None:
-            record["tenant"] = str(tenant)
-        if request_id is not None:
-            record["request_id"] = int(request_id)
-        record.update(payload)
-        if (self._max_events is not None
-                and len(self.events) == self._max_events):
-            self.dropped += 1
-        self.events.append(record)
-        self._seq += 1
+        checked: set[frozenset[str]] = set()
+        for _, _, payload in rows:
+            keys = frozenset(payload)
+            if keys in checked:
+                continue
+            missing = [k for k in required if k not in keys]
+            if missing:
+                raise ValueError(f"event {event_type!r} missing required "
+                                 f"payload fields {missing}")
+            clash = RESERVED_KEYS.intersection(keys)
+            if clash:
+                raise ValueError(f"payload keys {sorted(clash)} collide "
+                                 "with the event envelope")
+            checked.add(keys)
+        now = self.clock.advance(cycle)
+        seq = self._seq
+        records = []
+        for tenant, request_id, payload in rows:
+            record: dict = {"v": EVENT_SCHEMA_VERSION, "seq": seq,
+                            "cycle": now, "type": event_type}
+            if tenant is not None:
+                record["tenant"] = str(tenant)
+            if request_id is not None:
+                record["request_id"] = int(request_id)
+            record.update(payload)
+            records.append(record)
+            seq += 1
+        if self._max_events is not None:
+            self.dropped += max(
+                0, len(self.events) + len(records) - self._max_events)
+        self.events.extend(records)
+        self._seq = seq
         return record
 
     def tail(self, n: int) -> list[dict]:
@@ -194,6 +227,11 @@ class NullEventLog:
              request_id: int | None = None,
              **payload: object) -> dict:
         return {}
+
+    def emit_many(self, event_type: str, cycle: int,
+                  rows: Sequence[tuple[str | None, int | None, dict]]
+                  ) -> None:
+        pass
 
     def tail(self, n: int) -> list[dict]:
         return []

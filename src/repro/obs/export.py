@@ -14,11 +14,11 @@ and the tests run against emitted traces: every event must carry
 the structured event log (:mod:`repro.obs.events`) — as JSONL, one
 canonical record per line; ``load_and_validate_events`` is the event
 log's read side.  The loader is deliberately paranoid — it flags
-truncated lines, unknown schema versions, out-of-order sequence
-numbers, non-monotonic cycle timestamps, unknown event types, and
-missing per-type payload fields, because consumers (``metrics-server
---check``, ``serve --check``, ``repro top``) ingest logs they did not
-write.
+truncated lines, unknown schema versions, sequence numbers that are
+not contiguous (a bounded log may start past zero), non-monotonic
+cycle timestamps, unknown event types, and missing per-type payload
+fields, because consumers (``metrics-server --check``, ``serve
+--check``, ``repro top``) ingest logs they did not write.
 """
 
 from __future__ import annotations
@@ -143,13 +143,20 @@ def validate_events(records: list[object]) -> list[str]:
     """Schema-check parsed event records; returns problems (empty=ok)."""
     problems: list[str] = []
     last_cycle = None
+    # ``seq`` of event[0]: a bounded log (``max_events``) evicts its
+    # oldest records, so the stream may start past zero; from there
+    # ``seq`` must be contiguous.
+    base = None
     for i, raw in enumerate(records):
         record = _validate_event_record(i, raw, problems)
         if record is None:
             continue
-        if record["seq"] != i:
-            problems.append(f"event[{i}] has sequence {record['seq']}, "
-                            f"expected {i}")
+        seq = record["seq"]
+        if base is None:
+            base = seq - i if isinstance(seq, int) and seq >= i else 0
+        if seq != base + i:
+            problems.append(f"event[{i}] has sequence {seq}, "
+                            f"expected {base + i}")
         cycle = record["cycle"]
         if not isinstance(cycle, int) or cycle < 0:
             problems.append(f"event[{i}] has invalid cycle {cycle!r}")

@@ -6,9 +6,10 @@ between grants, β memoised per placement).  These tests drive it and
 :class:`~tests.reference_partitioner.ReferenceScheduler` (the rescan it
 replaced) from identical seeded states and require exact equality of
 everything a pass can touch: grants, stats, buffer order, the event
-log, the tracer and the whole metrics registry.  A second test counts
-the work one pass does, so a regression to per-request rescans fails
-here rather than only showing up as wall time.
+log, the tracer and the whole metrics registry.  Further tests count
+the work one pass does (β evaluations, first-fit scans, event-log
+appends), so a regression to per-request rescans or per-request
+emission fails here rather than only showing up as wall time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from repro.core.scheduler import ActiveComputation, FlumenScheduler
 from repro.faults.ladder import DegradationLadder
 from repro.noc.simulation import make_network
 from repro.noc.packet import Packet
-from repro.obs import Obs
+from repro.obs import (
+    NULL_TRACER,
+    CycleTracer,
+    EventLog,
+    MetricsRegistry,
+    Obs,
+)
 from repro.photonics.fabric import FlumenFabric
 
 from tests.reference_partitioner import ReferenceScheduler
@@ -122,6 +129,7 @@ def _state(scheduler: FlumenScheduler) -> dict:
         "stats": dataclasses.asdict(scheduler.stats),
         "buffer": [r.request_id for r in scheduler.control.compute_buffer],
         "events": list(obs.events.events),
+        "dropped": obs.events.dropped,
         "tracer": list(obs.tracer.events),
         "beta": (list(beta.bucket_counts), beta.count, beta.total),
         "deferrals": obs.metrics.counter("core.partition_deferrals").value,
@@ -220,3 +228,99 @@ def test_one_pass_scans_each_size_once_between_grants(monkeypatch):
     assert scheduler.stats.deferred_evaluations == 400
     # Size 2 finds (6, 8); size 4 fails, so 6 and 8 defer unscanned.
     assert [size for _, size in scans] == [2, 4]
+
+
+SERVE_TENANTS = [f"t{i:02d}" for i in range(12)]
+
+
+def _serve_backlog(cls: type[FlumenScheduler], seed: int,
+                   traced: bool) -> FlumenScheduler:
+    """A serve-shaped state: a deep backlog under a bounded event log.
+
+    Hundreds of queued requests from twelve tenants, nearly all needing
+    two ports, so each pass defers long runs of them; the occasional
+    four-port request takes a different placement and can be granted
+    between two runs.  Short partitions complete within the tick loop
+    and free ports for later passes.  As in :func:`_build`, equal
+    arguments build identical, independent stacks.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = SchedulerConfig(tau_cycles=int(rng.choice([1, 7])), eta=0.4,
+                          zeta=0.5)
+    system = SystemConfig().replace(scheduler=cfg)
+    obs = Obs(metrics=MetricsRegistry(),
+              tracer=CycleTracer() if traced else NULL_TRACER,
+              events=EventLog(max_events=96))
+    net = make_network("flumen", NODES, obs=obs)
+    packet_ids = iter(range(10 ** 6))
+    for src in range(NODES):
+        for _ in range(int(rng.integers(0, net.request_buffer_capacity + 2))):
+            dst = int(rng.integers(0, NODES - 1))
+            net.offer_packet(Packet(src=src, dst=dst + (dst >= src),
+                                    size_flits=int(rng.integers(1, 3)),
+                                    create_cycle=0,
+                                    packet_id=next(packet_ids)))
+    control = MZIMControlUnit(net, system, obs=obs)
+    scheduler = cls(control, system, obs=obs)
+    for request_id in range(int(rng.integers(200, 400))):
+        control.compute_buffer.append(ComputeRequest(
+            node=int(rng.integers(0, NODES)), plan=PLAN, matrix_key="k",
+            submit_cycle=0,
+            ports_needed=4 if rng.random() < 0.05 else 2,
+            duration_override=int(rng.integers(3, 25)),
+            tenant=SERVE_TENANTS[int(rng.integers(0, 12))],
+            request_id=request_id))
+    return scheduler
+
+
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["untraced", "traced"])
+@pytest.mark.parametrize("seed", range(8))
+def test_serve_backlog_matches_reference_scan(seed, traced):
+    """Deep equal-size backlog, grants between deferral runs, bounded log."""
+    fast = _serve_backlog(FlumenScheduler, seed, traced)
+    ref = _serve_backlog(ReferenceScheduler, seed, traced)
+    for _ in range(120):
+        for scheduler in (fast, ref):
+            scheduler.tick()
+            scheduler.control.network.step()
+        assert _state(fast) == _state(ref)
+    assert fast.stats.granted > 0
+    assert fast.stats.deferred_evaluations > 1000
+    assert fast.obs.events.dropped > 0
+
+
+def test_pass_appends_deferrals_in_runs(monkeypatch):
+    """No per-request ``partition_defer`` emit; one batch per run.
+
+    A pass appends at most grants + 1 batches (runs are cut only by
+    grants), and the batches carry every deferral exactly once.
+    """
+    scheduler = _serve_backlog(FlumenScheduler, seed=3, traced=False)
+    scheduler.cfg = dataclasses.replace(scheduler.cfg, tau_cycles=1)
+    log = scheduler.obs.events
+    singles = _count_calls(monkeypatch, log, "emit")
+    # Rows per batch, counted at call time: the caller reuses its list.
+    batches: list[int] = []
+    real_emit_many = log.emit_many
+
+    def counting_emit_many(event_type, cycle, rows):
+        batches.append(len(rows))
+        real_emit_many(event_type, cycle, rows)
+
+    monkeypatch.setattr(log, "emit_many", counting_emit_many)
+    split_runs = 0
+    for _ in range(120):
+        granted = scheduler.stats.granted
+        deferred = scheduler.stats.deferred_evaluations
+        singles.clear()
+        batches.clear()
+        scheduler.tick()
+        scheduler.control.network.step()
+        assert [a for a in singles if a[0] == "partition_defer"] == []
+        grants = scheduler.stats.granted - granted
+        assert len(batches) <= grants + 1
+        assert sum(batches) \
+            == scheduler.stats.deferred_evaluations - deferred
+        split_runs += len(batches) > 1
+    assert split_runs > 0

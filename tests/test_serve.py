@@ -15,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
-from repro.obs import parse_exposition, validate_events
+from repro.obs import (
+    load_and_validate_events,
+    parse_exposition,
+    validate_events,
+)
 from repro.serve import (
     ARRIVALS,
     AdmissionController,
@@ -320,6 +324,18 @@ class TestServeCLI:
     def test_serve_check_ok(self, capsys):
         assert main([*self.ARGS, "--check"]) == 0
         assert "serve check: ok" in capsys.readouterr().out
+
+    def test_bounded_event_log_passes_check(self, tmp_path, capsys):
+        """A ``--max-events`` ring drops its oldest records; the rest is a
+        contiguous ``seq`` window that the telemetry checks accept."""
+        assert main(["serve", "--duration", "2000", "--seed", "7",
+                     "--rate", "0.08", "--max-events", "50", "--check",
+                     "--telemetry-dir", str(tmp_path)]) == 0
+        assert "serve check: ok (50 events" in capsys.readouterr().out
+        path = tmp_path / "events.jsonl"
+        first = json.loads(path.read_text().splitlines()[0])
+        assert first["seq"] > 0
+        assert load_and_validate_events(path) == []
 
     def test_serve_out_byte_identical(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

@@ -131,8 +131,88 @@ class TestEventLog:
     def test_null_log_is_inert(self):
         assert not NULL_EVENTS.enabled
         assert NULL_EVENTS.emit("cache_hit", 0, task="t", key="k") == {}
+        assert NULL_EVENTS.emit_many(
+            "partition_defer", 0, [("a", 1, {"reason": "beta"})]) is None
         assert len(NULL_EVENTS) == 0
         assert NULL_EVENTS.events == []
+        assert NULL_EVENTS.dropped == 0
+
+    # -- batch append ---------------------------------------------------
+
+    BATCH_ROWS = [
+        ("t0", 0, {"reason": "no_ports", "ports_needed": 4}),
+        ("t1", 1, {"reason": "beta", "beta": 0.5, "eta": 0.4}),
+        (None, 2, {"reason": "no_ports", "ports_needed": 2}),
+        ("t2", None, {"reason": "beta", "beta": 0.75, "eta": 0.4}),
+        (None, None, {"reason": "no_ports", "ports_needed": 8}),
+    ]
+
+    @staticmethod
+    def emit_each(log: EventLog, cycle: int, rows) -> None:
+        for tenant, request_id, payload in rows:
+            log.emit("partition_defer", cycle, tenant=tenant,
+                     request_id=request_id, **payload)
+
+    @staticmethod
+    def log_state(log: EventLog) -> tuple:
+        return list(log.events), log.dropped, log.clock.now
+
+    @staticmethod
+    def next_seq(log: EventLog) -> int:
+        return log.emit("cache_hit", 0, task="t", key="next")["seq"]
+
+    @pytest.mark.parametrize("max_events", [None, 3, 8, 19],
+                             ids=["unbounded", "smaller-than-batch",
+                                  "overflow-mid-batch", "overflow-late"])
+    def test_batch_equals_single_emits(self, max_events):
+        """Same rows through ``emit_many`` and through ``emit``: same log.
+
+        The cycle sequence restarts the local clock (100 -> 40), so the
+        rebased cycles are compared too; the bounded logs overflow
+        before, inside and after a batch.
+        """
+        batch, single = EventLog(max_events), EventLog(max_events)
+        for log in (batch, single):
+            log.emit("cache_miss", 90, task="t", key="first")
+        for cycle in (100, 40, 40, 55):
+            batch.emit_many("partition_defer", cycle, self.BATCH_ROWS)
+            self.emit_each(single, cycle, self.BATCH_ROWS)
+        batch.emit_many("partition_defer", 60, [])
+        assert self.log_state(batch) == self.log_state(single)
+        cycles = [90] + [100] * 5 + [140] * 10 + [155] * 5
+        assert [e["cycle"] for e in batch.events] \
+            == cycles[-len(batch.events):]
+        assert self.next_seq(batch) == self.next_seq(single) == 21
+        if max_events is not None:
+            assert batch.dropped == 22 - max_events
+            assert [e["seq"] for e in batch.events] \
+                == list(range(22 - max_events, 22))
+
+    def test_batch_envelope_key_order(self):
+        log = EventLog()
+        log.emit_many("partition_defer", 3, self.BATCH_ROWS[:2])
+        assert [list(e) for e in log.events] == [
+            ["v", "seq", "cycle", "type", "tenant", "request_id",
+             "reason", "ports_needed"],
+            ["v", "seq", "cycle", "type", "tenant", "request_id",
+             "reason", "beta", "eta"]]
+
+    @pytest.mark.parametrize("event_type, bad_payload, match", [
+        ("not_a_type", {"reason": "beta"}, "unknown event type"),
+        ("partition_defer", {"beta": 0.5}, "missing required"),
+        ("partition_defer", {"reason": "beta", "seq": 9}, "collide"),
+    ], ids=["unknown-type", "missing-field", "envelope-clash"])
+    def test_bad_batch_appends_nothing(self, event_type, bad_payload,
+                                       match):
+        """A bad row anywhere in a batch raises before any row lands."""
+        log = EventLog(max_events=4)
+        log.emit("cache_hit", 50, task="t", key="k")
+        before = self.log_state(log)
+        rows = [*self.BATCH_ROWS, ("t9", 9, bad_payload)]
+        with pytest.raises(ValueError, match=match):
+            log.emit_many(event_type, 10, rows)
+        assert self.log_state(log) == before
+        assert self.next_seq(log) == 1
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +267,25 @@ class TestEventExport:
         records[1]["seq"] = 5
         problems = validate_events(records)
         assert any("sequence" in p for p in problems)
+
+    def test_bounded_window_validates_clean(self, tmp_path):
+        """A ring that evicted its oldest records starts at ``dropped``."""
+        log = EventLog(max_events=4)
+        for i in range(10):
+            log.emit("cache_hit", i, task="t", key=f"k{i}")
+        assert log.dropped == 6 and log.events[0]["seq"] == 6
+        assert validate_events(list(log.events)) == []
+        path = write_metrics_jsonl(tmp_path / "events.jsonl", log.events)
+        assert load_and_validate_events(path) == []
+
+    def test_gap_inside_bounded_window_reported(self):
+        log = EventLog(max_events=4)
+        for i in range(10):
+            log.emit("cache_hit", i, task="t", key=f"k{i}")
+        records = [e.copy() for e in log.events]
+        records[2]["seq"] = 11
+        assert validate_events(records) == [
+            "event[2] has sequence 11, expected 8"]
 
     def test_unknown_type_and_missing_fields_reported(self):
         records = [e.copy() for e in sample_log().events]
