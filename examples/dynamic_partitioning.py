@@ -36,34 +36,30 @@ def main() -> None:
     plan = plan_offload(8, 8, 512, 8, 8)
 
     rng = np.random.default_rng(5)
-    cycle = 0
-    submitted = 0
+
+    def request_compute(cycle: int) -> None:
+        # A node asks for compute every ~150 cycles if advised to.
+        if cycle % 150 == 0 and control.advise_offload():
+            request = ComputeRequest(
+                node=int(rng.integers(16)), plan=plan,
+                matrix_key="kernel", submit_cycle=cycle, ports_needed=4)
+            control.submit(request, cycle)
+
     print(" cycle | load | buf util | partitions | granted/completed")
     print("-" * 62)
     for cycles, load in PHASES:
-        traffic = TrafficGenerator(16, "uniform", load, seed=int(cycle) + 1)
-        for _ in range(cycles):
-            for packet in traffic.packets_for_cycle(net.cycle):
-                net.offer_packet(packet)
-            # A node asks for compute every ~150 cycles if advised to.
-            if cycle % 150 == 0 and control.advise_offload():
-                request = ComputeRequest(
-                    node=int(rng.integers(16)), plan=plan,
-                    matrix_key="kernel", submit_cycle=cycle, ports_needed=4)
-                control.submit(request, cycle)
-                submitted += 1
-            scheduler.tick()
-            net.step()
-            cycle += 1
+        traffic = TrafficGenerator(16, "uniform", load, seed=net.cycle + 1)
+        scheduler.run(cycles, traffic, before_tick=request_compute)
         util = net.buffer_utilization(scan_depth=0.5)
-        print(f"{cycle:6d} | {load:.2f} | {util:8.2f} | "
+        print(f"{net.cycle:6d} | {load:.2f} | {util:8.2f} | "
               f"{len(scheduler.active):10d} | "
               f"{scheduler.stats.granted}/{scheduler.stats.completed}")
 
     scheduler.drain()
     stats = scheduler.stats
     print("-" * 62)
-    print(f"requests submitted: {submitted}, granted: {stats.granted}, "
+    print(f"requests submitted: {control.requests_received}, "
+          f"granted: {stats.granted}, "
           f"completed: {stats.completed}")
     print(f"average grant wait: {stats.average_wait:.0f} cycles "
           f"(tau = {system.scheduler.tau_cycles})")

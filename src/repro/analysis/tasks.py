@@ -160,21 +160,20 @@ def alg1_mix(params: dict, seed: int) -> dict:
     control = MZIMControlUnit(net, system)
     scheduler = FlumenScheduler(control, system)
     traffic = TrafficGenerator(16, "uniform", load, seed=traffic_seed)
-    submitted = 0
-    for cycle in range(cycles):
-        for packet in traffic.packets_for_cycle(net.cycle):
-            net.offer_packet(packet)
+
+    def submit(cycle: int) -> None:
         if cycle % period == 0:
             # Explicit per-run id (the default factory is a process-global
             # counter): keeps same-seed event logs byte-identical.
             control.compute_buffer.append(ComputeRequest(
                 node=cycle % 16, plan=job, matrix_key="k",
                 submit_cycle=cycle, ports_needed=4,
-                duration_override=60, request_id=submitted))
+                duration_override=60,
+                request_id=control.requests_received))
             control.requests_received += 1
-            submitted += 1
-        scheduler.tick()
-        net.step()
+
+    scheduler.run(cycles, traffic, before_tick=submit)
+    submitted = control.requests_received
     return {
         "submitted": float(submitted),
         "serviced": float(scheduler.stats.completed),

@@ -25,6 +25,7 @@ With no ladder attached the scheduling path is unchanged.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -35,10 +36,13 @@ from repro.config import SystemConfig
 from repro.core.accelerator import OffloadPlan
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.obs import NULL_OBS, Obs
+from repro.obs.snapshot import OFFER_STRIDE
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.ladder import DegradationLadder
     from repro.photonics.fabric import FlumenFabric, Partition
+
+log = logging.getLogger("repro.noc")
 
 
 def compute_duration_cycles(plan: OffloadPlan,
@@ -218,34 +222,22 @@ class FlumenScheduler:
         return done
 
     def skip_idle_cycles(self, cycles: int) -> None:
-        """Advance ``cycles`` cycles with no work anywhere in the stack.
-
-        Only legal while the scheduler is fully idle — no active
-        computations, no electrical jobs, an empty compute buffer.  An
-        idle :meth:`tick` then mutates nothing but the cycle counter
-        (the tau-periodic partitioner scan iterates an empty buffer),
-        so a bulk advance is byte-equivalent to ``cycles`` empty ticks.
-        """
-        if cycles <= 0:
-            return
+        """:meth:`skip_quiet_cycles` for a fully idle scheduler only."""
         if self.active or self.electrical or self.control.compute_buffer:
             raise RuntimeError("skip_idle_cycles with queued or active "
                                "work would skip its lifecycle")
-        self.cycle += cycles
+        self.skip_quiet_cycles(cycles)
 
     def quiet_countdown(self) -> int | None:
         """Cycles until the earliest in-flight completion.
 
-        ``None`` means the scheduler is fully idle (nothing queued or
-        in flight); ``0`` means it is *not* quiet — a granted
-        computation still draining its port endpoints, or a partitioner
-        evaluation due this very tick — and per-cycle ticks must run.
-        A positive return ``r`` means the next ``r - 1`` ticks are pure
-        countdown: :meth:`skip_quiet_cycles` may bulk-apply any strict
-        prefix of them.  Queued requests are inert between the
-        tau-periodic partitioner evaluations, so a non-empty compute
-        buffer merely bounds the countdown at the next evaluation
-        instead of forbidding the skip.
+        ``None``: fully idle.  ``0``: not quiet — a granted computation
+        still draining its port endpoints, or a partitioner evaluation
+        due this tick.  A positive ``r``: the next ``r - 1`` ticks are
+        pure countdown, any strict prefix of which
+        :meth:`skip_quiet_cycles` may apply.  Queued requests are inert
+        between the tau-periodic evaluations, so they only bound the
+        countdown at the next one.
         """
         countdown: int | None = None
         for comp in self.active:
@@ -268,15 +260,11 @@ class FlumenScheduler:
     def skip_quiet_cycles(self, cycles: int) -> None:
         """Advance ``cycles`` pure-countdown cycles in one bulk step.
 
-        Legal when every active computation has started, nothing
-        completes within the window (``cycles < quiet_countdown()``),
-        and — if requests are queued — no tau-periodic partitioner
-        evaluation falls inside it.  Each such tick does exactly:
-        decrement every in-flight job's remaining cycles and accrue the
-        active computations' busy-port accounting (an empty-buffer
-        partitioner scan changes nothing, and a non-empty buffer is
-        inert between evaluations).  The bulk application is
-        byte-equivalent to ``cycles`` individual ticks.
+        Legal when every active computation has started and
+        ``cycles < quiet_countdown()``.  Each such tick only decrements
+        the in-flight jobs and accrues busy-port cycles, so the bulk
+        step is byte-equivalent to ``cycles`` ticks; it raises rather
+        than skip a completion, evaluation or drain.
         """
         if cycles <= 0:
             return
@@ -579,35 +567,128 @@ class FlumenScheduler:
             self._partitioner()
         self.cycle += 1
 
-    def run(self, cycles: int, traffic=None) -> None:
-        """Co-simulate scheduler + network for ``cycles`` cycles."""
-        network = self.control.network
-        sampler = self.obs.sampler
-        for _ in range(cycles):
-            if traffic is not None:
-                for packet in traffic.packets_for_cycle(network.cycle):
-                    network.offer_packet(packet)
-            self.tick()
-            network.step()
-            # Throttled snapshot offer (same rationale as SimKernel.run:
-            # the sampler's cycle cadence stays the authority).
-            if sampler is not None and self.cycle & 63 == 0:
-                sampler.tick(self.cycle)
-        if sampler is not None:
-            sampler.tick(self.cycle)
+    # -- the co-simulation driver -----------------------------------------
 
-    def drain(self, max_cycles: int = 100_000) -> None:
-        """Run until all compute requests and packets complete."""
+    def run(self, cycles: int, traffic=None, *, before_tick=None,
+            after_step=None, next_due=None) -> None:
+        """Co-simulate scheduler + network for ``cycles`` cycles.
+
+        The one loop alternating :meth:`tick` with the network's step
+        (DESIGN.md §11): per cycle ``c``, ``traffic``'s packets,
+        ``before_tick(c)``, tick, step, ``after_step(c)`` and a sampler
+        offer every :data:`OFFER_STRIDE` cycles.  With the tracer off,
+        idle runs before the next event — ``next_due(c)``, the first
+        cycle ``>= c`` the hooks act on, and the traffic's
+        ``next_event_cycle`` (required, as is ``next_due`` with hooks)
+        — are skipped byte-identically.
+        """
         network = self.control.network
-        sampler = self.obs.sampler
-        budget = max_cycles
-        while budget > 0 and (self.active or self.electrical
-                              or self.control.compute_buffer
-                              or not network.quiescent()):
+        with network.running() as stamp_stepped:
+            self._drive(network.cycle + cycles, traffic, before_tick,
+                        after_step, next_due, stamp_stepped)
+
+    def drain(self, max_cycles: int = 100_000, *, before_tick=None,
+              after_step=None, next_due=None, pending=None) -> bool:
+        """Run :meth:`run`'s loop until the stack is idle.
+
+        ``pending()`` reports work the caller holds outside it.  Returns
+        True when the stack was idle before ``max_cycles`` ran out; a
+        budget that runs out on a busy stack warns on ``repro.noc``.
+        """
+        network = self.control.network
+        with network.running() as stamp_stepped:
+            if self._drive(network.cycle + max_cycles, None, before_tick,
+                           after_step, next_due, stamp_stepped,
+                           idle=lambda: not self._busy(pending)):
+                return True
+            if self._busy(pending):
+                log.warning(
+                    "%s: drain budget of %d cycles exhausted with %d "
+                    "flits queued and %d compute requests unfinished; "
+                    "results cover a busy stack", network.name,
+                    max_cycles, network.total_queued_flits(),
+                    len(self.active) + len(self.electrical)
+                    + len(self.control.compute_buffer))
+            return False
+
+    def _busy(self, pending) -> bool:
+        return bool(self.active or self.electrical
+                    or self.control.compute_buffer
+                    or not self.control.network.quiescent()
+                    or (pending is not None and pending()))
+
+    def _drive(self, end: int, traffic, before_tick, after_step, next_due,
+               stamp_stepped: bool, idle=None) -> bool:
+        """Advance to cycle ``end``; a drain passes ``idle()`` and stops
+        early, returning True, once it holds."""
+        network = self.control.network
+        # The offer after stepping c is stamped c + lag; the reached-cycle
+        # convention (lag 1) offers nothing while draining.
+        lag = 0 if stamp_stepped else 1
+        sampler = None if idle is not None and lag else self.obs.sampler
+        playback = getattr(traffic, "next_event_cycle", None)
+        # Hooks are skipped over only where next_due says they are idle.
+        skippable = (not self._tracer.enabled
+                     and (traffic is None or playback is not None)
+                     and (next_due is not None
+                          or (before_tick is None and after_step is None)))
+        dues = [due for due in (next_due, playback) if due is not None]
+        net_countdown = network.quiet_countdown
+        while network.cycle < end:
+            if idle is not None and idle():
+                return True
+            cycle = network.cycle
+            # The network's countdown is checked first and inline: under
+            # load it is what most often forbids the skip.
+            countdown = net_countdown() if skippable else 0
+            if countdown is None or countdown > 2:
+                skip = self._quiet_cycles(cycle, end, countdown, dues,
+                                          sampler, lag)
+                if skip > 1:
+                    # An idle scheduler's quiet skip is its idle skip.
+                    self.skip_quiet_cycles(skip)
+                    network.skip_quiet_cycles(skip)
+                    # A skip stops where a cycle must be stepped (or at
+                    # the end), so that cycle steps without asking again.
+                    cycle += skip
+                    if cycle == end:
+                        break
+            if traffic is not None:
+                for packet in traffic.packets_for_cycle(cycle):
+                    network.offer_packet(packet)
+            if before_tick is not None:
+                before_tick(cycle)
             self.tick()
             network.step()
-            if sampler is not None and self.cycle & 63 == 0:
-                sampler.tick(self.cycle)
-            budget -= 1
-        if sampler is not None:
-            sampler.tick(self.cycle)
+            if after_step is not None:
+                after_step(cycle)
+            if sampler is not None and (cycle + lag) % OFFER_STRIDE == 0:
+                sampler.tick(cycle + lag)
+        return False
+
+    def _quiet_cycles(self, cycle: int, end: int, net_countdown, dues,
+                      sampler, lag: int) -> int:
+        """Length of the provably idle run of cycles from ``cycle``,
+        given the network's quiet countdown (``None`` or above 2)."""
+        bound = end
+        for countdown in (net_countdown, self.quiet_countdown()):
+            if countdown is not None:
+                if countdown <= 2:
+                    return 0
+                bound = min(bound, cycle + countdown - 1)
+        for due in dues:
+            nxt = due(cycle)
+            if nxt is not None:
+                if nxt <= cycle:
+                    return 0
+                bound = min(bound, nxt)
+        # Stop short of the next firing offer; offers that cannot fire
+        # may be skipped.  The sampler fires on the rebased timeline, so
+        # its global due time goes back through the shared clock.
+        if sampler is not None and bound > (
+                -(-(cycle + lag) // OFFER_STRIDE) * OFFER_STRIDE - lag):
+            due = max(sampler.clock.first_reaching(sampler.next_due),
+                      cycle + lag)
+            bound = min(bound,
+                        -(-due // OFFER_STRIDE) * OFFER_STRIDE - lag)
+        return bound - cycle

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -175,13 +174,7 @@ class SystemModel:
         """
         line_flits = 3  # 64B line + header over a ~32B phit
         total_packets = counts.dram_accesses + extra_packets
-        cap = self.system.max_simulated_packets
-        scale = max(1, math.ceil(total_packets / cap))
-        if scale > 1:
-            log.info(
-                "NoP trace subsampled %dx: %d packets -> %d (cap %d); "
-                "energy counters rescaled",
-                scale, total_packets, total_packets // scale, cap)
+        scale = self._subsample(total_packets, "NoP trace")
         packets = total_packets // scale
         window = max(1, spread_cycles // scale)
         events = []
@@ -194,29 +187,47 @@ class SystemModel:
             events.append((cycle, mc, consumer, line_flits))
         return events, scale
 
+    def _subsample(self, packets: int, trace: str) -> int:
+        """Subsampling factor keeping a trace under the simulated cap."""
+        cap = self.system.max_simulated_packets
+        scale = max(1, math.ceil(packets / cap))
+        if scale > 1:
+            log.info(
+                "%s subsampled %dx: %d packets -> %d (cap %d); "
+                "energy counters rescaled",
+                trace, scale, packets, packets // scale, cap)
+        return scale
+
     def _simulate_nop(self, pipeline: ConfigPipeline,
                       counts: HierarchyCounts, core_cycles: float
-                      ) -> tuple[float, EnergyBreakdown, float, object]:
+                      ) -> tuple[float, EnergyBreakdown, float]:
         """Run the pipeline's network backend on the workload trace.
 
-        Returns (comm_cycles, nop_energy_as_breakdown, avg_latency, net).
+        Returns (comm_cycles, nop_energy_as_breakdown, avg_latency).
         """
         events, scale = self._traffic_events(counts, int(core_cycles))
         net = make_network(pipeline.topology, self.nodes, obs=self.obs)
-        trace = TracePlayback(events)
         window = max(1, int(core_cycles) // scale)
-        net.run(trace, cycles=window, drain=True, max_drain_cycles=20_000)
-        drain_extra = max(0, net.cycle - window)
-        comm_cycles = core_cycles + drain_extra * scale
+        net.run(TracePlayback(events), cycles=window, drain=True,
+                max_drain_cycles=20_000)
+        return self._measure(net, pipeline, window, scale, core_cycles)
+
+    def _measure(self, net, pipeline: ConfigPipeline, window: int,
+                 scale: int, span_cycles: float
+                 ) -> tuple[float, EnergyBreakdown, float]:
+        """(comm cycles, NoP energy, mean packet latency) of a finished
+        run of ``window`` cycles over a trace subsampled ``scale`` times.
+        """
+        comm_cycles = span_cycles + max(0, net.cycle - window) * scale
         result = net.result("trace", 0.0)
         # Scale traffic counters back up for energy accounting.
         object.__setattr__(result, "link_traversals",
                            result.link_traversals * scale)
         object.__setattr__(result, "flit_hops", result.flit_hops * scale)
-        object.__setattr__(result, "cycles", int(core_cycles))
+        object.__setattr__(result, "cycles", int(span_cycles))
         report = self.net_energy.of(result, kind=pipeline.link_energy)
-        energy = EnergyBreakdown(nop=report.total)
-        return comm_cycles, energy, result.latency.average, net
+        return (comm_cycles, EnergyBreakdown(nop=report.total),
+                result.latency.average)
 
     def _phase_plan(self, phase: MatmulPhase,
                     partition_ports: int = 8) -> OffloadPlan:
@@ -266,7 +277,7 @@ class SystemModel:
         cores = self._cores_for(workload)
         cost = self.core_model.phase_cost(
             macs, extra, counts, hierarchy, cores)
-        comm_cycles, nop_energy, avg_lat, _ = self._simulate_nop(
+        comm_cycles, nop_energy, avg_lat = self._simulate_nop(
             pipeline, counts, cost.total_cycles)
         runtime_cycles = max(cost.total_cycles, comm_cycles)
         runtime_s = self.core_model.seconds(runtime_cycles)
@@ -366,14 +377,8 @@ class SystemModel:
         comm completion cycles, NoP energy).
         """
         line_flits = 3
-        cap = self.system.max_simulated_packets
-        scale = max(1, math.ceil(counts.dram_accesses / cap))
-        if scale > 1:
-            log.info(
-                "scheduler co-sim trace subsampled %dx: %d packets -> %d "
-                "(cap %d); energy counters rescaled",
-                scale, counts.dram_accesses,
-                counts.dram_accesses // scale, cap)
+        scale = self._subsample(counts.dram_accesses,
+                                "scheduler co-sim trace")
         packets = counts.dram_accesses // scale
         window = max(1, int(span_cycles) // scale)
         # Compute partition on the low fabric ports -> endpoints 0..7
@@ -421,51 +426,14 @@ class SystemModel:
             # Bypass submit(): phases here model jobs whose phase mappings
             # stream from L3 rather than resident matrix memory.
             control.enqueue(request)
-        trace = TracePlayback(events)
-        # This scheduler-interleaved loop bypasses SimKernel.run(), so it
-        # carries the same run bookkeeping: the begin/end hooks, the
-        # trailing utilization flush, wall seconds into the timer series
-        # and the simulated extent as a cycle-stamped trace span.
-        wall_start = time.perf_counter()
-        start_cycle = net.cycle
-        net._begin_run()
-        sampler = self.obs.sampler
-        for _ in range(window):
-            for packet in trace.packets_for_cycle(net.cycle):
-                net.offer_packet(packet)
-            scheduler.tick()
-            net.step()
-            if sampler is not None and net.cycle & 63 == 0:
-                sampler.tick(net.cycle)
-        budget = 20_000
-        while budget and not (net.quiescent() and not scheduler.active
-                              and not control.compute_buffer):
-            scheduler.tick()
-            net.step()
-            budget -= 1
-        if sampler is not None:
-            sampler.tick(net.cycle)
-        net.utilization.finish()
-        net._end_run()
-        self.obs.metrics.timer("noc.run_seconds", topology=net.name) \
-            .observe(time.perf_counter() - wall_start)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.complete(
-                "noc", "kernel", f"run:{net.name}",
-                start_cycle, net.cycle,
-                cycles=net.cycle - start_cycle,
-                injected=net.injected_packets)
-        drain_extra = max(0, net.cycle - window)
-        comm_cycles = span_cycles + drain_extra * scale
-        result = net.result("trace", 0.0)
-        object.__setattr__(result, "link_traversals",
-                           result.link_traversals * scale)
-        object.__setattr__(result, "flit_hops", result.flit_hops * scale)
-        object.__setattr__(result, "cycles", int(span_cycles))
-        nop_energy = EnergyBreakdown(
-            nop=self.net_energy.of(result, kind=pipeline.link_energy).total)
-        return (scheduler.stats.average_wait, result.latency.average,
-                comm_cycles, nop_energy)
+        # The window and its drain are booked as one run of the network.
+        with net.running():
+            scheduler.run(window, TracePlayback(events))
+            scheduler.drain(20_000)
+        comm_cycles, nop_energy, avg_lat = self._measure(
+            net, pipeline, window, scale, span_cycles)
+        return (scheduler.stats.average_wait, avg_lat, comm_cycles,
+                nop_energy)
 
     def _cores_for(self, workload: Workload) -> int:
         """Per-workload parallelism override, else the system default."""

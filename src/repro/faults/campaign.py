@@ -168,35 +168,30 @@ class _CampaignRun:
         enob_nominal = min(
             float(effective_bits(NOMINAL_RECEIVED_POWER_W, self.devices)),
             _error_enob(self.recovery.mesh_probe()))
-        sampler = self.obs.sampler
-        for cycle in range(spec.cycles):
-            for packet in self.traffic.packets_for_cycle(self.net.cycle):
-                self.net.offer_packet(packet)
-            if sampler is not None and cycle & 63 == 0:
-                # Throttled snapshot offer (same rationale as
-                # SimKernel.run): the sampler's interval stays the
-                # sampling authority.
-                sampler.tick(cycle)
-            self.injector.tick(cycle)
-            if cycle % spec.request_period == 0 and (
-                    self.control.advise_offload()
-                    or self.ladder.electrical_fallback):
-                # Explicit per-run id: the default factory is a
-                # process-global counter, which would leak run ordering
-                # into event payloads and break byte-identical
-                # same-seed event logs.
-                self.control.compute_buffer.append(ComputeRequest(
-                    node=cycle % spec.nodes, plan=self.job,
-                    matrix_key="campaign", submit_cycle=cycle,
-                    ports_needed=max(2, spec.ports // 2),
-                    duration_override=60, request_id=self.submitted))
-                self.control.requests_received += 1
-                self.submitted += 1
-            self.recovery.service(cycle)
-            self.scheduler.tick()
-            self.net.step()
-        self.scheduler.drain(max_cycles=60_000)
+        # The window and its drain are booked as one run of the network.
+        with self.net.running():
+            self.scheduler.run(spec.cycles, self.traffic,
+                               before_tick=self._before_tick)
+            self.scheduler.drain(max_cycles=60_000)
         return self._record(enob_nominal)
+
+    def _before_tick(self, cycle: int) -> None:
+        """Fault events, periodic compute offloads and recovery probes."""
+        spec = self.spec
+        self.injector.tick(cycle)
+        if cycle % spec.request_period == 0 and (
+                self.control.advise_offload()
+                or self.ladder.electrical_fallback):
+            # Explicit per-run id: the process-global default would
+            # leak run ordering into same-seed event logs.
+            self.control.compute_buffer.append(ComputeRequest(
+                node=cycle % spec.nodes, plan=self.job,
+                matrix_key="campaign", submit_cycle=cycle,
+                ports_needed=max(2, spec.ports // 2),
+                duration_override=60, request_id=self.submitted))
+            self.control.requests_received += 1
+            self.submitted += 1
+        self.recovery.service(cycle)
 
     # -- reporting ---------------------------------------------------------
 

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 
 from repro.noc.packet import Packet
 from repro.noc.stats import LatencyStats, SimulationResult, UtilizationTracker
 from repro.obs import NULL_OBS, Obs
+from repro.obs.snapshot import OFFER_STRIDE
 
 log = logging.getLogger("repro.noc")
 
@@ -65,6 +67,8 @@ class SimKernel:
         self.tenant = ""
         self._bind_accounting()
         self._sample_end = 0
+        #: The open run's stamp convention; None while no run is open.
+        self._run_stamp: bool | None = None
         if self._tracer.enabled:
             tracer = self._tracer
             interval = utilization_interval
@@ -169,12 +173,14 @@ class SimKernel:
         """Tick the sampler as stepping to cycles ``first..last`` would.
 
         The run loop ticks after each step that lands on a multiple of
-        64, up to the end of the run window; the drain loop never ticks.
+        :data:`OFFER_STRIDE`, up to the end of the run window; the drain
+        loop never ticks.
         """
         if self._sampler is None:
             return
         last = min(last, self._sample_end)
-        for cycle in range(-(-first // 64) * 64, last + 1, 64):
+        for cycle in range(-(-first // OFFER_STRIDE) * OFFER_STRIDE,
+                           last + 1, OFFER_STRIDE):
             self._sampler.tick(cycle)
 
     # -- traffic ---------------------------------------------------------
@@ -229,56 +235,74 @@ class SimKernel:
         arbiter state at the next busy cycle — is identical either way.
         """
         self.latency.warmup_cycles = warmup
-        start_cycle = self.cycle
-        wall_start = time.perf_counter()
+        with self.running():
+            fast_forward = (self._supports_idle_skip
+                            and not self._tracer.enabled
+                            and hasattr(traffic, "next_event_cycle"))
+            sampler = self._sampler
+            #: Last cycle the main loop can step to: a period
+            #: fast-forward offers the sampler the OFFER_STRIDE marks up
+            #: to here, as stepping would, and none in the drain phase.
+            self._sample_end = self.cycle + cycles
+            remaining = cycles
+            drain_budget = max_drain_cycles if drain else 0
+            while remaining > 0:
+                offered = traffic.packets_for_cycle(self.cycle)
+                if fast_forward and offered and self.quiescent():
+                    advanced = self._forward_period(
+                        traffic, offered, remaining, drain_budget)
+                    if advanced:
+                        drain_budget -= max(0, advanced - remaining)
+                        remaining -= advanced
+                        if remaining > 0 and self.quiescent():
+                            remaining -= self._skip_to_next_event(traffic,
+                                                                  remaining)
+                        continue
+                for packet in offered:
+                    self.offer_packet(packet)
+                self.step()
+                remaining -= 1
+                if sampler is not None and self.cycle % OFFER_STRIDE == 0:
+                    # Idle fast-forward below may jump past sample
+                    # points; the series then resumes at the post-jump
+                    # cycle (skipped cycles mutate no registry).
+                    sampler.tick(self.cycle)
+                if remaining > 0 and fast_forward and self.quiescent():
+                    remaining -= self._skip_to_next_event(traffic, remaining)
+            while drain_budget > 0 and not self.quiescent():
+                self.step()
+                drain_budget -= 1
+            if drain and not self.quiescent():
+                log.warning(
+                    "%s: drain budget of %d cycles exhausted with %d "
+                    "flits still queued; results cover a busy network",
+                    self.name, max_drain_cycles, self.total_queued_flits())
+
+    @contextmanager
+    def running(self, stamp_stepped: bool = False):
+        """Keep the books of one run (DESIGN.md §11): :meth:`_begin_run`;
+        at close a last snapshot offer, the trailing utilization flush,
+        :meth:`_end_run`, a ``noc.run_seconds`` observation and a
+        ``run:<name>`` span.  A run opened inside another joins it.
+
+        Yields the open run's stamp convention: the offer after stepping
+        cycle ``c`` is stamped ``c + 1``, or ``c`` with ``stamp_stepped``,
+        whose close makes no offer (the serve daemon samples itself).
+        """
+        if self._run_stamp is not None:
+            yield self._run_stamp
+            return
+        start_cycle, wall_start = self.cycle, time.perf_counter()
+        self._run_stamp = stamp_stepped
         self._begin_run()
-        fast_forward = (self._supports_idle_skip
-                        and not self._tracer.enabled
-                        and hasattr(traffic, "next_event_cycle"))
-        sampler = self._sampler
-        #: Last cycle the main loop can step to: a period fast-forward
-        #: offers the sampler the 64-cycle marks up to here, as stepping
-        #: would, and none in the drain phase.
-        self._sample_end = start_cycle + cycles
-        remaining = cycles
-        drain_budget = max_drain_cycles if drain else 0
-        while remaining > 0:
-            offered = traffic.packets_for_cycle(self.cycle)
-            if fast_forward and offered and self.quiescent():
-                advanced = self._forward_period(traffic, offered, remaining,
-                                                drain_budget)
-                if advanced:
-                    drain_budget -= max(0, advanced - remaining)
-                    remaining -= advanced
-                    if remaining > 0 and self.quiescent():
-                        remaining -= self._skip_to_next_event(traffic,
-                                                              remaining)
-                    continue
-            for packet in offered:
-                self.offer_packet(packet)
-            self.step()
-            remaining -= 1
-            if sampler is not None and self.cycle & 63 == 0:
-                # Cycle-driven telemetry snapshot, offered every 64th
-                # cycle — the sampler's own cadence (>= 256 cycles by
-                # default) stays the sampling authority, and the hot
-                # loop pays one int test per cycle instead of a clock
-                # advance.  Idle fast-forward below may jump past sample
-                # points, in which case the series resumes at the
-                # post-jump cycle (the skipped cycles carry no registry
-                # mutations by construction).
-                sampler.tick(self.cycle)
-            if remaining > 0 and fast_forward and self.quiescent():
-                remaining -= self._skip_to_next_event(traffic, remaining)
-        if drain:
-            self._drain(drain_budget, max_drain_cycles)
-        if sampler is not None:
-            sampler.tick(self.cycle)
+        try:
+            yield stamp_stepped
+        finally:
+            self._run_stamp = None
+        if self._sampler is not None and not stamp_stepped:
+            self._sampler.tick(self.cycle)
         self.utilization.finish()
         self._end_run()
-        # Per-run phase timing: wall seconds into the (count-only by
-        # default) timer series, simulated extent as a cycle-stamped
-        # span so the run shows up in the Chrome-trace export.
         self.obs.metrics.timer("noc.run_seconds", topology=self.name) \
             .observe(time.perf_counter() - wall_start)
         if self._tracer.enabled:
@@ -288,22 +312,11 @@ class SimKernel:
                 cycles=self.cycle - start_cycle,
                 injected=self.injected_packets)
 
-    def _drain(self, budget: int, max_drain_cycles: int) -> None:
-        """Step until quiescent or ``budget`` cycles; warn if still busy."""
-        while not self.quiescent() and budget > 0:
-            self.step()
-            budget -= 1
-        if not self.quiescent():
-            log.warning(
-                "%s: drain budget of %d cycles exhausted with %d flits "
-                "still queued; results cover a busy network",
-                self.name, max_drain_cycles, self.total_queued_flits())
-
     def _begin_run(self) -> None:
-        """Hook fired as :meth:`run` starts (before any injection)."""
+        """Hook fired as a run opens (before any injection)."""
 
     def _end_run(self) -> None:
-        """Hook fired as :meth:`run` finishes (after the final flush)."""
+        """Hook fired as a run closes (after the final flush)."""
 
     def result(self, pattern: str, load: float,
                saturation_latency: float = 500.0) -> SimulationResult:

@@ -38,7 +38,7 @@ would have touched — the cycle counter, the utilization intervals, and
 (for Flumen) the wavefront priority diagonal, which the oracle rotates
 on every cycle, busy or not.  The Flumen backend's ``_skip_idle`` also
 covers *quiet* windows, circuits in setup or transfer with no grant and
-no delivery due, which is how the serve daemon's
+no delivery due, which is how the co-simulation driver's
 ``skip_quiet_cycles`` jumps.
 
 The router network (:class:`SoANetwork`) also takes the kernel's
@@ -81,6 +81,7 @@ from repro.noc.kernel import SimKernel
 from repro.noc.packet import Flit, Packet
 from repro.noc.topology import LOCAL_PORT, Topology, check_router_geometry
 from repro.obs import NULL_OBS, Obs
+from repro.obs.snapshot import OFFER_STRIDE
 
 #: 1 ns phase programming at a 2.5 GHz network clock (Section 4.1).
 DEFAULT_RECONFIG_CYCLES = 3
@@ -508,7 +509,7 @@ class SoANetwork(SimKernel):
                     self.offer_packet(packet)
                 before = self.link_traversals
                 self.step()
-                if self.cycle & 63 == 0:
+                if self.cycle % OFFER_STRIDE == 0:
                     self._sample_stepped(self.cycle, self.cycle)
                 busy = self.link_traversals - before
                 if busy_runs and busy_runs[-1][0] == busy:

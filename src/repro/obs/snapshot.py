@@ -28,6 +28,11 @@ SNAPSHOT_SCHEMA_VERSION = 1
 #: Default sampling period, in simulation cycles.
 DEFAULT_INTERVAL_CYCLES = 256
 
+#: Cycle stride of the simulation loops' snapshot offers.  A loop offers
+#: the sampler one cycle in every ``OFFER_STRIDE`` rather than every
+#: cycle; the sampler's own interval stays the sampling authority.
+OFFER_STRIDE = 64
+
 
 class SnapshotSampler:
     """Periodically freeze a metrics registry on a cycle-driven cadence."""

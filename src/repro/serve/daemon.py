@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections.abc import Callable
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -64,6 +65,7 @@ from repro.faults.recovery import FabricRecovery
 from repro.noc.packet import Packet
 from repro.noc.soa import SoAFlumenNetwork
 from repro.obs import Obs, percentile_summary
+from repro.obs.snapshot import OFFER_STRIDE
 from repro.serve.admission import AdmissionController, precompute_decisions
 from repro.serve.arrivals import ARRIVALS, Arrival, ClientPopulation
 
@@ -230,7 +232,6 @@ class ServeDaemon:
             snapshot_interval=config.snapshot_interval,
             max_events=config.max_events)
         self.state = DaemonState.BOOT
-        self.cycle = 0
         self.system = SystemConfig()
         self.devices = DeviceParams()
         self._rng = np.random.default_rng(
@@ -273,6 +274,11 @@ class ServeDaemon:
         self.rejected = 0
         self.completed = 0
         self.drained = True
+        #: Hooks of the session's co-simulation loop.
+        self._loop = {"before_tick": self._before_tick,
+                      "after_step": self._after_step,
+                      "next_due": self._next_due}
+        self._session = ExitStack()
         self._open: dict[str, _Batch] = {}
         self._in_scheduler: dict[int, _Batch] = {}
         self._batch_ordinal = 0
@@ -316,7 +322,7 @@ class ServeDaemon:
         # The whole arrival schedule is drawn up front (the wheel) and
         # its admission verdicts replayed through ``self.admission``;
         # the fleet-MVM flush and the healthy-mesh probe are memoized,
-        # and run() / _drain() fast-forward provably idle cycles.
+        # and the loop fast-forwards provably idle cycles.
         # ``tests/reference_serve.py`` holds the per-cycle loop every
         # artifact is byte-compared against.
         self._wheel = self.population.prebuild(config.duration)
@@ -326,6 +332,11 @@ class ServeDaemon:
         self.recovery.probe_memo = True
 
     # -- accounting --------------------------------------------------------
+
+    @property
+    def cycle(self) -> int:
+        """The session's simulated clock (the scheduler's)."""
+        return self.scheduler.cycle
 
     @property
     def in_flight(self) -> int:
@@ -491,9 +502,13 @@ class ServeDaemon:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """BOOT -> SERVING; idempotence is an error, not a no-op."""
+        """BOOT -> SERVING; idempotence is an error, not a no-op.
+
+        Opens the session's one network run, which :meth:`finish` closes.
+        """
         if self.state is not DaemonState.BOOT:
             raise RuntimeError(f"cannot start from {self.state}")
+        self._session.enter_context(self.net.running(stamp_stepped=True))
         self._sync_gauges()
         self._transition(DaemonState.SERVING,
                          f"session seed={self.config.seed} "
@@ -501,131 +516,64 @@ class ServeDaemon:
 
     def step(self) -> None:
         """One simulated cycle of the serving (or draining) loop."""
+        self.scheduler.run(1, **self._loop)
+
+    def _before_tick(self, cycle: int) -> None:
         if self.state is DaemonState.SERVING:
-            for arrival, admit in self._arrivals(self.cycle):
+            for arrival, admit in self._arrivals(cycle):
                 self._offer(arrival, admit)
-            self.injector.tick(self.cycle)
-        self.recovery.service(self.cycle)
+            self.injector.tick(cycle)
+        self.recovery.service(cycle)
         self._dispatch_due()
-        self.scheduler.tick()
-        self.net.step()
+
+    def _after_step(self, cycle: int) -> None:
         self._collect_completions()
-        sampler = self.obs.sampler
-        if sampler is not None and self.cycle & 63 == 0:
-            # Gauges are only *read* at snapshot samples and at
-            # finish(), and both are pure functions of current daemon
-            # state, so they are synced just before a snapshot offer
-            # instead of every cycle.  The offer is throttled; the
-            # sampler's interval stays the sampling authority, as in
-            # SimKernel.run.
+        if cycle % OFFER_STRIDE == 0:
+            # Gauges are only read at snapshots and at finish(), so
+            # they are synced before a snapshot offer, not every cycle.
             self._sync_gauges()
-            sampler.tick(self.cycle)
-        self.cycle += 1
 
     def _arrivals(self, cycle: int):
         """``(arrival, admitted)`` pairs offered at ``cycle``."""
         return zip(self._wheel.requests_for_cycle(cycle),
                    self._decisions.get(cycle, ()))
 
-    # -- idle fast-forward -------------------------------------------------
+    def _next_due(self, cycle: int) -> int | None:
+        """First cycle ``>= cycle`` at which the loop hooks may act.
 
-    def _idle_skip(self, end: int) -> int:
-        """Length of the provably no-op cycle run starting at ``cycle``.
-
-        Returns 0 whenever the next cycle might do *anything* the
-        per-cycle :meth:`step` would do — an arrival, a fault-event
-        or continuous-fault tick, a probe (every ``probe_interval``
-        cycles), a batch reaching its size or age threshold (a held-due
-        batch re-evaluates the dispatch gate, and so its metrics, every
-        cycle), a firing snapshot offer, or any queued/active work in
-        the scheduler or the network.  Otherwise every skipped cycle is
-        exactly ``arbiter rotate + idle utilization + three clock
-        increments``, which :meth:`_skip_cycles` replays in bulk,
-        byte-identically.
+        ``cycle`` itself off the healthy rung; else the earliest
+        arrival, fault tick, probe, or batch reaching its size or age
+        threshold (a held-due batch re-evaluates the dispatch gate, and
+        so its metrics, every cycle).
         """
-        cycle = self.cycle
-        if not self.ladder.healthy or self.obs.tracer.enabled:
-            return 0
+        if not self.ladder.healthy:
+            return cycle
         config = self.config
-        bound = end
-        # Net first: under load it is the countdown that most often
-        # forbids the skip, and it is the cheaper of the two queries.
-        for countdown in (self.net.quiet_countdown(),
-                          self.scheduler.quiet_countdown()):
-            if countdown is not None:
-                if countdown <= 2:
-                    return 0
-                bound = min(bound, cycle + countdown - 1)
+        interval = config.probe_interval
+        due = -(-cycle // interval) * interval
         for batch in self._open.values():
-            due_cycle = batch.opened_cycle + config.batch_window
-            if (len(batch.requests) >= config.batch_size
-                    or due_cycle <= cycle):
-                return 0
-            bound = min(bound, due_cycle)
+            if len(batch.requests) >= config.batch_size:
+                return cycle
+            due = min(due, batch.opened_cycle + config.batch_window)
         if self.state is DaemonState.SERVING:
             if self._wheel.requests_for_cycle(cycle):
-                return 0
-            next_arrival = self._wheel.next_arrival_cycle(cycle + 1)
-            if next_arrival is not None:
-                bound = min(bound, next_arrival)
-            next_fault = self.injector.next_due_cycle(cycle)
-            if next_fault is not None:
-                if next_fault <= cycle:
-                    return 0
-                bound = min(bound, next_fault)
-        interval = config.probe_interval
-        if cycle % interval == 0:
-            return 0
-        bound = min(bound, (cycle // interval + 1) * interval)
-        sampler = self.obs.sampler
-        if sampler is not None:
-            # Offers happen every 64 local cycles; the sampler fires on
-            # the *rebased* timeline, so translate its global due time
-            # back through the shared clock before rounding up.
-            local_due = sampler.clock.first_reaching(sampler.next_due)
-            offer = max(cycle, local_due)
-            fire = (offer + 63) & ~63
-            if fire <= cycle:
-                return 0
-            bound = min(bound, fire)
-        return max(0, bound - cycle)
-
-    def _skip_cycles(self, cycles: int) -> None:
-        """Bulk-advance ``cycles`` quiet cycles across all three clocks."""
-        scheduler = self.scheduler
-        if (scheduler.active or scheduler.electrical
-                or scheduler.control.compute_buffer):
-            scheduler.skip_quiet_cycles(cycles)
-        else:
-            scheduler.skip_idle_cycles(cycles)
-        self.net.skip_quiet_cycles(cycles)
-        self.cycle += cycles
-
-    def _advance_until(self, end: int) -> None:
-        """Loop body: fast-forward an idle run, or step one cycle."""
-        skip = self._idle_skip(end)
-        if skip > 1:
-            self._skip_cycles(skip)
-        else:
-            self.step()
-
-    def _drain(self) -> None:
-        self._transition(DaemonState.DRAINING,
-                         f"in_flight={self.in_flight}")
-        deadline = self.cycle + self.config.drain_limit
-        while self.cycle < deadline:
-            if (self.in_flight == 0 and not self._open
-                    and not self._in_scheduler
-                    and self.net.quiescent()):
-                break
-            self._advance_until(deadline)
-        else:
-            self.drained = False
-        self.drained = self.drained and self.in_flight == 0
+                return cycle
+            for nxt in (self._wheel.next_arrival_cycle(cycle + 1),
+                        self.injector.next_due_cycle(cycle)):
+                if nxt is not None:
+                    due = min(due, nxt)
+        return due
 
     def finish(self) -> dict:
         """Drain, stop, take the final snapshot, return the report."""
-        self._drain()
+        self._transition(DaemonState.DRAINING,
+                         f"in_flight={self.in_flight}")
+        drained = self.scheduler.drain(
+            self.config.drain_limit, **self._loop,
+            pending=lambda: bool(self.in_flight or self._open
+                                 or self._in_scheduler))
+        self.drained = drained and self.in_flight == 0
+        self._session.close()
         self._sync_gauges()
         self._transition(DaemonState.STOPPED,
                          f"completed={self.completed}")
@@ -636,14 +584,12 @@ class ServeDaemon:
     def run(self) -> dict:
         """The whole session: start, serve, drain, report.
 
-        Idle cycle runs are fast-forwarded here (and in :meth:`_drain`);
+        Idle cycle runs are fast-forwarded here (and in the drain);
         :meth:`step` itself stays strictly single-cycle, so a manual
         driver gets the same report.
         """
         self.start()
-        end = self.config.duration
-        while self.cycle < end:
-            self._advance_until(end)
+        self.scheduler.run(self.config.duration - self.cycle, **self._loop)
         return self.finish()
 
     # -- reporting ---------------------------------------------------------

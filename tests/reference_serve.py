@@ -38,10 +38,11 @@ class PerCycleDaemon(ServeDaemon):
                 for arrival in self.population.requests_for_cycle(cycle)]
 
     def _collect_completions(self) -> None:
-        # The last call before the snapshot offer in step(): syncing
+        # The last call before the snapshot offer of each cycle: syncing
         # here keeps the gauges current every cycle, not only at offers.
         super()._collect_completions()
         self._sync_gauges()
 
-    def _advance_until(self, end: int) -> None:
-        self.step()
+    def _next_due(self, cycle: int) -> int:
+        # Every cycle is due, so the loop never skips: it steps them all.
+        return cycle
