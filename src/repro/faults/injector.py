@@ -80,12 +80,11 @@ class FaultyMesh(PhysicalMesh):
         self._offsets.phi += rng.normal(0.0, sigma_rad, self.num_mzis)
         self.drift_steps += 1
 
-    def _realized(self):
-        mesh = super()._realized()
-        for index, theta in self.stuck.items():
-            mzi = mesh.mzis[index]
-            mesh.mzis[index] = mzi.with_phases(theta, mzi.phi)
-        return mesh
+    def _phases(self):
+        theta, phi = super()._phases()
+        for index, pinned in self.stuck.items():
+            theta[index] = pinned
+        return theta, phi
 
 
 @dataclass

@@ -55,8 +55,7 @@ class FabricRecovery:
                  min_effective_bits: float = 4.0,
                  mesh_architecture: str = "clements",
                  devices: DeviceParams | None = None,
-                 obs: Obs = NULL_OBS,
-                 probe_memo: bool = False) -> None:
+                 obs: Obs = NULL_OBS) -> None:
         self.total_ports = ports
         #: Current partition width; SHRINK lowers it.
         self.ports = ports
@@ -96,14 +95,6 @@ class FabricRecovery:
         self.recalibrations = 0
         self.detected_cycle: int | None = None
         self.error_peak = 0.0
-        #: Opt-in single-slot probe memo: the serving daemon probes a
-        #: healthy, unchanged mesh every ``probe_interval`` cycles, and
-        #: :func:`matrix_error` is a pure function of the mesh content
-        #: and the target, so re-deriving the realized transfer matrix
-        #: is wasted work until something actually mutates.
-        self.probe_memo = bool(probe_memo)
-        self._probe_cache: tuple[tuple, float] | None = None
-        self.probe_memo_hits = 0
 
     def bind_network(self, network) -> None:
         """Attach the interposer network so dead-link faults and the
@@ -116,32 +107,11 @@ class FabricRecovery:
     def mesh_probe(self) -> float:
         """Basis-vector transfer error of the live mesh vs. its target.
 
-        With ``probe_memo`` enabled, the error is served from a
-        content-keyed single-slot cache: the key covers everything
-        :meth:`~repro.photonics.calibration.PhysicalMesh.measure`
-        depends on (programmed phases, hidden offsets, stuck devices,
-        and the target), so any mutation — drift, recalibration,
-        shrink, a stuck heater — misses and re-measures.  A hit still
-        counts a measurement, keeping the mesh's probe accounting
-        byte-identical to the uncached path.
+        A healthy, unchanged mesh is cheap to re-probe: the mesh
+        memoizes its measured matrix on the realized phases
+        (:meth:`~repro.photonics.calibration.PhysicalMesh.measure`).
         """
-        mesh = self.domain.mesh
-        if not self.probe_memo:
-            return matrix_error(mesh.measure(), self.target)
-        key = (id(mesh),
-               mesh.programmed.tobytes(),
-               mesh._offsets.theta.tobytes(),
-               mesh._offsets.phi.tobytes(),
-               tuple(sorted(getattr(mesh, "stuck", {}).items())),
-               self.target.tobytes())
-        cached = self._probe_cache
-        if cached is not None and cached[0] == key:
-            mesh.measurements += 1
-            self.probe_memo_hits += 1
-            return cached[1]
-        error = matrix_error(mesh.measure(), self.target)
-        self._probe_cache = (key, error)
-        return error
+        return matrix_error(self.domain.mesh.measure(), self.target)
 
     def received_power(self) -> float:
         """Received optical power given laser health and partition size.

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from repro.photonics.clements import MZIMesh, decompose
-from repro.photonics.devices import MZIState
+from repro.photonics.clements import MZIMesh, decompose, sweep_columns
+from repro.photonics.devices import mzi_transfers
 
 
 @dataclass
@@ -52,17 +52,30 @@ class PhysicalMesh:
     The calibration code may only call :meth:`measure` (the transfer
     matrix, as a real lab would reconstruct it from basis injections) and
     :meth:`program` — never read the offsets.
+
+    The structure (which modes each MZI couples, in which column) and the
+    output phase screen are fixed at fabrication: both are taken from
+    ``ideal`` here, once.
     """
 
     def __init__(self, ideal: MZIMesh, offsets: PhaseOffsets) -> None:
-        if len(offsets.theta) != ideal.num_mzis:
-            raise ValueError("offset count does not match MZI count")
+        expected = (ideal.num_mzis,)
+        for name in ("theta", "phi"):
+            shape = np.shape(getattr(offsets, name))
+            if shape != expected:
+                raise ValueError(
+                    f"offsets.{name} has shape {shape}, expected "
+                    f"{expected} (one per MZI)")
         self._structure = ideal
         self._offsets = offsets
+        self._columns = ideal._column_plan()
+        self._output_phases = ideal.output_phases.copy()
         self.programmed = np.array(
             [[mzi.theta, mzi.phi] for mzi in ideal.mzis], dtype=float
         ).reshape(ideal.num_mzis, 2)
         self.measurements = 0
+        #: Single-slot memo: (realized-phase bytes, transfer matrix).
+        self._memo: tuple[bytes, np.ndarray] | None = None
 
     @property
     def num_mzis(self) -> int:
@@ -72,22 +85,33 @@ class PhysicalMesh:
         """Set the programmed (pre-offset) phases of one MZI."""
         self.programmed[index] = (theta, phi)
 
-    def _realized(self) -> MZIMesh:
-        mzis = []
-        for i, mzi in enumerate(self._structure.mzis):
-            theta = float(np.clip(
-                self.programmed[i, 0] + self._offsets.theta[i],
-                0.0, math.pi))
-            phi = self.programmed[i, 1] + self._offsets.phi[i]
-            mzis.append(MZIState(mzi.top_mode, theta, phi, mzi.column))
-        mesh = MZIMesh(n=self._structure.n, mzis=mzis)
-        mesh.output_phases = self._structure.output_phases.copy()
-        return mesh
+    def _phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """Realized ``(theta, phi)`` arrays: programmed plus offsets,
+        ``theta`` clipped to the physical range ``[0, pi]``."""
+        theta = np.clip(self.programmed[:, 0] + self._offsets.theta,
+                        0.0, math.pi)
+        phi = self.programmed[:, 1] + self._offsets.phi
+        return theta, phi
 
     def measure(self) -> np.ndarray:
-        """The physically realized transfer matrix (basis injections)."""
+        """The physically realized transfer matrix (basis injections).
+
+        The matrix is a pure function of the realized phases, so it is
+        memoized on their bytes; the key is recomputed on every call, so
+        any write to ``programmed`` or the offsets misses.  Every call
+        counts as a measurement and returns a fresh copy.
+        """
         self.measurements += 1
-        return self._realized().matrix()
+        theta, phi = self._phases()
+        key = theta.tobytes() + phi.tobytes()
+        memo = self._memo
+        if memo is None or memo[0] != key:
+            transfers = mzi_transfers(theta, phi)
+            plan = [(top, transfers[index]) for top, index in self._columns]
+            memo = (key, sweep_columns(self._structure.n, plan,
+                                       self._output_phases))
+            self._memo = memo
+        return memo[1].copy()
 
 
 def matrix_error(measured: np.ndarray, target: np.ndarray) -> float:
@@ -157,6 +181,15 @@ def self_configure(mesh: PhysicalMesh, target: np.ndarray,
     )
 
 
+def _decomposer(architecture: str | None):
+    """The decomposition of ``architecture`` (registry name; ``None`` =
+    Clements, on the direct path the golden pins were taken with)."""
+    if architecture is None or architecture == "clements":
+        return decompose
+    from repro.photonics.registry import make_mesh
+    return make_mesh(architecture).decompose
+
+
 def calibrate_by_decomposition(mesh: PhysicalMesh, target: np.ndarray,
                                iterations: int = 2,
                                architecture: str | None = None
@@ -179,11 +212,7 @@ def calibrate_by_decomposition(mesh: PhysicalMesh, target: np.ndarray,
     (Hamerly et al., reference [15]); :func:`self_configure` remains as
     the measurement-only fallback.
     """
-    if architecture is None or architecture == "clements":
-        decompose_fn = decompose
-    else:
-        from repro.photonics.registry import make_mesh
-        decompose_fn = make_mesh(architecture).decompose
+    decompose_fn = _decomposer(architecture)
     target = np.asarray(target, dtype=complex)
     ideal = decompose_fn(target)
     initial = matrix_error(mesh.measure(), target)
@@ -220,11 +249,7 @@ def calibrate_to(target: np.ndarray, offsets: PhaseOffsets,
     "descent" (generic coordinate descent); ``architecture`` selects the
     mesh arrangement (registry name; ``None`` = Clements).
     """
-    if architecture is None or architecture == "clements":
-        decompose_fn = decompose
-    else:
-        from repro.photonics.registry import make_mesh
-        decompose_fn = make_mesh(architecture).decompose
+    decompose_fn = _decomposer(architecture)
     mesh = PhysicalMesh(decompose_fn(np.asarray(target, dtype=complex)),
                         offsets)
     if method == "decomposition":

@@ -42,9 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.photonics.devices import MZIState, mzi_transfer
+from repro.photonics.devices import MZIState, mzi_transfer, mzi_transfers
 
 _NULL_TOL = 1e-12
+#: Row offsets of the two modes an MZI couples, ``(top, top + 1)``.
+_PAIR = np.array([0, 1], dtype=np.intp)
 
 
 class DecompositionError(ValueError):
@@ -54,8 +56,9 @@ class DecompositionError(ValueError):
 class _TrackedMZIList(list):
     """A list of MZI states that reports every mutation to its mesh.
 
-    The mesh caches derived structures (the columnized propagation plan,
-    the per-path hop matrix) that depend on the programmed phases.
+    The mesh caches derived structures (the column layout, the
+    columnized propagation plan, the per-path hop matrix) that depend on
+    the programmed MZI states.
     Phases only change by replacing frozen :class:`MZIState` entries —
     ``mesh.mzis[i] = state`` in the fabric and the fault injector — so
     intercepting list mutation is sufficient to invalidate on any phase
@@ -164,6 +167,7 @@ class MZIMesh:
             self._invalidate_caches()
 
     def _invalidate_caches(self) -> None:
+        object.__setattr__(self, "_columns", None)
         object.__setattr__(self, "_plan", None)
         object.__setattr__(self, "_hops", None)
 
@@ -178,6 +182,25 @@ class MZIMesh:
             return 0
         return 1 + max(mzi.column for mzi in self.mzis)
 
+    def _column_plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The structural plan: ``(top_modes, mzi_indices)`` per column.
+
+        Each entry names one mode-disjoint batch (a physical column) as
+        two ``(k,)`` index arrays.  It depends only on where the MZIs
+        sit, not on their phases.  Built lazily, cached until any write
+        to :attr:`mzis`.
+        """
+        columns = getattr(self, "_columns", None)
+        if columns is None:
+            columns = [
+                (np.array([self.mzis[i].top_mode for i in batch],
+                          dtype=np.intp),
+                 np.array(batch, dtype=np.intp))
+                for batch in _disjoint_batches(self.mzis, self.n)
+            ]
+            object.__setattr__(self, "_columns", columns)
+        return columns
+
     def _propagation_plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The columnized plan: ``(top_modes, transfers)`` per column.
 
@@ -188,12 +211,11 @@ class MZIMesh:
         """
         plan = getattr(self, "_plan", None)
         if plan is None:
-            plan = [
-                (np.fromiter((mzi.top_mode for mzi in group),
-                             dtype=np.intp, count=len(group)),
-                 np.stack([mzi.transfer for mzi in group]))
-                for group in _disjoint_batches(self.mzis, self.n)
-            ]
+            transfers = mzi_transfers(
+                np.array([mzi.theta for mzi in self.mzis], dtype=float),
+                np.array([mzi.phi for mzi in self.mzis], dtype=float))
+            plan = [(top, transfers[index])
+                    for top, index in self._column_plan()]
             object.__setattr__(self, "_plan", plan)
         return plan
 
@@ -205,13 +227,8 @@ class MZIMesh:
         the per-MZI reference loop (same 2x2 matmul kernel, same
         operand order along every mode).
         """
-        u = np.eye(self.n, dtype=complex)
-        for top, transfers in self._propagation_plan():
-            pairs = np.stack((u[top], u[top + 1]), axis=1)  # (k, 2, n)
-            mixed = np.matmul(transfers, pairs)
-            u[top] = mixed[:, 0]
-            u[top + 1] = mixed[:, 1]
-        return np.diag(self.output_phases) @ u
+        return sweep_columns(self.n, self._propagation_plan(),
+                             self.output_phases)
 
     def propagate(self, fields: np.ndarray) -> np.ndarray:
         """Propagate input E-fields through the mesh.
@@ -354,9 +371,24 @@ def _reference_trace_hops(mesh: MZIMesh) -> np.ndarray:
     return hops
 
 
-def _disjoint_batches(mzis: list[MZIState],
-                      n: int) -> list[list[MZIState]]:
-    """Group propagation-order MZIs into mode-disjoint batches.
+def sweep_columns(n: int, plan: list[tuple[np.ndarray, np.ndarray]],
+                  output_phases: np.ndarray) -> np.ndarray:
+    """The ``n x n`` matrix of a columnized plan and its phase screen.
+
+    Sweeps the identity through ``plan`` (``(top_modes, transfers)``
+    per column, as :meth:`MZIMesh._propagation_plan` builds it) with one
+    stacked 2x2 ``np.matmul`` per column.  :meth:`MZIMesh.matrix` and
+    :meth:`~repro.photonics.calibration.PhysicalMesh.measure` share it.
+    """
+    u = np.eye(n, dtype=complex)
+    for top, transfers in plan:
+        rows = top[:, np.newaxis] + _PAIR  # (k, 2): disjoint mode pairs
+        u[rows] = np.matmul(transfers, u[rows])  # (k, 2, n)
+    return np.diag(output_phases) @ u
+
+
+def _disjoint_batches(mzis: list[MZIState], n: int) -> list[list[int]]:
+    """Group propagation-order MZIs (by index) into mode-disjoint batches.
 
     Prefers the physical column assignment (:func:`_assign_columns`
     guarantees strictly increasing columns along every shared mode, so
@@ -367,26 +399,26 @@ def _disjoint_batches(mzis: list[MZIState],
     used in the current one.
     """
     last_col = [-1] * n
-    by_col: dict[int, list[MZIState]] = {}
-    for mzi in mzis:
+    by_col: dict[int, list[int]] = {}
+    for i, mzi in enumerate(mzis):
         col = mzi.column
         m = mzi.top_mode
         if col < 0 or col <= last_col[m] or col <= last_col[m + 1]:
             break  # inconsistent columns: fall back to segmentation
         last_col[m] = last_col[m + 1] = col
-        by_col.setdefault(col, []).append(mzi)
+        by_col.setdefault(col, []).append(i)
     else:
         return [by_col[col] for col in sorted(by_col)]
-    batches: list[list[MZIState]] = []
-    current: list[MZIState] = []
+    batches: list[list[int]] = []
+    current: list[int] = []
     used: set[int] = set()
-    for mzi in mzis:
+    for i, mzi in enumerate(mzis):
         m = mzi.top_mode
         if m in used or m + 1 in used:
             batches.append(current)
             current = []
             used = set()
-        current.append(mzi)
+        current.append(i)
         used.add(m)
         used.add(m + 1)
     if current:

@@ -60,6 +60,27 @@ def mzi_transfer(theta: float, phi: float = 0.0) -> np.ndarray:
     return pre * np.array([[ephi * s, c], [ephi * c, -s]], dtype=complex)
 
 
+def mzi_transfers(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Eq. 1 for many MZIs at once: the ``(m, 2, 2)`` stacked transfers.
+
+    ``theta`` and ``phi`` are ``(m,)`` arrays.  Each slice equals
+    :func:`mzi_transfer` (the scalar reference) byte for byte: the same
+    operations run in the same order, elementwise, and numpy's float64
+    ``sin``/``cos``/complex ``exp`` match ``math``/``cmath`` on the
+    tested hosts (``tests/test_devices.py`` holds the two together).
+    """
+    half = np.asarray(theta, dtype=float) / 2.0
+    s, c = np.sin(half), np.cos(half)
+    pre = 1j * np.exp(-1j * half)
+    ephi = np.exp(1j * np.asarray(phi, dtype=float))
+    inner = np.empty(half.shape + (2, 2), dtype=complex)
+    inner[:, 0, 0] = ephi * s
+    inner[:, 0, 1] = c
+    inner[:, 1, 0] = ephi * c
+    inner[:, 1, 1] = -s
+    return pre[:, np.newaxis, np.newaxis] * inner
+
+
 def is_cross(theta: float, tol: float = 1e-9) -> bool:
     """True if ``theta`` programs the cross state."""
     return abs(theta - CROSS_THETA) <= tol

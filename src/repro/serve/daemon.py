@@ -321,15 +321,14 @@ class ServeDaemon:
         self._c_completed: dict[str, object] = {}
         # The whole arrival schedule is drawn up front (the wheel) and
         # its admission verdicts replayed through ``self.admission``;
-        # the fleet-MVM flush and the healthy-mesh probe are memoized,
-        # and the loop fast-forwards provably idle cycles.
+        # the fleet-MVM flush is memoized, and the loop fast-forwards
+        # provably idle cycles.
         # ``tests/reference_serve.py`` holds the per-cycle loop every
         # artifact is byte-compared against.
         self._wheel = self.population.prebuild(config.duration)
         self._decisions = precompute_decisions(self._wheel,
                                                self.admission)
         self.control.mvm_memo_entries = max(8, 4 * config.tenants)
-        self.recovery.probe_memo = True
 
     # -- accounting --------------------------------------------------------
 

@@ -2,14 +2,14 @@
 
 :class:`PerCycleDaemon` keeps the per-cycle loop that
 :class:`repro.serve.daemon.ServeDaemon` replaced with a pre-drawn
-arrival wheel, a replayed admission schedule, two memos and an idle
-fast-forward.  It draws every cycle's arrivals live from a fresh
+arrival wheel, a replayed admission schedule, the fleet-MVM memo and an
+idle fast-forward.  It draws every cycle's arrivals live from a fresh
 :class:`ClientPopulation`, admits each one live through a fresh
-:class:`AdmissionController`, recomputes every fleet MVM flush and mesh
-probe, syncs the gauges every cycle and steps every cycle.  It is the
-oracle the single loop is held to, byte for byte (report, events,
-snapshots), by ``tests/test_serve_cluster.py``; it lives under
-``tests/`` so production code carries one serve loop only.
+:class:`AdmissionController`, recomputes every fleet MVM flush, syncs
+the gauges every cycle and steps every cycle.  It is the oracle the
+single loop is held to, byte for byte (report, events, snapshots), by
+``tests/test_serve_cluster.py``; it lives under ``tests/`` so production
+code carries one serve loop only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class PerCycleDaemon(ServeDaemon):
         self.admission = AdmissionController(
             config.admission_rate, config.admission_burst)
         self.control.mvm_memo_entries = 0
-        self.recovery.probe_memo = False
 
     def _arrivals(self, cycle: int):
         return [(arrival, self.admission.admit(arrival.tenant, cycle))

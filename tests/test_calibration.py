@@ -33,6 +33,20 @@ class TestPhysicalMesh:
         with pytest.raises(ValueError):
             PhysicalMesh(decompose(target()), PhaseOffsets.none(3))
 
+    @pytest.mark.parametrize("theta_shape, phi_shape", [
+        ((15,), (3,)),      # would fail only later, in measure()
+        ((15,), (40,)),     # the extra entries would be ignored
+        ((15,), (1,)),      # would broadcast over the whole mesh
+        ((1,), (15,)),
+        ((15, 1), (15,)),
+        ((15,), ()),
+    ])
+    def test_offset_shapes_checked(self, theta_shape, phi_shape):
+        offsets = PhaseOffsets(theta=np.zeros(theta_shape),
+                               phi=np.zeros(phi_shape))
+        with pytest.raises(ValueError, match="expected"):
+            PhysicalMesh(decompose(target()), offsets)
+
     def test_measurements_counted(self):
         mesh = PhysicalMesh(decompose(target()), PhaseOffsets.none(15))
         mesh.measure()

@@ -19,6 +19,7 @@ from repro.photonics.devices import (
     is_cross,
     mzi_insertion_loss_db,
     mzi_transfer,
+    mzi_transfers,
     splitter_tree_loss_db,
 )
 
@@ -61,6 +62,49 @@ class TestMZITransfer:
             [[np.exp(1j * phi) * np.sin(half), np.cos(half)],
              [np.exp(1j * phi) * np.cos(half), -np.sin(half)]])
         assert np.allclose(mzi_transfer(theta, phi), expected)
+
+
+class TestStackedTransfers:
+    """``mzi_transfers`` equals stacked ``mzi_transfer`` byte for byte."""
+
+    @staticmethod
+    def assert_bytes_equal(theta, phi):
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        reference = np.stack([mzi_transfer(t, p)
+                              for t, p in zip(theta.tolist(), phi.tolist())])
+        stacked = mzi_transfers(theta, phi)
+        assert stacked.shape == (len(theta), 2, 2)
+        assert stacked.tobytes() == reference.tobytes()
+
+    def test_random_phases(self):
+        rng = np.random.default_rng(2024)
+        self.assert_bytes_equal(rng.uniform(0.0, math.pi, 5000),
+                                rng.uniform(-4 * math.pi, 4 * math.pi, 5000))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 28])
+    def test_small_batches(self, m):
+        # Mesh-sized stacks take numpy's short-array paths.
+        rng = np.random.default_rng(m)
+        self.assert_bytes_equal(rng.uniform(0.0, math.pi, m),
+                                rng.uniform(-math.pi, 3 * math.pi, m))
+
+    def test_edges(self):
+        thetas = [0.0, -0.0, math.pi / 2, math.pi, CROSS_THETA, BAR_THETA,
+                  SPLIT_THETA, np.nextafter(0.0, 1.0),
+                  np.nextafter(math.pi, 0.0), 1e-300]
+        phis = [0.0, -0.0, math.pi / 2, math.pi, 2 * math.pi, -math.pi,
+                -1e-9, 7.0, 100.0, -100.0, 3 * math.pi]
+        theta, phi = np.meshgrid(thetas, phis)
+        self.assert_bytes_equal(theta.ravel(), phi.ravel())
+
+    def test_clipped_range(self):
+        # The physical clip bounds calibration applies before Eq. 1.
+        raw = np.linspace(-1.0, math.pi + 1.0, 41)
+        self.assert_bytes_equal(np.clip(raw, 0.0, math.pi), raw)
+
+    def test_empty(self):
+        assert mzi_transfers(np.zeros(0), np.zeros(0)).shape == (0, 2, 2)
 
 
 class TestMZIState:
