@@ -13,9 +13,13 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.draws import DrawReplay, ScalarDraws
 from repro.noc.packet import Packet
 
-PatternFn = Callable[[int, np.random.Generator], int]
+#: ``pick(src, rng) -> dst``.  A pattern may call only ``rng.random()``
+#: and ``rng.integers(low, high)``: those are the draws
+#: :class:`~repro.draws.DrawReplay` reproduces.
+PatternFn = Callable[[int, ScalarDraws], int]
 
 
 def _address_bits(nodes: int) -> int:
@@ -29,7 +33,7 @@ def _address_bits(nodes: int) -> int:
 def uniform(nodes: int) -> PatternFn:
     """Uniform random: every other node equally likely."""
 
-    def pick(src: int, rng: np.random.Generator) -> int:
+    def pick(src: int, rng: ScalarDraws) -> int:
         dst = int(rng.integers(0, nodes - 1))
         return dst if dst < src else dst + 1
 
@@ -40,7 +44,7 @@ def bit_reversal(nodes: int) -> PatternFn:
     """Destination address is the bit-reversed source address."""
     bits = _address_bits(nodes)
 
-    def pick(src: int, rng: np.random.Generator) -> int:
+    def pick(src: int, rng: ScalarDraws) -> int:
         out = 0
         for b in range(bits):
             if src & (1 << b):
@@ -54,7 +58,7 @@ def shuffle(nodes: int) -> PatternFn:
     """Perfect shuffle: rotate the address left by one bit."""
     bits = _address_bits(nodes)
 
-    def pick(src: int, rng: np.random.Generator) -> int:
+    def pick(src: int, rng: ScalarDraws) -> int:
         return ((src << 1) | (src >> (bits - 1))) & (nodes - 1)
 
     return pick
@@ -65,7 +69,7 @@ def transpose(nodes: int) -> PatternFn:
     bits = _address_bits(nodes)
     half = bits // 2
 
-    def pick(src: int, rng: np.random.Generator) -> int:
+    def pick(src: int, rng: ScalarDraws) -> int:
         low = src & ((1 << half) - 1)
         high = src >> half
         return (low << (bits - half)) | high
@@ -77,7 +81,7 @@ def bit_complement(nodes: int) -> PatternFn:
     """Complement every address bit."""
     _address_bits(nodes)
 
-    def pick(src: int, rng: np.random.Generator) -> int:
+    def pick(src: int, rng: ScalarDraws) -> int:
         return (~src) & (nodes - 1)
 
     return pick
@@ -86,7 +90,7 @@ def bit_complement(nodes: int) -> PatternFn:
 def neighbor(nodes: int) -> PatternFn:
     """Send to the next node, modulo the network size."""
 
-    def pick(src: int, rng: np.random.Generator) -> int:
+    def pick(src: int, rng: ScalarDraws) -> int:
         return (src + 1) % nodes
 
     return pick
@@ -97,7 +101,7 @@ def tornado(nodes: int) -> PatternFn:
 
     offset = (nodes + 1) // 2 - 1
 
-    def pick(src: int, rng: np.random.Generator) -> int:
+    def pick(src: int, rng: ScalarDraws) -> int:
         dst = (src + offset) % nodes
         return dst if dst != src else (src + 1) % nodes
 
@@ -108,7 +112,7 @@ def hotspot(nodes: int, hot: int = 0, fraction: float = 0.3) -> PatternFn:
     """Send ``fraction`` of traffic to one hot node, the rest uniformly."""
     background = uniform(nodes)
 
-    def pick(src: int, rng: np.random.Generator) -> int:
+    def pick(src: int, rng: ScalarDraws) -> int:
         if src != hot and rng.random() < fraction:
             return hot
         return background(src, rng)
@@ -142,11 +146,22 @@ class TrafficGenerator:
     ``load`` is the offered load in flits per node per cycle; each cycle
     each node independently creates a packet with probability
     ``load / packet_size``.
+
+    The stream is the one scalar numpy draws give: per cycle, per node in
+    order, one ``rng.random()`` against that probability, then the
+    pattern's own draws on a hit.  ``rng`` is a
+    :class:`~repro.draws.DrawReplay`, which reproduces those draws over
+    bulk PCG64 words, so a pattern may call only ``random()`` and
+    ``integers(low, high)`` on it.  Each chunk's hit words are found in
+    one numpy test (``(w >> 11) < prob * 2**53``, exact because the
+    multiplication is by a power of two) and a cycle walks only those.
     """
 
     def __init__(self, nodes: int, pattern: str | PatternFn,
                  load: float, packet_size: int = 4,
                  seed: int = 1) -> None:
+        if nodes < 2:
+            raise ValueError(f"need >= 2 nodes, got {nodes}")
         if not 0.0 <= load <= 1.0:
             raise ValueError(f"load must be in [0, 1], got {load}")
         if packet_size < 1:
@@ -156,23 +171,51 @@ class TrafficGenerator:
                         if isinstance(pattern, str) else pattern)
         self.load = load
         self.packet_size = packet_size
-        self.rng = np.random.default_rng(seed)
+        self.rng = DrawReplay(np.random.default_rng(seed))
         self.generated = 0
+        # A word w is a hit when random() = (w >> 11) * 2**-53 < prob.
+        self._hit_below = math.ceil(load / packet_size * 2.0 ** 53)
+        self._hits_of = self.rng.chunk
+        self._hits: list[int] = []
+        self._next_hit = 0
 
     def packets_for_cycle(self, cycle: int) -> list[Packet]:
         """Packets created this cycle (possibly empty)."""
-        prob = self.load / self.packet_size
+        rng = self.rng
+        nodes = self.nodes
         created: list[Packet] = []
-        for src in range(self.nodes):
-            if self.rng.random() >= prob:
+        src = 0
+        while src < nodes:
+            pos = rng.pos
+            if pos == len(rng.chunk):
+                rng.refill()
+                pos = 0
+            if rng.chunk is not self._hits_of:  # refilled, maybe by a pattern
+                self._hits_of = rng.chunk
+                self._hits = np.flatnonzero(
+                    (rng.chunk >> 11) < self._hit_below).tolist()
+                self._next_hit = 0
+            hits = self._hits
+            i = self._next_hit
+            while i < len(hits) and hits[i] < pos:  # a pattern drew them
+                i += 1
+            end = min(pos + nodes - src, len(rng.chunk))
+            if i == len(hits) or hits[i] >= end:
+                src += end - pos
+                rng.pos = end
+                self._next_hit = i
                 continue
-            dst = self.pattern(src, self.rng)
-            if dst == src:  # self-traffic is dropped, as in Booksim
-                continue
-            created.append(Packet(src=src, dst=dst,
-                                  size_flits=self.packet_size,
-                                  create_cycle=cycle))
-            self.generated += 1
+            hit = hits[i]
+            src += hit - pos
+            rng.pos = hit + 1
+            self._next_hit = i + 1
+            dst = self.pattern(src, rng)
+            if dst != src:  # self-traffic is dropped, as in Booksim
+                created.append(Packet(src=src, dst=dst,
+                                      size_flits=self.packet_size,
+                                      create_cycle=cycle))
+                self.generated += 1
+            src += 1
         return created
 
 

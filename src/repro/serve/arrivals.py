@@ -142,8 +142,8 @@ class ClientPopulation:
                  mvm_fraction: float, nodes: int, seed: int) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
-        if rate < 0.0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+        if not (math.isfinite(rate) and rate >= 0.0):
+            raise ValueError(f"rate must be finite and >= 0, got {rate}")
         if not 0.0 <= mvm_fraction <= 1.0:
             raise ValueError(
                 f"mvm_fraction must be in [0, 1], got {mvm_fraction}")

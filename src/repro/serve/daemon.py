@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -79,7 +80,7 @@ LATENCY_BOUNDS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
 _FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "batch_size": (lambda v: v >= 1, ">= 1"),
     "batch_window": (lambda v: v >= 1, ">= 1"),
-    "rate": (lambda v: v >= 0.0, ">= 0"),
+    "rate": (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
     "mvm_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "admission_rate": (lambda v: v > 0.0, "> 0"),
     "admission_burst": (lambda v: v >= 1.0, ">= 1"),

@@ -130,6 +130,11 @@ class TestTrafficGenerator:
         with pytest.raises(ValueError):
             TrafficGenerator(8, "uniform", load=0.5, packet_size=0)
 
+    @pytest.mark.parametrize("nodes", [1, 0])
+    def test_rejects_fewer_than_two_nodes(self, nodes):
+        with pytest.raises(ValueError, match="need >= 2 nodes"):
+            TrafficGenerator(nodes, "uniform", 1.0, packet_size=1)
+
     def test_deterministic_with_seed(self):
         a = TrafficGenerator(8, "uniform", 0.3, seed=9)
         b = TrafficGenerator(8, "uniform", 0.3, seed=9)

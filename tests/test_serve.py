@@ -9,6 +9,7 @@ shed or reroute in-flight work without dropping admitted requests.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,13 @@ class TestArrivals:
                       if r.tenant == "a"]
             assert only_a == small.requests_for_cycle(cycle)
 
+    @pytest.mark.parametrize("rate", [-0.1, math.inf, math.nan])
+    def test_population_rejects_bad_rate_at_construction(self, rate):
+        with pytest.raises(ValueError, match="rate must be finite"):
+            ClientPopulation(tenants=("a",),
+                             process=ARRIVALS.get("poisson")(),
+                             rate=rate, mvm_fraction=0.5, nodes=8, seed=3)
+
 
 # ---------------------------------------------------------------------------
 # Admission control
@@ -151,6 +159,8 @@ class TestAdmission:
 class TestServeConfig:
     @pytest.mark.parametrize("field,value", [
         ("rate", -0.1),
+        ("rate", math.inf),
+        ("rate", math.nan),
         ("mvm_fraction", -0.01),
         ("mvm_fraction", 1.5),
         ("admission_rate", 0.0),
