@@ -156,8 +156,8 @@ def _bench_mesh_depth(architecture: str, n: int, small: bool) -> dict:
     reps = 2 if small else 6
     dec_s = _time_calls(lambda: arch.decompose(u), reps)
     mesh = arch.decompose(u)
-    arch.propagate(mesh, fields)  # warm the propagation plan
-    prop_s = _time_calls(lambda: arch.propagate(mesh, fields),
+    mesh.propagate(fields)  # warm the propagation plan
+    prop_s = _time_calls(lambda: mesh.propagate(fields),
                          reps * 10)
     return {
         "wall_s": dec_s * reps,
@@ -169,8 +169,8 @@ def _bench_mesh_depth(architecture: str, n: int, small: bool) -> dict:
                  "device_count": arch.device_count(n),
                  "passes": arch.passes(n)},
         "digest": _digest_array(np.concatenate([
-            arch.matrix(mesh).ravel(),
-            arch.propagate(mesh, fields).ravel()])),
+            mesh.matrix().ravel(),
+            mesh.propagate(fields).ravel()])),
     }
 
 

@@ -298,7 +298,7 @@ def mesh_comparison(params: dict, seed: int) -> dict:
     mesh = arch.decompose(target)
     fields = np.eye(ports, dtype=complex)[:, 0]
     propagate_error = float(np.linalg.norm(
-        arch.propagate(mesh, fields) - target @ fields))
+        mesh.propagate(fields) - target @ fields))
 
     drifted = FaultyMesh(arch.decompose(target), architecture=arch)
     drifted.drift(drift_sigma,
@@ -324,7 +324,7 @@ def mesh_comparison(params: dict, seed: int) -> dict:
         "passes": float(arch.passes(ports)),
         "svd_mzi_count": float(model.svd_mzi_count(ports)),
         "svd_mesh_columns": float(model.mesh_columns(ports)),
-        "decomposition_error": matrix_error(arch.matrix(mesh), target),
+        "decomposition_error": matrix_error(mesh.matrix(), target),
         "propagate_error": propagate_error,
         "drift_error": drift_error,
         "recalibrated_error": recal.final_error,

@@ -9,36 +9,15 @@ from collections.abc import Sequence
 import numpy as np
 
 
-def rr_pick(lines: np.ndarray, last: int, n: int) -> int:
-    """Round-robin winner among sparse request ``lines``.
+def rr_sparse(lines, last: int, n: int) -> int:
+    """Round-robin winner among sparse request line indices.
 
     Equivalent to :meth:`RoundRobinArbiter.grant` over a dense request
-    vector with exactly ``lines`` set: the winner is the line with the
-    smallest rotation distance ``(line - last - 1) mod n`` from the
-    previous grant.
+    vector with exactly ``lines`` set: the scan from ``last + 1`` hits
+    first the line minimizing ``(line - last - 1) mod n`` (distances
+    are distinct per line, so the minimum is unique).
     """
-    best = lines[0]
-    best_key = (best - last - 1) % n
-    for i in range(1, lines.shape[0]):
-        key = (lines[i] - last - 1) % n
-        if key < best_key:
-            best_key = key
-            best = lines[i]
-    return int(best)
-
-
-def wavefront_ranks(rows: np.ndarray, cols: np.ndarray,
-                    priority: int, n: int) -> np.ndarray:
-    """Wave index of each sparse request cell under ``priority``.
-
-    :meth:`WavefrontArbiter.allocate` visits cell ``(i, j)`` during wave
-    ``((i + j) - priority) mod n``; sorting sparse requests by
-    ``(rank, i)`` reproduces the dense scan order exactly.
-    """
-    out = np.empty(rows.shape[0], dtype=np.int64)
-    for k in range(rows.shape[0]):
-        out[k] = ((rows[k] + cols[k]) - priority) % n
-    return out
+    return min(lines, key=lambda line: (line - last - 1) % n)
 
 
 class RoundRobinArbiter:
@@ -68,19 +47,11 @@ class RoundRobinArbiter:
         """Grant among a sparse list of requesting line indices.
 
         Equivalent to :meth:`grant` over a dense vector with exactly
-        ``lines`` set: the scan from ``_last + 1`` finds the line with
-        the smallest rotation distance ``(line - last - 1) mod n``.
-        Distances are distinct per line, so the minimum is unique.
+        ``lines`` set (see :func:`rr_sparse`).
         """
         if not len(lines):
             return None
-        if len(lines) > 8:
-            idx = rr_pick(np.asarray(lines, dtype=np.int64),
-                          self._last, self.n)
-        else:
-            last, n = self._last, self.n
-            idx = min(lines, key=lambda line: (line - last - 1) % n)
-        self._last = idx
+        self._last = idx = rr_sparse(lines, self._last, self.n)
         return idx
 
 
@@ -144,22 +115,9 @@ class WavefrontArbiter:
         the same matching, grant order included.  Cost is
         ``O(k log k)`` in the request count instead of ``O(n^2)``.
         """
-        if not pairs:
-            self._priority = (self._priority + 1) % self.n
-            return []
-        if len(pairs) > 16:
-            rows = np.fromiter((i for i, _ in pairs), dtype=np.int64,
-                               count=len(pairs))
-            cols = np.fromiter((j for _, j in pairs), dtype=np.int64,
-                               count=len(pairs))
-            ranks = wavefront_ranks(rows, cols, self._priority, self.n)
-            order = sorted(range(len(pairs)),
-                           key=lambda k: (ranks[k], pairs[k][0]))
-            ordered = [pairs[k] for k in order]
-        else:
-            prio, n = self._priority, self.n
-            ordered = sorted(
-                pairs, key=lambda ij: (((ij[0] + ij[1]) - prio) % n, ij[0]))
+        prio, n = self._priority, self.n
+        ordered = sorted(
+            pairs, key=lambda ij: (((ij[0] + ij[1]) - prio) % n, ij[0]))
         row_used: set[int] = set()
         col_used: set[int] = set()
         grants: list[tuple[int, int]] = []

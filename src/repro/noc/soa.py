@@ -76,7 +76,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.noc.arbiter import WavefrontArbiter
+from repro.noc.arbiter import WavefrontArbiter, rr_sparse
 from repro.noc.kernel import SimKernel
 from repro.noc.packet import Flit, Packet
 from repro.noc.topology import LOCAL_PORT, Topology, check_router_geometry
@@ -152,16 +152,6 @@ class _Period:
                            for index, value in log.reads.items())
         #: Per arbiter array: ``(slot, value)`` per slot written.
         self.writes = tuple(tuple(log.writes.items()) for log in logs)
-
-
-def _rr_sparse(lines, last: int, n: int) -> int:
-    """Round-robin winner among sparse request line indices.
-
-    The oracle scans from ``last + 1``; the first requesting line hit is
-    the one minimizing ``(line - last - 1) mod n`` (distances are
-    distinct per line, so the minimum is unique).
-    """
-    return min(lines, key=lambda line: (line - last - 1) % n)
 
 
 class SoANetwork(SimKernel):
@@ -586,7 +576,7 @@ class SoANetwork(SimKernel):
             if len(lines) == 1:
                 winner = lines[0]
             else:
-                winner = _rr_sparse(lines, self.vc_last[out_key], PV)
+                winner = rr_sparse(lines, self.vc_last[out_key], PV)
             # The arbiter rotates on every grant, even one discarded
             # below because the input already won another VC this cycle.
             self.vc_last[out_key] = winner
@@ -624,7 +614,7 @@ class SoANetwork(SimKernel):
             if len(ready) == 1:
                 best_v = ready[0]
             else:
-                best_v = _rr_sparse(ready, sw_in_last[rp_base + p], V)
+                best_v = rr_sparse(ready, sw_in_last[rp_base + p], V)
             sw_in_last[rp_base + p] = best_v
             nominated.append(p * V + best_v)
         if not nominated:
@@ -645,7 +635,7 @@ class SoANetwork(SimKernel):
             if len(lines) == 1:
                 w = lines[0]
             else:
-                w = _rr_sparse(lines, sw_out_last[rp_base + op], PV)
+                w = rr_sparse(lines, sw_out_last[rp_base + op], PV)
             sw_out_last[rp_base + op] = w
             busy += self._traverse(router, w // V, w % V, credits_back)
         return busy
@@ -1193,8 +1183,8 @@ class SoAOptBusNetwork(SimKernel):
                 if len(srcs) == 1:
                     winner = srcs[0]
                 else:
-                    winner = _rr_sparse(srcs, self._bus_last[bus],
-                                        self.nodes)
+                    winner = rr_sparse(srcs, self._bus_last[bus],
+                                       self.nodes)
                 self._bus_last[bus] = winner
                 packet = self.source_queues[winner].popleft()
                 if not self.source_queues[winner]:

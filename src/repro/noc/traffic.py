@@ -110,6 +110,10 @@ def tornado(nodes: int) -> PatternFn:
 
 def hotspot(nodes: int, hot: int = 0, fraction: float = 0.3) -> PatternFn:
     """Send ``fraction`` of traffic to one hot node, the rest uniformly."""
+    if not 0 <= hot < nodes:
+        raise ValueError(f"hot node must be in [0, {nodes}), got {hot}")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     background = uniform(nodes)
 
     def pick(src: int, rng: ScalarDraws) -> int:

@@ -1,6 +1,6 @@
 """Stacked MVM dispatch: many meshes, one batched ``(B, k, 2, 2)`` kernel.
 
-The columnized propagation plan (:meth:`MZIMesh._propagation_plan`)
+The columnized propagation plan (:attr:`MZIMesh._propagation_plan`)
 already batches the 2x2 transfers of one physical column into a
 ``(k, 2, 2)`` stack.  This module adds the *fleet* dimension on top:
 ``B`` meshes whose MZIs sit at the same physical positions — always true
@@ -59,7 +59,7 @@ def plan_signature(mesh: MZIMesh) -> tuple:
     matrices, not the signature.
     """
     return (mesh.n,
-            tuple(top.tobytes() for top, _ in mesh._propagation_plan()))
+            tuple(top.tobytes() for top, _ in mesh._propagation_plan))
 
 
 def stack_meshes(meshes: Sequence[MZIMesh]):
@@ -70,7 +70,7 @@ def stack_meshes(meshes: Sequence[MZIMesh]):
     ``phases`` is the ``(B, n, 1)`` output phase screen — or ``None``
     when the layouts disagree and stacking is impossible.
     """
-    plans = [m._propagation_plan() for m in meshes]
+    plans = [m._propagation_plan for m in meshes]
     base = plans[0]
     for other in plans[1:]:
         if len(other) != len(base):

@@ -28,7 +28,8 @@ from repro.photonics.clements import MZIMesh, decompose
 from repro.photonics.devices import MZIState
 
 
-def _assign_brick_columns(mzis: list[MZIState], n: int) -> list[MZIState]:
+def _assign_brick_columns(mzis: tuple[MZIState, ...],
+                          n: int) -> list[MZIState]:
     """Greedily pack MZIs into parity-constrained virtual columns.
 
     Same greedy scheme as :func:`repro.photonics.clements._assign_columns`
@@ -58,8 +59,8 @@ def decompose_bricks(unitary: np.ndarray, tol: float = 1e-9) -> MZIMesh:
     numerically bit-identical.
     """
     mesh = decompose(unitary, tol)
-    mesh.mzis = _assign_brick_columns(list(mesh.mzis), mesh.n)
-    return mesh
+    return MZIMesh(n=mesh.n, mzis=_assign_brick_columns(mesh.mzis, mesh.n),
+                   output_phases=mesh.output_phases)
 
 
 def bricks_depth(n: int) -> int:

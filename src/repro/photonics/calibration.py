@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from repro.photonics.clements import MZIMesh, decompose, sweep_columns
+from repro.photonics.clements import MZIMesh, sweep_columns
 from repro.photonics.devices import mzi_transfers
+from repro.photonics.registry import decomposer
 
 
 @dataclass
@@ -54,8 +55,8 @@ class PhysicalMesh:
     :meth:`program` — never read the offsets.
 
     The structure (which modes each MZI couples, in which column) and the
-    output phase screen are fixed at fabrication: both are taken from
-    ``ideal`` here, once.
+    output phase screen are fixed at fabrication: both are read from
+    ``ideal``, an immutable mesh.
     """
 
     def __init__(self, ideal: MZIMesh, offsets: PhaseOffsets) -> None:
@@ -68,8 +69,7 @@ class PhysicalMesh:
                     f"{expected} (one per MZI)")
         self._structure = ideal
         self._offsets = offsets
-        self._columns = ideal._column_plan()
-        self._output_phases = ideal.output_phases.copy()
+        self._columns = ideal._column_plan
         self.programmed = np.array(
             [[mzi.theta, mzi.phi] for mzi in ideal.mzis], dtype=float
         ).reshape(ideal.num_mzis, 2)
@@ -109,7 +109,7 @@ class PhysicalMesh:
             transfers = mzi_transfers(theta, phi)
             plan = [(top, transfers[index]) for top, index in self._columns]
             memo = (key, sweep_columns(self._structure.n, plan,
-                                       self._output_phases))
+                                       self._structure.output_phases))
             self._memo = memo
         return memo[1].copy()
 
@@ -181,15 +181,6 @@ def self_configure(mesh: PhysicalMesh, target: np.ndarray,
     )
 
 
-def _decomposer(architecture: str | None):
-    """The decomposition of ``architecture`` (registry name; ``None`` =
-    Clements, on the direct path the golden pins were taken with)."""
-    if architecture is None or architecture == "clements":
-        return decompose
-    from repro.photonics.registry import make_mesh
-    return make_mesh(architecture).decompose
-
-
 def calibrate_by_decomposition(mesh: PhysicalMesh, target: np.ndarray,
                                iterations: int = 2,
                                architecture: str | None = None
@@ -212,7 +203,7 @@ def calibrate_by_decomposition(mesh: PhysicalMesh, target: np.ndarray,
     (Hamerly et al., reference [15]); :func:`self_configure` remains as
     the measurement-only fallback.
     """
-    decompose_fn = _decomposer(architecture)
+    decompose_fn = decomposer(architecture)
     target = np.asarray(target, dtype=complex)
     ideal = decompose_fn(target)
     initial = matrix_error(mesh.measure(), target)
@@ -249,7 +240,7 @@ def calibrate_to(target: np.ndarray, offsets: PhaseOffsets,
     "descent" (generic coordinate descent); ``architecture`` selects the
     mesh arrangement (registry name; ``None`` = Clements).
     """
-    decompose_fn = _decomposer(architecture)
+    decompose_fn = decomposer(architecture)
     mesh = PhysicalMesh(decompose_fn(np.asarray(target, dtype=complex)),
                         offsets)
     if method == "decomposition":

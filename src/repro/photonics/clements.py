@@ -6,8 +6,9 @@ single column of output phase shifters (Clements et al., *Optica* 2016 —
 reference [10] of the paper).  This module implements:
 
 * :func:`decompose` — factor a unitary into an :class:`MZIMesh` program,
-* :class:`MZIMesh` — the program: MZI states in propagation order plus the
-  output phase screen, with physical column assignment,
+* :class:`MZIMesh` — the program, an immutable value: MZI states in
+  propagation order plus the output phase screen, with physical column
+  assignment,
 * :meth:`MZIMesh.matrix` — exact reconstruction (used by tests to verify the
   factorization to machine precision),
 * :meth:`MZIMesh.propagate` — forward E-field propagation of input vectors,
@@ -38,7 +39,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,84 +55,9 @@ class DecompositionError(ValueError):
     """Raised when the input matrix is not (numerically) unitary."""
 
 
-class _TrackedMZIList(list):
-    """A list of MZI states that reports every mutation to its mesh.
-
-    The mesh caches derived structures (the column layout, the
-    columnized propagation plan, the per-path hop matrix) that depend on
-    the programmed MZI states.
-    Phases only change by replacing frozen :class:`MZIState` entries —
-    ``mesh.mzis[i] = state`` in the fabric and the fault injector — so
-    intercepting list mutation is sufficient to invalidate on any phase
-    write.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, iterable=(), owner=None):
-        super().__init__(iterable)
-        self._owner = owner
-
-    def _touch(self) -> None:
-        owner = self._owner
-        if owner is not None:
-            owner._invalidate_caches()
-
-    def __setitem__(self, index, value):
-        super().__setitem__(index, value)
-        self._touch()
-
-    def __delitem__(self, index):
-        super().__delitem__(index)
-        self._touch()
-
-    def __iadd__(self, other):
-        result = super().__iadd__(other)
-        self._touch()
-        return result
-
-    def __imul__(self, factor):
-        result = super().__imul__(factor)
-        self._touch()
-        return result
-
-    def append(self, value):
-        super().append(value)
-        self._touch()
-
-    def extend(self, iterable):
-        super().extend(iterable)
-        self._touch()
-
-    def insert(self, index, value):
-        super().insert(index, value)
-        self._touch()
-
-    def pop(self, index=-1):
-        value = super().pop(index)
-        self._touch()
-        return value
-
-    def remove(self, value):
-        super().remove(value)
-        self._touch()
-
-    def clear(self):
-        super().clear()
-        self._touch()
-
-    def sort(self, **kwargs):
-        super().sort(**kwargs)
-        self._touch()
-
-    def reverse(self):
-        super().reverse()
-        self._touch()
-
-
-@dataclass
+@dataclass(frozen=True)
 class MZIMesh:
-    """A programmed rectangular MZI mesh.
+    """A programmed rectangular MZI mesh: an immutable value.
 
     Attributes
     ----------
@@ -138,38 +65,28 @@ class MZIMesh:
         Number of optical modes (mesh ports).
     mzis:
         MZI states in *propagation order*: ``mzis[0]`` is in the first
-        column light encounters.
+        column light encounters.  Stored as a tuple.
     output_phases:
         Complex unit phasors applied at the ``n`` outputs (the Clements
-        phase screen).
+        phase screen).  Stored as a read-only copy; ``None`` means all
+        ones.
+
+    A mesh is never written after construction: a different program is
+    a new mesh.  So the column plan, the propagation plan and the hop
+    matrix are each built at most once per mesh and never invalidated.
     """
 
     n: int
-    mzis: list[MZIState] = field(default_factory=list)
+    mzis: tuple[MZIState, ...] = ()
     output_phases: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.output_phases is None:
-            self.output_phases = np.ones(self.n, dtype=complex)
-
-    def __setattr__(self, name, value) -> None:
-        # ``mzis`` is wrapped so in-place phase writes (``mesh.mzis[i] =
-        # state`` in the fabric and the fault injector) invalidate the
-        # cached propagation plan and hop matrix; wholesale reassignment
-        # (``mesh.mzis = _assign_columns(...)`` in reck.py) re-wraps and
-        # invalidates too.  ``output_phases`` needs no invalidation: the
-        # plan and the hop trace never capture it — it is read at call
-        # time.
-        if name == "mzis":
-            value = _TrackedMZIList(value, owner=self)
-        object.__setattr__(self, name, value)
-        if name == "mzis":
-            self._invalidate_caches()
-
-    def _invalidate_caches(self) -> None:
-        object.__setattr__(self, "_columns", None)
-        object.__setattr__(self, "_plan", None)
-        object.__setattr__(self, "_hops", None)
+        phases = (np.ones(self.n, dtype=complex)
+                  if self.output_phases is None
+                  else np.array(self.output_phases, dtype=complex))
+        phases.setflags(write=False)
+        object.__setattr__(self, "mzis", tuple(self.mzis))
+        object.__setattr__(self, "output_phases", phases)
 
     @property
     def num_mzis(self) -> int:
@@ -182,42 +99,34 @@ class MZIMesh:
             return 0
         return 1 + max(mzi.column for mzi in self.mzis)
 
+    @cached_property
     def _column_plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The structural plan: ``(top_modes, mzi_indices)`` per column.
 
         Each entry names one mode-disjoint batch (a physical column) as
         two ``(k,)`` index arrays.  It depends only on where the MZIs
-        sit, not on their phases.  Built lazily, cached until any write
-        to :attr:`mzis`.
+        sit, not on their phases.
         """
-        columns = getattr(self, "_columns", None)
-        if columns is None:
-            columns = [
-                (np.array([self.mzis[i].top_mode for i in batch],
-                          dtype=np.intp),
-                 np.array(batch, dtype=np.intp))
-                for batch in _disjoint_batches(self.mzis, self.n)
-            ]
-            object.__setattr__(self, "_columns", columns)
-        return columns
+        return [
+            (np.array([self.mzis[i].top_mode for i in batch],
+                      dtype=np.intp),
+             np.array(batch, dtype=np.intp))
+            for batch in _disjoint_batches(self.mzis, self.n)
+        ]
 
+    @cached_property
     def _propagation_plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The columnized plan: ``(top_modes, transfers)`` per column.
 
         Each entry batches the 2x2 transfers of one physical column —
         pairwise-disjoint mode pairs, so they apply in any order — as a
         ``(k,)`` index array and a ``(k, 2, 2)`` stacked transfer array.
-        Built lazily, cached until any phase write.
         """
-        plan = getattr(self, "_plan", None)
-        if plan is None:
-            transfers = mzi_transfers(
-                np.array([mzi.theta for mzi in self.mzis], dtype=float),
-                np.array([mzi.phi for mzi in self.mzis], dtype=float))
-            plan = [(top, transfers[index])
-                    for top, index in self._column_plan()]
-            object.__setattr__(self, "_plan", plan)
-        return plan
+        transfers = mzi_transfers(
+            np.array([mzi.theta for mzi in self.mzis], dtype=float),
+            np.array([mzi.phi for mzi in self.mzis], dtype=float))
+        return [(top, transfers[index])
+                for top, index in self._column_plan]
 
     def matrix(self) -> np.ndarray:
         """Reconstruct the implemented unitary exactly.
@@ -227,7 +136,7 @@ class MZIMesh:
         the per-MZI reference loop (same 2x2 matmul kernel, same
         operand order along every mode).
         """
-        return sweep_columns(self.n, self._propagation_plan(),
+        return sweep_columns(self.n, self._propagation_plan,
                              self.output_phases)
 
     def propagate(self, fields: np.ndarray) -> np.ndarray:
@@ -249,7 +158,7 @@ class MZIMesh:
             raise ValueError(
                 f"expected leading dimension {self.n}, got {out.shape[0]}")
         vector = out.ndim == 1
-        for top, transfers in self._propagation_plan():
+        for top, transfers in self._propagation_plan:
             if vector:
                 pairs = np.stack((out[top], out[top + 1]), axis=1)[..., None]
                 mixed = np.matmul(transfers, pairs)[..., 0]  # (k, 2)
@@ -292,15 +201,16 @@ class MZIMesh:
         count is the worst (deepest) branch.  Used for per-path loss
         accounting (Section 5.2).
 
-        The result is memoized until the next phase write (the fabric
-        asks three times per reconfiguration) and returned as a shared
-        read-only array — copy before mutating.
+        Built once per mesh (the fabric asks three times per
+        reconfiguration) and returned as a shared read-only array — copy
+        before mutating.
         """
-        hops = getattr(self, "_hops", None)
-        if hops is None:
-            hops = _trace_hops(self)
-            hops.setflags(write=False)
-            object.__setattr__(self, "_hops", hops)
+        return self._hops
+
+    @cached_property
+    def _hops(self) -> np.ndarray:
+        hops = _trace_hops(self)
+        hops.setflags(write=False)
         return hops
 
     def column_of(self, index: int) -> int:
@@ -376,7 +286,7 @@ def sweep_columns(n: int, plan: list[tuple[np.ndarray, np.ndarray]],
     """The ``n x n`` matrix of a columnized plan and its phase screen.
 
     Sweeps the identity through ``plan`` (``(top_modes, transfers)``
-    per column, as :meth:`MZIMesh._propagation_plan` builds it) with one
+    per column, as :attr:`MZIMesh._propagation_plan` holds it) with one
     stacked 2x2 ``np.matmul`` per column.  :meth:`MZIMesh.matrix` and
     :meth:`~repro.photonics.calibration.PhysicalMesh.measure` share it.
     """
@@ -387,7 +297,7 @@ def sweep_columns(n: int, plan: list[tuple[np.ndarray, np.ndarray]],
     return np.diag(output_phases) @ u
 
 
-def _disjoint_batches(mzis: list[MZIState], n: int) -> list[list[int]]:
+def _disjoint_batches(mzis: tuple[MZIState, ...], n: int) -> list[list[int]]:
     """Group propagation-order MZIs (by index) into mode-disjoint batches.
 
     Prefers the physical column assignment (:func:`_assign_columns`
@@ -495,9 +405,7 @@ def decompose(unitary: np.ndarray, tol: float = 1e-9) -> MZIMesh:
         raise DecompositionError("input matrix is not unitary")
     n = u.shape[0]
     if n == 1:
-        mesh = MZIMesh(n=1)
-        mesh.output_phases = np.array([u[0, 0]], dtype=complex)
-        return mesh
+        return MZIMesh(n=1, output_phases=u[0])
 
     left_ops: list[tuple[int, float, float]] = []   # (mode, theta, phi)
     right_ops: list[tuple[int, float, float]] = []
@@ -545,9 +453,8 @@ def decompose(unitary: np.ndarray, tol: float = 1e-9) -> MZIMesh:
     factor_order = commuted + list(reversed(right_ops))
     propagation = [MZIState(m, theta, phi)
                    for m, theta, phi in reversed(factor_order)]
-    mesh = MZIMesh(n=n, mzis=_assign_columns(propagation, n))
-    mesh.output_phases = diag_phases
-    return mesh
+    return MZIMesh(n=n, mzis=_assign_columns(propagation, n),
+                   output_phases=diag_phases)
 
 
 def random_unitary(n: int, rng: np.random.Generator | None = None) -> np.ndarray:

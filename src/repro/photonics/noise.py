@@ -141,9 +141,8 @@ def perturb_mesh_phases(mesh, sigma_rad: float,
             mzi.phi + rng.normal(0.0, sigma_rad))
         for mzi in mesh.mzis
     ]
-    out = MZIMesh(n=mesh.n, mzis=perturbed)
-    out.output_phases = mesh.output_phases.copy()
-    return out
+    return MZIMesh(n=mesh.n, mzis=perturbed,
+                   output_phases=mesh.output_phases)
 
 
 def drift_tolerance(matrix: np.ndarray, sigmas_rad,
@@ -196,12 +195,10 @@ def quantize_mesh_phases(mesh, bits: int):
                                        2 * math.pi))
         for mzi in mesh.mzis
     ]
-    out = MZIMesh(n=mesh.n, mzis=quantized)
-    out.output_phases = np.array([
+    return MZIMesh(n=mesh.n, mzis=quantized, output_phases=[
         cmath.exp(1j * quantize_phase(
             cmath.phase(p) % (2 * math.pi), bits, 2 * math.pi))
         for p in mesh.output_phases])
-    return out
 
 
 def quantize_svd_phases(program, bits: int):

@@ -37,10 +37,8 @@ def decompose_reck(unitary: np.ndarray, tol: float = 1e-9) -> MZIMesh:
     if not is_unitary(u, tol):
         raise DecompositionError("input matrix is not unitary")
     n = u.shape[0]
-    mesh = MZIMesh(n=n)
     if n == 1:
-        mesh.output_phases = np.array([u[0, 0]], dtype=complex)
-        return mesh
+        return MZIMesh(n=1, output_phases=u[0])
 
     left_ops: list[tuple[int, float, float]] = []
     for col in range(n - 1):
@@ -52,11 +50,11 @@ def decompose_reck(unitary: np.ndarray, tol: float = 1e-9) -> MZIMesh:
             u[m:m + 2, :] = t @ u[m:m + 2, :]
             u[m + 1, col] = 0.0
             left_ops.append((m, theta, phi))
-    return _finalize(mesh, u, left_ops, n)
+    return _finalize(u, left_ops, n)
 
 
-def _finalize(mesh: MZIMesh, u: np.ndarray,
-              left_ops: list[tuple[int, float, float]], n: int) -> MZIMesh:
+def _finalize(u: np.ndarray, left_ops: list[tuple[int, float, float]],
+              n: int) -> MZIMesh:
     diag = np.diag(u).copy()
     if not np.allclose(np.abs(diag), 1.0, atol=1e-6):
         raise DecompositionError(
@@ -76,9 +74,8 @@ def _finalize(mesh: MZIMesh, u: np.ndarray,
     # propagation order is the reversed list.
     propagation = [MZIState(m, theta, phi)
                    for m, theta, phi in reversed(commuted)]
-    mesh.mzis = _assign_columns(propagation, n)
-    mesh.output_phases = diag
-    return mesh
+    return MZIMesh(n=n, mzis=_assign_columns(propagation, n),
+                   output_phases=diag)
 
 
 def depth_comparison(n: int,

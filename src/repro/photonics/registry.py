@@ -14,14 +14,15 @@ reference oracles (``MZIMesh._reference_propagate`` and
 suite calls them directly (DESIGN.md §16).
 
 A :class:`MeshArchitecture` fixes the contract every fabric must
-satisfy: decompose-to-mesh, exact ``matrix``/``propagate``, per-column
-metadata for :mod:`repro.photonics.batch` stacking, device enumeration
-+ fault domains for the injector, and depth/device-count accounting for
-the energy model.
+satisfy: decompose-to-mesh, fault domains for the injector, and
+depth/device-count accounting for the energy model.  Simulation
+(``matrix``/``propagate``), hop counts and the stacking signature
+(:func:`repro.photonics.batch.plan_signature`) belong to the mesh
+program itself, so callers ask the mesh.
 
-The three architectures register themselves below with lazy imports
-(the factories import their decomposition module on first use), keeping
-this module import-cycle-free and cheap to load.
+The three architectures register themselves below; ``reck`` and
+``bricks`` import their decomposition module on first use, keeping this
+module import-cycle-free and cheap to load.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.photonics.clements import MZIMesh
+from repro.photonics.clements import MZIMesh, decompose
 from repro.registry import Registry
 
 
@@ -61,33 +62,11 @@ class MeshArchitecture:
     #: physical device of ``index`` (None: devices map one-to-one).
     fault_domain_fn: Callable | None = None
 
-    # -- decomposition & simulation ------------------------------------
+    # -- decomposition and fault domains --------------------------------
 
     def decompose(self, unitary: np.ndarray, tol: float = 1e-9) -> MZIMesh:
         """Factor ``unitary`` into this architecture's mesh program."""
         return self.decompose_fn(unitary, tol)
-
-    def matrix(self, mesh: MZIMesh) -> np.ndarray:
-        """Exact reconstruction of the implemented unitary."""
-        return mesh.matrix()
-
-    def propagate(self, mesh: MZIMesh, fields: np.ndarray) -> np.ndarray:
-        """Forward E-field propagation."""
-        return mesh.propagate(fields)
-
-    def column_metadata(self, mesh: MZIMesh) -> tuple:
-        """Structure signature for fleet stacking (``photonics.batch``).
-
-        Meshes with equal signatures share a stacked kernel pass.
-        """
-        from repro.photonics.batch import plan_signature
-        return plan_signature(mesh)
-
-    # -- fault injection -----------------------------------------------
-
-    def devices(self, mesh: MZIMesh) -> range:
-        """Virtual MZI indices the fault injector may target."""
-        return range(mesh.num_mzis)
 
     def fault_domain(self, mesh: MZIMesh, index: int) -> tuple[int, ...]:
         """Virtual indices sharing ``index``'s physical device.
@@ -129,12 +108,24 @@ def make_mesh(name: str | MeshArchitecture, **kwargs) -> MeshArchitecture:
     return MESHES.get(name)(**kwargs)
 
 
+def decomposer(architecture: str | MeshArchitecture | None
+               ) -> Callable[..., MZIMesh]:
+    """The ``(unitary, tol) -> MZIMesh`` decomposition of ``architecture``.
+
+    ``None`` and ``"clements"`` take the direct
+    :func:`~repro.photonics.clements.decompose` path the golden pins
+    were taken with; any other name resolves through :func:`make_mesh`.
+    """
+    if architecture is None or architecture == "clements":
+        return decompose
+    return make_mesh(architecture).decompose
+
+
 # -- the three architectures ------------------------------------------------
 
 
 @MESHES.register("clements")
 def _make_clements(**kwargs) -> MeshArchitecture:
-    from repro.photonics.clements import decompose
     return MeshArchitecture(
         name="clements",
         decompose_fn=decompose,

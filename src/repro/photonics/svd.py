@@ -17,16 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.photonics.clements import MZIMesh, decompose
+from repro.photonics.clements import MZIMesh
+from repro.photonics.registry import decomposer
 
 
-@dataclass
+@dataclass(frozen=True)
 class SVDProgram:
     """A programmed SVD MZIM: ``M_s = U @ diag(sigma) @ V*``.
 
     ``scale`` is the factor removed from the original matrix so the
     implemented singular values obey ``0 <= sigma_i <= 1``; callers multiply
     detected outputs by ``scale`` to recover ``M @ a``.
+
+    A program is an immutable value, like its two meshes: ``sigma`` is
+    stored as a read-only copy, and a different program is a new
+    object.  So :func:`program_svd` can hand the same cached program to
+    every caller.
     """
 
     n: int
@@ -34,6 +40,11 @@ class SVDProgram:
     u_mesh: MZIMesh
     sigma: np.ndarray
     scale: float
+
+    def __post_init__(self) -> None:
+        sigma = np.array(self.sigma)
+        sigma.setflags(write=False)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def attenuator_thetas(self) -> np.ndarray:
@@ -82,7 +93,8 @@ def spectral_scale(matrix: np.ndarray) -> float:
 
 #: Content-hash cache of programmed SVD circuits.  Repeated offloads of
 #: the same workload matrix (every sweep point re-programs the same
-#: blocks) skip the SVD + double Clements decomposition entirely.
+#: blocks) skip the SVD + double Clements decomposition entirely, and
+#: reuse the propagation plans the cached meshes already built.
 _SVD_CACHE: OrderedDict[tuple, SVDProgram] = OrderedDict()
 _SVD_CACHE_CAPACITY = 128
 _svd_cache_hits = 0
@@ -92,19 +104,6 @@ _svd_cache_misses = 0
 def _matrix_key(m: np.ndarray, architecture: str) -> tuple:
     digest = hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()
     return (m.shape, digest, architecture)
-
-
-def _fresh_mesh(mesh: MZIMesh) -> MZIMesh:
-    """An independent copy of a cached mesh.
-
-    Callers mutate programmed meshes in place (attenuator equalization,
-    fault injection replace ``mzis[i]``), so cache entries must never be
-    handed out directly.  MZI states are frozen — sharing them is safe;
-    the list and the phase screen are copied.
-    """
-    copy = MZIMesh(n=mesh.n, mzis=list(mesh.mzis))
-    copy.output_phases = mesh.output_phases.copy()
-    return copy
 
 
 def svd_cache_stats() -> dict:
@@ -131,8 +130,8 @@ def program_svd(matrix: np.ndarray,
     :mod:`repro.photonics.registry` (``None`` = the Clements default).
 
     Programs are memoized by matrix content hash + architecture name
-    (LRU, 128 entries); every call returns a fresh :class:`SVDProgram`
-    with independent meshes so in-place mutation cannot poison the cache.
+    (LRU, 128 entries).  Programs are immutable, so a hit returns the
+    cached :class:`SVDProgram` itself.
     """
     global _svd_cache_hits, _svd_cache_misses
     m = np.asarray(matrix, dtype=complex)
@@ -144,37 +143,26 @@ def program_svd(matrix: np.ndarray,
     if cached is not None:
         _SVD_CACHE.move_to_end(key)
         _svd_cache_hits += 1
-    else:
-        _svd_cache_misses += 1
-        if arch_name == "clements":
-            decompose_fn = decompose
-        else:
-            from repro.photonics.registry import make_mesh
-            decompose_fn = make_mesh(arch_name).decompose
-        n = m.shape[0]
-        scale = spectral_scale(m)
-        u, sigma, v_dagger = np.linalg.svd(m / scale)
-        sigma = np.clip(sigma, 0.0, 1.0)  # numerical guard: sigma_max == 1
-        cached = SVDProgram(
-            n=n,
-            v_dagger_mesh=decompose_fn(v_dagger),
-            u_mesh=decompose_fn(u),
-            sigma=sigma,
-            scale=scale,
-        )
-        _SVD_CACHE[key] = cached
-        while len(_SVD_CACHE) > _SVD_CACHE_CAPACITY:
-            _SVD_CACHE.popitem(last=False)
-    return SVDProgram(
-        n=cached.n,
-        v_dagger_mesh=_fresh_mesh(cached.v_dagger_mesh),
-        u_mesh=_fresh_mesh(cached.u_mesh),
-        sigma=cached.sigma.copy(),
-        scale=cached.scale,
+        return cached
+    _svd_cache_misses += 1
+    decompose_fn = decomposer(architecture)
+    scale = spectral_scale(m)
+    u, sigma, v_dagger = np.linalg.svd(m / scale)
+    sigma = np.clip(sigma, 0.0, 1.0)  # numerical guard: sigma_max == 1
+    program = SVDProgram(
+        n=m.shape[0],
+        v_dagger_mesh=decompose_fn(v_dagger),
+        u_mesh=decompose_fn(u),
+        sigma=sigma,
+        scale=scale,
     )
+    _SVD_CACHE[key] = program
+    while len(_SVD_CACHE) > _SVD_CACHE_CAPACITY:
+        _SVD_CACHE.popitem(last=False)
+    return program
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnitaryProgram:
     """A unitary matrix programmed directly into one mesh (no Sigma).
 
@@ -182,7 +170,8 @@ class UnitaryProgram:
     skip the SVD structure entirely: one N-column mesh of N(N-1)/2 MZIs
     instead of the 2N+1-column, N^2-MZI SVD circuit (Section 5.4.1 maps
     the DCT onto "the full 8-input unitary MZIM").  Half the optical
-    depth means less loss and faster programming.
+    depth means less loss and faster programming.  Like
+    :class:`SVDProgram`, an immutable value.
     """
 
     n: int
@@ -226,12 +215,7 @@ def program_unitary(matrix: np.ndarray,
     m = np.asarray(matrix, dtype=complex)
     if not is_unitary_matrix(m):
         raise ValueError("matrix is not unitary; use program_svd")
-    if architecture is None or architecture == "clements":
-        decompose_fn = decompose
-    else:
-        from repro.photonics.registry import make_mesh
-        decompose_fn = make_mesh(architecture).decompose
-    return UnitaryProgram(n=m.shape[0], mesh=decompose_fn(m))
+    return UnitaryProgram(n=m.shape[0], mesh=decomposer(architecture)(m))
 
 
 def program_matrix(matrix: np.ndarray, architecture: str | None = None):

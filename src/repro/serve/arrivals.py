@@ -33,6 +33,11 @@ from repro.registry import Registry
 
 ARRIVALS = Registry("arrival process")
 
+#: The largest Poisson mean ``Generator.poisson`` accepts (numpy raises
+#: ``lam value too large`` above it).
+POISSON_LAM_MAX = float(np.iinfo("l").max
+                        - np.sqrt(np.iinfo("l").max) * 10)
+
 
 class ArrivalProcess:
     """Deterministic intensity profile over simulated cycles.
@@ -42,6 +47,9 @@ class ArrivalProcess:
     """
 
     name = "base"
+    #: The largest value :meth:`intensity` takes; a subclass that goes
+    #: above 1.0 says so, because it bounds the Poisson mean.
+    peak_intensity = 1.0
 
     def intensity(self, cycle: int) -> float:
         """Dimensionless rate multiplier (>= 0) at ``cycle``."""
@@ -82,6 +90,7 @@ class BurstyArrivals(ArrivalProcess):
         self.peak = float(peak)
         self._low = max(0.0, (1.0 - self.duty * self.peak)
                         / (1.0 - self.duty))
+        self.peak_intensity = max(self.peak, self._low)
 
     def intensity(self, cycle: int) -> float:
         """``peak`` during the burst phase, the balancing low after."""
@@ -103,11 +112,28 @@ class DiurnalArrivals(ArrivalProcess):
                 f"amplitude must be in [0, 1], got {amplitude}")
         self.period = int(period)
         self.amplitude = float(amplitude)
+        self.peak_intensity = 1.0 + self.amplitude
 
     def intensity(self, cycle: int) -> float:
         """``1 + amplitude * sin`` over ``period``, clipped at zero."""
         phase = 2.0 * math.pi * (cycle % self.period) / self.period
         return max(0.0, 1.0 + self.amplitude * math.sin(phase))
+
+
+def check_rate(rate: float, process: ArrivalProcess) -> None:
+    """Reject a ``rate`` whose Poisson means numpy cannot draw.
+
+    The largest mean is ``rate * process.peak_intensity``; it must stay
+    below :data:`POISSON_LAM_MAX`.
+    """
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"rate must be finite and >= 0, got {rate}")
+    peak_mean = rate * process.peak_intensity
+    if peak_mean >= POISSON_LAM_MAX:
+        raise ValueError(
+            f"rate must be finite and small enough that rate * peak "
+            f"intensity ({peak_mean:.4g}) stays below numpy's Poisson "
+            f"limit {POISSON_LAM_MAX:.4g}, got {rate}")
 
 
 ARRIVALS.register("poisson", PoissonArrivals)
@@ -142,8 +168,7 @@ class ClientPopulation:
                  mvm_fraction: float, nodes: int, seed: int) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
-        if not (math.isfinite(rate) and rate >= 0.0):
-            raise ValueError(f"rate must be finite and >= 0, got {rate}")
+        check_rate(rate, process)
         if not 0.0 <= mvm_fraction <= 1.0:
             raise ValueError(
                 f"mvm_fraction must be in [0, 1], got {mvm_fraction}")

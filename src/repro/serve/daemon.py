@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -68,7 +67,12 @@ from repro.noc.soa import SoAFlumenNetwork
 from repro.obs import Obs, percentile_summary
 from repro.obs.snapshot import OFFER_STRIDE
 from repro.serve.admission import AdmissionController, precompute_decisions
-from repro.serve.arrivals import ARRIVALS, Arrival, ClientPopulation
+from repro.serve.arrivals import (
+    ARRIVALS,
+    Arrival,
+    ClientPopulation,
+    check_rate,
+)
 
 #: Latency histogram buckets, in cycles (shared by mvm and comm series).
 LATENCY_BOUNDS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
@@ -80,7 +84,6 @@ LATENCY_BOUNDS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
 _FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "batch_size": (lambda v: v >= 1, ">= 1"),
     "batch_window": (lambda v: v >= 1, ">= 1"),
-    "rate": (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
     "mvm_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "admission_rate": (lambda v: v > 0.0, "> 0"),
     "admission_burst": (lambda v: v >= 1.0, ">= 1"),
@@ -155,7 +158,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.duration < 1:
             raise ValueError(f"duration must be >= 1, got {self.duration}")
-        ARRIVALS.get(self.arrival)  # raises listing known names
+        # An unknown arrival name raises listing the known ones.
+        check_rate(self.rate, ARRIVALS.get(self.arrival)())
         if self.tenant_list is not None:
             roster = tuple(str(t) for t in self.tenant_list)
             if not roster:

@@ -33,9 +33,7 @@ def stick_mzi(mesh, index: int, theta: float = BAR_THETA):
 
     mzis = [m if i != index else MZIState(m.top_mode, theta, m.phi, m.column)
             for i, m in enumerate(mesh.mzis)]
-    out = MZIMesh(n=mesh.n, mzis=mzis)
-    out.output_phases = mesh.output_phases.copy()
-    return out
+    return MZIMesh(n=mesh.n, mzis=mzis, output_phases=mesh.output_phases)
 
 
 class TestCommunicationFaults:

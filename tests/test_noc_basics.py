@@ -16,6 +16,7 @@ from repro.noc.traffic import (
     PATTERNS,
     TracePlayback,
     TrafficGenerator,
+    hotspot,
     make_pattern,
 )
 
@@ -96,6 +97,12 @@ class TestPatterns:
     def test_bit_patterns_need_power_of_two(self):
         with pytest.raises(ValueError):
             make_pattern("bit_reversal", 12)
+
+    @pytest.mark.parametrize("hot,fraction", [
+        (16, 0.3), (20, 0.3), (-1, 0.3), (0, -0.1), (0, 1.5)])
+    def test_hotspot_rejects_bad_arguments(self, hot, fraction):
+        with pytest.raises(ValueError, match="hot node|fraction"):
+            hotspot(16, hot=hot, fraction=fraction)
 
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ bit-identical, not merely close, which is what lets the golden-numbers
 artifacts stay byte-stable across the optimization.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,10 @@ from repro.photonics.fabric import FlumenFabric
 from repro.photonics.svd import (
     clear_svd_cache,
     program_svd,
+    program_unitary,
     svd_cache_stats,
 )
+from tests.test_fault_injection import stick_mzi
 
 
 def random_mesh(n: int, seed: int) -> MZIMesh:
@@ -144,14 +148,14 @@ def test_property_svd_meshes_vectorize_exactly(seed):
 
 
 class TestMeshCaches:
-    """The propagation plan and hop matrix invalidate on phase writes."""
+    """The propagation plan and hop matrix are built once per mesh."""
 
     def test_plan_is_reused_between_calls(self):
         mesh = random_mesh(6, seed=61)
         mesh.propagate(random_fields(6, 62))
-        plan = mesh._plan
+        plan = mesh._propagation_plan
         mesh.propagate(random_fields(6, 63))
-        assert mesh._plan is plan
+        assert mesh._propagation_plan is plan
 
     def test_hops_memoized_and_read_only(self):
         mesh = random_mesh(6, seed=64)
@@ -161,30 +165,45 @@ class TestMeshCaches:
         with pytest.raises(ValueError):
             hops[0, 0] = 99
 
-    def test_item_write_invalidates(self):
-        # The fault injector's write pattern: mesh.mzis[i] = new state.
-        mesh = random_mesh(6, seed=65)
-        fields = random_fields(6, 66)
-        mesh.propagate(fields)
-        mesh.mzis_per_path()
-        mesh.mzis[0] = mesh.mzis[0].with_phases(0.123, -0.456)
-        assert mesh._plan is None and mesh._hops is None
-        assert np.array_equal(mesh.propagate(fields),
-                              mesh._reference_propagate(fields))
-        assert np.array_equal(mesh.mzis_per_path(),
-                              _reference_trace_hops(mesh))
+    def test_fault_injection_sees_fresh_hops(self):
+        # End to end: a realized fault is a new mesh value, so its hop
+        # matrix is traced afresh, never served from the healthy mesh.
+        fab = FlumenFabric(8)
+        fab.configure_multicast(0, [3, 5])
+        mesh = fab.partitions[0].comm_mesh
+        before = mesh.mzis_per_path()
+        for i in range(mesh.num_mzis):
+            # Flip one MZI to 50:50 until connectivity actually changes.
+            faulted = stick_mzi(mesh, i, theta=np.pi / 2)
+            after = faulted.mzis_per_path()
+            if not np.array_equal(after, before):
+                break
+        else:
+            pytest.fail("no single stuck MZI changed the path structure")
+        assert np.array_equal(after, _reference_trace_hops(faulted))
+        assert np.array_equal(mesh.mzis_per_path(), before)
+        assert np.array_equal(before, _reference_trace_hops(mesh))
 
-    def test_reassignment_invalidates_and_rewraps(self):
+
+class TestImmutableMesh:
+    """Meshes and programs are values: every write raises.
+
+    With no invalidation left, this is what keeps the memoized plans
+    and hop matrices correct.
+    """
+
+    def test_item_write_raises(self):
+        mesh = random_mesh(6, seed=65)
+        with pytest.raises(TypeError):
+            mesh.mzis[0] = mesh.mzis[0].with_phases(0.123, -0.456)
+
+    def test_reassignment_raises(self):
         mesh = random_mesh(5, seed=67)
-        fields = random_fields(5, 68)
-        mesh.propagate(fields)
         other = random_mesh(5, seed=69)
-        mesh.mzis = list(other.mzis)  # reck.py's write pattern
-        assert np.array_equal(mesh.propagate(fields),
-                              mesh._reference_propagate(fields))
-        # The new list is tracked too: further item writes invalidate.
-        mesh.mzis[1] = mesh.mzis[1].with_phases(1.0, 0.0)
-        assert mesh._plan is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.mzis = list(other.mzis)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.output_phases = other.output_phases
 
     @pytest.mark.parametrize("mutate", [
         lambda m: m.mzis.append(MZIState(0, 1.0)),
@@ -192,30 +211,25 @@ class TestMeshCaches:
         lambda m: m.mzis.extend([MZIState(0, 1.0)]),
         lambda m: m.mzis.clear(),
     ])
-    def test_list_mutations_invalidate(self, mutate):
+    def test_list_mutations_raise(self, mutate):
         mesh = random_mesh(4, seed=70)
-        mesh.propagate(random_fields(4, 71))
-        mesh.mzis_per_path()
-        mutate(mesh)
-        assert mesh._plan is None and mesh._hops is None
+        with pytest.raises(AttributeError):
+            mutate(mesh)
 
-    def test_fault_injection_sees_fresh_hops(self):
-        # End to end: a realized fault must change the memoized hop
-        # matrix, not serve the stale pre-fault one.
-        fab = FlumenFabric(8)
-        fab.configure_multicast(0, [3, 5])
-        mesh = fab.partitions[0].comm_mesh
-        before = mesh.mzis_per_path().copy()
-        for i, mzi in enumerate(mesh.mzis):
-            # Flip MZIs to 50:50 until connectivity actually changes.
-            mesh.mzis[i] = mzi.with_phases(np.pi / 2, mzi.phi)
-            if not np.array_equal(_reference_trace_hops(mesh), before):
-                break
-        else:
-            pytest.fail("no mutation changed the path structure")
-        after = mesh.mzis_per_path()
-        assert not np.array_equal(before, after)
-        assert np.array_equal(after, _reference_trace_hops(mesh))
+    def test_output_phases_read_only(self):
+        mesh = random_mesh(4, seed=72)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.output_phases[0] = 1.0
+
+    def test_constructor_copies_output_phases(self):
+        phases = np.exp(1j * np.arange(3.0))
+        mesh = MZIMesh(n=3, mzis=[MZIState(0, 1.0, 0.5, 0)],
+                       output_phases=phases)
+        expected = mesh.matrix()
+        phases[:] = 1.0
+        assert phases.flags.writeable
+        assert isinstance(mesh.mzis, tuple)
+        assert np.array_equal(mesh.matrix(), expected)
 
 
 class TestHopTracingDeduplication:
@@ -247,7 +261,7 @@ class TestHopTracingDeduplication:
 
 
 class TestSVDProgramMemo:
-    """program_svd memoizes by content hash and never shares meshes."""
+    """program_svd memoizes by content hash and shares frozen programs."""
 
     def setup_method(self):
         clear_svd_cache()
@@ -272,17 +286,38 @@ class TestSVDProgramMemo:
         program_svd(rng.standard_normal((5, 5)))
         assert svd_cache_stats()["misses"] == 2
 
-    def test_cached_programs_are_independent_copies(self):
+    def test_cache_hit_returns_the_cached_program(self, monkeypatch):
+        import repro.photonics.clements as clements
+        calls = {"n": 0}
+        real = clements.mzi_transfers
+
+        def counting(theta, phi):
+            calls["n"] += 1
+            return real(theta, phi)
+
+        monkeypatch.setattr(clements, "mzi_transfers", counting)
         rng = np.random.default_rng(83)
         matrix = rng.standard_normal((4, 4))
+        fields = random_fields(4, 85)
         first = program_svd(matrix)
-        reconstructed = first.matrix().copy()
-        # Mutate the handed-out program the way callers do.
-        first.u_mesh.mzis[0] = first.u_mesh.mzis[0].with_phases(0.0, 0.0)
-        first.sigma[:] = 0.0
-        second = program_svd(matrix)
-        np.testing.assert_allclose(second.matrix(), reconstructed,
-                                   atol=1e-12)
+        out = first.apply(fields)
+        second = program_svd(matrix.copy())
+        assert second is first
+        assert np.array_equal(second.apply(fields), out)
+        # One propagation plan per mesh (V* and U), built once.
+        assert calls["n"] == 2
+
+    def test_programs_are_frozen(self):
+        program = program_svd(np.random.default_rng(86).standard_normal(
+            (4, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            program.sigma[:] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program.u_mesh = program.v_dagger_mesh
+        unitary = program_unitary(random_unitary(
+            4, np.random.default_rng(87)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            unitary.mesh = program.u_mesh
 
     def test_equivalence_with_uncached_computation(self):
         rng = np.random.default_rng(84)

@@ -106,12 +106,27 @@ class TestArrivals:
                       if r.tenant == "a"]
             assert only_a == small.requests_for_cycle(cycle)
 
-    @pytest.mark.parametrize("rate", [-0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("rate", [-0.1, math.inf, math.nan, 1e20])
     def test_population_rejects_bad_rate_at_construction(self, rate):
         with pytest.raises(ValueError, match="rate must be finite"):
             ClientPopulation(tenants=("a",),
                              process=ARRIVALS.get("poisson")(),
                              rate=rate, mvm_fraction=0.5, nodes=8, seed=3)
+
+
+    @pytest.mark.parametrize("arrival,rate", [
+        ("bursty", 3e18), ("diurnal", 6e18)])
+    def test_rate_ceiling_scales_with_peak_intensity(self, arrival, rate):
+        # Below numpy's Poisson limit at intensity 1, past it at peak.
+        poisson = ARRIVALS.get("poisson")()
+        ClientPopulation(tenants=("a",), process=poisson, rate=rate,
+                         mvm_fraction=0.5, nodes=8, seed=3)
+        with pytest.raises(ValueError, match="rate must be finite"):
+            ClientPopulation(tenants=("a",), process=ARRIVALS.get(arrival)(),
+                             rate=rate, mvm_fraction=0.5, nodes=8, seed=3)
+        with pytest.raises(ValueError, match="rate"):
+            ServeConfig(arrival=arrival, rate=rate)
+        ServeConfig(rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +176,7 @@ class TestServeConfig:
         ("rate", -0.1),
         ("rate", math.inf),
         ("rate", math.nan),
+        ("rate", 1e20),
         ("mvm_fraction", -0.01),
         ("mvm_fraction", 1.5),
         ("admission_rate", 0.0),

@@ -170,6 +170,32 @@ def test_property_sparse_rr_matches_dense(n, last, lines, seed):
     assert dense == sparse
 
 
+def test_sparse_rr_matches_dense_at_every_count_to_64():
+    # 9-64 lines: past the old long-form cutoff of 8.
+    rng = np.random.default_rng(9)
+    n = 64
+    dense, sparse = RoundRobinArbiter(n), RoundRobinArbiter(n)
+    for count in range(1, n + 1):
+        lines = sorted(int(x) for x in rng.choice(n, count, replace=False))
+        for last in rng.integers(n, size=4):
+            dense._last = sparse._last = int(last)
+            assert sparse.grant_sparse(lines) == \
+                dense.grant([x in lines for x in range(n)])
+
+
+def test_sparse_wavefront_matches_dense_at_every_count_to_64():
+    # 17-64 pairs: past the old long-form cutoff of 16.
+    rng = np.random.default_rng(17)
+    dense, sparse = WavefrontArbiter(8), WavefrontArbiter(8)
+    for count in range(0, 65):
+        cells = rng.choice(64, count, replace=False)
+        pairs = [(int(c) // 8, int(c) % 8) for c in cells]
+        requests = np.zeros((8, 8), dtype=bool)
+        for i, j in pairs:
+            requests[i, j] = True
+        assert sparse.allocate_sparse(pairs) == dense.allocate(requests)
+
+
 def test_wavefront_rotate_matches_repeated_empty_allocates():
     a, b = WavefrontArbiter(7), WavefrontArbiter(7)
     for _ in range(5):
