@@ -705,9 +705,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.analysis import perf
     from repro.analysis.report import format_table
 
@@ -749,6 +746,22 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     out = args.out or perf.default_artifact_path()
     perf.write_artifact(payload, out)
     emit(f"wrote {out}")
+    code = _perf_compare(args, payload)
+    # Gates are checked after the artifact is written and compared, so
+    # one tripped gate does not cost the run's other checks.
+    gates = perf.gate_failures(payload)
+    for failure in gates:
+        log.error("gate failed: %s", failure)
+    return max(code, 1) if gates else code
+
+
+def _perf_compare(args: argparse.Namespace, payload: dict) -> int:
+    """Compare a written ``repro perf`` payload with ``--baseline``."""
+    import json
+    from pathlib import Path
+
+    from repro.analysis import perf
+    from repro.analysis.report import format_table
 
     def write_summary(delta_rows=None, baseline_rev=None) -> None:
         if not args.summary_md:

@@ -88,6 +88,17 @@ class MZIMesh:
         object.__setattr__(self, "mzis", tuple(self.mzis))
         object.__setattr__(self, "output_phases", phases)
 
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle with the read-only arrays read-only again.
+
+        numpy does not pickle the flag, so ``output_phases`` and a
+        memoized hop matrix would otherwise come back writable.
+        """
+        for name in ("output_phases", "_hops"):
+            if name in state:
+                state[name].setflags(write=False)
+        self.__dict__.update(state)
+
     @property
     def num_mzis(self) -> int:
         return len(self.mzis)

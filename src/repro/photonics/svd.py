@@ -46,6 +46,12 @@ class SVDProgram:
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
 
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle with ``sigma`` read-only again (numpy does not
+        pickle the flag)."""
+        state["sigma"].setflags(write=False)
+        self.__dict__.update(state)
+
     @property
     def attenuator_thetas(self) -> np.ndarray:
         """theta programming of the Sigma attenuator column (power = sigma^2).

@@ -18,25 +18,28 @@ Determinism contract: every draw comes from per-tenant
 ``np.random.default_rng`` generators seeded via
 :func:`~repro.analysis.engine.point_seed`, and tenants are visited in a
 fixed order each cycle, so the full arrival stream is a pure function
-of ``(seed, tenants, process, rate, mvm_fraction, nodes)``.
+of ``(seed, tenants, process, rate, mvm_fraction, nodes)``.  Each
+tenant's stream is the one scalar numpy draws give: per cycle one
+``rng.poisson(rate * intensity(cycle))``, then per arrival one
+``rng.random()`` against ``mvm_fraction`` and ``rng.integers(nodes)``
+for an MVM's node, or ``rng.integers(nodes)`` and
+``rng.integers(nodes - 1)`` for a comm request's endpoints.
+:class:`~repro.draws.DrawReplay` reproduces those draws over bulk PCG64
+words (``tests/reference_arrivals.py`` keeps the scalar-numpy oracle).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.analysis.engine import point_seed
+from repro.draws import POISSON_LAM_MAX, DrawReplay
 from repro.registry import Registry
 
 ARRIVALS = Registry("arrival process")
-
-#: The largest Poisson mean ``Generator.poisson`` accepts (numpy raises
-#: ``lam value too large`` above it).
-POISSON_LAM_MAX = float(np.iinfo("l").max
-                        - np.sqrt(np.iinfo("l").max) * 10)
 
 
 class ArrivalProcess:
@@ -141,8 +144,7 @@ ARRIVALS.register("bursty", BurstyArrivals)
 ARRIVALS.register("diurnal", DiurnalArrivals)
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One offered request, before admission."""
 
     tenant: str
@@ -183,34 +185,72 @@ class ClientPopulation:
             tenant: np.random.default_rng(
                 point_seed(seed, f"arrivals/{tenant}"))
             for tenant in self.tenants}
-
-    def requests_for_cycle(self, cycle: int) -> list[Arrival]:
-        """All requests offered this cycle, in fixed tenant order."""
-        lam = self.rate * self.process.intensity(cycle)
-        nodes = self.nodes
-        out: list[Arrival] = []
-        for tenant, rng in self._rngs.items():
-            for _ in range(int(rng.poisson(lam))):
-                if rng.random() < self.mvm_fraction:
-                    out.append(Arrival(tenant=tenant, kind="mvm",
-                                       node=int(rng.integers(nodes))))
-                else:
-                    src = int(rng.integers(nodes))
-                    dst = (src + 1 + int(rng.integers(nodes - 1))) % nodes
-                    out.append(Arrival(tenant=tenant, kind="comm",
-                                       src=src, dst=dst))
-        return out
+        self._drawn = False
 
     def prebuild(self, duration: int) -> "ArrivalWheel":
         """Pre-draw the whole arrival schedule for cycles ``[0, duration)``.
 
-        Consumes this population's generators: the wheel is filled by
-        calling :meth:`requests_for_cycle` for every cycle of the
-        horizon, so its stream is exactly the live one.  A population
-        is touched either live or through one wheel — never both —
-        since the draws are consumed up front.
+        Consumes this population's generators, so a population is
+        prebuilt once.  Each tenant's stream is walked through a
+        :class:`~repro.draws.DrawReplay` over runs of cycles with equal
+        Poisson means: a cycle whose draw is 0 is skipped on one word
+        test (:meth:`~repro.draws.DrawReplay.skip_zero_poissons`), and
+        only the others are drawn in full.  The tenants' records
+        are then merged by a stable sort on cycle, which keeps tenant
+        order within a cycle.
         """
-        return ArrivalWheel(self, duration)
+        if duration < 0:
+            raise ValueError(f"duration must be >= 0, got {duration}")
+        if self._drawn:
+            raise RuntimeError("a ClientPopulation is prebuilt once")
+        self._drawn = True
+        intensity = self.process.intensity
+        lams = np.array([self.rate * intensity(cycle)
+                         for cycle in range(duration)], dtype=float)
+        # (start, stop, lam): the maximal runs of cycles of one mean.
+        edges = [0, *(np.flatnonzero(lams[1:] != lams[:-1]) + 1).tolist(),
+                 duration]
+        runs = [(start, stop, float(lams[start]))
+                for start, stop in zip(edges, edges[1:]) if start < stop]
+        cycles: list[int] = []
+        arrivals: list[Arrival] = []
+        for tenant, rng in self._rngs.items():
+            self._walk(tenant, DrawReplay(rng), runs, cycles, arrivals)
+        cycle_of = np.array(cycles, dtype=np.int64)
+        order = np.argsort(cycle_of, kind="stable")
+        ordered = [arrivals[i] for i in order.tolist()]
+        cycle_of = cycle_of[order]
+        firsts = np.flatnonzero(np.diff(cycle_of, prepend=-1))
+        bounds = [*firsts.tolist(), len(ordered)]
+        return ArrivalWheel(duration, {
+            cycle: ordered[lo:hi]
+            for cycle, lo, hi in zip(cycle_of[firsts].tolist(), bounds,
+                                     bounds[1:])})
+
+    def _walk(self, tenant: str, replay: DrawReplay, runs: list,
+              cycles: list[int], arrivals: list[Arrival]) -> None:
+        """Append ``tenant``'s arrivals over ``runs`` to the records."""
+        skip = replay.skip_zero_poissons
+        poisson = replay.poisson
+        random = replay.random
+        integers = replay.integers
+        mvm_fraction = self.mvm_fraction
+        nodes = self.nodes
+        for start, stop, lam in runs:
+            cycle = start + skip(lam, stop - start)
+            while cycle < stop:
+                for _ in range(poisson(lam)):
+                    if random() < mvm_fraction:
+                        arrivals.append(Arrival(tenant, "mvm",
+                                                integers(0, nodes)))
+                    else:
+                        src = integers(0, nodes)
+                        dst = (src + 1 + integers(0, nodes - 1)) % nodes
+                        arrivals.append(Arrival(tenant, "comm", 0,
+                                                src, dst))
+                    cycles.append(cycle)
+                cycle += 1
+                cycle += skip(lam, stop - cycle)
 
 
 class ArrivalWheel:
@@ -223,18 +263,11 @@ class ArrivalWheel:
     query.
     """
 
-    def __init__(self, population: ClientPopulation,
-                 duration: int) -> None:
-        if duration < 0:
-            raise ValueError(f"duration must be >= 0, got {duration}")
+    def __init__(self, duration: int,
+                 by_cycle: dict[int, list[Arrival]]) -> None:
         self.duration = int(duration)
-        buckets: dict[int, list[Arrival]] = {}
-        for cycle in range(self.duration):
-            arrivals = population.requests_for_cycle(cycle)
-            if arrivals:
-                buckets[cycle] = arrivals
-        self._by_cycle = buckets
-        self._cycles = np.array(list(buckets), dtype=np.int64)
+        self._by_cycle = by_cycle
+        self._cycles = np.array(list(by_cycle), dtype=np.int64)
 
     def __iter__(self):
         """``(cycle, arrivals)`` for every non-empty bucket, in cycle order."""

@@ -4,7 +4,8 @@
 :class:`repro.serve.daemon.ServeDaemon` replaced with a pre-drawn
 arrival wheel, a replayed admission schedule, the fleet-MVM memo and an
 idle fast-forward.  It draws every cycle's arrivals live from a fresh
-:class:`ClientPopulation`, admits each one live through a fresh
+:class:`ClientPopulation` with scalar numpy
+(``tests/reference_arrivals.py``), admits each one live through a fresh
 :class:`AdmissionController`, recomputes every fleet MVM flush, syncs
 the gauges every cycle and steps every cycle.  It is the oracle the
 single loop is held to, byte for byte (report, events, snapshots), by
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from repro.serve import ARRIVALS, AdmissionController, ClientPopulation
 from repro.serve.daemon import ServeDaemon
+from tests.reference_arrivals import requests_for_cycle
 
 
 class PerCycleDaemon(ServeDaemon):
@@ -34,7 +36,7 @@ class PerCycleDaemon(ServeDaemon):
 
     def _arrivals(self, cycle: int):
         return [(arrival, self.admission.admit(arrival.tenant, cycle))
-                for arrival in self.population.requests_for_cycle(cycle)]
+                for arrival in requests_for_cycle(self.population, cycle)]
 
     def _collect_completions(self) -> None:
         # The last call before the snapshot offer of each cycle: syncing

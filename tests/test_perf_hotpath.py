@@ -10,6 +10,7 @@ artifacts stay byte-stable across the optimization.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -230,6 +231,24 @@ class TestImmutableMesh:
         assert phases.flags.writeable
         assert isinstance(mesh.mzis, tuple)
         assert np.array_equal(mesh.matrix(), expected)
+
+    def test_pickle_keeps_arrays_read_only(self):
+        program = program_svd(
+            np.random.default_rng(74).standard_normal((5, 5)))
+        mesh = program.u_mesh
+        mesh.mzis_per_path()  # memoize the hop matrix before pickling
+        mesh_copy = pickle.loads(pickle.dumps(mesh))
+        program_copy = pickle.loads(pickle.dumps(program))
+        for array in (mesh_copy.output_phases, mesh_copy.mzis_per_path(),
+                      program_copy.sigma,
+                      program_copy.u_mesh.output_phases):
+            assert not array.flags.writeable
+        assert mesh_copy.mzis == mesh.mzis
+        assert np.array_equal(mesh_copy.output_phases, mesh.output_phases)
+        assert np.array_equal(mesh_copy.mzis_per_path(),
+                              mesh.mzis_per_path())
+        assert np.array_equal(program_copy.sigma, program.sigma)
+        assert np.array_equal(program_copy.matrix(), program.matrix())
 
 
 class TestHopTracingDeduplication:
@@ -541,6 +560,46 @@ class TestPerfCLI:
                      "--out", str(tmp_path / "two.json"),
                      "--baseline", str(base)]) == 1
         assert "SLOWER" in capsys.readouterr().out
+
+    def test_tripped_telemetry_gate_is_recorded(self, monkeypatch):
+        import time
+
+        from repro.analysis import perf
+        from repro.obs import Obs
+        real = Obs.telemetry
+
+        def slow_telemetry(**kwargs):
+            time.sleep(0.01)  # 40 ms per leg: past both 5% and 5 ms
+            return real(**kwargs)
+
+        monkeypatch.setattr(Obs, "telemetry", slow_telemetry)
+        record = perf._bench_telemetry_overhead(small=True)
+        [failure] = record["gate_failures"]
+        assert failure.startswith("overhead: ")
+        assert record["overhead_fraction"] > 0.05
+        assert record["digest"]
+
+    def test_tripped_gate_still_writes_the_artifact(self, caplog, tmp_path,
+                                                    monkeypatch):
+        # The suite runs on past a tripped gate and writes its artifact;
+        # only then does the run exit nonzero, naming the gate.
+        import json
+
+        from repro.__main__ import main
+        from repro.analysis import perf
+        tripped = ("gate/tripped", True, lambda small: {
+            "wall_s": 0.0, "gate_failures": ["overhead: 21.7% > 5%"]})
+        real = next(b for b in perf.BENCHMARKS
+                    if b[0] == "mesh_propagate/n16")
+        monkeypatch.setattr(perf, "BENCHMARKS", [tripped, real])
+        out = tmp_path / "b.json"
+        assert main(["perf", "--small", "--out", str(out),
+                     "--baseline", str(tmp_path / "missing.json")]) == 1
+        payload = json.loads(out.read_text())
+        assert list(payload["benchmarks"]) == ["gate/tripped",
+                                               "mesh_propagate/n16"]
+        assert "gate failed: gate/tripped: overhead: 21.7% > 5%" \
+            in caplog.text
 
     def test_perf_summary_md_without_baseline(self, capsys, tmp_path):
         from repro.__main__ import main

@@ -87,11 +87,10 @@ class TestArrivals:
         kwargs = dict(tenants=("a", "b"),
                       process=ARRIVALS.get("poisson")(),
                       rate=0.2, mvm_fraction=0.5, nodes=8, seed=11)
-        pop1 = ClientPopulation(**kwargs)
-        pop2 = ClientPopulation(**kwargs)
-        for cycle in range(200):
-            assert pop1.requests_for_cycle(cycle) == \
-                pop2.requests_for_cycle(cycle)
+        wheel1 = ClientPopulation(**kwargs).prebuild(200)
+        wheel2 = ClientPopulation(**kwargs).prebuild(200)
+        assert list(wheel1) == list(wheel2)
+        assert list(wheel1)  # rate 0.2 over 200 cycles offers requests
 
     def test_population_tenant_streams_independent(self):
         """Adding a tenant must not perturb existing tenants' streams."""
@@ -101,10 +100,11 @@ class TestArrivals:
         big = ClientPopulation(tenants=("a", "b"),
                                process=ARRIVALS.get("poisson")(),
                                rate=0.3, mvm_fraction=0.5, nodes=8, seed=3)
+        big_wheel, small_wheel = big.prebuild(200), small.prebuild(200)
         for cycle in range(200):
-            only_a = [r for r in big.requests_for_cycle(cycle)
+            only_a = [r for r in big_wheel.requests_for_cycle(cycle)
                       if r.tenant == "a"]
-            assert only_a == small.requests_for_cycle(cycle)
+            assert only_a == small_wheel.requests_for_cycle(cycle)
 
     @pytest.mark.parametrize("rate", [-0.1, math.inf, math.nan, 1e20])
     def test_population_rejects_bad_rate_at_construction(self, rate):
