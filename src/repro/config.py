@@ -92,6 +92,16 @@ def _require_range(config: object, name: str, low: float, high: float,
                          f"{bracket}{low}, {high}], got {value}")
 
 
+def _require_whole_sets(config: object, name: str, size_b: int,
+                        assoc: int, line_b: int) -> None:
+    """Reject a cache level whose size is not a whole number of sets
+    (``assoc`` ways of ``line_b`` bytes each)."""
+    if size_b % (assoc * line_b):
+        raise ValueError(
+            f"{type(config).__name__}.{name} {size_b} is not a multiple "
+            f"of assoc * line_size_b = {assoc * line_b}")
+
+
 @dataclass(frozen=True)
 class CoreConfig:
     """Per-core parameters (Table 1, "Core" rows)."""
@@ -131,6 +141,10 @@ class CacheConfig:
     def __post_init__(self) -> None:
         _require_positive(self, "l2_size_b", "l3_size_b", "line_size_b",
                           "l1_assoc", "l2_assoc", "l3_assoc")
+        _require_whole_sets(self, "l2_size_b", self.l2_size_b,
+                            self.l2_assoc, self.line_size_b)
+        _require_whole_sets(self, "l3_size_b", self.l3_size_b,
+                            self.l3_assoc, self.line_size_b)
 
 
 @dataclass(frozen=True)
@@ -213,6 +227,9 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         _require_positive(self, "max_simulated_packets")
+        # L1d's size is a core field, its ways and line a cache field.
+        _require_whole_sets(self, "core.l1d_size_b", self.core.l1d_size_b,
+                            self.cache.l1_assoc, self.cache.line_size_b)
 
     @property
     def chiplets(self) -> int:

@@ -467,14 +467,14 @@ class _WalkedStreams(NamedTuple):
     #: Per phase: (span name, addresses processed, level counts).
     phases: tuple[tuple[str, int, HierarchyCounts], ...]
     #: L3 and DRAM counts of the offloaded L3-direct walk, which
-    #: bypasses ``access_stream`` (all zero when nothing was offloaded).
+    #: bypasses L1 and L2 (all zero when nothing was offloaded).
     direct: HierarchyCounts
 
 
 #: Process-wide LRU memo of hierarchy walks, keyed by
 #: ``(address_streams function, phases, core table, cache table,
-#: offloaded)``.  It stores counts, never a ``CacheHierarchy``: a paper
-#: workload's L3 alone holds up to 262k resident lines.
+#: offloaded)``.  It stores counts, never a ``CacheHierarchy``: a walked
+#: paper-shape L3 holds two 16,384 x 16 int64 arrays.
 _COUNTS_CACHE: OrderedDict[tuple, _WalkedStreams] = OrderedDict()
 _COUNTS_CACHE_CAPACITY = 64
 _counts_cache_hits = 0
@@ -500,28 +500,27 @@ def _walk_streams(hierarchy: CacheHierarchy, workload: Workload,
                   offloaded: bool) -> _WalkedStreams:
     """Run every address stream of ``workload`` through ``hierarchy``,
     feeding its metric counters as the walk goes."""
-    phases = []
+    names, streams = [], []
     for phase, stream in workload.address_streams():
-        if offloaded:
-            l3_before = hierarchy.l3.stats.accesses
-            for addr in stream:
-                if not hierarchy.l3.access(addr):
-                    hierarchy.dram_accesses += 1
-            counts = HierarchyCounts()
-            processed = hierarchy.l3.stats.accesses - l3_before
-        else:
-            counts = hierarchy.access_stream(stream)
-            processed = counts.l1.accesses
-        phases.append((getattr(phase, "name", str(phase)), processed,
-                       counts))
-    direct = HierarchyCounts()
-    if offloaded:
-        direct = HierarchyCounts(
-            l3=CacheStats(hierarchy.l3.stats.accesses,
-                          hierarchy.l3.stats.hits),
-            dram_accesses=hierarchy.dram_accesses)
-        hierarchy.account(direct)
-    return _WalkedStreams(tuple(phases), direct)
+        names.append(getattr(phase, "name", str(phase)))
+        streams.append(stream)
+    if not offloaded:
+        return _WalkedStreams(
+            tuple((name, counts.l1.accesses, counts) for name, counts
+                  in zip(names, hierarchy.access_streams(streams))),
+            HierarchyCounts())
+    # Offloaded operands go L3 -> transceiver: one L3-only walk.
+    lines, lengths = hierarchy.stream_lines(streams)
+    hits = hierarchy.l3.access_lines(lines)
+    hierarchy.dram_accesses += hits.size - int(hits.sum())
+    direct = HierarchyCounts(
+        l3=CacheStats(hierarchy.l3.stats.accesses, hierarchy.l3.stats.hits),
+        dram_accesses=hierarchy.dram_accesses)
+    hierarchy.account(direct)
+    return _WalkedStreams(
+        tuple((name, processed, HierarchyCounts())
+              for name, processed in zip(names, lengths)),
+        direct)
 
 
 def _apply_sparsity(plan: OffloadPlan, phase: MatmulPhase,

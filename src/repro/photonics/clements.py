@@ -55,7 +55,7 @@ class DecompositionError(ValueError):
     """Raised when the input matrix is not (numerically) unitary."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MZIMesh:
     """A programmed rectangular MZI mesh: an immutable value.
 
@@ -87,6 +87,17 @@ class MZIMesh:
         phases.setflags(write=False)
         object.__setattr__(self, "mzis", tuple(self.mzis))
         object.__setattr__(self, "output_phases", phases)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal programs: the same MZI states and output phases (the
+        array compared by value)."""
+        if not isinstance(other, MZIMesh):
+            return NotImplemented
+        return (self.n == other.n and self.mzis == other.mzis
+                and np.array_equal(self.output_phases, other.output_phases))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mzis))
 
     def __setstate__(self, state: dict) -> None:
         """Unpickle with the read-only arrays read-only again.

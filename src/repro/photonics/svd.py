@@ -21,7 +21,7 @@ from repro.photonics.clements import MZIMesh
 from repro.photonics.registry import decomposer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SVDProgram:
     """A programmed SVD MZIM: ``M_s = U @ diag(sigma) @ V*``.
 
@@ -45,6 +45,19 @@ class SVDProgram:
         sigma = np.array(self.sigma)
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal programs: equal meshes, scale and ``sigma`` (the array
+        compared by value)."""
+        if not isinstance(other, SVDProgram):
+            return NotImplemented
+        return (self.n == other.n and self.scale == other.scale
+                and self.v_dagger_mesh == other.v_dagger_mesh
+                and self.u_mesh == other.u_mesh
+                and np.array_equal(self.sigma, other.sigma))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.v_dagger_mesh, self.u_mesh, self.scale))
 
     def __setstate__(self, state: dict) -> None:
         """Unpickle with ``sigma`` read-only again (numpy does not

@@ -94,7 +94,8 @@ class Workload(abc.ABC):
         The default models each phase as: a weight stream repeated
         ``weight_reuse`` times (capped to bound simulation cost — reuse
         beyond a few passes is already fully resident), an input stream,
-        and an output stream, at cache-line granularity.
+        and an output stream, at cache-line granularity.  Each stream is
+        one int64 array of byte addresses.
 
         A stream must be a pure function of :meth:`phases`: the system
         model memoizes hierarchy counts keyed by this method and the
@@ -111,7 +112,7 @@ class Workload(abc.ABC):
                 INPUT_BASE, max(1, phase.input_bytes // line), line)
             outputs = strided_stream(
                 OUTPUT_BASE, max(1, phase.output_bytes // line), line)
-            yield phase, _chain(weight, inputs, outputs)
+            yield phase, np.concatenate((weight, inputs, outputs))
 
     def block_matmuls(self, mzim_size: int = 8,
                       wavelengths: int = 8) -> dict[str, BlockMatmul]:
@@ -124,11 +125,6 @@ class Workload(abc.ABC):
 
     def matrix_key(self, phase: MatmulPhase) -> str:
         return f"{self.name}/{phase.name}"
-
-
-def _chain(*iterables):
-    for it in iterables:
-        yield from it
 
 
 def verify_photonic(workload: Workload, rtol: float = 1e-6,

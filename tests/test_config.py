@@ -116,6 +116,21 @@ class TestGeometryValidation:
         with pytest.raises(ValueError, match=f"{config.__name__}.{field}"):
             config(**{field: value})
 
+    @pytest.mark.parametrize("field", ["l2_size_b", "l3_size_b"])
+    def test_partial_set_rejected(self, field):
+        # 1000 B is not a whole number of 8- or 16-way sets of 64 B lines.
+        with pytest.raises(ValueError, match=f"CacheConfig.{field} 1000"):
+            CacheConfig(**{field: 1000})
+
+    def test_partial_l1_set_rejected_where_core_meets_cache(self):
+        core = CoreConfig(l1d_size_b=1000)  # the ways live in CacheConfig
+        with pytest.raises(ValueError, match="core.l1d_size_b 1000"):
+            SystemConfig(core=core)
+        # 32 KiB fills 8-way sets of 64 B lines, not 8-way sets of 8 KiB.
+        with pytest.raises(ValueError, match="core.l1d_size_b"):
+            DEFAULT_SYSTEM.replace(cache=CacheConfig(
+                line_size_b=8192, l2_size_b=1 << 20, l3_size_b=1 << 24))
+
     def test_defaults_and_replace_still_build(self):
         assert DEFAULT_SYSTEM.replace(
             cache=CacheConfig(l2_size_b=256 * 1024)).cache.l2_size_b \

@@ -177,13 +177,13 @@ class TestWarmCallSimulatesNothing:
         assert cold.dram_accesses == cold_hierarchy.dram_accesses > 0
 
         calls = []
-        access = Cache.access
+        access_lines = Cache.access_lines
 
-        def counting(self, addr):
-            calls.append(addr)
-            return access(self, addr)
+        def counting(self, lines):
+            calls.append(lines)
+            return access_lines(self, lines)
 
-        monkeypatch.setattr(Cache, "access", counting)
+        monkeypatch.setattr(Cache, "access_lines", counting)
         warm, hierarchy = model._cache_counts(wl, offloaded=offloaded)
         assert calls == []
         assert warm == cold

@@ -1,5 +1,6 @@
 """Tests for the multicore substrate: caches, cores, energy, area."""
 
+import numpy as np
 import pytest
 
 from repro.config import CoreConfig
@@ -14,36 +15,32 @@ from repro.multicore.cpu import CoreModel
 from repro.multicore.energy import CoreEnergyModel, EnergyBreakdown
 
 
+def _hits(cache: Cache, addrs) -> list[bool]:
+    return cache.access_lines(np.asarray(addrs) // cache.line_b).tolist()
+
+
 class TestCache:
     def test_cold_miss_then_hit(self):
         c = Cache(1024, 2, 64)
-        assert not c.access(0)
-        assert c.access(0)
-        assert c.access(63)       # same line
-        assert not c.access(64)   # next line
+        # 63 shares line 0; 64 is the next line.
+        assert _hits(c, [0, 0, 63, 64]) == [False, True, True, False]
 
     def test_lru_eviction_within_set(self):
         c = Cache(2 * 64, 2, 64)  # 1 set, 2 ways
-        c.access(0)
-        c.access(64)
-        c.access(128)             # evicts line 0
-        assert not c.access(0)
+        _hits(c, [0, 64, 128])    # 128 evicts line 0
+        assert _hits(c, [0]) == [False]
 
     def test_lru_respects_recency(self):
         c = Cache(2 * 64, 2, 64)
-        c.access(0)
-        c.access(64)
-        c.access(0)               # line 0 most recent
-        c.access(128)             # evicts line 64
-        assert c.access(0)
-        assert not c.access(64)
+        # Line 0 is most recent when 128 arrives, so 128 evicts line 64.
+        assert _hits(c, [0, 64, 0, 128]) == [False, False, True, False]
+        assert _hits(c, [0, 64]) == [True, False]
 
     def test_capacity_fits_working_set(self):
         c = Cache(32 * 1024, 8, 64)
         addrs = list(range(0, 16 * 1024, 64))
-        for a in addrs:
-            c.access(a)
-        assert all(c.access(a) for a in addrs)
+        _hits(c, addrs)
+        assert all(_hits(c, addrs))
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -64,8 +61,8 @@ class TestCache:
 
     def test_stats_track_hit_rate(self):
         c = Cache(1024, 2, 64)
-        c.access(0)
-        c.access(0)
+        _hits(c, [0])
+        _hits(c, [0])
         assert c.stats.accesses == 2
         assert c.stats.hits == 1
         assert c.stats.hit_rate == 0.5
@@ -74,17 +71,19 @@ class TestCache:
 class TestHierarchy:
     def test_miss_walks_all_levels(self):
         h = CacheHierarchy()
-        assert h.access(0) == "dram"
-        assert h.access(0) == "l1"
+        first = h.access_stream([0])
+        assert (first.l1.hits, first.l2.hits, first.l3.hits,
+                first.dram_accesses) == (0, 0, 0, 1)
+        assert h.access_stream([0]).l1.hits == 1
 
     def test_l2_serves_l1_evictions(self):
         h = CacheHierarchy()
         l1_lines = CoreConfig().l1d_size_b // 64
         # Touch 2x the L1 capacity, then re-touch the start: L1 misses, L2 hits.
-        for i in range(2 * l1_lines):
-            h.access(i * 64 * 8)  # stride past set conflicts
-        level = h.access(0)
-        assert level in ("l2", "l3")
+        h.access_stream(strided_stream(0, 2 * l1_lines, 64 * 8))
+        counts = h.access_stream([0])
+        assert counts.l1.hits == 0
+        assert counts.l2.hits + counts.l3.hits == 1
 
     def test_stream_counts(self):
         h = CacheHierarchy()

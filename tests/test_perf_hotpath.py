@@ -249,6 +249,13 @@ class TestImmutableMesh:
                               mesh.mzis_per_path())
         assert np.array_equal(program_copy.sigma, program.sigma)
         assert np.array_equal(program_copy.matrix(), program.matrix())
+        # Immutable values: a round trip compares and hashes equal.
+        assert mesh_copy == mesh and hash(mesh_copy) == hash(mesh)
+        assert program_copy == program
+        assert hash(program_copy) == hash(program)
+        assert program_copy.u_mesh != program_copy.v_dagger_mesh
+        other = program_svd(2 * np.asarray(program.matrix()))
+        assert other != program
 
 
 class TestHopTracingDeduplication:
