@@ -343,7 +343,8 @@ def serve_replica(params: dict, seed: int) -> dict:
     Params: the shard's :meth:`~repro.serve.ServeConfig.to_dict` record.
     The shard config carries the session seed, so the engine-derived
     seed is unused.  Returns the payload :class:`~repro.serve.ReplicaSet`
-    aggregates: report, event stream, snapshot series, latency samples.
+    aggregates: report, event stream, snapshot series, the shard's ledger
+    (counts and exact latency histograms) and its held request count.
     """
     from repro.faults.ladder import BackoffPolicy
     from repro.serve.cluster import _run_shard

@@ -46,9 +46,7 @@ class LatencyStats:
 
     @property
     def p99(self) -> float:
-        from repro.obs.metrics import interpolated_percentile
-
-        return interpolated_percentile(self.latencies, 99) \
+        return float(np.percentile(self.latencies, 99)) \
             if self.latencies else 0.0
 
     @property

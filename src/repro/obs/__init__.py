@@ -61,7 +61,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
     Timer,
-    interpolated_percentile,
     percentile_summary,
 )
 from repro.obs.snapshot import (
@@ -110,7 +109,6 @@ __all__ = [
     "TelemetryStore",
     "Timer",
     "chrome_trace_payload",
-    "interpolated_percentile",
     "load_and_validate",
     "load_and_validate_events",
     "merge_event_logs",

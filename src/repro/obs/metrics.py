@@ -39,27 +39,13 @@ def _series_key(name: str, labels: tuple[tuple[str, str], ...]) -> str:
     return f"{name}{{{inner}}}"
 
 
-def interpolated_percentile(values, q: float) -> float:
-    """Linear-interpolated percentile of raw samples (``q`` in [0, 100]).
-
-    The one shared quantile implementation for *raw sample lists*
-    (NumPy's default ``linear`` interpolation): the serve daemon's
-    latency report, the NoC latency tracker, and the perf tables all
-    route through here, so every quantile printed anywhere in the repo
-    is computed the same way.  (:meth:`Histogram.quantile` is the
-    separate *bucketed* estimator for pre-aggregated series.)
-    """
-    import numpy as np
-
-    return float(np.percentile(np.asarray(values), q))
-
-
 def percentile_summary(values) -> dict:
     """count/p50/p95/p99/max summary of raw latency samples.
 
-    The canonical latency block of the serve daemon's session report
-    and the cluster report; empty input yields the all-``None`` shape
-    so JSON consumers need no special-casing.
+    The latency block of the serve reports (NumPy's default ``linear``
+    interpolation; :meth:`Histogram.quantile` is the separate *bucketed*
+    estimator for pre-aggregated series).  Empty input yields the
+    all-``None`` shape so JSON consumers need no special-casing.
     """
     import numpy as np
 

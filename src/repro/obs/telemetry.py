@@ -309,7 +309,12 @@ def validate_telemetry(events: list[object] | str | os.PathLike,
 
 
 class TelemetryStore:
-    """Read side of a telemetry directory; files re-read per request."""
+    """Read side of a telemetry directory; files re-read per request.
+
+    The in-memory serve stores (:class:`~repro.serve.LiveTelemetryStore`,
+    :class:`~repro.serve.ClusterTelemetryStore`) subclass it, overriding
+    :meth:`events` and :meth:`snapshots`.
+    """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)

@@ -33,12 +33,10 @@ from __future__ import annotations
 import dataclasses
 
 from repro.analysis.engine import PointSpec, SweepEngine
-from repro.obs import (
-    merge_event_logs,
-    merge_snapshot_series,
-    percentile_summary,
-)
+from repro.obs import merge_event_logs, merge_snapshot_series
+from repro.obs.telemetry import TelemetryStore
 from repro.serve.daemon import ServeConfig, ServeDaemon
+from repro.serve.ledger import Ledger
 
 
 def shard_tenants(names: tuple[str, ...],
@@ -69,8 +67,9 @@ def _run_shard(config: ServeConfig) -> dict:
 
     The body of the ``serve_replica`` engine task
     (:mod:`repro.analysis.tasks`); the payload carries everything the
-    cluster aggregates, including the raw latency samples the
-    cluster-level quantiles need.
+    cluster aggregates: the report, the event stream, the snapshot
+    series, the ledger as plain data (no raw latency samples) and the
+    count of requests still held (:meth:`ServeDaemon.held`).
     """
     daemon = ServeDaemon(config)
     report = daemon.run()
@@ -78,8 +77,8 @@ def _run_shard(config: ServeConfig) -> dict:
         "report": report,
         "events": list(daemon.obs.events.events),
         "snapshots": list(daemon.obs.sampler.series),
-        "mvm_latencies": list(daemon._mvm_latencies),
-        "comm_latencies": list(daemon.net.latency.latencies),
+        "ledger": daemon.ledger.to_dict(),
+        "held": daemon.held(),
     }
 
 
@@ -126,29 +125,18 @@ class ReplicaSet:
         if self.results is None:
             raise RuntimeError("run() the replica set first")
         reports = [r["report"] for r in self.results]
-        ledger = {key: sum(rep["ledger"][key] for rep in reports)
-                  for key in ("offered", "admitted", "rejected",
-                              "completed", "in_flight")}
-        per_tenant: dict[str, dict] = {}
-        for rep in reports:
-            per_tenant.update(rep["per_tenant"])
-        mvm = [s for r in self.results for s in r["mvm_latencies"]]
-        comm = [s for r in self.results for s in r["comm_latencies"]]
+        books = Ledger.merge(r["ledger"] for r in self.results).render(
+            sum(r["held"] for r in self.results))
         cycles = max(rep["cycles"] for rep in reports)
         return {
             "config": self.config.to_dict(),
             "replicas": self.replicas,
             "cycles": cycles,
-            "ledger": ledger,
-            "conserved": all(rep["conserved"] for rep in reports),
+            **books,
             "drained": all(rep["drained"] for rep in reports),
-            "per_tenant": dict(sorted(per_tenant.items())),
-            "latency": {
-                "mvm": percentile_summary(mvm),
-                "comm": percentile_summary(comm),
-            },
             "goodput_per_kcycle": (
-                1000.0 * ledger["completed"] / cycles if cycles else 0.0),
+                1000.0 * books["ledger"]["completed"] / cycles
+                if cycles else 0.0),
             "electrical_completions": sum(
                 rep["electrical_completions"] for rep in reports),
             "final_rungs": [rep["final_rung"] for rep in reports],
@@ -187,14 +175,14 @@ class ReplicaSet:
         return streams
 
 
-class ClusterTelemetryStore:
+class ClusterTelemetryStore(TelemetryStore):
     """Merged-telemetry read surface over a completed cluster run.
 
-    Duck-types the same store interface as
-    :class:`~repro.serve.live.LiveTelemetryStore` — ``events() /
-    events_tail() / snapshots() / latest_snapshot() / exposition() /
-    health()`` — so :class:`~repro.obs.telemetry.TelemetryServer`
-    serves a cluster's merged view unchanged.
+    A :class:`~repro.obs.telemetry.TelemetryStore` over the merged
+    streams — ``events() / events_tail() / snapshots() /
+    latest_snapshot() / exposition() / health()`` — so
+    :class:`~repro.obs.telemetry.TelemetryServer` serves a cluster's
+    merged view unchanged.
     """
 
     def __init__(self, replica_set: ReplicaSet,
@@ -208,15 +196,8 @@ class ClusterTelemetryStore:
     def events(self) -> list[dict]:
         return list(self._set.merged_events)
 
-    def events_tail(self, n: int) -> list[dict]:
-        return self.events()[-n:] if n > 0 else []
-
     def snapshots(self) -> list[dict]:
         return list(self._set.merged_snapshots)
-
-    def latest_snapshot(self) -> dict | None:
-        snaps = self._set.merged_snapshots
-        return snaps[-1] if snaps else None
 
     def exposition(self) -> str:
         """Prometheus text for every replica's final snapshot.

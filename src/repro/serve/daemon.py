@@ -34,12 +34,14 @@ logs, snapshot series, expositions, and session reports — with or
 without a live HTTP observer attached, since the read side never
 mutates daemon state.
 
-The accounting ledger is conserved at every snapshot::
+Every request transition is written once, into the session's
+:class:`~repro.serve.ledger.Ledger`, from which the report and the
+``serve.*`` counters derive.  The report's ``conserved`` checks::
 
     offered == admitted + rejected
-    in_flight == admitted - completed
+    in_flight == requests held in batches and undelivered packets
 
-which the hypothesis suite asserts across arrival shapes and seeds.
+and the hypothesis suite checks the counters at every snapshot.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from repro.faults.models import FAULTS, FaultSchedule
 from repro.faults.recovery import FabricRecovery
 from repro.noc.packet import Packet
 from repro.noc.soa import SoAFlumenNetwork
-from repro.obs import Obs, percentile_summary
+from repro.obs import Obs
 from repro.obs.snapshot import OFFER_STRIDE
 from repro.serve.admission import AdmissionController, precompute_decisions
 from repro.serve.arrivals import (
@@ -73,6 +75,7 @@ from repro.serve.arrivals import (
     ClientPopulation,
     check_rate,
 )
+from repro.serve.ledger import FIELDS, KINDS, Ledger
 
 #: Latency histogram buckets, in cycles (shared by mvm and comm series).
 LATENCY_BOUNDS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
@@ -230,10 +233,9 @@ class ServeDaemon:
     harness and tests do) — the report is identical either way.
     """
 
-    def __init__(self, config: ServeConfig,
-                 obs: Obs | None = None) -> None:
+    def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.obs = obs if obs is not None else Obs.telemetry(
+        self.obs = Obs.telemetry(
             snapshot_interval=config.snapshot_interval,
             max_events=config.max_events)
         self.state = DaemonState.BOOT
@@ -273,11 +275,8 @@ class ServeDaemon:
         self.injector = FaultInjector(
             schedule, self.recovery.domain,
             seed=point_seed(config.seed, "serve/faults"), obs=self.obs)
-        # Ledger (mirrored into serve.* metrics every cycle).
-        self.offered = 0
-        self.admitted = 0
-        self.rejected = 0
-        self.completed = 0
+        #: The session's one record of request counts and latencies.
+        self.ledger = Ledger(config.tenant_names())
         self.drained = True
         #: Hooks of the session's co-simulation loop.
         self._loop = {"before_tick": self._before_tick,
@@ -288,24 +287,17 @@ class ServeDaemon:
         self._in_scheduler: dict[int, _Batch] = {}
         self._batch_ordinal = 0
         self._packet_tenant: dict[int, str] = {}
-        self._mvm_latencies: list[int] = []
-        self._per_tenant: dict[str, dict[str, int]] = {
-            t: {"offered": 0, "admitted": 0, "rejected": 0,
-                "completed": 0}
-            for t in config.tenant_names()}
         metrics = self.obs.metrics
-        self._m_offered = metrics.counter("serve.offered")
-        self._m_admitted = metrics.counter("serve.admitted")
-        self._m_rejected = metrics.counter("serve.rejected")
-        self._m_completed = metrics.counter("serve.completed")
+        # The ledger's counts as counters, written at each sync; a
+        # tenant's series appears once its count is non-zero.
+        self._counters = {f: metrics.counter(f"serve.{f}") for f in FIELDS}
+        self._tenant_counters: dict[tuple[str, str], object] = {}
         self._g_in_flight = metrics.gauge("serve.in_flight")
         self._g_open_batches = metrics.gauge("serve.open_batches")
-        self._h_mvm = metrics.histogram("serve.latency_cycles",
-                                        bounds=LATENCY_BOUNDS,
-                                        kind="mvm")
-        self._h_comm = metrics.histogram("serve.latency_cycles",
-                                         bounds=LATENCY_BOUNDS,
-                                         kind="comm")
+        #: The telemetry view of the ledger's latencies, bucketed.
+        self._h_latency = {kind: metrics.histogram(
+            "serve.latency_cycles", bounds=LATENCY_BOUNDS, kind=kind)
+            for kind in KINDS}
         # Per-tenant fabric state: a preloaded matrix program and a
         # fixed vector block every MVM in the tenant's stream reuses.
         self._vectors: dict[str, np.ndarray] = {}
@@ -319,11 +311,6 @@ class ServeDaemon:
                 BlockMatmul(matrix, mzim_size=config.ports))
             self._vectors[tenant] = t_rng.normal(
                 size=(config.ports, 4))
-        # Lazily-cached per-tenant labeled counters (creation stays
-        # on-first-use so the metric series set matches the live path).
-        self._c_admitted: dict[str, object] = {}
-        self._c_rejected: dict[str, object] = {}
-        self._c_completed: dict[str, object] = {}
         # The whole arrival schedule is drawn up front (the wheel) and
         # its admission verdicts replayed through ``self.admission``;
         # the fleet-MVM flush is memoized, and the loop fast-forwards
@@ -344,11 +331,34 @@ class ServeDaemon:
 
     @property
     def in_flight(self) -> int:
-        """Admitted requests not yet completed (ledger invariant)."""
-        return self.admitted - self.completed
+        """Admitted requests not yet completed, by the ledger."""
+        return self.ledger.totals()["in_flight"]
 
-    def _sync_gauges(self) -> None:
-        self._g_in_flight.set(float(self.in_flight))
+    def held(self) -> int:
+        """Admitted requests the serving structures hold: open batches,
+        batches in the scheduler and undelivered packets."""
+        return (sum(len(b.requests) for b in self._open.values())
+                + sum(len(b.requests) for b in self._in_scheduler.values())
+                + len(self._packet_tenant))
+
+    def _sync_metrics(self) -> None:
+        """Write the ledger's counts and the gauges into the registry.
+
+        Snapshots are the only readers between syncs, so a sync before
+        each snapshot offer and one at :meth:`finish` keep every
+        snapshot exact.
+        """
+        totals, series = self.ledger.totals(), self._tenant_counters
+        for name, counter in self._counters.items():
+            counter.value = totals[name]
+        for tenant, row in self.ledger.rows.items():
+            for name in FIELDS[1:]:
+                if row[name]:
+                    if (name, tenant) not in series:
+                        series[name, tenant] = self.obs.metrics.counter(
+                            f"serve.tenant_{name}", tenant=tenant)
+                    series[name, tenant].value = row[name]
+        self._g_in_flight.set(float(totals["in_flight"]))
         self._g_open_batches.set(float(len(self._open)))
 
     def _transition(self, dst: DaemonState, reason: str) -> None:
@@ -359,36 +369,17 @@ class ServeDaemon:
 
     # -- request intake ----------------------------------------------------
 
-    def _tenant_counter(self, cache: dict, name: str, tenant: str):
-        counter = cache.get(tenant)
-        if counter is None:
-            counter = self.obs.metrics.counter(name, tenant=tenant)
-            cache[tenant] = counter
-        return counter
-
     def _offer(self, arrival: Arrival, admit: bool) -> None:
         """Offer one arrival with its admission verdict."""
-        self.offered += 1
-        self._m_offered.inc()
-        tenant = self._per_tenant[arrival.tenant]
-        tenant["offered"] += 1
+        row = self.ledger.rows[arrival.tenant]
+        row["offered"] += 1
         if not admit:
-            self.rejected += 1
-            self._m_rejected.inc()
-            tenant["rejected"] += 1
-            self._tenant_counter(self._c_rejected,
-                                 "serve.tenant_rejected",
-                                 arrival.tenant).inc()
+            row["rejected"] += 1
             self.obs.events.emit("admission_reject", self.cycle,
                                  tenant=arrival.tenant,
                                  kind=arrival.kind)
             return
-        self.admitted += 1
-        self._m_admitted.inc()
-        tenant["admitted"] += 1
-        self._tenant_counter(self._c_admitted,
-                             "serve.tenant_admitted",
-                             arrival.tenant).inc()
+        row["admitted"] += 1
         if arrival.kind == "comm":
             packet = Packet(
                 src=arrival.src, dst=arrival.dst,
@@ -470,17 +461,13 @@ class ServeDaemon:
             batch = self._in_scheduler.pop(request_id, None)
             if batch is None:
                 continue
+            self.ledger.rows[batch.tenant]["completed"] += len(
+                batch.requests)
             for arrival, submitted in zip(batch.requests,
                                           batch.submit_cycles):
                 latency = done_cycle - submitted
-                self._mvm_latencies.append(latency)
-                self._h_mvm.observe(float(latency))
-                self.completed += 1
-                self._m_completed.inc()
-                self._per_tenant[batch.tenant]["completed"] += 1
-                self._tenant_counter(self._c_completed,
-                                     "serve.tenant_completed",
-                                     batch.tenant).inc()
+                self.ledger.observe("mvm", latency)
+                self._h_latency["mvm"].observe(float(latency))
                 self.control.queue_mvm(
                     f"serve/{batch.tenant}",
                     self._vectors[batch.tenant],
@@ -495,13 +482,10 @@ class ServeDaemon:
         tenant = self._packet_tenant.pop(packet.packet_id, None)
         if tenant is None:
             return
-        self._h_comm.observe(float(delivered_cycle
-                                   - packet.create_cycle))
-        self.completed += 1
-        self._m_completed.inc()
-        self._per_tenant[tenant]["completed"] += 1
-        self._tenant_counter(self._c_completed,
-                             "serve.tenant_completed", tenant).inc()
+        latency = delivered_cycle - packet.create_cycle
+        self.ledger.rows[tenant]["completed"] += 1
+        self.ledger.observe("comm", latency)
+        self._h_latency["comm"].observe(float(latency))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -513,7 +497,7 @@ class ServeDaemon:
         if self.state is not DaemonState.BOOT:
             raise RuntimeError(f"cannot start from {self.state}")
         self._session.enter_context(self.net.running(stamp_stepped=True))
-        self._sync_gauges()
+        self._sync_metrics()
         self._transition(DaemonState.SERVING,
                          f"session seed={self.config.seed} "
                          f"duration={self.config.duration}")
@@ -533,9 +517,9 @@ class ServeDaemon:
     def _after_step(self, cycle: int) -> None:
         self._collect_completions()
         if cycle % OFFER_STRIDE == 0:
-            # Gauges are only read at snapshots and at finish(), so
-            # they are synced before a snapshot offer, not every cycle.
-            self._sync_gauges()
+            # Counters and gauges are only read by snapshots (and at
+            # finish()), so they are synced before each snapshot offer.
+            self._sync_metrics()
 
     def _arrivals(self, cycle: int):
         """``(arrival, admitted)`` pairs offered at ``cycle``."""
@@ -574,15 +558,14 @@ class ServeDaemon:
                          f"in_flight={self.in_flight}")
         drained = self.scheduler.drain(
             self.config.drain_limit, **self._loop,
-            pending=lambda: bool(self.in_flight or self._open
-                                 or self._in_scheduler))
+            pending=lambda: bool(self._open or self._in_scheduler
+                                 or self._packet_tenant))
         self.drained = drained and self.in_flight == 0
         self._session.close()
-        self._sync_gauges()
+        self._sync_metrics()
         self._transition(DaemonState.STOPPED,
-                         f"completed={self.completed}")
-        if self.obs.sampler is not None:
-            self.obs.sampler.sample(self.cycle)
+                         f"completed={self.ledger.totals()['completed']}")
+        self.obs.sampler.sample(self.cycle)
         return self.report()
 
     def run(self) -> dict:
@@ -606,29 +589,15 @@ class ServeDaemon:
              "params": e.fault.params()}
             for e in self.injector.injected]
         total_cycles = self.cycle
+        books = self.ledger.render(self.held())
         return {
             "config": self.config.to_dict(),
             "state": self.state.value,
             "cycles": total_cycles,
-            "ledger": {
-                "offered": self.offered,
-                "admitted": self.admitted,
-                "rejected": self.rejected,
-                "completed": self.completed,
-                "in_flight": self.in_flight,
-            },
-            "conserved": (
-                self.offered == self.admitted + self.rejected
-                and self.in_flight == self.admitted - self.completed),
+            **books,
             "drained": self.drained,
-            "per_tenant": self._per_tenant,
-            "latency": {
-                "mvm": percentile_summary(self._mvm_latencies),
-                "comm": percentile_summary(
-                    list(self.net.latency.latencies)),
-            },
             "goodput_per_kcycle": (
-                1000.0 * self.completed / total_cycles
+                1000.0 * books["ledger"]["completed"] / total_cycles
                 if total_cycles else 0.0),
             "scheduler": stats.to_dict(),
             "ladder": self.ladder.to_dict(),
@@ -637,6 +606,5 @@ class ServeDaemon:
             "injected": injected,
             "detected_cycle": self.recovery.detected_cycle,
             "events": len(self.obs.events),
-            "snapshots": (len(self.obs.sampler)
-                          if self.obs.sampler is not None else 0),
+            "snapshots": len(self.obs.sampler),
         }

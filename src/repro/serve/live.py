@@ -4,10 +4,10 @@
 calls ``exposition() / health() / events_tail() / snapshots()`` on
 whatever it is given.  The file-backed
 :class:`~repro.obs.telemetry.TelemetryStore` re-reads a telemetry
-directory per request; :class:`LiveTelemetryStore` implements the same
-duck-typed read surface directly over a running daemon's
-:class:`~repro.obs.Obs` bundle, so `repro serve --http-port` exposes
-the session *while it runs* with zero file I/O.
+directory per request; :class:`LiveTelemetryStore` subclasses it to
+read a running daemon's :class:`~repro.obs.Obs` bundle instead, so
+`repro serve --http-port` exposes the session *while it runs* with zero
+file I/O.
 
 Thread-safety and determinism: the HTTP thread only *reads*.  The
 snapshot series and event log are append-only, so bounded reads are
@@ -22,11 +22,11 @@ byte-identical with or without an observer attached.
 from __future__ import annotations
 
 from repro.obs import Obs
-from repro.obs.telemetry import prometheus_exposition
+from repro.obs.telemetry import TelemetryStore
 
 
-class LiveTelemetryStore:
-    """Read-only telemetry view over a live daemon (duck-typed store)."""
+class LiveTelemetryStore(TelemetryStore):
+    """Read-only telemetry view over a live daemon's bundle."""
 
     def __init__(self, obs: Obs, daemon=None,
                  describe: str = "live session") -> None:
@@ -53,38 +53,19 @@ class LiveTelemetryStore:
         """Every event emitted so far (bounded copy)."""
         return self._bounded(self.obs.events.events)
 
-    def events_tail(self, n: int) -> list[dict]:
-        """The most recent ``n`` events (``/events?tail=N``)."""
-        return self.events()[-n:] if n > 0 else []
-
     def snapshots(self) -> list[dict]:
         """Every snapshot sampled so far (bounded copy)."""
         if self.obs.sampler is None:
             return []
         return self._bounded(self.obs.sampler.series)
 
-    def latest_snapshot(self) -> dict | None:
-        """The most recent completed snapshot, or None before the first."""
-        snaps = self.snapshots()
-        return snaps[-1] if snaps else None
-
     def exposition(self) -> str:
-        """Prometheus text for the latest snapshot (plus stream meta)."""
-        snap = self.latest_snapshot()
-        if snap is None:
-            return ""
-        meta = {
-            "telemetry.snapshot_cycle": snap["cycle"],
-            "telemetry.snapshots": len(self.snapshots()),
-            "telemetry.events": len(self.events()),
-        }
-        return prometheus_exposition(snap["metrics"], extra_gauges=meta)
+        """Prometheus text for the latest snapshot; empty before one."""
+        return super().exposition() if self.snapshots() else ""
 
     def health(self) -> dict:
         """``/healthz`` body; includes daemon state/cycle when attached."""
-        record = {"status": "ok", "root": str(self.root),
-                  "snapshots": len(self.snapshots()),
-                  "events": len(self.events())}
+        record = super().health()
         if self.daemon is not None:
             record["state"] = self.daemon.state.value
             record["cycle"] = self.daemon.cycle

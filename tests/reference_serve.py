@@ -7,10 +7,12 @@ idle fast-forward.  It draws every cycle's arrivals live from a fresh
 :class:`ClientPopulation` with scalar numpy
 (``tests/reference_arrivals.py``), admits each one live through a fresh
 :class:`AdmissionController`, recomputes every fleet MVM flush, syncs
-the gauges every cycle and steps every cycle.  It is the oracle the
-single loop is held to, byte for byte (report, events, snapshots), by
-``tests/test_serve_cluster.py``; it lives under ``tests/`` so production
-code carries one serve loop only.
+the counters and gauges every cycle and steps every cycle.  It is the
+oracle the single loop is held to, byte for byte (report, events,
+snapshots), by ``tests/test_serve_cluster.py``; it lives under
+``tests/`` so production code carries one serve loop only.  It shares
+the daemon's ledger, so ``tests/test_serve_golden.py`` pins what it
+cannot check: the counts, counters and latency summaries themselves.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from tests.reference_arrivals import requests_for_cycle
 class PerCycleDaemon(ServeDaemon):
     """:class:`ServeDaemon` stepping, drawing and admitting per cycle."""
 
-    def __init__(self, config, obs=None) -> None:
-        super().__init__(config, obs=obs)
+    def __init__(self, config) -> None:
+        super().__init__(config)
         # The wheel consumed the parent's generators and the replay
         # spent its buckets; start both over for live use.
         self.population = ClientPopulation(
@@ -40,9 +42,10 @@ class PerCycleDaemon(ServeDaemon):
 
     def _collect_completions(self) -> None:
         # The last call before the snapshot offer of each cycle: syncing
-        # here keeps the gauges current every cycle, not only at offers.
+        # here keeps the counters and gauges current every cycle, not
+        # only at offers.
         super()._collect_completions()
-        self._sync_gauges()
+        self._sync_metrics()
 
     def _next_due(self, cycle: int) -> int:
         # Every cycle is due, so the loop never skips: it steps them all.

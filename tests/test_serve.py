@@ -253,6 +253,19 @@ class TestServeDeterminism:
         assert states[-2:] == [("serving", "draining"),
                                ("draining", "stopped")]
 
+    def test_report_is_a_copy_of_live_state(self):
+        daemon = ServeDaemon(self.CONFIG)
+        daemon.start()
+        for _ in range(400):
+            daemon.step()
+        early = daemon.report()
+        frozen = _canonical(early)
+        for _ in range(400):
+            daemon.step()
+        daemon.finish()
+        assert _canonical(early) == frozen
+        assert _canonical(daemon.report()) != frozen
+
     def test_live_store_surface(self):
         daemon, _ = self._run()
         store = LiveTelemetryStore(daemon.obs, daemon=daemon)

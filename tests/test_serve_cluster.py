@@ -47,14 +47,11 @@ def _artifacts(daemon: ServeDaemon, report: dict) -> str:
     })
 
 
-def _oracle_pair(config: ServeConfig, obs=None) -> list[str]:
-    """Artifacts of the per-cycle oracle and of the serve loop.
-
-    ``obs`` builds a fresh bundle per daemon (None: the default).
-    """
+def _oracle_pair(config: ServeConfig) -> list[str]:
+    """Artifacts of the per-cycle oracle and of the serve loop."""
     outs = []
     for cls in (PerCycleDaemon, ServeDaemon):
-        daemon = cls(config, obs=None if obs is None else obs())
+        daemon = cls(config)
         outs.append(_artifacts(daemon, daemon.run()))
     return outs
 
@@ -112,13 +109,17 @@ class TestVectorizedLoop:
         oracle, fast = _oracle_pair(shard_configs(config, 3)[1])
         assert oracle == fast
 
-    def test_active_obs_bundle_byte_identical(self):
-        # The tracer is on, so the loop's idle skip stays off and both
-        # daemons step every cycle; the trace itself must agree too.
+    def test_active_obs_bundle_byte_identical(self, monkeypatch):
+        # Each daemon builds a traced bundle in place of its telemetry
+        # one.  The tracer is on, so the loop's idle skip stays off and
+        # both daemons step every cycle; the trace itself must agree too.
+        monkeypatch.setattr(Obs, "telemetry", classmethod(
+            lambda cls, **_: cls.active(snapshot_interval=128)))
         config = ServeConfig(rate=0.06, duration=512, seed=6)
         traces = []
         for cls in (PerCycleDaemon, ServeDaemon):
-            daemon = cls(config, obs=Obs.active(snapshot_interval=128))
+            daemon = cls(config)
+            assert daemon.obs.tracer.enabled
             report = daemon.run()
             traces.append((_artifacts(daemon, report),
                            _canonical(list(daemon.obs.tracer.events))))
