@@ -208,8 +208,8 @@ def block_matmul_many(
 
     Gathers every non-zero block MVM of every job — the unit of work one
     optical pass performs — and hands the whole fleet to
-    :func:`repro.photonics.batch.apply_jobs`, which stacks
-    layout-compatible units into single ``(B, k, 2, 2)`` kernel passes.
+    :func:`repro.photonics.batch.apply_jobs`, which runs each group of
+    layout-compatible units as one ``(B, k, 2, 2)`` kernel pass.
     Per-job block partials are then accumulated in the same
     ``bj``-ascending order as the sequential loop, so each result is
     bit-identical to ``job(vectors, batched=False)``.

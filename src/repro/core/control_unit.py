@@ -77,6 +77,10 @@ class MatrixMemory:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
+    def __len__(self) -> int:
+        """Matrices stored (each may span several blocks)."""
+        return len(self._entries)
+
     def blocks_used(self) -> int:
         return sum(len(e.programs) for e in self._entries.values())
 
@@ -215,8 +219,7 @@ class MZIMControlUnit:
                  matrix_memory_blocks: int = 256,
                  arbitration_latency_cycles: int = 2,
                  obs: Obs = NULL_OBS,
-                 health: HealthMonitor | None = None,
-                 mvm_memo_entries: int = 0) -> None:
+                 health: HealthMonitor | None = None) -> None:
         self.network = network
         self.system = system or SystemConfig()
         #: Single buffer of compute requests per network edge (Figure 8);
@@ -233,16 +236,12 @@ class MZIMControlUnit:
         #: ``(job_id, node, matrix_key, vectors, tenant)``.
         self._mvm_queue: list[tuple[int, int, str, np.ndarray, str]] = []
         self._mvm_ids = itertools.count()
-        #: Opt-in memo for repeated (program, vectors) MVM jobs: maps
+        #: LRU memo of repeated (program, vectors) MVM jobs: maps
         #: ``(id(BlockMatmul), vectors bytes)`` to the computed result.
-        #: Keys hold a reference to the :class:`BlockMatmul` itself so a
-        #: garbage-collected program can never alias a reused ``id()``.
-        #: 0 disables (the default: every flush runs the stacked kernel).
-        self.mvm_memo_entries = int(mvm_memo_entries)
+        #: Values hold a reference to the :class:`BlockMatmul` itself so
+        #: a garbage-collected program can never alias a reused ``id()``.
         self._mvm_memo: "OrderedDict[tuple[int, bytes], " \
             "tuple[object, np.ndarray]]" = OrderedDict()
-        self.mvm_memo_hits = 0
-        self.mvm_memo_misses = 0
         self.obs = obs
         self._tracer = obs.tracer
         self._events = obs.events
@@ -322,17 +321,16 @@ class MZIMControlUnit:
         Results come back in submission order and are bit-identical to
         running each job's :class:`~repro.core.accelerator.BlockMatmul`
         sequentially (the stacked kernel's oracle contract, DESIGN.md
-        §14).  The queue is emptied even if a job fails.
+        §14); repeated jobs are answered from a memo of earlier results
+        (:meth:`_memoized_matmuls`).  The queue is emptied even if a job
+        fails.
         """
         queue, self._mvm_queue = self._mvm_queue, []
         if not queue:
             return []
         jobs = [(self.matrix_memory.get(key), vectors)
                 for _, _, key, vectors, _ in queue]
-        if self.mvm_memo_entries:
-            outputs = self._memoized_matmuls(jobs)
-        else:
-            outputs = block_matmul_many(jobs)
+        outputs = self._memoized_matmuls(jobs)
         self._m_mvm_jobs.inc(len(queue))
         self._m_mvm_flushes.inc()
         tenant_jobs: dict[str, int] = {}
@@ -370,8 +368,11 @@ class MZIMControlUnit:
         subset of genuinely new jobs runs through
         :func:`~repro.core.accelerator.block_matmul_many`.  Returned
         (and cached) arrays are copies, so callers may mutate results
-        without poisoning the memo.
+        without poisoning the memo.  The memo keeps at most
+        ``max(8, 4 * len(matrix_memory))`` results: a few vector blocks
+        per stored matrix.
         """
+        bound = max(8, 4 * len(self.matrix_memory))
         outputs: list[np.ndarray | None] = [None] * len(jobs)
         keys: list[tuple[int, bytes]] = []
         fresh: list[int] = []
@@ -380,23 +381,19 @@ class MZIMControlUnit:
             key = (id(program), vectors.tobytes())
             keys.append(key)
             hit = self._mvm_memo.get(key)
-            if hit is not None and hit[0] is program:
+            if hit is not None:
                 self._mvm_memo.move_to_end(key)
                 outputs[i] = hit[1].copy()
-                self.mvm_memo_hits += 1
-            elif key in first_seen:
-                # Duplicate within this flush: computed once below.
-                self.mvm_memo_hits += 1
-            else:
+            elif key not in first_seen:
+                # A duplicate within this flush is computed once, below.
                 first_seen[key] = i
                 fresh.append(i)
-                self.mvm_memo_misses += 1
         if fresh:
             computed = block_matmul_many([jobs[i] for i in fresh])
             for i, result in zip(fresh, computed):
                 outputs[i] = result
                 self._mvm_memo[keys[i]] = (jobs[i][0], result.copy())
-                while len(self._mvm_memo) > self.mvm_memo_entries:
+                while len(self._mvm_memo) > bound:
                     self._mvm_memo.popitem(last=False)
         for i, key in enumerate(keys):
             if outputs[i] is None:

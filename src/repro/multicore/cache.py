@@ -126,9 +126,6 @@ class Cache:
         self.stats.hits += int(np.count_nonzero(hits))
         return result
 
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
-
 
 @dataclass
 class HierarchyCounts:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import PICO
-from repro.multicore.cache import HierarchyCounts
 
 #: Energy of one 8-bit MAC on the in-core datapath including instruction
 #: overhead (fetch/decode/rename/RF) that Sniper+McPAT attribute per op.
@@ -89,12 +88,3 @@ class CoreEnergyModel:
         static = active_cores * self.core_static_w * runtime_s
         return dynamic + static
 
-    def cache_energy(self, counts: HierarchyCounts,
-                     chiplets: int = 1) -> tuple[float, float, float, float]:
-        """(L1, L2, L3, DRAM) joules for one hierarchy's counters, scaled
-        to ``chiplets`` identical chiplets."""
-        l1 = counts.l1.accesses * self.l1_energy_j * chiplets
-        l2 = counts.l2.accesses * self.l2_energy_j * chiplets
-        l3 = counts.l3.accesses * self.l3_energy_j * chiplets
-        dram = counts.dram_accesses * self.dram_energy_j * chiplets
-        return l1, l2, l3, dram

@@ -62,10 +62,13 @@ class SimKernel:
         self.obs = obs
         self._tracer = obs.tracer
         self._sampler = obs.sampler
-        #: Accounting context; "" until :meth:`set_tenant` scopes the
-        #: kernel to one tenant's request stream.
-        self.tenant = ""
-        self._bind_accounting()
+        metrics = obs.metrics
+        self._m_injected = metrics.counter("noc.packets_injected",
+                                           topology=name)
+        self._m_delivered = metrics.counter("noc.packets_delivered",
+                                            topology=name)
+        self._h_latency = metrics.histogram("noc.packet_latency_cycles",
+                                            topology=name)
         self._sample_end = 0
         #: The open run's stamp convention; None while no run is open.
         self._run_stamp: bool | None = None
@@ -77,30 +80,6 @@ class SimKernel:
                 tracer.counter("noc", "links", "link_busy_fraction",
                                (index + 1) * interval, busy=fraction)
             self.utilization.on_flush = _flush_to_trace
-
-    def _bind_accounting(self) -> None:
-        """(Re)create the labeled accounting series for this kernel."""
-        labels: dict[str, object] = {"topology": self.name}
-        if self.tenant:
-            labels["tenant"] = self.tenant
-        metrics = self.obs.metrics
-        self._m_injected = metrics.counter("noc.packets_injected", **labels)
-        self._m_delivered = metrics.counter("noc.packets_delivered",
-                                            **labels)
-        self._h_latency = metrics.histogram("noc.packet_latency_cycles",
-                                            **labels)
-
-    def set_tenant(self, tenant: str) -> None:
-        """Scope subsequent traffic accounting to one tenant.
-
-        The serve daemon runs one kernel per tenant request stream; the
-        tenant label lands on the injection/delivery counters and the
-        latency histogram so per-tenant series accumulate side by side.
-        Uninstrumented kernels pay nothing (the rebind hands back the
-        shared null instrument).
-        """
-        self.tenant = str(tenant)
-        self._bind_accounting()
 
     # -- backend hooks ---------------------------------------------------
 

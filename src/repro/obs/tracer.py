@@ -17,8 +17,6 @@ entirely (``if tracer.enabled: ...``).
 
 from __future__ import annotations
 
-from collections import deque
-
 #: Model layers, in fixed pid order (pid = index + 1).
 LAYERS = ("engine", "multicore", "noc", "core", "photonics")
 
@@ -26,35 +24,16 @@ _PIDS = {layer: i + 1 for i, layer in enumerate(LAYERS)}
 
 
 class CycleTracer:
-    """Recording tracer: appends Chrome-trace-event dicts in emit order.
-
-    Pass ``max_events`` for a bounded ring buffer: once full, the oldest
-    event is evicted per emit and counted on :attr:`dropped`.  A
-    long-lived telemetry stream (the serve daemon) needs bounded memory;
-    one-shot trace runs keep the default unbounded list.
-    """
+    """Recording tracer: appends Chrome-trace-event dicts in emit order."""
 
     enabled = True
 
-    def __init__(self, max_events: int | None = None) -> None:
-        self.events: list[dict] | deque[dict]
-        self._max_events = max_events
-        if max_events is None:
-            self.events = []
-        else:
-            self.events = deque(maxlen=max_events)
-        #: Oldest-event evictions under ``max_events`` (bounded mode).
-        self.dropped = 0
+    def __init__(self) -> None:
+        self.events: list[dict] = []
         #: (layer, track label) -> tid, assigned in first-use order.
         self._tids: dict[tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
-
-    def _record(self, event: dict) -> None:
-        if (self._max_events is not None
-                and len(self.events) == self._max_events):
-            self.dropped += 1
-        self.events.append(event)
 
     def _coords(self, layer: str, track: str) -> tuple[int, int]:
         if layer not in _PIDS:
@@ -70,25 +49,25 @@ class CycleTracer:
                 **args: object) -> None:
         """A point event (``ph: "i"``) at one simulation cycle."""
         pid, tid = self._coords(layer, track)
-        self._record({"name": name, "ph": "i", "ts": int(cycle),
-                      "pid": pid, "tid": tid, "s": "t",
-                      "args": args})
+        self.events.append({"name": name, "ph": "i", "ts": int(cycle),
+                            "pid": pid, "tid": tid, "s": "t",
+                            "args": args})
 
     def complete(self, layer: str, track: str, name: str,
                  start_cycle: int, end_cycle: int, **args: object) -> None:
         """A closed span (``ph: "X"``) covering ``[start, end]`` cycles."""
         pid, tid = self._coords(layer, track)
-        self._record({"name": name, "ph": "X",
-                      "ts": int(start_cycle),
-                      "dur": max(int(end_cycle) - int(start_cycle), 0),
-                      "pid": pid, "tid": tid, "args": args})
+        self.events.append({"name": name, "ph": "X",
+                            "ts": int(start_cycle),
+                            "dur": max(int(end_cycle) - int(start_cycle), 0),
+                            "pid": pid, "tid": tid, "args": args})
 
     def counter(self, layer: str, track: str, name: str, cycle: int,
                 **values: float) -> None:
         """A counter sample (``ph: "C"``) — renders as a timeline plot."""
         pid, tid = self._coords(layer, track)
-        self._record({"name": name, "ph": "C", "ts": int(cycle),
-                      "pid": pid, "tid": tid, "args": values})
+        self.events.append({"name": name, "ph": "C", "ts": int(cycle),
+                            "pid": pid, "tid": tid, "args": values})
 
     # ------------------------------------------------------------------
 
@@ -117,7 +96,6 @@ class NullTracer:
     """No-op backend; ``enabled`` is False so callers can skip emits."""
 
     enabled = False
-    dropped = 0
 
     #: Shared empty list — never mutated (all emits are no-ops).
     events: list[dict] = []

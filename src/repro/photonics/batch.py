@@ -5,7 +5,8 @@ already batches the 2x2 transfers of one physical column into a
 ``(k, 2, 2)`` stack.  This module adds the *fleet* dimension on top:
 ``B`` meshes whose MZIs sit at the same physical positions — always true
 for Clements meshes of equal size, since the layout is fixed by ``N`` —
-propagate ``B`` independent field batches through one
+propagate ``B`` independent field batches through the same column sweep
+(:func:`repro.photonics.clements.sweep_columns`), one
 ``np.matmul((B, k, 2, 2), (B, k, 2, q))`` per column.  Concurrent MVM
 offloads from different cores thus share a single pass through the
 kernel instead of looping Python-side per mesh.
@@ -14,12 +15,12 @@ Oracle contract (DESIGN.md §14): the stacked kernel is **bit-identical**
 to calling :meth:`MZIMesh.propagate` / :meth:`SVDProgram.apply` per
 element.  Batched ``np.matmul`` performs the same 2x2 products in the
 same operand order for every batch element, so no tolerance is needed
-anywhere — tests assert ``==``.  Meshes whose layouts disagree (e.g. a
-fault-injected mesh with a removed MZI) simply fall back to the
-per-program path, which is the oracle itself.
+anywhere — tests assert ``==``.  Every MVM job takes this path, a lone
+job as a fleet of one; programs whose layouts disagree (e.g. a
+fault-injected mesh with a removed MZI) land in separate groups.
 
-Module counters (:func:`batch_stats`) record how many units actually
-took the stacked path so tests can assert the fast path engaged.
+Module counters (:func:`batch_stats`) record how many jobs ran and how
+many stacked kernel launches they took.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.photonics.clements import MZIMesh, sweep_columns
+
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.photonics.clements import MZIMesh
     from repro.photonics.svd import SVDProgram
 
 #: Counters for the stacked dispatch path (reset with
-#: :func:`reset_batch_stats`): ``jobs`` MVM jobs executed, of which
-#: ``stacked`` ran through a stacked group and ``fallback`` ran the
-#: per-program oracle (singleton group or layout mismatch); ``groups``
-#: counts stacked kernel launches.
-_STATS = {"jobs": 0, "stacked": 0, "fallback": 0, "groups": 0}
+#: :func:`reset_batch_stats`): ``jobs`` MVM jobs executed, ``stacked``
+#: of them through a stacked group (all of them; the stacked fraction
+#: is still reported), and ``groups`` stacked kernel launches.
+_STATS = {"jobs": 0, "stacked": 0, "groups": 0}
 
 
 def batch_stats() -> dict:
@@ -59,14 +60,14 @@ def plan_signature(mesh: MZIMesh) -> tuple:
     matrices, not the signature.
     """
     return (mesh.n,
-            tuple(top.tobytes() for top, _ in mesh._propagation_plan))
+            tuple(rows.tobytes() for rows, _ in mesh._propagation_plan))
 
 
 def stack_meshes(meshes: Sequence[MZIMesh]):
     """Build the stacked plan for layout-compatible meshes.
 
     Returns ``(plan, phases)`` where ``plan`` is a list of
-    ``(top_modes (k,), transfers (B, k, 2, 2))`` per column and
+    ``(mode_pairs (k, 2), transfers (B, k, 2, 2))`` per column and
     ``phases`` is the ``(B, n, 1)`` output phase screen — or ``None``
     when the layouts disagree and stacking is impossible.
     """
@@ -75,8 +76,9 @@ def stack_meshes(meshes: Sequence[MZIMesh]):
     for other in plans[1:]:
         if len(other) != len(base):
             return None
-        for (top0, _), (top1, _) in zip(base, other):
-            if top0.shape != top1.shape or not np.array_equal(top0, top1):
+        for (rows0, _), (rows1, _) in zip(base, other):
+            if rows0.shape != rows1.shape or not np.array_equal(rows0,
+                                                                rows1):
                 return None
     plan = [(base[c][0], np.stack([p[c][1] for p in plans]))
             for c in range(len(base))]
@@ -91,26 +93,20 @@ def propagate_stacked(meshes: Sequence[MZIMesh],
     ``fields`` has shape ``(B, n, q)``; row ``b`` propagates through
     ``meshes[b]``.  Bit-identical to ``meshes[b].propagate(fields[b])``
     for every ``b``.  Raises ``ValueError`` when the mesh layouts cannot
-    be stacked — callers wanting the automatic fallback use
-    :func:`apply_jobs`.
+    be stacked — :func:`apply_jobs` groups jobs by layout first.
     """
     stacked = stack_meshes(meshes)
     if stacked is None:
         raise ValueError("mesh layouts differ; cannot stack")
     plan, phases = stacked
-    out = np.asarray(fields, dtype=complex).copy()
+    out = np.array(fields, dtype=complex)
     if out.ndim != 3 or out.shape[0] != len(meshes):
         raise ValueError(
             f"expected ({len(meshes)}, n, q) fields, got {out.shape}")
     if out.shape[1] != meshes[0].n:
         raise ValueError(
             f"expected mode dimension {meshes[0].n}, got {out.shape[1]}")
-    for top, transfers in plan:
-        pairs = np.stack((out[:, top], out[:, top + 1]), axis=2)
-        mixed = np.matmul(transfers, pairs)  # (B, k, 2, q)
-        out[:, top] = mixed[:, :, 0]
-        out[:, top + 1] = mixed[:, :, 1]
-    return phases * out
+    return phases * sweep_columns(plan, out)
 
 
 def svd_signature(program: SVDProgram) -> tuple:
@@ -136,13 +132,12 @@ def apply_svd_stacked(programs: Sequence[SVDProgram],
 
 
 def apply_jobs(jobs: Sequence[tuple]) -> list[np.ndarray]:
-    """Execute MVM jobs ``(program, fields (n, q))``, stacking where legal.
+    """Execute MVM jobs ``(program, fields (n, q))`` in stacked groups.
 
-    Jobs are grouped by ``(circuit layout, field shape)``; each group of
-    two or more runs through :func:`apply_svd_stacked`, singletons and
-    layout-incompatible programs run the per-program oracle
-    (:meth:`SVDProgram.apply`).  Results come back in submission order
-    and are bit-identical to calling ``program.apply(fields)`` per job.
+    Jobs are grouped by ``(circuit layout, field shape)`` and each group,
+    a lone job included, runs through :func:`apply_svd_stacked`.  Results
+    come back in submission order and are bit-identical to calling
+    ``program.apply(fields)`` per job.
     """
     results: list = [None] * len(jobs)
     groups: dict[tuple, list[int]] = {}
@@ -153,20 +148,14 @@ def apply_jobs(jobs: Sequence[tuple]) -> list[np.ndarray]:
                 f"job {idx}: fields must be (n, q), got {fields.shape}")
         key = (svd_signature(program), fields.shape)
         groups.setdefault(key, []).append(idx)
-    _STATS["jobs"] += len(jobs)
     for members in groups.values():
-        if len(members) == 1:
-            idx = members[0]
-            program, fields = jobs[idx]
-            results[idx] = program.apply(np.asarray(fields, dtype=complex))
-            _STATS["fallback"] += 1
-            continue
         programs = [jobs[idx][0] for idx in members]
         fields = np.stack(
             [np.asarray(jobs[idx][1], dtype=complex) for idx in members])
         out = apply_svd_stacked(programs, fields)
         for slot, idx in enumerate(members):
             results[idx] = out[slot]
-        _STATS["stacked"] += len(members)
-        _STATS["groups"] += 1
+    _STATS["jobs"] += len(jobs)
+    _STATS["stacked"] += len(jobs)
+    _STATS["groups"] += len(groups)
     return results

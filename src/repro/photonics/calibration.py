@@ -107,9 +107,10 @@ class PhysicalMesh:
         memo = self._memo
         if memo is None or memo[0] != key:
             transfers = mzi_transfers(theta, phi)
-            plan = [(top, transfers[index]) for top, index in self._columns]
-            memo = (key, sweep_columns(self._structure.n, plan,
-                                       self._structure.output_phases))
+            plan = [(rows, transfers[index]) for rows, index in self._columns]
+            n = self._structure.n
+            u = sweep_columns(plan, np.eye(n, dtype=complex))
+            memo = (key, np.diag(self._structure.output_phases) @ u)
             self._memo = memo
         return memo[1].copy()
 

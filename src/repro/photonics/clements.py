@@ -123,43 +123,44 @@ class MZIMesh:
 
     @cached_property
     def _column_plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The structural plan: ``(top_modes, mzi_indices)`` per column.
+        """The structural plan: ``(mode_pairs, mzi_indices)`` per column.
 
-        Each entry names one mode-disjoint batch (a physical column) as
-        two ``(k,)`` index arrays.  It depends only on where the MZIs
-        sit, not on their phases.
+        Each entry names one mode-disjoint batch (a physical column) as a
+        ``(k, 2)`` array of the mode pairs ``(top, top + 1)`` its MZIs
+        couple and a ``(k,)`` array of their indices.  It depends only
+        on where the MZIs sit, not on their phases.
         """
         return [
             (np.array([self.mzis[i].top_mode for i in batch],
-                      dtype=np.intp),
+                      dtype=np.intp)[:, np.newaxis] + _PAIR,
              np.array(batch, dtype=np.intp))
             for batch in _disjoint_batches(self.mzis, self.n)
         ]
 
     @cached_property
     def _propagation_plan(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The columnized plan: ``(top_modes, transfers)`` per column.
+        """The columnized plan: ``(mode_pairs, transfers)`` per column.
 
         Each entry batches the 2x2 transfers of one physical column —
         pairwise-disjoint mode pairs, so they apply in any order — as a
-        ``(k,)`` index array and a ``(k, 2, 2)`` stacked transfer array.
+        ``(k, 2)`` row index and a ``(k, 2, 2)`` stacked transfer array.
         """
         transfers = mzi_transfers(
             np.array([mzi.theta for mzi in self.mzis], dtype=float),
             np.array([mzi.phi for mzi in self.mzis], dtype=float))
-        return [(top, transfers[index])
-                for top, index in self._column_plan]
+        return [(rows, transfers[index])
+                for rows, index in self._column_plan]
 
     def matrix(self) -> np.ndarray:
         """Reconstruct the implemented unitary exactly.
 
-        ``matrix() @ a`` equals :meth:`propagate` applied to ``a``.
-        Column-batched ``np.matmul`` keeps the result bit-identical to
-        the per-MZI reference loop (same 2x2 matmul kernel, same
-        operand order along every mode).
+        ``matrix() @ a`` equals :meth:`propagate` applied to ``a``: both
+        sweep the same plan through :func:`sweep_columns`, this one over
+        the identity.
         """
-        return sweep_columns(self.n, self._propagation_plan,
-                             self.output_phases)
+        u = sweep_columns(self._propagation_plan,
+                          np.eye(self.n, dtype=complex))
+        return np.diag(self.output_phases) @ u
 
     def propagate(self, fields: np.ndarray) -> np.ndarray:
         """Propagate input E-fields through the mesh.
@@ -171,24 +172,17 @@ class MZIMesh:
             wavelengths carried simultaneously (WDM); every wavelength sees
             the same broadband MZI transformation (Section 2.2).
 
-        One batched 2x2 matmul per physical column replaces the per-MZI
+        One batched 2x2 matmul per physical column (:func:`sweep_columns`;
+        a ``(n,)`` input is swept as ``(n, 1)``) replaces the per-MZI
         Python loop (kept as :meth:`_reference_propagate`); the batched
         form is bit-identical, not merely close — see DESIGN.md §13.
         """
-        out = np.asarray(fields, dtype=complex).copy()
+        out = np.array(fields, dtype=complex)
         if out.shape[0] != self.n:
             raise ValueError(
                 f"expected leading dimension {self.n}, got {out.shape[0]}")
-        vector = out.ndim == 1
-        for top, transfers in self._propagation_plan:
-            if vector:
-                pairs = np.stack((out[top], out[top + 1]), axis=1)[..., None]
-                mixed = np.matmul(transfers, pairs)[..., 0]  # (k, 2)
-            else:
-                pairs = np.stack((out[top], out[top + 1]), axis=1)
-                mixed = np.matmul(transfers, pairs)  # (k, 2, p)
-            out[top] = mixed[:, 0]
-            out[top + 1] = mixed[:, 1]
+        sweep_columns(self._propagation_plan,
+                      out[:, np.newaxis] if out.ndim == 1 else out)
         phases = self.output_phases
         if out.ndim > 1:
             phases = phases[:, np.newaxis]
@@ -303,20 +297,23 @@ def _reference_trace_hops(mesh: MZIMesh) -> np.ndarray:
     return hops
 
 
-def sweep_columns(n: int, plan: list[tuple[np.ndarray, np.ndarray]],
-                  output_phases: np.ndarray) -> np.ndarray:
-    """The ``n x n`` matrix of a columnized plan and its phase screen.
+def sweep_columns(plan: list[tuple[np.ndarray, np.ndarray]],
+                  out: np.ndarray) -> np.ndarray:
+    """Apply a columnized plan in place to ``out`` of shape ``(..., n, q)``.
 
-    Sweeps the identity through ``plan`` (``(top_modes, transfers)``
-    per column, as :attr:`MZIMesh._propagation_plan` holds it) with one
-    stacked 2x2 ``np.matmul`` per column.  :meth:`MZIMesh.matrix` and
-    :meth:`~repro.photonics.calibration.PhysicalMesh.measure` share it.
+    ``plan`` holds ``(mode_pairs (k, 2), transfers (..., k, 2, 2))`` per
+    physical column, as :attr:`MZIMesh._propagation_plan` holds it (or,
+    with a leading fleet axis, :func:`repro.photonics.batch.stack_meshes`).
+    Each column mixes its disjoint mode pairs with one stacked 2x2
+    ``np.matmul``, gathering and scattering the pairs with one row
+    index: the one kernel behind :meth:`MZIMesh.propagate`,
+    :meth:`MZIMesh.matrix`,
+    :meth:`~repro.photonics.calibration.PhysicalMesh.measure` and
+    :func:`~repro.photonics.batch.propagate_stacked`.  Returns ``out``.
     """
-    u = np.eye(n, dtype=complex)
-    for top, transfers in plan:
-        rows = top[:, np.newaxis] + _PAIR  # (k, 2): disjoint mode pairs
-        u[rows] = np.matmul(transfers, u[rows])  # (k, 2, n)
-    return np.diag(output_phases) @ u
+    for rows, transfers in plan:
+        out[..., rows, :] = np.matmul(transfers, out[..., rows, :])
+    return out
 
 
 def _disjoint_batches(mzis: tuple[MZIState, ...], n: int) -> list[list[int]]:

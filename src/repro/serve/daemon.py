@@ -312,15 +312,13 @@ class ServeDaemon:
             self._vectors[tenant] = t_rng.normal(
                 size=(config.ports, 4))
         # The whole arrival schedule is drawn up front (the wheel) and
-        # its admission verdicts replayed through ``self.admission``;
-        # the fleet-MVM flush is memoized, and the loop fast-forwards
-        # provably idle cycles.
+        # its admission verdicts replayed through ``self.admission``,
+        # and the loop fast-forwards provably idle cycles.
         # ``tests/reference_serve.py`` holds the per-cycle loop every
         # artifact is byte-compared against.
         self._wheel = self.population.prebuild(config.duration)
         self._decisions = precompute_decisions(self._wheel,
                                                self.admission)
-        self.control.mvm_memo_entries = max(8, 4 * config.tenants)
 
     # -- accounting --------------------------------------------------------
 

@@ -2,15 +2,15 @@
 
 :class:`PerCycleDaemon` keeps the per-cycle loop that
 :class:`repro.serve.daemon.ServeDaemon` replaced with a pre-drawn
-arrival wheel, a replayed admission schedule, the fleet-MVM memo and an
-idle fast-forward.  It draws every cycle's arrivals live from a fresh
+arrival wheel, a replayed admission schedule and an idle fast-forward.
+It draws every cycle's arrivals live from a fresh
 :class:`ClientPopulation` with scalar numpy
 (``tests/reference_arrivals.py``), admits each one live through a fresh
-:class:`AdmissionController`, recomputes every fleet MVM flush, syncs
-the counters and gauges every cycle and steps every cycle.  It is the
-oracle the single loop is held to, byte for byte (report, events,
-snapshots), by ``tests/test_serve_cluster.py``; it lives under
-``tests/`` so production code carries one serve loop only.  It shares
+:class:`AdmissionController`, syncs the counters and gauges every cycle
+and steps every cycle.  It is the oracle the single loop is held to,
+byte for byte (report, events, snapshots), by
+``tests/test_serve_cluster.py``; it lives under ``tests/`` so
+production code carries one serve loop only.  It shares
 the daemon's ledger, so ``tests/test_serve_golden.py`` pins what it
 cannot check: the counts, counters and latency summaries themselves.
 """
@@ -34,7 +34,6 @@ class PerCycleDaemon(ServeDaemon):
             config.rate, config.mvm_fraction, config.nodes, config.seed)
         self.admission = AdmissionController(
             config.admission_rate, config.admission_burst)
-        self.control.mvm_memo_entries = 0
 
     def _arrivals(self, cycle: int):
         return [(arrival, self.admission.admit(arrival.tenant, cycle))

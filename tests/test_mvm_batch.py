@@ -2,8 +2,9 @@
 
 The fleet-wide ``(B, k, 2, 2)`` kernel (:mod:`repro.photonics.batch`)
 claims *exact* equality with sequential :meth:`MZIMesh.propagate` /
-:meth:`SVDProgram.apply` / :class:`BlockMatmul` evaluation — every
-assertion here is ``array_equal``, never ``allclose``.
+:meth:`SVDProgram.apply` / :class:`BlockMatmul` evaluation, and so does
+the control unit's flush memo — every assertion here is
+``array_equal``, never ``allclose``.
 """
 
 import numpy as np
@@ -23,8 +24,10 @@ from repro.photonics.batch import (
     reset_batch_stats,
     stack_meshes,
 )
-from repro.photonics.clements import decompose
+from repro.photonics.clements import MZIMesh, decompose
+from repro.photonics.devices import MZIState
 from repro.photonics.svd import program_svd
+from tests.test_fault_injection import stick_mzi
 
 
 def _random_unitary(rng, n):
@@ -86,22 +89,60 @@ def test_propagate_stacked_validates_field_shape():
         propagate_stacked(meshes, np.zeros((2, 5, 3), dtype=complex))
 
 
-def test_apply_jobs_groups_and_falls_back():
+def test_apply_jobs_stacks_singletons_bit_identically():
     rng = np.random.default_rng(3)
     p8 = [program_svd(rng.normal(size=(8, 8))) for _ in range(3)]
     p4 = program_svd(rng.normal(size=(4, 4)))
     jobs = [(p8[0], rng.normal(size=(8, 5))),
-            (p4, rng.normal(size=(4, 5))),  # different layout: fallback
+            (p4, rng.normal(size=(4, 5))),  # different layout: a singleton
             (p8[1], rng.normal(size=(8, 5))),
-            (p8[2], rng.normal(size=(8, 2))),  # different q: fallback
+            (p8[2], rng.normal(size=(8, 2))),  # different q: a singleton
             ]
     reset_batch_stats()
     results = apply_jobs(jobs)
     stats = batch_stats()
-    assert stats == {"jobs": 4, "stacked": 2, "fallback": 2, "groups": 1}
+    assert stats["jobs"] == stats["stacked"] == 4
+    assert stats["groups"] == 3
     for (program, fields), result in zip(jobs, results):
         assert np.array_equal(result,
                               program.apply(np.asarray(fields, complex)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=2, max_value=9),
+       q=st.integers(min_value=1, max_value=10),
+       seed=st.integers(min_value=0, max_value=10**6))
+def test_property_singleton_job_equals_program_apply(n, q, seed):
+    rng = np.random.default_rng(seed)
+    program = program_svd(rng.normal(size=(n, n)))
+    fields = rng.normal(size=(n, q)).astype(complex)
+    [result] = apply_jobs([(program, fields)])
+    assert np.array_equal(result, program.apply(fields))
+
+
+def _faulted_meshes(rng, n=8):
+    """A stuck MZI, a removed MZI, and columns left unassigned."""
+    mesh = decompose(_random_unitary(rng, n))
+    phases = mesh.output_phases
+    unassigned = [MZIState(m.top_mode, m.theta, m.phi) for m in mesh.mzis]
+    return [stick_mzi(mesh, 5, theta=np.pi / 2),
+            MZIMesh(n, mesh.mzis[:5] + mesh.mzis[6:], phases),
+            MZIMesh(n, unassigned, phases)]
+
+
+@pytest.mark.parametrize("index", range(3),
+                         ids=["stuck", "removed", "unassigned"])
+def test_every_propagate_path_equals_reference_on_faulted_mesh(index):
+    rng = np.random.default_rng(10)
+    mesh = _faulted_meshes(rng)[index]
+    vector = rng.normal(size=8) + 1j * rng.normal(size=8)
+    fields = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    expected = mesh._reference_propagate(fields)
+    assert np.array_equal(mesh.propagate(vector),
+                          mesh._reference_propagate(vector))
+    assert np.array_equal(mesh.propagate(fields), expected)
+    assert np.array_equal(propagate_stacked([mesh], fields[np.newaxis])[0],
+                          expected)
 
 
 def test_apply_jobs_rejects_non_2d_fields():
@@ -189,3 +230,118 @@ def test_control_unit_queue_requires_preloaded_matrix():
     control = MZIMControlUnit(make_network("flumen", 16))
     with pytest.raises(KeyError):
         control.queue_mvm("missing", np.zeros((8, 1)))
+
+
+# ----------------------------------------------------------------------
+# the flush memo: repeated (program, vectors) jobs answered from results
+# ----------------------------------------------------------------------
+
+
+def _memo_control(matrices):
+    control = MZIMControlUnit(make_network("flumen", 16))
+    for key, matmul in matrices.items():
+        control.matrix_memory.store(key, matmul)
+    return control
+
+
+def _flush(control, jobs):
+    """Queue ``(key, vectors)`` jobs, flush them, return the results."""
+    for key, vectors in jobs:
+        control.queue_mvm(key, vectors)
+    return [r.result for r in control.flush_mvms()]
+
+
+def _direct(matmul, vectors):
+    return block_matmul_many([(matmul, vectors)])[0]
+
+
+def test_memo_answers_repeated_jobs_across_flushes():
+    rng = np.random.default_rng(11)
+    matmul = BlockMatmul(rng.normal(size=(16, 16)), 8)
+    vectors = rng.normal(size=(16, 4))
+    control = _memo_control({"m": matmul})
+    first = _flush(control, [("m", vectors)])
+    for _ in range(3):
+        reset_batch_stats()
+        again = _flush(control, [("m", vectors)])
+        assert batch_stats()["jobs"] == 0  # no kernel work: a memo hit
+        assert np.array_equal(again[0], first[0])
+    assert np.array_equal(first[0], _direct(matmul, vectors))
+
+
+def test_memo_computes_duplicates_within_a_flush_once():
+    rng = np.random.default_rng(12)
+    matmuls = {k: BlockMatmul(rng.normal(size=(16, 16)), 8) for k in "ab"}
+    va, vb = rng.normal(size=(16, 3)), rng.normal(size=(16, 3))
+    control = _memo_control(matmuls)
+    reset_batch_stats()
+    results = _flush(control, [("a", va), ("b", vb), ("a", va), ("a", va)])
+    # Two distinct jobs of four block units each reach the kernel.
+    assert batch_stats()["jobs"] == 8
+    for key, result in zip("abaa", results):
+        expected = _direct(matmuls[key], va if key == "a" else vb)
+        assert np.array_equal(result, expected)
+    assert results[0] is not results[2] and results[2] is not results[3]
+
+
+@pytest.mark.parametrize("stored", [1, 5])
+def test_memo_evicts_past_the_derived_bound(stored):
+    rng = np.random.default_rng(13)
+    matmuls = {f"m{i}": BlockMatmul(rng.normal(size=(8, 8)), 8)
+               for i in range(stored)}
+    control = _memo_control(matmuls)
+    bound = max(8, 4 * stored)
+    blocks = [rng.normal(size=(8, 2)) for _ in range(bound + 3)]
+    for vectors in blocks:
+        [result] = _flush(control, [("m0", vectors)])
+        assert np.array_equal(result, _direct(matmuls["m0"], vectors))
+    assert len(control._mvm_memo) == bound
+    reset_batch_stats()
+    _flush(control, [("m0", blocks[-1])])  # the newest entry: a hit
+    assert batch_stats()["jobs"] == 0
+    [result] = _flush(control, [("m0", blocks[0])])  # evicted: recomputed
+    assert batch_stats()["jobs"] == 1
+    assert np.array_equal(result, _direct(matmuls["m0"], blocks[0]))
+
+
+def test_memo_eviction_inside_one_flush_keeps_duplicates_right():
+    rng = np.random.default_rng(14)
+    matmul = BlockMatmul(rng.normal(size=(8, 8)), 8)
+    control = _memo_control({"m": matmul})
+    blocks = [rng.normal(size=(8, 2)) for _ in range(12)]
+    # The first block's entry is evicted before its duplicate is served.
+    jobs = [("m", v) for v in blocks] + [("m", blocks[0])]
+    results = _flush(control, jobs)
+    assert len(control._mvm_memo) == 8
+    for (_, vectors), result in zip(jobs, results):
+        assert np.array_equal(result, _direct(matmul, vectors))
+
+
+def test_memo_survives_callers_mutating_results():
+    rng = np.random.default_rng(15)
+    matmul = BlockMatmul(rng.normal(size=(16, 16)), 8)
+    vectors = rng.normal(size=(16, 4))
+    expected = _direct(matmul, vectors)
+    control = _memo_control({"m": matmul})
+    for _ in range(3):  # a miss, then hits; each result gets scribbled on
+        results = _flush(control, [("m", vectors), ("m", vectors)])
+        for result in results:
+            assert np.array_equal(result, expected)
+            result[:] = -1.0
+
+
+def test_memo_never_serves_a_dropped_program():
+    """Replacing a stored matrix drops its program, and CPython may hand
+    the freed ``id()`` to the next program built.  Every flush must
+    still answer for the program stored now."""
+    rng = np.random.default_rng(16)
+    vectors = rng.normal(size=(8, 2))
+    placeholder = BlockMatmul(np.eye(8), 8)
+    control = _memo_control({})
+    for _ in range(40):
+        control.matrix_memory.store("m", placeholder)  # drop the last one
+        matmul = BlockMatmul(rng.normal(size=(8, 8)), 8)
+        control.matrix_memory.store("m", matmul)
+        [result] = _flush(control, [("m", vectors)])
+        assert np.array_equal(result, _direct(matmul, vectors))
+        del matmul

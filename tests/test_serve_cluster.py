@@ -331,6 +331,18 @@ class TestSharding:
         assert config.tenants == 2
         assert config.tenant_names() == ("x", "y")
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: flush_mvms stamps mvm_flush with network.cycle, "
+        "one past the scheduler cycle a same-step snapshot offer uses, "
+        "so the offer goes backwards and MonotoneClock rebases the "
+        "timeline; the fix re-pins the serve goldens and perfbench pins"))
+    def test_shard_snapshots_land_on_the_interval(self):
+        config = shard_configs(
+            ServeConfig(duration=2000, seed=7, rate=0.08, tenants=8), 4)[0]
+        cycles = [s["cycle"] for s in _run_shard(config)["snapshots"]]
+        assert all(c % config.snapshot_interval == 0
+                   for c in cycles[:-1]), cycles
+
 
 # ---------------------------------------------------------------------------
 # the replica set: execution invariance, merged telemetry, scaling

@@ -667,22 +667,6 @@ class TestTenantAccounting:
         assert counters["core.tenant_mvm_jobs{tenant=acme}"] == 2
         assert counters["core.tenant_mvm_jobs{tenant=zeta}"] == 1
 
-    def test_kernel_set_tenant_labels_series(self):
-        from repro.noc.simulation import make_network
-        from repro.noc.traffic import TrafficGenerator
-
-        obs = Obs.telemetry()
-        net = make_network("mesh", 16, obs=obs)
-        net.set_tenant("acme")
-        net.run(TrafficGenerator(16, "uniform", 0.1, seed=3),
-                cycles=300, drain=True)
-        counters = obs.metrics.to_dict()["counters"]
-        key = "noc.packets_delivered{tenant=acme,topology=mesh}"
-        assert counters[key] > 0
-        hists = obs.metrics.to_dict()["histograms"]
-        lat = hists["noc.packet_latency_cycles{tenant=acme,topology=mesh}"]
-        assert lat["count"] == counters[key]
-
 
 # ----------------------------------------------------------------------
 # store, server, top
