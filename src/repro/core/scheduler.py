@@ -577,10 +577,13 @@ class FlumenScheduler:
         (DESIGN.md §11): per cycle ``c``, ``traffic``'s packets,
         ``before_tick(c)``, tick, step, ``after_step(c)`` and a sampler
         offer every :data:`OFFER_STRIDE` cycles.  With the tracer off,
-        idle runs before the next event — ``next_due(c)``, the first
-        cycle ``>= c`` the hooks act on, and the traffic's
-        ``next_event_cycle`` (required, as is ``next_due`` with hooks)
-        — are skipped byte-identically.
+        idle runs are skipped byte-identically while the network is
+        quiescent (``network.skip_idle_cycles``, the same skip as trace
+        playback) and the scheduler only counts down
+        (:meth:`skip_quiet_cycles`), up to the next event —
+        ``next_due(c)``, the first cycle ``>= c`` the hooks act on, and
+        the traffic's ``next_event_cycle`` (required, as is ``next_due``
+        with hooks).
         """
         network = self.control.network
         with network.running() as stamp_stepped:
@@ -633,21 +636,18 @@ class FlumenScheduler:
                      and (next_due is not None
                           or (before_tick is None and after_step is None)))
         dues = [due for due in (next_due, playback) if due is not None]
-        net_countdown = network.quiet_countdown
         while network.cycle < end:
             if idle is not None and idle():
                 return True
             cycle = network.cycle
-            # The network's countdown is checked first and inline: under
-            # load it is what most often forbids the skip.
-            countdown = net_countdown() if skippable else 0
-            if countdown is None or countdown > 2:
-                skip = self._quiet_cycles(cycle, end, countdown, dues,
-                                          sampler, lag)
+            # Only a quiescent network is skipped; under load this is
+            # what most often forbids the skip, so it is checked first.
+            if skippable and network.quiescent():
+                skip = self._quiet_cycles(cycle, end, dues, sampler, lag)
                 if skip > 1:
                     # An idle scheduler's quiet skip is its idle skip.
                     self.skip_quiet_cycles(skip)
-                    network.skip_quiet_cycles(skip)
+                    network.skip_idle_cycles(skip)
                     # A skip stops where a cycle must be stepped (or at
                     # the end), so that cycle steps without asking again.
                     cycle += skip
@@ -666,16 +666,16 @@ class FlumenScheduler:
                 sampler.tick(cycle + lag)
         return False
 
-    def _quiet_cycles(self, cycle: int, end: int, net_countdown, dues,
-                      sampler, lag: int) -> int:
+    def _quiet_cycles(self, cycle: int, end: int, dues, sampler,
+                      lag: int) -> int:
         """Length of the provably idle run of cycles from ``cycle``,
-        given the network's quiet countdown (``None`` or above 2)."""
+        given a quiescent network."""
         bound = end
-        for countdown in (net_countdown, self.quiet_countdown()):
-            if countdown is not None:
-                if countdown <= 2:
-                    return 0
-                bound = min(bound, cycle + countdown - 1)
+        countdown = self.quiet_countdown()
+        if countdown is not None:
+            if countdown <= 2:
+                return 0
+            bound = min(bound, cycle + countdown - 1)
         for due in dues:
             nxt = due(cycle)
             if nxt is not None:

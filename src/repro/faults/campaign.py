@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -50,6 +52,17 @@ from repro.photonics.noise import effective_bits, snr_to_enob
 NO_FAULT = "none"
 #: Digital precision of the electrical fallback path (Table 1: 8-bit).
 ELECTRICAL_BITS = 8.0
+
+#: Numeric :class:`CampaignSpec` fields: name -> (valid?, rule text).
+#: Checked at construction, so a bad value never reaches a run.
+_FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "runs": (lambda v: v >= 1, ">= 1"),
+    "cycles": (lambda v: v >= 64, ">= 64"),
+    "nodes": (lambda v: v >= 2, ">= 2"),
+    "load": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "request_period": (lambda v: v >= 1, ">= 1"),
+    "probe_interval": (lambda v: v >= 1, ">= 1"),
+}
 
 
 @dataclass(frozen=True)
@@ -82,10 +95,10 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if self.fault != NO_FAULT:
             FAULTS.get(self.fault)  # raises with the registered list
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.cycles < 64:
-            raise ValueError(f"cycles must be >= 64, got {self.cycles}")
+        for name, (valid, rule) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ValueError(f"{name} must be {rule}, got {value}")
         from repro.photonics.registry import MESHES
         MESHES.get(self.mesh_architecture)  # raises listing known names
 

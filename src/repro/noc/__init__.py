@@ -9,7 +9,6 @@ scheduler-controllable port blocking.
 
 from repro.noc.arbiter import (
     RoundRobinArbiter,
-    SeparableAllocator,
     WavefrontArbiter,
 )
 from repro.noc.energy import EnergyReport, NetworkEnergyModel
@@ -52,7 +51,6 @@ __all__ = [
     "Packet",
     "RingTopology",
     "RoundRobinArbiter",
-    "SeparableAllocator",
     "SimKernel",
     "SimulationResult",
     "SweepConfig",

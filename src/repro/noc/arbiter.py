@@ -140,40 +140,3 @@ class WavefrontArbiter:
                 if req[i, j] and i not in rows and j not in cols:
                     return False
         return True
-
-
-class SeparableAllocator:
-    """Two-stage (input-first) separable allocator for switch allocation.
-
-    Stage 1: each input port picks one of its requesting VCs (round-robin).
-    Stage 2: each output port picks one requesting input (round-robin).
-    Standard input-queued router allocation (Booksim's ``sep_if``).
-    """
-
-    def __init__(self, inputs: int, outputs: int) -> None:
-        self.inputs = inputs
-        self.outputs = outputs
-        self._input_stage = [RoundRobinArbiter(outputs) for _ in range(inputs)]
-        self._output_stage = [RoundRobinArbiter(inputs) for _ in range(outputs)]
-
-    def allocate(self, requests: np.ndarray) -> list[tuple[int, int]]:
-        """Grant input->output pairs from a boolean request matrix."""
-        req = np.asarray(requests, dtype=bool)
-        if req.shape != (self.inputs, self.outputs):
-            raise ValueError("request matrix shape mismatch")
-        # Stage 1: per-input selection.
-        stage1 = np.zeros_like(req)
-        for i in range(self.inputs):
-            if req[i].any():
-                j = self._input_stage[i].grant(list(req[i]))
-                if j is not None:
-                    stage1[i, j] = True
-        # Stage 2: per-output selection.
-        grants: list[tuple[int, int]] = []
-        for j in range(self.outputs):
-            column = list(stage1[:, j])
-            if any(column):
-                i = self._output_stage[j].grant(column)
-                if i is not None:
-                    grants.append((i, j))
-        return grants

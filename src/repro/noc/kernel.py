@@ -19,7 +19,9 @@ a topology is one module: subclass :class:`SimKernel`, implement the
 four hooks, register a factory.  Two optional hooks let a backend
 fast-forward trace playback: ``_skip_idle`` (quiescent stretches) and
 ``_forward_period`` (a busy period, from the offers that wake a
-quiescent network back to quiescence).
+quiescent network back to quiescence).  Every skip goes through
+:meth:`SimKernel.skip_idle_cycles`, which refuses a network that is not
+quiescent; the co-simulation driver skips through it too.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ class SimKernel:
         Must leave the backend in exactly the state ``idle_cycles``
         plain ``step()`` calls with no traffic would — including any
         per-cycle arbiter rotation the backend performs while idle.
+        Reached only through :meth:`skip_idle_cycles`, so the network is
+        quiescent.
         """
         raise NotImplementedError
 
@@ -120,13 +124,27 @@ class SimKernel:
         self.cycle += idle_cycles
         self.utilization.record_idle_cycles(idle_cycles)
 
+    def skip_idle_cycles(self, cycles: int) -> None:
+        """Advance a quiescent network ``cycles`` cycles in one jump.
+
+        The one network-side skip: :meth:`run`'s trace playback and the
+        co-simulation driver (``FlumenScheduler.run``) both come here.
+        It raises, leaving the network untouched, unless
+        :meth:`quiescent` holds — a buffered source, a circuit in setup
+        or transfer, or a pending grant is always stepped.
+        """
+        if not self.quiescent():
+            raise RuntimeError("skip_idle_cycles on a non-quiescent "
+                               "network would drop in-flight work")
+        self._skip_idle(cycles)
+
     def _skip_to_next_event(self, traffic, remaining: int) -> int:
         """Skip a quiescent network to the next event; return the cycles."""
         nxt = traffic.next_event_cycle(self.cycle)
         idle = remaining if nxt is None else min(remaining, nxt - self.cycle)
         if idle <= 0:
             return 0
-        self._skip_idle(idle)
+        self.skip_idle_cycles(idle)
         return idle
 
     # -- busy-period fast-forward ----------------------------------------
@@ -204,7 +222,7 @@ class SimKernel:
         and cannot):
 
         * **idle skip** — runs of quiescent cycles collapse into one
-          ``_skip_idle`` jump;
+          :meth:`skip_idle_cycles` jump;
         * **busy period** — packets offered to a quiescent network go
           to ``_forward_period``, which may carry the whole period to
           the next quiescent cycle, bounded by the cycles left plus

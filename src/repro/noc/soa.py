@@ -36,10 +36,11 @@ loop jumps straight there instead of stepping empty cycles one by one.
 Each backend's ``_skip_idle`` advances exactly the state an idle step
 would have touched — the cycle counter, the utilization intervals, and
 (for Flumen) the wavefront priority diagonal, which the oracle rotates
-on every cycle, busy or not.  The Flumen backend's ``_skip_idle`` also
-covers *quiet* windows, circuits in setup or transfer with no grant and
-no delivery due, which is how the co-simulation driver's
-``skip_quiet_cycles`` jumps.
+on every cycle, busy or not.  It is reached only through
+``SimKernel.skip_idle_cycles``, which refuses a network that is not
+quiescent; the co-simulation driver (``FlumenScheduler.run``) skips
+through the same entry, so a circuit in setup or transfer, a pending
+pre-grant or a buffered source is always stepped.
 
 The router network (:class:`SoANetwork`) also takes the kernel's
 busy-period fast-forward.  A busy period runs from the offers that wake
@@ -899,74 +900,12 @@ class SoAFlumenNetwork(SimKernel):
         self.cycle += 1
 
     def _skip_idle(self, cycles: int) -> None:
-        """Apply ``cycles`` quiet steps in one jump.
-
-        A step is *quiet* when no source has anything buffered and no
-        circuit delivers: it counts setups down, moves one flit on each
-        set-up circuit, records utilization and rotates the wavefront
-        priority diagonal (the oracle's allocate() rotates on every
-        call, requests or not; sequential arbitration moves nothing).
-        A quiescent network is the case with no circuits at all.  The
-        busy-link count changes only when a setup elapses, so the
-        utilization timeline is replayed one constant segment at a time.
-        """
-        order = self._order
-        if order:
-            setup_left, remaining = self._setup_left, self._remaining
-            points = sorted({setup_left[src] for src in order
-                             if 0 < setup_left[src] < cycles})
-            prev = 0
-            for point in points + [cycles]:
-                busy = sum(1 for src in order if setup_left[src] <= prev)
-                self.utilization.record_cycles(busy, point - prev)
-                prev = point
-            for src in order:
-                elapsed = min(setup_left[src], cycles)
-                setup_left[src] -= elapsed
-                moved = cycles - elapsed
-                remaining[src] -= moved
-                self.flit_hops += moved
-                self.link_traversals += moved
-            self.cycle += cycles
-        else:
-            self._advance_idle(cycles)
-        for src in self._pending_srcs:
-            self._p_setup[src] = max(0, self._p_setup[src] - cycles)
+        # A quiescent step records an idle cycle and rotates the
+        # wavefront priority diagonal (the oracle's allocate() rotates
+        # on every call, requests or not); sequential moves nothing.
+        self._advance_idle(cycles)
         if self.arbitration == "wavefront":
             self._arbiter.rotate(cycles)
-
-    def quiet_countdown(self) -> int | None:
-        """Cycles until the earliest in-flight delivery.
-
-        ``None`` means the network is quiescent; ``0`` means it is not
-        quiet (a buffered packet could earn a grant, so per-cycle
-        arbitration must run).  A positive ``r`` means the next
-        ``r - 1`` steps are quiet: :meth:`skip_quiet_cycles` may apply
-        any strict prefix of them (the ``r``-th delivers a packet).
-        """
-        if self._waiting_sources:
-            return 0
-        if not self._order:
-            return None if not self._pending_srcs else 0
-        return min(self._setup_left[src] + self._remaining[src]
-                   for src in self._order)
-
-    def skip_quiet_cycles(self, cycles: int) -> None:
-        """Advance ``cycles`` quiet steps (``cycles < quiet_countdown()``).
-
-        Raises rather than skip a grant or a delivery.  The tracer must
-        be off, as for every fast-forward.
-        """
-        if cycles <= 0:
-            return
-        if self._waiting_sources:
-            raise RuntimeError("skip_quiet_cycles with buffered packets "
-                               "would skip arbitration")
-        if any(self._setup_left[src] + self._remaining[src] <= cycles
-               for src in self._order):
-            raise RuntimeError("skip_quiet_cycles across a delivery "
-                               "would drop in-flight work")
-        self._skip_idle(cycles)
 
     def _activate(self, src: int, packet: Packet, setup: int,
                   grant_cycle: int) -> None:

@@ -6,12 +6,14 @@ co-run, the fault campaigns, the ``alg1_mix`` task and the serve daemon
 one driver.  These tests pin the parts it owns: closing every run the
 same way (trailing utilization interval, run timer), warning when a
 drain budget runs out, and fast-forwarding idle cycles byte-identically
-to stepping them.
+to stepping them — through the one network-side skip, which refuses a
+network that is not quiescent.
 """
 
 import json
 import logging
 import math
+import pickle
 
 import pytest
 
@@ -21,9 +23,12 @@ from repro.core.accelerator import plan_offload
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler
 from repro.faults.campaign import CampaignSpec, _CampaignRun
+from repro.noc.packet import Packet
 from repro.noc.simulation import make_network
+from repro.noc.soa import SoAFlumenNetwork
 from repro.obs import Obs
 from repro.serve import ServeConfig, ServeDaemon
+from repro.serve.daemon import _ServeNetwork
 from repro.workloads import ImageBlur
 
 
@@ -114,14 +119,14 @@ def _cosim(monkeypatch, configuration: str, skip: bool) -> dict:
             step()
         net.stepped = 0
         net.step = counting_step
-        if not skip:
-            net.quiet_countdown = lambda: 0
         nets.append(net)
         return net
 
     with monkeypatch.context() as patch:
         patch.setattr(system_module, "make_network", counted)
         if not skip:
+            # The driver skips only while the scheduler's countdown
+            # allows it, so a countdown of 0 steps every cycle.
             patch.setattr(FlumenScheduler, "quiet_countdown",
                           lambda self: 0)
         obs = Obs.telemetry()
@@ -150,6 +155,76 @@ class TestCoSimSkip:
             assert skipped["stepped"] < stepped["stepped"]
         else:
             # The baselines run no scheduler co-simulation: their trace
-            # plays through SimKernel.run, which the countdowns do not
-            # gate, so both runs step the same cycles.
+            # plays through SimKernel.run, which the scheduler's
+            # countdown does not gate, so both runs step the same cycles.
             assert skipped["stepped"] == stepped["stepped"]
+
+
+def _refusals(net):
+    """Step ``net`` to quiescence, yielding it at every busy cycle after
+    checking that the guarded skip refuses it and leaves it untouched."""
+    while not net.quiescent():
+        before = pickle.dumps(net)
+        with pytest.raises(RuntimeError, match="non-quiescent"):
+            net.skip_idle_cycles(1)
+        assert pickle.dumps(net) == before
+        yield net
+        net.step()
+
+
+def _flumen_states(net) -> set[str]:
+    states = {"buffered source"} if net._waiting_sources else set()
+    if net._pending_srcs:
+        states.add("pending pre-grant")
+    for src in net._order:
+        states.add("circuit in setup" if net._setup_left[src]
+                   else "circuit in transfer")
+    return states
+
+
+class TestQuiescentSkip:
+    """``SimKernel.skip_idle_cycles`` is the one network-side skip, for
+    trace playback and the co-simulation driver alike: it refuses any
+    network that is not quiescent and otherwise jumps the clock."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_network("flumen", 16), lambda: _ServeNetwork(16)],
+        ids=["soa", "serve"])
+    def test_flumen_refuses_every_busy_state(self, make):
+        net = make()
+        for _ in range(2):  # the second packet is pre-granted
+            net.offer_packet(Packet(src=0, dst=5, size_flits=6,
+                                    create_cycle=0))
+        seen = set().union(*map(_flumen_states, _refusals(net)))
+        assert seen == {"buffered source", "circuit in setup",
+                        "circuit in transfer", "pending pre-grant"}
+        cycle = net.cycle
+        net.skip_idle_cycles(7)
+        assert net.cycle == cycle + 7
+
+    @pytest.mark.parametrize("topology", ["ring", "mesh", "optbus"])
+    def test_busy_network_is_refused(self, topology):
+        net = make_network(topology, 16)
+        net.offer_packet(Packet(src=0, dst=5, size_flits=4,
+                                create_cycle=0))
+        assert sum(1 for _ in _refusals(net)) > 1
+        cycle = net.cycle
+        net.skip_idle_cycles(7)
+        assert net.cycle == cycle + 7
+
+    def test_driver_skips_only_quiescent_networks(self, monkeypatch):
+        quiescent = []
+        skip_idle = SoAFlumenNetwork._skip_idle
+
+        def checked(net, cycles):
+            quiescent.append(net.quiescent())
+            skip_idle(net, cycles)
+        monkeypatch.setattr(SoAFlumenNetwork, "_skip_idle", checked)
+        report = ServeDaemon(ServeConfig(duration=512, seed=0, rate=0.2,
+                                         tenants=12)).run()
+        assert report["drained"]
+        served = len(quiescent)
+        system_module.SystemModel().run(ImageBlur(height=64, width=64),
+                                        "flumen_a")
+        assert 0 < served < len(quiescent)
+        assert all(quiescent)

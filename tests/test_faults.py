@@ -559,3 +559,19 @@ def test_spec_round_trips_through_task_params():
     assert result["spec"]["fault"] == "stuck_mzi"
     assert result["spec"]["seed"] == spec.seed  # explicit seed wins
     assert result["runs"][0] == run_single(spec, 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("request_period", 0), ("probe_interval", 0), ("load", -0.5),
+    ("load", 1.5), ("nodes", 1), ("runs", 0), ("cycles", 63)])
+def test_spec_rejects_invalid_fields_at_construction(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        CampaignSpec(**{field: value})
+
+
+def test_fault_point_names_the_invalid_field():
+    from repro.analysis.tasks import fault_point
+
+    with pytest.raises(ValueError,
+                       match=r"request_period must be >= 1, got 0"):
+        fault_point({"fault": "none", "request_period": 0}, seed=0)

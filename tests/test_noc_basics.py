@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.noc.arbiter import (
     RoundRobinArbiter,
-    SeparableAllocator,
     WavefrontArbiter,
 )
 from repro.noc.packet import Packet, reset_packet_ids
@@ -230,21 +229,6 @@ class TestWavefrontArbiter:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             WavefrontArbiter(4).allocate(np.ones((3, 3), dtype=bool))
-
-
-class TestSeparableAllocator:
-    def test_one_grant_per_input_and_output(self):
-        alloc = SeparableAllocator(4, 4)
-        req = np.ones((4, 4), dtype=bool)
-        grants = alloc.allocate(req)
-        rows = [i for i, _ in grants]
-        cols = [j for _, j in grants]
-        assert len(set(rows)) == len(rows)
-        assert len(set(cols)) == len(cols)
-
-    def test_empty_requests(self):
-        alloc = SeparableAllocator(2, 3)
-        assert alloc.allocate(np.zeros((2, 3), dtype=bool)) == []
 
 
 class TestLatencyStats:

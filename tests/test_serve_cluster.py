@@ -161,13 +161,14 @@ class TestSkipMachinery:
         net = daemon.net
         refused = set()
         for _ in range(256):
-            countdown = net.quiet_countdown()
-            if countdown is not None:
-                # 0: a source has buffered packets; else a delivery
-                # falls on the countdown's last cycle.
-                with pytest.raises(RuntimeError):
-                    net.skip_quiet_cycles(max(countdown, 1))
-                refused.add(countdown == 0)
+            if not net.quiescent():
+                # A source with buffered packets, or only circuits in
+                # flight whose completions a skip would drop.
+                cycle = net.cycle
+                with pytest.raises(RuntimeError, match="non-quiescent"):
+                    net.skip_idle_cycles(1)
+                assert net.cycle == cycle
+                refused.add(bool(net._waiting_sources))
             if len(refused) == 2:
                 break
             daemon.step()

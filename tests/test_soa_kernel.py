@@ -4,12 +4,11 @@ Every registered topology's struct-of-arrays kernel must reproduce its
 per-object oracle (``tests/reference_noc.py``) *bit for bit*: same
 delivered packets, same individual flit latencies, same arbitration
 outcomes, same counters, same utilization timeline — across random
-traffic, idle/active transitions, the idle and quiet fast-forwards, and
-the production paths end to end.  All assertions are exact equality;
+traffic, idle/active transitions, the idle fast-forward, and the
+production paths end to end.  All assertions are exact equality;
 any tolerance would hide an ordering bug.
 """
 
-import copy
 import hashlib
 import json
 import logging
@@ -24,7 +23,6 @@ from repro.noc.kernel import SimKernel
 from repro.noc.registry import TOPOLOGIES
 from repro.noc.simulation import make_network
 from repro.noc import soa as soa_module
-from repro.noc.packet import Packet
 from repro.noc.soa import SoANetwork
 from repro.noc.stats import UtilizationTracker
 from repro.noc.topology import make_topology
@@ -693,148 +691,6 @@ def test_noc_latency_mesh_wf_stays_on_the_per_object_network():
     assert out["avg_latency"] == 37.07520325203252
     assert hashlib.sha256(canonical_json(out).encode()).hexdigest() == \
         "872284cee1eba851e09c866ec5c9600d584b26f07ac30b567211fb0d68e99887"
-
-
-# -- Flumen quiet skip ----------------------------------------------------
-#
-# serve fast-forwards windows in which circuits only count down (no
-# buffered source, no delivery) through ``skip_quiet_cycles``, which on
-# the struct-of-arrays class is the same ``_skip_idle`` the kernel's idle
-# skip runs.  Every quiet window of seeded runs, with reroute penalties,
-# pipelined pre-grants and both arbitration modes, is skipped by every
-# prefix length and compared with stepping and with the oracle's skip.
-
-def _flumen_state(net) -> dict:
-    """Everything a quiet step may touch, in backend-neutral terms."""
-    def key(p: Packet) -> tuple:
-        return p.src, p.dst, p.size_flits, p.create_cycle
-
-    if hasattr(net, "_circuits"):
-        active = [(c.setup_left, c.remaining_flits, key(c.packet))
-                  for c in net._circuits.values()]
-        pending = sorted((c.setup_left, c.remaining_flits, key(c.packet))
-                         for c in net._pending.values())
-    else:
-        active = [(net._setup_left[src], net._remaining[src],
-                   key(net._packets[src])) for src in net._order]
-        pending = sorted((net._p_setup[src], net._p_remaining[src],
-                          key(net._p_packets[src]))
-                         for src in net._pending_srcs)
-    util = net.utilization
-    return {
-        **_summary(net),
-        "active": active,
-        "pending": pending,
-        "busy_outputs": sorted(net._busy_outputs),
-        "arbiter": (net._arbiter._priority, net._sequential_rr),
-        "interval": (util._busy_in_interval, util._cycle_in_interval),
-        "counters": (net.reconfigurations, net.rerouted_grants,
-                     net.arbiter_conflicts),
-    }
-
-
-def _offer_burst(nets, seed: int, cycle: int) -> None:
-    rng = np.random.default_rng(seed)
-    burst = []
-    for src in range(16):
-        for _ in range(int(rng.integers(0, 3))):
-            dst = (src + int(rng.integers(1, 16))) % 16
-            burst.append((src, dst, int(rng.integers(1, 12))))
-    for net in nets:
-        for src, dst, size in burst:
-            net.offer_packet(Packet(src=src, dst=dst, size_flits=size,
-                                    create_cycle=cycle))
-
-
-def _quiet_pair(arbitration: str, seed: int):
-    """Oracle and SoA Flumen nets with reroutes and one offered burst."""
-    nets = [make("flumen", 16, arbitration=arbitration)
-            for make in (make_oracle, make_network)]
-    rng = np.random.default_rng(seed + 1000)
-    for _ in range(5):
-        src, dst = (int(x) for x in rng.choice(16, size=2, replace=False))
-        penalty = int(rng.integers(1, 6))
-        for net in nets:
-            net.reroute_pair(src, dst, penalty)
-    _offer_burst(nets, seed, 0)
-    return nets
-
-
-def _finish(net, seed: int) -> dict:
-    """Offer a later burst, run to quiescence; the final state."""
-    _offer_burst([net], seed + 1, net.cycle)
-    for _ in range(5000):
-        if net.quiescent():
-            break
-        net.step()
-    return _flumen_state(net)
-
-
-@pytest.mark.parametrize("arbitration", ["wavefront", "sequential"])
-@pytest.mark.parametrize("seed", range(6))
-def test_quiet_skip_matches_stepping_and_the_oracle(arbitration, seed):
-    oracle, soa = _quiet_pair(arbitration, seed)
-    windows = 0
-    while not soa.quiescent():
-        countdown = soa.quiet_countdown()
-        assert oracle.quiet_countdown() == countdown
-        if countdown and countdown > 1:
-            windows += 1
-            for k in range(1, countdown):
-                skipped, stepped, oracle_skipped = (
-                    copy.deepcopy(soa), copy.deepcopy(soa),
-                    copy.deepcopy(oracle))
-                skipped.skip_quiet_cycles(k)
-                for _ in range(k):
-                    stepped.step()
-                oracle_skipped.skip_quiet_cycles(k)
-                state = _flumen_state(skipped)
-                assert state == _flumen_state(stepped)
-                assert state == _flumen_state(oracle_skipped)
-                final = _finish(skipped, seed)
-                assert final == _finish(stepped, seed)
-                assert final == _finish(oracle_skipped, seed)
-        oracle.step()
-        soa.step()
-    assert windows
-    assert _flumen_state(soa) == _flumen_state(oracle)
-
-
-def test_quiet_skip_corpus_covers_pregrants_and_reroutes():
-    pending = rerouted = 0
-    for arbitration in ("wavefront", "sequential"):
-        for seed in range(6):
-            _, soa = _quiet_pair(arbitration, seed)
-            while not soa.quiescent():
-                if (soa.quiet_countdown() or 0) > 1 and soa._pending_srcs:
-                    pending += 1
-                soa.step()
-            rerouted += soa.rerouted_grants
-    assert pending and rerouted
-
-
-def _serve_network(name, nodes, **kwargs):
-    from repro.serve.daemon import _ServeNetwork
-    return _ServeNetwork(nodes, **kwargs)
-
-
-@pytest.mark.parametrize("make", [make_oracle, make_network,
-                                  _serve_network])
-def test_quiet_skip_refuses_buffered_sources_and_deliveries(make):
-    net = make("flumen", 16)
-    _offer_burst([net], 0, 0)
-    assert net.quiet_countdown() == 0
-    before = _flumen_state(net)
-    with pytest.raises(RuntimeError, match="buffered"):
-        net.skip_quiet_cycles(1)
-    assert _flumen_state(net) == before
-    while not net.quiet_countdown():
-        net.step()
-    countdown = net.quiet_countdown()
-    before = _flumen_state(net)
-    with pytest.raises(RuntimeError, match="delivery"):
-        net.skip_quiet_cycles(countdown)
-    assert _flumen_state(net) == before
 
 
 # -- end-to-end oracle comparisons ----------------------------------------
