@@ -25,10 +25,10 @@ Commands
     recovery statistics per fault class, with JSON/CSV artifacts.
 ``perf``
     Pinned performance suite (DESIGN.md §13): micro benchmarks of the
-    vectorized photonic kernels (with in-run speedup vs the retained
-    reference oracles) plus macro sweep/fault benchmarks, written to a
-    ``BENCH_<rev>.json`` artifact and compared against a committed
-    baseline (strict output-digest equality, tolerant wall clock).
+    vectorized photonic and NoC kernels plus macro sweep/fault/serve
+    benchmarks, written to a ``BENCH_<rev>.json`` artifact and compared
+    against a committed baseline (strict output-digest equality,
+    tolerant wall clock).
 ``serve``
     Long-lived serving daemon (DESIGN.md §17): seeded client
     populations offer concurrent MVM/communication streams, token
@@ -730,16 +730,13 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     rows = []
     for name, record in payload["benchmarks"].items():
-        speedup = record.get("speedup_vs_reference")
         per_call = record.get("per_call_s")
         rows.append([
             name, f"{record['wall_s']:.3f}",
             "-" if per_call is None else f"{per_call * 1e3:.3f}",
-            "-" if speedup is None else f"{speedup:.1f}x",
             (record.get("digest") or "")[:12]])
     emit(format_table(
-        ["benchmark", "wall (s)", "per call (ms)", "vs reference",
-         "digest"],
+        ["benchmark", "wall (s)", "per call (ms)", "digest"],
         rows, title=f"Perf suite ({payload['suite']}, "
                     f"rev {payload['rev']})"))
 

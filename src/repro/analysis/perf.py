@@ -5,10 +5,9 @@ micro benchmarks (mesh propagation, WDM propagation, hop tracing, SVD
 programming) and macro benchmarks (small system sweep, fault-campaign
 smoke, an idle-network run) that
 
-* measures wall time per benchmark **and** — for the vectorized photonic
-  kernels — the in-run speedup over the retained ``_reference_*``
-  oracles, so the ≥3x claim is re-proven on every machine rather than
-  compared across machines;
+* measures wall time per benchmark (the fast kernels alone: their
+  equivalence with the slow reference implementations is a tier-1
+  test, ``tests/reference_*.py``, not a leg of this suite);
 * hashes every benchmark's simulation output (``digest``), so a perf
   regression can be told apart from a *correctness* regression: digests
   are seeded and machine-independent, and must match the committed
@@ -18,7 +17,7 @@ smoke, an idle-network run) that
   exact source tree they measured) and reports deltas against a
   committed baseline with a configurable wall-clock tolerance.
 
-Wall times are machine-dependent; digests and speedup ratios are not.
+Wall times are machine-dependent; digests are not.
 The CI ``perf-smoke`` job therefore compares digests strictly and wall
 times with a generous (2x) tolerance.
 """
@@ -89,14 +88,10 @@ def _bench_propagate(n: int, small: bool,
     mesh.propagate(fields)  # warm the propagation plan
     reps = {16: 12, 32: 8, 64: 5}.get(n, 5) if small \
         else {16: 60, 32: 30, 64: 15}.get(n, 10)
-    ref_reps = max(2, reps // 5)
     vec_s = _time_calls(lambda: mesh.propagate(fields), reps)
-    ref_s = _time_calls(lambda: mesh._reference_propagate(fields), ref_reps)
     return {
         "wall_s": vec_s * reps,
         "per_call_s": vec_s,
-        "reference_per_call_s": ref_s,
-        "speedup_vs_reference": ref_s / vec_s if vec_s > 0 else float("inf"),
         "meta": {"n": n, "width": width},
         "digest": _digest_array(mesh.propagate(fields)),
     }
@@ -174,10 +169,17 @@ def _bench_mesh_depth(architecture: str, n: int, small: bool) -> dict:
     }
 
 
-def _run_noc_kernel(net, traffic_fn, cycles: int,
-                    warmup: int) -> tuple[float, dict]:
-    """One timed network run; returns (wall seconds, output summary)."""
-    traffic = traffic_fn()
+def _bench_noc_kernel(traffic, nodes: int, cycles: int, warmup: int,
+                      meta: dict) -> dict:
+    """One timed mesh run on the struct-of-arrays kernel.
+
+    The digest covers the run's output summary; its exact agreement
+    with the per-object oracle on the same traffic shape is pinned by
+    ``tests/test_soa_kernel.py``.
+    """
+    from repro.noc.simulation import make_network
+
+    net = make_network("mesh", nodes)
     t0 = time.perf_counter()
     net.run(traffic, cycles=cycles, warmup=warmup, drain=True)
     wall = time.perf_counter() - t0
@@ -189,36 +191,9 @@ def _run_noc_kernel(net, traffic_fn, cycles: int,
         "cycles": net.cycle,
         "utilization": net.utilization.to_dict(),
     }
-    return wall, summary
-
-
-def _bench_noc_kernel(nodes: int, traffic_fn, cycles: int,
-                      warmup: int, meta: dict) -> dict:
-    """SoA-vs-oracle mesh kernel bench: both legs run, outputs must agree.
-
-    Like :func:`_bench_propagate` on the photonic side, the speedup is
-    measured in-run against the per-object oracle on the same machine,
-    and the record's digest covers output both implementations produced
-    identically — a silent divergence fails the bench itself.
-    """
-    from repro.noc.network import Network
-    from repro.noc.simulation import make_network
-    from repro.noc.topology import make_topology
-
-    wall, summary = _run_noc_kernel(make_network("mesh", nodes),
-                                    traffic_fn, cycles, warmup)
-    ref_wall, ref_summary = _run_noc_kernel(
-        Network(make_topology("mesh", nodes)), traffic_fn, cycles, warmup)
-    if summary != ref_summary:
-        raise RuntimeError(
-            f"mesh SoA kernel diverged from the per-object oracle: "
-            f"{_digest_json(summary)[:12]} != "
-            f"{_digest_json(ref_summary)[:12]}")
     return {
         "wall_s": wall,
         "per_call_s": wall / cycles,
-        "reference_per_call_s": ref_wall / cycles,
-        "speedup_vs_reference": ref_wall / wall if wall > 0 else float("inf"),
         "meta": meta,
         "digest": _digest_json(summary),
     }
@@ -229,9 +204,8 @@ def _bench_noc_idle(small: bool) -> dict:
 
     nodes, cycles, load = 64, 2500, 0.02
     return _bench_noc_kernel(
-        nodes,
-        lambda: TrafficGenerator(nodes, "uniform", load, seed=5),
-        cycles, cycles // 3,
+        TrafficGenerator(nodes, "uniform", load, seed=5),
+        nodes, cycles, cycles // 3,
         meta={"nodes": nodes, "cycles": cycles, "load": load,
               "topology": "mesh"})
 
@@ -242,9 +216,8 @@ def _bench_noc_step(small: bool) -> dict:
 
     nodes, cycles, load = 16, 4000, 0.8
     return _bench_noc_kernel(
-        nodes,
-        lambda: TrafficGenerator(nodes, "uniform", load, seed=5),
-        cycles, cycles // 8,
+        TrafficGenerator(nodes, "uniform", load, seed=5),
+        nodes, cycles, cycles // 8,
         meta={"nodes": nodes, "cycles": cycles, "load": load,
               "topology": "mesh"})
 
@@ -253,9 +226,8 @@ def _bench_noc_trace(small: bool) -> dict:
     """Bursty trace replay: the system model's NoP usage pattern.
 
     Packet bursts separated by long quiescent stretches — the shape
-    workload-derived traces take.  The SoA backends fast-forward the
-    idle stretches (the oracle steps them one by one), so this is where
-    the kernel restructuring pays off end-to-end.
+    workload-derived traces take, and the one the SoA backends' idle
+    fast-forward skips through.
     """
     from repro.noc.traffic import TracePlayback
 
@@ -269,8 +241,7 @@ def _bench_noc_trace(small: bool) -> dict:
             events.append((start + i // 8, src, dst, 3))
     cycles = bursts * gap
     return _bench_noc_kernel(
-        nodes, lambda: TracePlayback(list(events)),
-        cycles, gap,
+        TracePlayback(events), nodes, cycles, gap,
         meta={"nodes": nodes, "bursts": bursts, "gap": gap,
               "cycles": cycles, "topology": "mesh"})
 
@@ -316,13 +287,12 @@ def _bench_sweep_full(small: bool) -> dict:
 
 
 def _bench_mvm_batch(small: bool) -> dict:
-    """Fleet-wide stacked MVM dispatch vs. sequential block evaluation.
+    """Fleet-wide stacked MVM dispatch.
 
     A fleet of block-matmul offloads (the matrix-memory contents of
-    several cores) runs once through :func:`block_matmul_many` — one
-    stacked ``(B, k, 2, 2)`` kernel pass — and once block-by-block.
-    Outputs must agree bit-for-bit; the record reports the measured
-    stacking speedup.
+    several cores) runs through :func:`block_matmul_many` — one stacked
+    ``(B, k, 2, 2)`` kernel pass.  Its bit-identity with block-by-block
+    evaluation is pinned by ``tests/test_mvm_batch.py``.
     """
     from repro.core.accelerator import BlockMatmul, block_matmul_many
 
@@ -332,26 +302,11 @@ def _bench_mvm_batch(small: bool) -> dict:
              rng.normal(size=(size, q)))
             for _ in range(fleet)]
     reps = 20 if small else 60
-
-    def batched():
-        return block_matmul_many(jobs)
-
-    def sequential():
-        return [matmul(vectors, batched=False)
-                for matmul, vectors in jobs]
-
-    got, want = batched(), sequential()
-    for g, w in zip(got, want):
-        if not np.array_equal(g, w):
-            raise RuntimeError(
-                "stacked MVM dispatch diverged from sequential evaluation")
-    vec_s = _time_calls(batched, reps)
-    ref_s = _time_calls(sequential, max(2, reps // 5))
+    got = block_matmul_many(jobs)
+    vec_s = _time_calls(lambda: block_matmul_many(jobs), reps)
     return {
         "wall_s": vec_s * reps,
         "per_call_s": vec_s,
-        "reference_per_call_s": ref_s,
-        "speedup_vs_reference": ref_s / vec_s if vec_s > 0 else float("inf"),
         "meta": {"fleet": fleet, "size": size, "vectors": q,
                  "mzim_size": 8, "reps": reps},
         "digest": _digest_array(np.concatenate([g.ravel() for g in got])),
@@ -709,15 +664,13 @@ def markdown_summary(payload: dict,
     available and only the current measurements are reported.
     """
     lines = [f"## Perf suite `{payload['suite']}` @ `{payload['rev']}`", ""]
-    lines += ["| benchmark | wall (s) | per call (ms) | vs reference |",
-              "|---|---:|---:|---:|"]
+    lines += ["| benchmark | wall (s) | per call (ms) |",
+              "|---|---:|---:|"]
     for name, record in payload["benchmarks"].items():
         per_call = record.get("per_call_s")
-        speedup = record.get("speedup_vs_reference")
         lines.append(
             f"| {name} | {record['wall_s']:.3f} "
-            f"| {'-' if per_call is None else f'{per_call * 1e3:.3f}'} "
-            f"| {'-' if speedup is None else f'{speedup:.2f}x'} |")
+            f"| {'-' if per_call is None else f'{per_call * 1e3:.3f}'} |")
     lines.append("")
     quantile_rows = [
         (bench, series, q)

@@ -161,19 +161,17 @@ class BlockMatmul:
                             vectors, self.mzim_size, self.wavelengths)
 
     def __call__(self, vectors: np.ndarray,
-                 mvm: "callable | None" = None,
-                 batched: bool = True) -> np.ndarray:
+                 mvm: "callable | None" = None) -> np.ndarray:
         """Compute ``matrix @ vectors`` through the photonic block plan.
 
-        ``mvm(program, batch)`` may replace the ideal optical pass (e.g.
-        with :class:`repro.photonics.noise.AnalogMVM`); it defaults to the
-        exact SVD propagation.  On the ideal path all block MVMs dispatch
-        through the stacked ``(B, k, 2, 2)`` kernel
-        (:mod:`repro.photonics.batch`), which is bit-identical to the
-        per-block loop; ``batched=False`` pins the sequential oracle so
-        equivalence tests can compare the two.
+        ``mvm(program, window)`` may replace the ideal optical pass (e.g.
+        with :class:`repro.photonics.noise.AnalogMVM`); it is called once
+        per non-zero block and wavelength window.  Without it the job is
+        a fleet of one for :func:`block_matmul_many`: the exact SVD
+        propagation of every block through one stacked
+        ``(B, k, 2, 2)`` kernel pass (:mod:`repro.photonics.batch`).
         """
-        if mvm is None and batched:
+        if mvm is None:
             return block_matmul_many([(self, vectors)])[0]
         vectors = np.asarray(vectors, dtype=float)
         squeeze = vectors.ndim == 1
@@ -188,11 +186,6 @@ class BlockMatmul:
                 if program is None:  # all-zero block
                     continue
                 chunk = batch[bj * n:(bj + 1) * n, :]
-                if mvm is None:
-                    # Ideal optics: wavelength windowing only affects
-                    # timing, so the whole batch propagates in one pass.
-                    acc += program.apply(chunk.astype(complex)).real
-                    continue
                 for lo in range(0, q, self.wavelengths):
                     hi = min(lo + self.wavelengths, q)
                     window = chunk[:, lo:hi]
@@ -210,9 +203,11 @@ def block_matmul_many(
     optical pass performs — and hands the whole fleet to
     :func:`repro.photonics.batch.apply_jobs`, which runs each group of
     layout-compatible units as one ``(B, k, 2, 2)`` kernel pass.
-    Per-job block partials are then accumulated in the same
-    ``bj``-ascending order as the sequential loop, so each result is
-    bit-identical to ``job(vectors, batched=False)``.
+    Ideal optics: wavelength windowing only affects timing, so each
+    block's whole batch propagates in one pass.  Per-job block partials
+    are then accumulated ``bj``-ascending per block row, so each result
+    is bit-identical to evaluating the job one block program at a time
+    (``tests/reference_photonics.py``).
     """
     from repro.photonics.batch import apply_jobs
 
@@ -238,7 +233,7 @@ def block_matmul_many(
     accs = [np.zeros((matmul.block_rows * matmul.mzim_size, batch.shape[1]))
             for matmul, batch, _ in prepared]
     # Units were gathered bj-ascending per (job, bi), so this walk adds
-    # block partials in exactly the sequential loop's order — float
+    # block partials in exactly a block-by-block loop's order — float
     # addition is order-sensitive, and bit-identity depends on it.
     for (job_idx, bi), partial in zip(units, partials):
         n = prepared[job_idx][0].mzim_size

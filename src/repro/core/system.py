@@ -28,7 +28,7 @@ The configuration set is not hardcoded: each named configuration is a
 registry, so new topology/compute combinations plug in via
 ``CONFIGURATIONS.register`` and immediately appear in :meth:`run_all`,
 the sweep CLI, and the fault campaigns' golden-reference cross-check
-(``repro.faults.campaign.golden_reference_record``).  This model always
+(``repro.faults.campaign.golden_numbers_record``).  This model always
 simulates a healthy fabric; reliability studies attach a
 :class:`~repro.core.control_unit.HealthMonitor` and degradation ladder
 to the same control unit + scheduler pair through :mod:`repro.faults`.

@@ -42,7 +42,11 @@ from repro.core.scheduler import FlumenScheduler, electrical_duration_cycles
 from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
 from repro.faults.models import FAULTS, FaultSchedule
-from repro.faults.recovery import NOMINAL_RECEIVED_POWER_W, FabricRecovery
+from repro.faults.recovery import (
+    GEOMETRY_RULES,
+    NOMINAL_RECEIVED_POWER_W,
+    FabricRecovery,
+)
 from repro.noc.simulation import make_network
 from repro.noc.traffic import TrafficGenerator
 from repro.obs import NULL_OBS, Obs
@@ -53,15 +57,17 @@ NO_FAULT = "none"
 #: Digital precision of the electrical fallback path (Table 1: 8-bit).
 ELECTRICAL_BITS = 8.0
 
-#: Numeric :class:`CampaignSpec` fields: name -> (valid?, rule text).
-#: Checked at construction, so a bad value never reaches a run.
+#: Numeric :class:`CampaignSpec` fields and derived sizes: name ->
+#: (valid?, rule text).  Checked at construction, so a bad value never
+#: reaches a run.
 _FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "runs": (lambda v: v >= 1, ">= 1"),
     "cycles": (lambda v: v >= 64, ">= 64"),
-    "nodes": (lambda v: v >= 2, ">= 2"),
+    **GEOMETRY_RULES,
     "load": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "request_period": (lambda v: v >= 1, ">= 1"),
     "probe_interval": (lambda v: v >= 1, ">= 1"),
+    "error_threshold": (lambda v: v > 0.0, "> 0"),
 }
 
 
@@ -101,6 +107,11 @@ class CampaignSpec:
                 raise ValueError(f"{name} must be {rule}, got {value}")
         from repro.photonics.registry import MESHES
         MESHES.get(self.mesh_architecture)  # raises listing known names
+
+    @property
+    def partition_ports(self) -> int:
+        """Fabric ports each periodic compute offload asks for."""
+        return max(2, self.ports // 2)
 
     def to_dict(self) -> dict:
         record = dataclasses.asdict(self)
@@ -200,7 +211,7 @@ class _CampaignRun:
             self.control.compute_buffer.append(ComputeRequest(
                 node=cycle % spec.nodes, plan=self.job,
                 matrix_key="campaign", submit_cycle=cycle,
-                ports_needed=max(2, spec.ports // 2),
+                ports_needed=spec.partition_ports,
                 duration_override=60, request_id=self.submitted))
             self.control.requests_received += 1
             self.submitted += 1
@@ -309,7 +320,7 @@ def run_single(spec: CampaignSpec, run_index: int,
     return _CampaignRun(spec, run_index, obs=obs).execute()
 
 
-def golden_reference_record() -> dict:
+def golden_numbers_record() -> dict:
     """The golden-numbers cross-check for zero-fault campaigns.
 
     Runs the exact configuration the pinned golden tests use —
@@ -401,5 +412,5 @@ def run_fault_campaign(spec: CampaignSpec, obs: Obs = NULL_OBS) -> dict:
         "aggregate": _aggregate(records),
     }
     if spec.fault == NO_FAULT and spec.golden_reference:
-        out["golden_reference"] = golden_reference_record()
+        out["golden_reference"] = golden_numbers_record()
     return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.engine import point_seed
-from repro.config import DeviceParams
+from repro.config import DeviceParams, SystemConfig
 from repro.core.control_unit import HealthMonitor
 from repro.faults.injector import FaultDomain, FaultyMesh
 from repro.faults.ladder import BackoffPolicy, DegradationLadder, Rung
@@ -36,6 +36,23 @@ from repro.photonics.clements import decompose, random_unitary
 
 #: Received optical power at nominal laser output (the AnalogMVM default).
 NOMINAL_RECEIVED_POWER_W = 50e-6
+
+#: Fabric ports of the control unit a campaign run or a serve session
+#: builds (``SystemConfig().mzim_ports``: 8 for the paper's system).
+FABRIC_PORTS = SystemConfig().mzim_ports
+
+#: Fabric geometry rules shared by ``CampaignSpec`` and ``ServeConfig``
+#: (name -> (valid?, rule text)), checked at construction.  ``ports``
+#: sizes this controller's mesh and ladder; every fabric port needs a
+#: network endpoint; and each config's ``partition_ports`` (the size of
+#: the partitions it requests) must be one Algorithm 1 can grant.
+GEOMETRY_RULES = {
+    "ports": (lambda v: v >= 2, ">= 2"),
+    "nodes": (lambda v: v >= FABRIC_PORTS,
+              f">= {FABRIC_PORTS}, one network endpoint per fabric port"),
+    "partition_ports": (lambda v: v % 2 == 0 and v <= FABRIC_PORTS,
+                        f"even and <= the {FABRIC_PORTS} fabric ports"),
+}
 
 
 class FabricRecovery:

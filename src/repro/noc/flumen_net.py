@@ -313,9 +313,9 @@ class FlumenNetwork(SimKernel):
     def _grant_unicasts(self, requests: list[tuple[int, int]]) -> None:
         """Allocate the sparse request list; winners set up circuits."""
         if not requests:
-            # Idle fast path.  allocate() rotates the wavefront priority
-            # on every call, empty matrix or not, so the skip must too —
-            # otherwise later grants diverge from the full scan.
+            # Idle fast path.  The wavefront scan rotates its priority
+            # on every allocation, empty matrix or not, so the skip must
+            # too — otherwise later grants diverge from the full scan.
             if self.arbitration == "wavefront":
                 self._arbiter.rotate()
             return

@@ -18,16 +18,18 @@ lists; NumPy builds the precomputed route/VC-class tables and serves
 the wide arbiter paths in :mod:`repro.noc.arbiter`.)
 
 ``TOPOLOGIES`` registers only these classes; the sweep, serve, the
-fault campaigns and the sweep tasks all build them through
-``make_network``.  The per-object classes are the **bit-identity
-oracle**, constructed directly by the equivalence suite and by
-``repro perf`` (exactly as ``MZIMesh._reference_propagate`` anchors the
-columnized photonic kernel): for every backend the SoA class must
-reproduce the oracle's delivered packets, per-flit latency samples,
-counters, cycle counts, and trace event order *exactly*.
-``tests/test_soa_kernel.py`` pins that equivalence property over random
-traffic.  The one topology the SoA router network refuses is
-``mesh_wf``, whose adaptive routing draws a route per head flit.
+fault campaigns, the sweep tasks and ``repro perf`` all build them
+through ``make_network``.  The per-object classes are the
+**bit-identity oracle**, constructed directly by the equivalence suite
+(``tests/reference_noc.py``), just as the per-MZI loop in
+``tests/reference_photonics.py`` anchors the columnized photonic
+kernel: for every backend the SoA class must reproduce the oracle's
+delivered packets, per-flit latency samples, counters, cycle counts,
+and trace event order *exactly*.  ``tests/test_soa_kernel.py`` pins
+that equivalence property over random traffic and over the traffic
+shapes ``repro perf`` times.  The one topology the SoA router network
+refuses is ``mesh_wf``, whose adaptive routing draws a route per head
+flit; ``noc_latency`` runs it on the per-object ``Network``.
 
 On top of the flat layout, the SoA backends opt into the kernel's idle
 fast-forward (``SimKernel.run``): when the network is quiescent and the
@@ -901,8 +903,8 @@ class SoAFlumenNetwork(SimKernel):
 
     def _skip_idle(self, cycles: int) -> None:
         # A quiescent step records an idle cycle and rotates the
-        # wavefront priority diagonal (the oracle's allocate() rotates
-        # on every call, requests or not); sequential moves nothing.
+        # wavefront priority diagonal (the wavefront scan rotates on
+        # every allocation, requests or not); sequential moves nothing.
         self._advance_idle(cycles)
         if self.arbitration == "wavefront":
             self._arbiter.rotate(cycles)
@@ -1000,7 +1002,7 @@ class SoAFlumenNetwork(SimKernel):
     def _grant_unicasts(self, pairs: list[tuple[int, int]]) -> None:
         if not pairs:
             # Idle fast path: the wavefront priority still rotates, as
-            # the oracle's allocate() does on an empty matrix.
+            # the dense wavefront scan does on an empty matrix.
             if self.arbitration == "wavefront":
                 self._arbiter.rotate()
             return

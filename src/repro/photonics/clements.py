@@ -173,9 +173,9 @@ class MZIMesh:
             the same broadband MZI transformation (Section 2.2).
 
         One batched 2x2 matmul per physical column (:func:`sweep_columns`;
-        a ``(n,)`` input is swept as ``(n, 1)``) replaces the per-MZI
-        Python loop (kept as :meth:`_reference_propagate`); the batched
-        form is bit-identical, not merely close — see DESIGN.md §13.
+        a ``(n,)`` input is swept as ``(n, 1)``) replaces a per-MZI
+        Python loop; the batched form is bit-identical to that loop,
+        not merely close — see DESIGN.md §13.
         """
         out = np.array(fields, dtype=complex)
         if out.shape[0] != self.n:
@@ -183,24 +183,6 @@ class MZIMesh:
                 f"expected leading dimension {self.n}, got {out.shape[0]}")
         sweep_columns(self._propagation_plan,
                       out[:, np.newaxis] if out.ndim == 1 else out)
-        phases = self.output_phases
-        if out.ndim > 1:
-            phases = phases[:, np.newaxis]
-        return phases * out
-
-    def _reference_propagate(self, fields: np.ndarray) -> np.ndarray:
-        """Per-MZI propagation oracle (the pre-vectorization loop).
-
-        Kept verbatim so property tests can assert the columnized
-        :meth:`propagate` reproduces it exactly.
-        """
-        out = np.asarray(fields, dtype=complex).copy()
-        if out.shape[0] != self.n:
-            raise ValueError(
-                f"expected leading dimension {self.n}, got {out.shape[0]}")
-        for mzi in self.mzis:
-            m = mzi.top_mode
-            out[m:m + 2, ...] = mzi.transfer @ out[m:m + 2, ...]
         phases = self.output_phases
         if out.ndim > 1:
             phases = phases[:, np.newaxis]
@@ -237,12 +219,12 @@ class MZIMesh:
 def _trace_hops(mesh: MZIMesh) -> np.ndarray:
     """Exact per-path MZI counts via power tracing, all inputs at once.
 
-    Vectorizes :func:`_reference_trace_hops` across the ``n`` input
-    ports: ``power[mode, source]`` starts as the identity and every MZI
-    mixes its two mode rows with one batched 2x2 matmul.  The batched
-    matmul produces bit-identical powers to the reference's per-input
-    ``t @ power[m:m+2]``, so the thresholded integer hop counts are
-    exactly equal (asserted by the property tests).
+    Vectorizes a per-input power trace across the ``n`` input ports:
+    ``power[mode, source]`` starts as the identity and every MZI mixes
+    its two mode rows with one batched 2x2 matmul.  The batched matmul
+    produces bit-identical powers to a per-input ``t @ power[m:m+2]``,
+    so the thresholded integer hop counts are exactly equal (asserted
+    by the property tests).
     """
     n = mesh.n
     power = np.eye(n)
@@ -268,33 +250,6 @@ def _trace_hops(mesh: MZIMesh) -> np.ndarray:
         power[m] = new0
         power[m + 1] = new1
     return np.where(power > 1e-12, count, -1)
-
-
-def _reference_trace_hops(mesh: MZIMesh) -> np.ndarray:
-    """Per-input hop-tracing oracle (the pre-vectorization loop)."""
-    n = mesh.n
-    hops = -np.ones((n, n), dtype=int)
-    for i in range(n):
-        power = np.zeros(n)
-        power[i] = 1.0
-        count = np.zeros(n, dtype=int)
-        for mzi in mesh.mzis:
-            m = mzi.top_mode
-            p_in = power[m] + power[m + 1]
-            if p_in <= 1e-15:
-                continue
-            t = np.abs(mzi.transfer) ** 2
-            new = t @ power[m:m + 2]
-            # The MZI hop count carried forward is the power-weighted depth.
-            depth = max(count[m] if power[m] > 1e-15 else 0,
-                        count[m + 1] if power[m + 1] > 1e-15 else 0) + 1
-            power[m:m + 2] = new
-            count[m] = depth if new[0] > 1e-15 else count[m]
-            count[m + 1] = depth if new[1] > 1e-15 else count[m + 1]
-        for o in range(n):
-            if power[o] > 1e-12:
-                hops[o, i] = count[o]
-    return hops
 
 
 def sweep_columns(plan: list[tuple[np.ndarray, np.ndarray]],

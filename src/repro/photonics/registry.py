@@ -8,10 +8,11 @@ one ``MESHES.register`` call — no edits to the decomposition call sites,
 the energy model, or the sweeps.
 
 Each name holds one architecture, which simulates with the columnized
-kernels of :class:`~repro.photonics.clements.MZIMesh`.  Their per-MZI
-reference oracles (``MZIMesh._reference_propagate`` and
-``clements._reference_trace_hops``) are not registered: the equivalence
-suite calls them directly (DESIGN.md §16).
+kernels of :class:`~repro.photonics.clements.MZIMesh`.  The per-MZI
+loops those kernels are pinned against are not part of the package:
+they live with the equivalence suite, which runs every registered
+architecture through them (``tests/reference_photonics.py``, DESIGN.md
+§16).
 
 A :class:`MeshArchitecture` fixes the contract every fabric must
 satisfy: decompose-to-mesh, fault domains for the injector, and

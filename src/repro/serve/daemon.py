@@ -63,7 +63,7 @@ from repro.core.scheduler import FlumenScheduler
 from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
 from repro.faults.models import FAULTS, FaultSchedule
-from repro.faults.recovery import FabricRecovery
+from repro.faults.recovery import GEOMETRY_RULES, FabricRecovery
 from repro.noc.packet import Packet
 from repro.noc.soa import SoAFlumenNetwork
 from repro.obs import Obs
@@ -82,9 +82,11 @@ LATENCY_BOUNDS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
                   1024.0, 2048.0, 4096.0)
 
 
-#: Numeric :class:`ServeConfig` fields: name -> (valid?, rule text).
-#: Checked at construction, so a bad value never reaches a pool worker.
+#: Numeric :class:`ServeConfig` fields and derived sizes: name ->
+#: (valid?, rule text).  Checked at construction, so a bad value never
+#: reaches a pool worker.
 _FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    **GEOMETRY_RULES,
     "batch_size": (lambda v: v >= 1, ">= 1"),
     "batch_window": (lambda v: v >= 1, ">= 1"),
     "mvm_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
@@ -180,6 +182,11 @@ class ServeConfig:
                 raise ValueError(f"{name} must be {rule}, got {value}")
         if self.fault is not None:
             FAULTS.get(self.fault)  # raises with the registered list
+
+    @property
+    def partition_ports(self) -> int:
+        """Fabric ports each dispatched batch asks for."""
+        return max(2, self.ports // 4)
 
     def tenant_names(self) -> tuple[str, ...]:
         """Stable tenant identifiers (``tenant0`` .. ``tenantN-1``).
@@ -445,7 +452,7 @@ class ServeDaemon:
             node=batch.requests[0].node, plan=plan,
             matrix_key=f"serve/{batch.tenant}",
             submit_cycle=self.cycle,
-            ports_needed=max(2, config.ports // 4),
+            ports_needed=config.partition_ports,
             duration_override=duration,
             tenant=batch.tenant, request_id=request_id))
         self.control.requests_received += 1

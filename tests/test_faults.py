@@ -569,6 +569,35 @@ def test_spec_rejects_invalid_fields_at_construction(field, value):
         CampaignSpec(**{field: value})
 
 
+@pytest.mark.parametrize("fields, rule", [
+    # partition max(2, 20 // 2) = 10 > the 8 fabric ports: never granted.
+    ({"ports": 20}, r"^partition_ports must be even and <= the 8 fabric "
+                    r"ports, got 10$"),
+    ({"ports": 6}, r"^partition_ports must be even .*, got 3$"),
+    ({"ports": 10}, r"^partition_ports must be even .*, got 5$"),
+    ({"ports": 0}, r"^ports must be >= 2, got 0$"),
+    ({"ports": 1}, r"^ports must be >= 2, got 1$"),
+    ({"error_threshold": 0.0}, r"^error_threshold must be > 0, got 0.0$"),
+    # Fabric ports 4..7 would have no network endpoint.
+    ({"nodes": 4}, r"^nodes must be >= 8, one network endpoint per "
+                   r"fabric port, got 4$"),
+], ids=["ports20", "ports6", "ports10", "ports0", "ports1",
+        "error_threshold0", "nodes4"])
+def test_spec_rejects_fabric_geometry_at_construction(fields, rule):
+    with pytest.raises(ValueError, match=rule):
+        CampaignSpec(**fields)
+
+
+def test_largest_accepted_partition_is_granted():
+    # The construction check and the run size the partition from the
+    # same property: the largest accepted one fills the fabric and runs.
+    spec = CampaignSpec(ports=16, runs=1, cycles=300,
+                        golden_reference=False)
+    assert spec.partition_ports == SystemConfig().mzim_ports == 8
+    [record] = run_fault_campaign(spec)["runs"]
+    assert record["compute_completed"] > 0
+
+
 def test_fault_point_names_the_invalid_field():
     from repro.analysis.tasks import fault_point
 

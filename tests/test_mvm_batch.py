@@ -2,7 +2,8 @@
 
 The fleet-wide ``(B, k, 2, 2)`` kernel (:mod:`repro.photonics.batch`)
 claims *exact* equality with sequential :meth:`MZIMesh.propagate` /
-:meth:`SVDProgram.apply` / :class:`BlockMatmul` evaluation, and so does
+:meth:`SVDProgram.apply` / block-by-block :class:`BlockMatmul`
+evaluation (``tests/reference_photonics.py``), and so does
 the control unit's flush memo — every assertion here is
 ``array_equal``, never ``allclose``.
 """
@@ -27,6 +28,10 @@ from repro.photonics.batch import (
 from repro.photonics.clements import MZIMesh, decompose
 from repro.photonics.devices import MZIState
 from repro.photonics.svd import program_svd
+from tests.reference_photonics import (
+    reference_propagate,
+    sequential_block_matmul,
+)
 from tests.test_fault_injection import stick_mzi
 
 
@@ -137,9 +142,9 @@ def test_every_propagate_path_equals_reference_on_faulted_mesh(index):
     mesh = _faulted_meshes(rng)[index]
     vector = rng.normal(size=8) + 1j * rng.normal(size=8)
     fields = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
-    expected = mesh._reference_propagate(fields)
+    expected = reference_propagate(mesh, fields)
     assert np.array_equal(mesh.propagate(vector),
-                          mesh._reference_propagate(vector))
+                          reference_propagate(mesh, vector))
     assert np.array_equal(mesh.propagate(fields), expected)
     assert np.array_equal(propagate_stacked([mesh], fields[np.newaxis])[0],
                           expected)
@@ -162,7 +167,7 @@ def test_property_block_matmul_batched_equals_sequential(rows, cols, q,
     matmul = BlockMatmul(rng.normal(size=(rows, cols)), mzim_size=8)
     vectors = rng.normal(size=(cols, q))
     assert np.array_equal(matmul(vectors),
-                          matmul(vectors, batched=False))
+                          sequential_block_matmul(matmul, vectors))
 
 
 def test_block_matmul_batched_squeezes_single_vector():
@@ -171,7 +176,7 @@ def test_block_matmul_batched_squeezes_single_vector():
     vector = rng.normal(size=13)
     batched = matmul(vector)
     assert batched.shape == (11,)
-    assert np.array_equal(batched, matmul(vector, batched=False))
+    assert np.array_equal(batched, sequential_block_matmul(matmul, vector))
 
 
 def test_block_matmul_all_zero_matrix_stays_zero():
@@ -191,7 +196,8 @@ def test_block_matmul_many_matches_each_job():
     results = block_matmul_many(jobs)
     assert batch_stats()["groups"] == 1  # whole fleet in one kernel pass
     for (matmul, vectors), result in zip(jobs, results):
-        assert np.array_equal(result, matmul(vectors, batched=False))
+        assert np.array_equal(result,
+                              sequential_block_matmul(matmul, vectors))
 
 
 def test_block_matmul_result_numerically_close_to_digital():
@@ -223,7 +229,8 @@ def test_control_unit_queue_and_flush_fleet():
     for (job_id, node, key, vectors), res in zip(jobs, results):
         assert (res.job_id, res.node, res.matrix_key) == (job_id, node, key)
         assert np.array_equal(res.result,
-                              matrices[key](vectors, batched=False))
+                              sequential_block_matmul(matrices[key],
+                                                      vectors))
 
 
 def test_control_unit_queue_requires_preloaded_matrix():

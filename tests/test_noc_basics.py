@@ -18,6 +18,7 @@ from repro.noc.traffic import (
     hotspot,
     make_pattern,
 )
+from tests.reference_arbiter import dense_allocate, is_maximal
 
 
 class TestPacket:
@@ -184,17 +185,20 @@ class TestRoundRobinArbiter:
 
 
 class TestWavefrontArbiter:
+    """The dense wavefront scan (``tests/reference_arbiter.py``) that
+    ``allocate_sparse`` is pinned against grants a maximal matching."""
+
     def test_diagonal_requests_all_granted(self):
         arb = WavefrontArbiter(4)
         req = np.eye(4, dtype=bool)
-        grants = arb.allocate(req)
+        grants = dense_allocate(arb, req)
         assert sorted(grants) == [(i, i) for i in range(4)]
 
     def test_conflicting_requests_get_one_grant(self):
         arb = WavefrontArbiter(4)
         req = np.zeros((4, 4), dtype=bool)
         req[0, 2] = req[1, 2] = req[3, 2] = True
-        grants = arb.allocate(req)
+        grants = dense_allocate(arb, req)
         assert len(grants) == 1
         assert grants[0][1] == 2
 
@@ -202,7 +206,7 @@ class TestWavefrontArbiter:
         arb = WavefrontArbiter(8)
         rng = np.random.default_rng(3)
         req = rng.random((8, 8)) < 0.4
-        grants = arb.allocate(req)
+        grants = dense_allocate(arb, req)
         rows = [i for i, _ in grants]
         cols = [j for _, j in grants]
         assert len(set(rows)) == len(rows)
@@ -216,19 +220,20 @@ class TestWavefrontArbiter:
     def test_property_matching_is_maximal(self, seed, density):
         arb = WavefrontArbiter(6)
         req = np.random.default_rng(seed).random((6, 6)) < density
-        grants = arb.allocate(req)
-        assert arb.is_maximal(req, grants)
+        grants = dense_allocate(arb, req)
+        assert is_maximal(req, grants)
 
     def test_priority_rotates(self):
         arb = WavefrontArbiter(2)
         req = np.ones((2, 2), dtype=bool)
-        first = sorted(arb.allocate(req))
-        second = sorted(arb.allocate(req))
+        first = sorted(dense_allocate(arb, req))
+        second = sorted(dense_allocate(arb, req))
         assert first != second  # rotated diagonal flips the pairing
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            WavefrontArbiter(4).allocate(np.ones((3, 3), dtype=bool))
+            dense_allocate(WavefrontArbiter(4),
+                           np.ones((3, 3), dtype=bool))
 
 
 class TestLatencyStats:

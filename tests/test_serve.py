@@ -192,6 +192,26 @@ class TestServeConfig:
         with pytest.raises(ValueError, match=field):
             ServeConfig(**{field: value})
 
+    @pytest.mark.parametrize("fields, rule", [
+        ({"ports": 12}, r"^partition_ports must be even and <= the 8 "
+                        r"fabric ports, got 3$"),
+        ({"ports": 20}, r"^partition_ports must be even .*, got 5$"),
+        ({"ports": 0}, r"^ports must be >= 2, got 0$"),
+        ({"nodes": 4, "ports": 8}, r"^nodes must be >= 8, one network "
+                                   r"endpoint per fabric port, got 4$"),
+        ({"nodes": 1}, r"^nodes must be >= 8, .*, got 1$"),
+    ], ids=["ports12", "ports20", "ports0", "nodes4", "nodes1"])
+    def test_rejects_fabric_geometry_at_construction(self, fields, rule):
+        with pytest.raises(ValueError, match=rule):
+            ServeConfig(**fields)
+
+    def test_largest_accepted_partition_is_granted(self):
+        config = ServeConfig(ports=32, duration=300, seed=0, rate=0.05)
+        assert config.partition_ports == 8
+        report = ServeDaemon(config).run()
+        assert report["drained"]
+        assert report["ledger"]["completed"] > 0
+
     def test_accepts_boundary_values(self):
         config = ServeConfig(rate=0.0, mvm_fraction=1.0, admission_burst=1.0,
                              drain_limit=0, max_events=1, probe_interval=1,

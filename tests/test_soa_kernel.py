@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc.arbiter import RoundRobinArbiter, WavefrontArbiter
+from repro.noc.arbiter import RoundRobinArbiter, WavefrontArbiter, rr_sparse
 from repro.noc.kernel import SimKernel
 from repro.noc.registry import TOPOLOGIES
 from repro.noc.simulation import make_network
@@ -28,6 +28,7 @@ from repro.noc.stats import UtilizationTracker
 from repro.noc.topology import make_topology
 from repro.noc.traffic import TracePlayback, TrafficGenerator
 from repro.obs import Obs
+from tests.reference_arbiter import dense_allocate
 from tests.reference_noc import (
     ORACLES,
     OracleServeNetwork,
@@ -52,11 +53,11 @@ def _summary(net) -> dict:
     }
 
 
-def _run_pair(topology, traffic_fn, cycles, **kwargs):
-    nets = [make_oracle(topology, 16, **kwargs),
-            make_network(topology, 16, **kwargs)]
+def _run_pair(topology, traffic_fn, cycles, nodes=16, warmup=0, **kwargs):
+    nets = [make_oracle(topology, nodes, **kwargs),
+            make_network(topology, nodes, **kwargs)]
     for net in nets:
-        net.run(traffic_fn(), cycles=cycles, drain=True,
+        net.run(traffic_fn(), cycles=cycles, warmup=warmup, drain=True,
                 max_drain_cycles=30_000)
     return nets
 
@@ -114,6 +115,34 @@ def test_property_idle_fast_forward_is_invisible(topology, gap, bursts,
     assert _summary(soa) == _summary(oracle)
 
 
+def _bursty_trace(nodes, bursts, gap):
+    """Bursts of 40 three-flit packets, ``gap`` cycles apart."""
+    events = []
+    for b in range(bursts):
+        for i in range(40):
+            src = (i * 5 + b) % nodes
+            dst = (i * 11 + 3 * b + 7) % nodes
+            events.append((b * gap + i // 8, src, dst, 3))
+    return events
+
+
+@pytest.mark.parametrize("nodes, traffic_fn, cycles, warmup", [
+    (64, lambda: TrafficGenerator(64, "uniform", 0.02, seed=5), 2500, 833),
+    (16, lambda: TrafficGenerator(16, "uniform", 0.8, seed=5), 1200, 150),
+    (16, lambda: TracePlayback(_bursty_trace(16, 24, 2500)), 60_000, 2500),
+], ids=["mesh64_load002", "mesh16_load08", "mesh16_bursty"])
+def test_perf_noc_shapes_match_oracle(nodes, traffic_fn, cycles, warmup):
+    # The mesh traffic shapes ``repro perf`` times on the SoA kernel
+    # alone (noc_idle_run, noc_step, noc_trace_replay): a sparse 64-node
+    # mesh, a saturated 16-node one (1,200 of perf's 4,000 cycles), and
+    # bursts with long quiescent gaps for the idle fast-forward.
+    oracle, soa = _run_pair("mesh", traffic_fn, cycles, nodes=nodes,
+                            warmup=warmup)
+    assert _summary(soa) == _summary(oracle)
+    assert soa.latency.to_dict() == oracle.latency.to_dict()
+    assert soa.utilization.to_dict() == oracle.utilization.to_dict()
+
+
 @settings(max_examples=8, deadline=None)
 @given(reconfig=st.integers(min_value=1, max_value=6),
        arbitration=st.sampled_from(["wavefront", "sequential"]),
@@ -163,21 +192,19 @@ def test_property_sparse_rr_matches_dense(n, last, lines, seed):
     arbiter = RoundRobinArbiter(n)
     arbiter._last = last
     dense = arbiter.grant([x in lines for x in range(n)])
-    arbiter._last = last
-    sparse = arbiter.grant_sparse(lines)
-    assert dense == sparse
+    assert rr_sparse(lines, last, n) == dense
 
 
 def test_sparse_rr_matches_dense_at_every_count_to_64():
     # 9-64 lines: past the old long-form cutoff of 8.
     rng = np.random.default_rng(9)
     n = 64
-    dense, sparse = RoundRobinArbiter(n), RoundRobinArbiter(n)
+    dense = RoundRobinArbiter(n)
     for count in range(1, n + 1):
         lines = sorted(int(x) for x in rng.choice(n, count, replace=False))
         for last in rng.integers(n, size=4):
-            dense._last = sparse._last = int(last)
-            assert sparse.grant_sparse(lines) == \
+            dense._last = int(last)
+            assert rr_sparse(lines, int(last), n) == \
                 dense.grant([x in lines for x in range(n)])
 
 
@@ -191,13 +218,14 @@ def test_sparse_wavefront_matches_dense_at_every_count_to_64():
         requests = np.zeros((8, 8), dtype=bool)
         for i, j in pairs:
             requests[i, j] = True
-        assert sparse.allocate_sparse(pairs) == dense.allocate(requests)
+        assert sparse.allocate_sparse(pairs) == \
+            dense_allocate(dense, requests)
 
 
 def test_wavefront_rotate_matches_repeated_empty_allocates():
     a, b = WavefrontArbiter(7), WavefrontArbiter(7)
     for _ in range(5):
-        a.allocate(np.zeros((7, 7), dtype=bool))
+        dense_allocate(a, np.zeros((7, 7), dtype=bool))
     b.rotate(5)
     requests = [(i, (i * 3) % 7) for i in range(7)]
     assert a.allocate_sparse(list(requests)) == \
