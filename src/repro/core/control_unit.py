@@ -211,6 +211,13 @@ class MVMResult:
     tenant: str = "default"
 
 
+def nodes_rule(fabric_ports: int) -> tuple[Callable[[int], bool], str]:
+    """(valid?, rule text) for a network's node count under a fabric of
+    ``fabric_ports`` MZIM ports: every port needs its own endpoint."""
+    return (lambda nodes: nodes >= fabric_ports,
+            f">= {fabric_ports}, one network endpoint per fabric port")
+
+
 class MZIMControlUnit:
     """Compute-side brain of the Flumen fabric."""
 
@@ -222,6 +229,9 @@ class MZIMControlUnit:
                  health: HealthMonitor | None = None) -> None:
         self.network = network
         self.system = system or SystemConfig()
+        valid, rule = nodes_rule(self.fabric_ports)
+        if not valid(network.nodes):
+            raise ValueError(f"nodes must be {rule}, got {network.nodes}")
         #: Single buffer of compute requests per network edge (Figure 8);
         #: we model the merged queue the Partitioner scans.
         self.compute_buffer: deque[ComputeRequest] = deque()

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.analysis.engine import point_seed
 from repro.config import DeviceParams, SystemConfig
-from repro.core.control_unit import HealthMonitor
+from repro.core.control_unit import HealthMonitor, nodes_rule
 from repro.faults.injector import FaultDomain, FaultyMesh
 from repro.faults.ladder import BackoffPolicy, DegradationLadder, Rung
 from repro.obs import NULL_OBS, Obs
@@ -43,13 +43,13 @@ FABRIC_PORTS = SystemConfig().mzim_ports
 
 #: Fabric geometry rules shared by ``CampaignSpec`` and ``ServeConfig``
 #: (name -> (valid?, rule text)), checked at construction.  ``ports``
-#: sizes this controller's mesh and ladder; every fabric port needs a
-#: network endpoint; and each config's ``partition_ports`` (the size of
-#: the partitions it requests) must be one Algorithm 1 can grant.
+#: sizes this controller's mesh and ladder; ``nodes`` is the control
+#: unit's own check, so a run's network fits the fabric it builds; and
+#: each config's ``partition_ports`` (the size of the partitions it
+#: requests) must be one Algorithm 1 can grant.
 GEOMETRY_RULES = {
     "ports": (lambda v: v >= 2, ">= 2"),
-    "nodes": (lambda v: v >= FABRIC_PORTS,
-              f">= {FABRIC_PORTS}, one network endpoint per fabric port"),
+    "nodes": nodes_rule(FABRIC_PORTS),
     "partition_ports": (lambda v: v % 2 == 0 and v <= FABRIC_PORTS,
                         f"even and <= the {FABRIC_PORTS} fabric ports"),
 }

@@ -14,9 +14,11 @@ arbitration logic:
 * ``step()`` — advance the backend one cycle,
 * ``quiescent()`` / ``total_queued_flits()`` — drain bookkeeping.
 
-Backends register themselves with :mod:`repro.noc.registry`, so adding
-a topology is one module: subclass :class:`SimKernel`, implement the
-four hooks, register a factory.  Two optional hooks let a backend
+Only the struct-of-arrays backends (:mod:`repro.noc.soa`) are registered
+in :mod:`repro.noc.registry`; the per-object ``Network``, ``OptBusNetwork``
+and ``FlumenNetwork`` are the oracles tests pin them against.  Adding a
+topology means subclassing :class:`SimKernel`, implementing the four
+hooks and registering a factory.  Two optional hooks let a backend
 fast-forward trace playback: ``_skip_idle`` (quiescent stretches) and
 ``_forward_period`` (a busy period, from the offers that wake a
 quiescent network back to quiescence).  Every skip goes through

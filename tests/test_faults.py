@@ -588,6 +588,14 @@ def test_spec_rejects_fabric_geometry_at_construction(fields, rule):
         CampaignSpec(**fields)
 
 
+def test_control_unit_rejects_a_network_smaller_than_its_fabric():
+    # Ports 4..7 of the 8-port fabric would map to endpoints 4..7 of a
+    # 4-node network, which do not exist.
+    with pytest.raises(ValueError, match=r"^nodes must be >= 8, one "
+                       r"network endpoint per fabric port, got 4$"):
+        MZIMControlUnit(make_network("flumen", 4), SystemConfig())
+
+
 def test_largest_accepted_partition_is_granted():
     # The construction check and the run size the partition from the
     # same property: the largest accepted one fills the fabric and runs.

@@ -420,7 +420,7 @@ class TestActiveSetStepping:
                                         create_cycle=base))
             while not net.quiescent() and net.cycle < base + 500:
                 net.step()
-            return sorted(lat for lat in net.latency.latencies)
+            return net.latency.histogram
 
         # Idle gaps that are multiples of the arbiter period leave the
         # priority diagonal in the same phase — identical service.

@@ -1,11 +1,11 @@
 """Struct-of-arrays NoC backends vs. their per-object oracles.
 
 Every registered topology's struct-of-arrays kernel must reproduce its
-per-object oracle (``tests/reference_noc.py``) *bit for bit*: same
-delivered packets, same individual flit latencies, same arbitration
-outcomes, same counters, same utilization timeline — across random
-traffic, idle/active transitions, the idle fast-forward, and the
-production paths end to end.  All assertions are exact equality;
+per-object oracle (``tests/reference_noc.py``) *bit for bit*: the same
+deliveries in the same order (recorded here, per network, from
+``SimKernel._deliver``), same arbitration outcomes, same counters, same
+utilization timeline — across random traffic, idle/active transitions,
+the idle fast-forward, and the production paths end to end.  All assertions are exact equality;
 any tolerance would hide an ordering bug.
 """
 
@@ -38,13 +38,32 @@ from tests.reference_noc import (
 
 BACKENDS = list(TOPOLOGIES.names())
 
+_kernel_deliver = SimKernel._deliver
+
+
+def _recording_deliver(self, packet, delivered_cycle, track, **trace_args):
+    """``SimKernel._deliver`` that also logs each delivery on the network,
+    in order, as ``(src, dst, create_cycle, delivered_cycle)``."""
+    vars(self).setdefault("deliveries", []).append(
+        (packet.src, packet.dst, packet.create_cycle, delivered_cycle))
+    _kernel_deliver(self, packet, delivered_cycle, track, **trace_args)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _record_deliveries():
+    # Patched on the class: the SoA busy-period recorder wraps an
+    # instance's ``_deliver`` and deletes its own wrapper afterwards.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimKernel, "_deliver", _recording_deliver)
+        yield
+
 
 def _summary(net) -> dict:
     return {
         "cycle": net.cycle,
         "injected": net.injected_packets,
         "received": net.latency.received,
-        "latencies": list(net.latency.latencies),
+        "deliveries": getattr(net, "deliveries", []),
         "flit_hops": net.flit_hops,
         "link_traversals": net.link_traversals,
         "utilization": list(net.utilization.timeline),
@@ -326,18 +345,20 @@ def _solo_pair(topology, events, cycles, max_drain_cycles=30_000):
     return _oracle_pair(topology, [(events, cycles)], max_drain_cycles)
 
 
-def _replayed_cycles(events, latencies) -> int:
+def _replayed_cycles(events, deliveries) -> int:
     """Cycles a solo replay covers: every repeat of a key, delivered alone.
 
-    Valid for traces whose packets all travel alone: the first packet of
-    each key is stepped (and recorded); each later one takes
+    Valid for traces whose packets all travel alone, so ``deliveries``
+    (a network's recorded log) follow the sorted trace: the first packet
+    of each key is stepped (and recorded); each later one takes
     ``latency + 1`` cycles from offer to delivery.
     """
     seen: set[tuple[int, int, int]] = set()
     total = 0
-    for (_, src, dst, size), latency in zip(sorted(events), latencies):
+    for (_, src, dst, size), (*_, created, delivered) in zip(sorted(events),
+                                                           deliveries):
         if (src, dst, size) in seen:
-            total += latency + 1
+            total += delivered - created + 1
         seen.add((src, dst, size))
     return total
 
@@ -350,7 +371,7 @@ def test_solo_packets_replay_exactly(topology):
     events = [(i * 70, *_SOLO_KEYS[i % len(_SOLO_KEYS)]) for i in range(20)]
     soa = _solo_pair(topology, events, cycles=20 * 70)
     assert soa.solo_cycles_jumped == _replayed_cycles(
-        events, soa.latency.latencies) > 0
+        events, soa.deliveries) > 0
 
 
 @pytest.mark.parametrize("topology", ROUTED)
@@ -362,7 +383,7 @@ def test_solo_packet_finishing_in_drain_replays(topology):
     assert soa.cycle > 160
     # Both repeats replay, the one finishing in the drain included.
     assert soa.solo_cycles_jumped == 2 * (soa.cycle - 158) == \
-        _replayed_cycles(events, soa.latency.latencies)
+        _replayed_cycles(events, soa.deliveries)
 
 
 @pytest.mark.parametrize("topology", ROUTED)
