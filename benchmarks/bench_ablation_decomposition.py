@@ -50,7 +50,7 @@ def calibration_sweep():
         u = random_unitary(8, np.random.default_rng(42))
         offsets = PhaseOffsets.random(28, sigma,
                                       np.random.default_rng(43))
-        out[sigma] = calibrate_to(u, offsets, method="decomposition")
+        out[sigma] = calibrate_to(u, offsets)
     return out
 
 

@@ -6,7 +6,6 @@ from repro.core.accelerator import (
     BlockMatmul,
     OffloadPlan,
     conv2d_as_matmul,
-    conv2d_reference,
     im2col,
     kernels_to_matrix,
     pad_to_blocks,
@@ -45,7 +44,6 @@ __all__ = [
     "WorkloadRun",
     "compute_duration_cycles",
     "conv2d_as_matmul",
-    "conv2d_reference",
     "im2col",
     "kernels_to_matrix",
     "pad_to_blocks",

@@ -315,11 +315,3 @@ def conv2d_as_matmul(volume: np.ndarray, kernels: np.ndarray,
     out_w = (w - kw) // stride + 1
     return weights, cols, (out_h, out_w)
 
-
-def conv2d_reference(volume: np.ndarray, kernels: np.ndarray,
-                     stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Direct (sliding-window) convolution, the golden reference."""
-    weights, cols, (out_h, out_w) = conv2d_as_matmul(
-        volume, kernels, stride, padding)
-    out = weights @ cols
-    return out.reshape(weights.shape[0], out_h, out_w)

@@ -11,7 +11,6 @@ from repro.photonics.calibration import (
     PhysicalMesh,
     calibrate_by_decomposition,
     calibrate_to,
-    self_configure,
 )
 from repro.photonics.clements import (
     DecompositionError,
@@ -101,7 +100,6 @@ __all__ = [
     "decompose_bricks",
     "decompose_reck",
     "depth_comparison",
-    "self_configure",
     "MESHES",
     "MeshArchitecture",
     "make_mesh",

@@ -7,12 +7,12 @@ unitary anyway, using only measurable quantities — here, the transfer
 matrix obtained by injecting basis vectors and reading the detector
 array, which is exactly what a Flumen endpoint's transceivers provide.
 
-The algorithm is coordinate descent in decomposition order: each MZI's
-programmed ``theta``/``phi`` is tuned (bounded scalar minimization) to
-shrink the Frobenius error between the measured and target matrices, for
-a few sweeps.  Because an exact solution exists whenever the offset
-leaves ``theta`` reachable inside ``[0, pi]``, convergence is fast and
-the residual collapses by orders of magnitude.
+The algorithm is matrix inversion (:func:`calibrate_by_decomposition`):
+the decomposition that programs the mesh is applied to the
+*measured* matrix, which recovers the realized phases and hence the
+hidden offsets; reprogramming around them lands on the target to
+machine precision in one or two iterations.  A stuck phase cannot be
+programmed around this way; the fault ladder escalates past it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.photonics.clements import MZIMesh, sweep_columns
 from repro.photonics.devices import mzi_transfers
@@ -136,52 +135,6 @@ class CalibrationResult:
         return self.initial_error / self.final_error
 
 
-def self_configure(mesh: PhysicalMesh, target: np.ndarray,
-                   sweeps: int = 3, tolerance: float = 1e-9
-                   ) -> CalibrationResult:
-    """Tune every MZI's programmed phases to realize ``target``.
-
-    Coordinate descent: for each MZI (in propagation order) minimize the
-    measured matrix error over ``theta`` then ``phi``; repeat for up to
-    ``sweeps`` passes or until the error stops improving.
-    """
-    target = np.asarray(target, dtype=complex)
-    initial = matrix_error(mesh.measure(), target)
-    history = [initial]
-
-    def error_with(index: int, param: int, value: float) -> float:
-        saved = mesh.programmed[index, param]
-        mesh.programmed[index, param] = value
-        err = matrix_error(mesh.measure(), target)
-        mesh.programmed[index, param] = saved
-        return err
-
-    sweeps_used = 0
-    for sweep in range(sweeps):
-        sweeps_used = sweep + 1
-        for i in range(mesh.num_mzis):
-            for param, bounds in ((0, (-0.5, math.pi + 0.5)),
-                                  (1, (-math.pi, 3 * math.pi))):
-                res = minimize_scalar(
-                    lambda v: error_with(i, param, v),
-                    bounds=bounds, method="bounded",
-                    options={"xatol": 1e-7})
-                if res.fun < matrix_error(mesh.measure(), target):
-                    mesh.programmed[i, param] = float(res.x)
-        current = matrix_error(mesh.measure(), target)
-        history.append(current)
-        if current < tolerance or \
-                (len(history) > 1 and history[-2] - current < tolerance):
-            break
-    return CalibrationResult(
-        initial_error=initial,
-        final_error=history[-1],
-        sweeps_used=sweeps_used,
-        measurements=mesh.measurements,
-        history=history,
-    )
-
-
 def calibrate_by_decomposition(mesh: PhysicalMesh, target: np.ndarray,
                                iterations: int = 2,
                                architecture: str | None = None
@@ -200,9 +153,8 @@ def calibrate_by_decomposition(mesh: PhysicalMesh, target: np.ndarray,
     with (registry name; ``None`` = Clements) so the recovered factor
     order lines up with the mesh's propagation order.
 
-    This is the fast path a controller with full transceiver access uses
-    (Hamerly et al., reference [15]); :func:`self_configure` remains as
-    the measurement-only fallback.
+    This is the calibration a controller with full transceiver access
+    runs (Hamerly et al., reference [15]).
     """
     decompose_fn = decomposer(architecture)
     target = np.asarray(target, dtype=complex)
@@ -232,21 +184,15 @@ def calibrate_by_decomposition(mesh: PhysicalMesh, target: np.ndarray,
     )
 
 
-def calibrate_to(target: np.ndarray, offsets: PhaseOffsets,
-                 sweeps: int = 3, method: str = "decomposition",
+def calibrate_to(target: np.ndarray, offsets: PhaseOffsets, *,
                  architecture: str | None = None) -> CalibrationResult:
     """Convenience wrapper: decompose, fabricate with offsets, calibrate.
 
-    ``method`` is "decomposition" (fast, full-matrix measurements) or
-    "descent" (generic coordinate descent); ``architecture`` selects the
-    mesh arrangement (registry name; ``None`` = Clements).
+    ``architecture`` selects the mesh arrangement (registry name;
+    ``None`` = Clements).
     """
     decompose_fn = decomposer(architecture)
     mesh = PhysicalMesh(decompose_fn(np.asarray(target, dtype=complex)),
                         offsets)
-    if method == "decomposition":
-        return calibrate_by_decomposition(mesh, target,
-                                          architecture=architecture)
-    if method == "descent":
-        return self_configure(mesh, target, sweeps=sweeps)
-    raise ValueError(f"unknown calibration method {method!r}")
+    return calibrate_by_decomposition(mesh, target,
+                                      architecture=architecture)

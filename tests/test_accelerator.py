@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.accelerator import (
     BlockMatmul,
     conv2d_as_matmul,
-    conv2d_reference,
     im2col,
     kernels_to_matrix,
     pad_to_blocks,
@@ -19,6 +18,34 @@ from repro.core.accelerator import (
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def conv2d(volume, kernels, stride=1, padding=0):
+    """Convolution through the Figure 7 weight x input product."""
+    weights, cols, (out_h, out_w) = conv2d_as_matmul(
+        volume, kernels, stride, padding)
+    return (weights @ cols).reshape(weights.shape[0], out_h, out_w)
+
+
+def conv2d_reference(volume, kernels, stride=1, padding=0):
+    """Direct sliding-window convolution, the oracle for :func:`conv2d`."""
+    volume = np.asarray(volume)
+    if volume.ndim == 2:
+        volume = volume[:, :, np.newaxis]
+    kernels = np.asarray(kernels)
+    if kernels.ndim == 3:
+        kernels = kernels[:, :, :, np.newaxis]
+    padded = np.pad(volume, ((padding, padding), (padding, padding), (0, 0)))
+    num, kh, kw, _ = kernels.shape
+    out_h = (padded.shape[0] - kh) // stride + 1
+    out_w = (padded.shape[1] - kw) // stride + 1
+    out = np.empty((num, out_h, out_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            window = padded[i * stride:i * stride + kh,
+                            j * stride:j * stride + kw]
+            out[:, i, j] = np.tensordot(kernels, window, axes=3)
+    return out
 
 
 class TestPadding:
@@ -191,13 +218,21 @@ class TestConvAsMatmul:
             conv2d_as_matmul(np.ones((5, 5, 2)), np.ones((1, 3, 3, 3)))
 
     def test_reference_shape(self):
-        out = conv2d_reference(np.ones((6, 6, 2)), rand((4, 3, 3, 2), 23),
-                               padding=1)
+        vol, kern = np.ones((6, 6, 2)), rand((4, 3, 3, 2), 23)
+        out = conv2d(vol, kern, padding=1)
         assert out.shape == (4, 6, 6)
+        assert np.allclose(out, conv2d_reference(vol, kern, padding=1))
+
+    @pytest.mark.parametrize("stride, padding", [(1, 0), (2, 0), (2, 1),
+                                                 (3, 2)])
+    def test_matches_sliding_window(self, stride, padding):
+        vol, kern = rand((8, 7, 3), 25), rand((4, 3, 2, 3), 26)
+        assert np.allclose(conv2d(vol, kern, stride, padding),
+                           conv2d_reference(vol, kern, stride, padding))
 
     def test_identity_kernel_is_identity(self):
         vol = rand((5, 5), 24)
         kern = np.zeros((1, 3, 3))
         kern[0, 1, 1] = 1.0
-        out = conv2d_reference(vol, kern, padding=1)
+        out = conv2d(vol, kern, padding=1)
         assert np.allclose(out[0], vol)

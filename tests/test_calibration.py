@@ -8,7 +8,6 @@ from repro.photonics.calibration import (
     PhysicalMesh,
     calibrate_to,
     matrix_error,
-    self_configure,
 )
 from repro.photonics.clements import decompose, random_unitary
 
@@ -67,7 +66,7 @@ class TestDecompositionCalibration:
         u = target(8, 3)
         offsets = PhaseOffsets.random(28, sigma,
                                       np.random.default_rng(4))
-        result = calibrate_to(u, offsets, method="decomposition")
+        result = calibrate_to(u, offsets)
         assert result.final_error < 1e-9
         assert result.sweeps_used <= 2
 
@@ -83,25 +82,3 @@ class TestDecompositionCalibration:
         result = calibrate_to(u, offsets)
         assert result.improvement > 1e6
 
-
-class TestCoordinateDescentCalibration:
-    def test_descent_improves_error(self):
-        u = target(5, 9)
-        offsets = PhaseOffsets.random(10, 0.05,
-                                      np.random.default_rng(10))
-        result = calibrate_to(u, offsets, sweeps=3, method="descent")
-        assert result.final_error < result.initial_error / 3
-
-    def test_descent_converged_mesh_usable(self):
-        u = target(4, 11)
-        mesh = PhysicalMesh(decompose(u),
-                            PhaseOffsets.random(6, 0.05,
-                                                np.random.default_rng(12)))
-        self_configure(mesh, u, sweeps=4)
-        assert matrix_error(mesh.measure(), u) < 0.05
-
-
-class TestAPI:
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_to(target(), PhaseOffsets.none(15), method="magic")

@@ -2,9 +2,10 @@
 
 A fabricated mesh can have phase shifters stuck at a fixed value (driver
 or heater failure).  These tests quantify the blast radius of a single
-stuck device on communication and computation, and check that
-coordinate-descent self-configuration partially compensates by re-tuning
-the healthy MZIs around the fault.
+stuck device on communication and computation, and check what
+matrix-inversion self-configuration recovers: any programmable offset,
+even one that clips ``theta`` at the physical range, but not a stuck
+device, which is why the fault ladder escalates past recalibration.
 """
 
 import math
@@ -12,11 +13,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.faults.injector import FaultyMesh
 from repro.photonics.calibration import (
     PhaseOffsets,
     PhysicalMesh,
+    calibrate_by_decomposition,
     matrix_error,
-    self_configure,
 )
 from repro.photonics.clements import decompose, random_unitary
 from repro.photonics.devices import BAR_THETA, MZIState
@@ -95,34 +97,40 @@ class TestComputationFaults:
 
 
 class TestSelfHealing:
-    def test_descent_compensates_around_a_stuck_phase(self):
+    def test_decomposition_removes_a_large_theta_offset(self):
         u = random_unitary(5, np.random.default_rng(3))
         ideal = decompose(u)
-        # Fault model: MZI 2's theta driver has a large fixed offset the
-        # calibration cannot remove, only work around.
+        # MZI 2's theta driver has a large fixed offset; theta is still
+        # programmable, so the one-shot calibration removes it exactly.
         offsets = PhaseOffsets.none(ideal.num_mzis)
         offsets.theta[2] = 0.4
         mesh = PhysicalMesh(ideal, offsets)
-        before = matrix_error(mesh.measure(), u)
-        result = self_configure(mesh, u, sweeps=3)
-        # theta is programmable, so the fault is correctable; descent
-        # recovers most of the error in a few sweeps (the one-shot
-        # decomposition calibration would remove it exactly).
-        assert result.final_error < before / 5
-        from repro.photonics.calibration import calibrate_by_decomposition
-        mesh2 = PhysicalMesh(ideal, offsets)
-        exact = calibrate_by_decomposition(mesh2, u)
+        assert matrix_error(mesh.measure(), u) > 0.05
+        exact = calibrate_by_decomposition(mesh, u)
         assert exact.final_error < 1e-9
 
-    def test_descent_helps_even_when_theta_clips(self):
+    def test_decomposition_recovers_when_theta_clips(self):
         u = random_unitary(5, np.random.default_rng(4))
         ideal = decompose(u)
         offsets = PhaseOffsets.none(ideal.num_mzis)
-        # Push a near-bar MZI past the physical range so compensation
-        # must come from the rest of the mesh.
+        # Push a near-bar MZI past the physical range: the first
+        # iteration clips, the second mops up.
         worst = int(np.argmax([m.theta for m in ideal.mzis]))
         offsets.theta[worst] = 1.0
         mesh = PhysicalMesh(ideal, offsets)
-        before = matrix_error(mesh.measure(), u)
-        result = self_configure(mesh, u, sweeps=3)
-        assert result.final_error < before
+        result = calibrate_by_decomposition(mesh, u)
+        assert result.history[1] > 1e-3
+        assert result.final_error < 1e-9
+        assert result.sweeps_used == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stuck_mzi_stays_above_the_ladder_threshold(self, seed):
+        # A stuck theta cannot be programmed around: the probe error
+        # stays above the campaign's 0.05 error_threshold, so the
+        # ladder goes on to SHRINK.
+        rng = np.random.default_rng(seed)
+        u = random_unitary(8, rng)
+        mesh = FaultyMesh(decompose(u))
+        mesh.stick(int(rng.integers(mesh.num_mzis)), BAR_THETA)
+        result = calibrate_by_decomposition(mesh, u)
+        assert result.final_error > 0.05

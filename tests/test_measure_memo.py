@@ -25,7 +25,6 @@ from repro.photonics.calibration import (
     PhaseOffsets,
     PhysicalMesh,
     calibrate_by_decomposition,
-    self_configure,
 )
 from repro.photonics.clements import decompose, random_unitary
 from repro.photonics.devices import MZIState
@@ -95,7 +94,7 @@ class TestMatchesReference:
         assert_matches(mesh)
 
     def test_direct_programmed_writes(self, sweeps):
-        # self_configure's pattern: write one entry, measure, restore.
+        # Write one entry in place, measure, restore: no hook sees it.
         _, mesh = faulty()
         assert_matches(mesh)
         saved = mesh.programmed[5, 1]
@@ -131,8 +130,6 @@ class TestMatchesReference:
     def test_calibration_loops(self):
         u, mesh = faulty(n=4, sigma=0.1)
         calibrate_by_decomposition(mesh, u, iterations=1)
-        assert_matches(mesh)
-        self_configure(mesh, u, sweeps=1)
         assert_matches(mesh)
 
     def test_shrink_replacement(self):
