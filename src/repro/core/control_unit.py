@@ -9,13 +9,15 @@ compute-side state on top and exposes the utilization feedback nodes use to
 decide between offloading and computing locally.
 
 Reliability hook (DESIGN.md §12): a :class:`HealthMonitor` may be
-attached to the control unit.  It periodically compares expected vs.
-measured transfer behaviour — the calibration module's basis-vector
-probe plus a received-power ENOB check — and an unhealthy monitor makes
-:meth:`MZIMControlUnit.advise_offload` steer nodes back to their local
-cores while the degradation ladder (:mod:`repro.faults.ladder`) walks
-its recovery rungs.  Without a monitor attached, behaviour is bit-for-bit
-identical to the pre-fault-subsystem control unit.
+attached to the control unit (by
+:meth:`repro.faults.recovery.FabricRecovery.attach`).  It periodically
+compares expected vs. measured transfer behaviour — the calibration
+module's basis-vector probe plus a received-power ENOB check — and an
+unhealthy monitor makes :meth:`MZIMControlUnit.advise_offload` steer
+nodes back to their local cores while the degradation ladder
+(:mod:`repro.faults.ladder`) walks its recovery rungs.  Without a
+monitor attached, behaviour is bit-for-bit identical to the
+pre-fault-subsystem control unit.
 """
 
 from __future__ import annotations
@@ -225,8 +227,7 @@ class MZIMControlUnit:
                  system: SystemConfig | None = None,
                  matrix_memory_blocks: int = 256,
                  arbitration_latency_cycles: int = 2,
-                 obs: Obs = NULL_OBS,
-                 health: HealthMonitor | None = None) -> None:
+                 obs: Obs = NULL_OBS) -> None:
         self.network = network
         self.system = system or SystemConfig()
         valid, rule = nodes_rule(self.fabric_ports)
@@ -240,8 +241,9 @@ class MZIMControlUnit:
         #: waveguide.
         self.arbitration_latency_cycles = arbitration_latency_cycles
         self.requests_received = 0
-        #: Optional fabric health monitor (None = always healthy).
-        self.health = health
+        #: Fabric health monitor (None = always healthy); attached by
+        #: :meth:`repro.faults.recovery.FabricRecovery.attach`.
+        self.health: HealthMonitor | None = None
         #: Queued numeric MVM jobs awaiting a fleet-wide stacked dispatch:
         #: ``(job_id, node, matrix_key, vectors, tenant)``.
         self._mvm_queue: list[tuple[int, int, str, np.ndarray, str]] = []
@@ -274,6 +276,11 @@ class MZIMControlUnit:
         """Network endpoints covered by fabric ports ``[lo_port, hi_port)``."""
         k = self.endpoints_per_port
         return set(range(lo_port * k, hi_port * k))
+
+    def endpoint_port(self, endpoint: int) -> int | None:
+        """Fabric port serving network ``endpoint`` (None: no port does)."""
+        port = endpoint // self.endpoints_per_port
+        return port if port < self.fabric_ports else None
 
     def enqueue(self, request: ComputeRequest) -> None:
         """Place a request in the compute buffer (already arbitrated)."""

@@ -496,23 +496,14 @@ class FlumenScheduler:
             if comp.remaining_cycles <= 0:
                 endpoints = self.control.port_range_endpoints(*comp.ports)
                 network.unblock_ports(endpoints)
-                self.stats.completed += 1
-                self._m_completed.inc()
-                self.completions[comp.request.request_id] = self.cycle
-                self._account_tenant("core.tenant_partitions_completed",
-                                     comp.request.tenant)
+                self._complete(comp.request, comp.grant_cycle,
+                               lo_port=comp.lo_port, hi_port=comp.hi_port,
+                               drain_cycles=comp.start_cycle
+                               - comp.grant_cycle)
                 self._account_tenant("core.tenant_busy_port_cycles",
                                      comp.request.tenant,
                                      comp.total_cycles
                                      * (comp.hi_port - comp.lo_port))
-                if self._events.enabled:
-                    self._events.emit(
-                        "partition_complete", self.cycle,
-                        tenant=comp.request.tenant,
-                        request_id=comp.request.request_id,
-                        duration=self.cycle - comp.grant_cycle,
-                        lo_port=comp.lo_port, hi_port=comp.hi_port,
-                        drain_cycles=comp.start_cycle - comp.grant_cycle)
                 if comp.fabric_partition is not None:
                     self.fabric.configure_gather(
                         comp.fabric_partition, comp.lo_port)
@@ -538,20 +529,9 @@ class FlumenScheduler:
         for job in self.electrical:
             job.remaining_cycles -= 1
             if job.remaining_cycles <= 0:
-                self.stats.completed += 1
                 self.stats.electrical_completions += 1
-                self._m_completed.inc()
-                self.completions[job.request.request_id] = self.cycle
-                self._account_tenant("core.tenant_partitions_completed",
-                                     job.request.tenant)
-                if self._events.enabled:
-                    self._events.emit(
-                        "partition_complete", self.cycle,
-                        tenant=job.request.tenant,
-                        request_id=job.request.request_id,
-                        duration=self.cycle - job.start_cycle,
-                        lo_port=-1, hi_port=-1, drain_cycles=0,
-                        electrical=True)
+                self._complete(job.request, job.start_cycle,
+                               electrical=True)
                 if self._tracer.enabled:
                     self._tracer.complete(
                         "core", "partitions", "electrical_job",
@@ -566,6 +546,23 @@ class FlumenScheduler:
         if self.cycle % self.cfg.tau_cycles == 0:
             self._partitioner()
         self.cycle += 1
+
+    def _complete(self, request: ComputeRequest, since: int, *,
+                  lo_port: int = -1, hi_port: int = -1,
+                  drain_cycles: int = 0, electrical: bool = False) -> None:
+        """Book one finished request, photonic or electrical (ports -1):
+        stats, completions, its tenant's count, ``partition_complete``."""
+        self.stats.completed += 1
+        self._m_completed.inc()
+        self.completions[request.request_id] = self.cycle
+        self._account_tenant("core.tenant_partitions_completed",
+                             request.tenant)
+        if self._events.enabled:
+            self._events.emit(
+                "partition_complete", self.cycle, tenant=request.tenant,
+                request_id=request.request_id, duration=self.cycle - since,
+                lo_port=lo_port, hi_port=hi_port, drain_cycles=drain_cycles,
+                **({"electrical": True} if electrical else {}))
 
     # -- the co-simulation driver -----------------------------------------
 

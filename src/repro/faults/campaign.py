@@ -11,7 +11,9 @@ fabric + network:
 * the control unit's :class:`~repro.core.control_unit.HealthMonitor`
   detects the fault (basis-vector transfer probe + received-power ENOB);
 * the :class:`~repro.faults.ladder.DegradationLadder` walks its rungs —
-  this module performs the rung *actions* (recalibration via
+  :class:`~repro.faults.recovery.FabricRecovery`, the fault path this
+  module shares with the serving daemon, performs the rung *actions*
+  (recalibration via
   :func:`~repro.photonics.calibration.calibrate_by_decomposition`,
   partition shrink, network reroute) and reports back.
 
@@ -39,9 +41,8 @@ from repro.config import DeviceParams, SystemConfig
 from repro.core.accelerator import plan_offload
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler, electrical_duration_cycles
-from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
-from repro.faults.models import FAULTS, FaultSchedule
+from repro.faults.models import FAULTS
 from repro.faults.recovery import (
     GEOMETRY_RULES,
     NOMINAL_RECEIVED_POWER_W,
@@ -134,51 +135,38 @@ def _error_enob(error: float) -> float:
 
 
 class _CampaignRun:
-    """One seeded run: fabric, network, monitor, ladder, and actions.
+    """One seeded run: fabric, network, traffic, offloads, and record.
 
-    The reliability core (mesh, domain, monitor, ladder, rung actions)
-    lives in :class:`~repro.faults.recovery.FabricRecovery`, shared
-    with the serving daemon; this class adds the campaign-specific
-    parts — synthetic traffic, periodic compute offloads, the fault
-    schedule, and the per-run accuracy/overhead record.
+    The fault path (schedule, injector, mesh, domain, monitor, ladder,
+    rung actions) lives in :class:`~repro.faults.recovery.FabricRecovery`,
+    shared with the serving daemon; this class adds the campaign-specific
+    parts — synthetic traffic, periodic compute offloads and the per-run
+    accuracy/overhead record.
     """
 
     def __init__(self, spec: CampaignSpec, run_index: int,
                  obs: Obs = NULL_OBS) -> None:
         self.spec = spec
-        self.obs = obs
         self.seed = point_seed(spec.seed, f"{spec.fault}/{run_index}")
-        self.rng = np.random.default_rng(self.seed)
         self.system = SystemConfig()
         self.devices = DeviceParams()
         self.recovery = FabricRecovery(
             ports=spec.ports, nodes=spec.nodes, seed=self.seed,
-            rng=self.rng, backoff=spec.backoff,
-            probe_interval=spec.probe_interval,
+            rng=np.random.default_rng(self.seed),
+            fault=None if spec.fault == NO_FAULT else spec.fault,
+            magnitude=spec.magnitude, window_cycles=spec.cycles,
+            backoff=spec.backoff, probe_interval=spec.probe_interval,
             error_threshold=spec.error_threshold,
             min_effective_bits=spec.min_effective_bits,
             mesh_architecture=spec.mesh_architecture,
             devices=self.devices, obs=obs)
-        self.domain = self.recovery.domain
         self.ladder = self.recovery.ladder
-        self.monitor = self.recovery.monitor
         self.net = make_network("flumen", spec.nodes, obs=obs)
-        self.recovery.bind_network(self.net)
-        self.control = MZIMControlUnit(self.net, self.system, obs=obs,
-                                       health=self.monitor)
-        self.scheduler = FlumenScheduler(self.control, self.system,
-                                         obs=obs, ladder=self.ladder)
+        self.control = MZIMControlUnit(self.net, self.system, obs=obs)
+        self.scheduler = FlumenScheduler(self.control, self.system, obs=obs)
+        self.recovery.attach(self.scheduler)
         self.traffic = TrafficGenerator(spec.nodes, "uniform", spec.load,
                                         seed=self.seed)
-        if spec.fault == NO_FAULT:
-            schedule = FaultSchedule()
-        else:
-            schedule = FaultSchedule.seeded(
-                [spec.fault], self.seed, window_cycles=spec.cycles,
-                ports=spec.ports, nodes=spec.nodes,
-                magnitude=spec.magnitude)
-        self.injector = FaultInjector(schedule, self.domain,
-                                      seed=self.seed, obs=obs)
         self.job = plan_offload(spec.ports, spec.ports, 256,
                                 mzim_size=spec.ports,
                                 wavelengths=self.system.compute
@@ -202,7 +190,7 @@ class _CampaignRun:
     def _before_tick(self, cycle: int) -> None:
         """Fault events, periodic compute offloads and recovery probes."""
         spec = self.spec
-        self.injector.tick(cycle)
+        self.recovery.injector.tick(cycle)
         if cycle % spec.request_period == 0 and (
                 self.control.advise_offload()
                 or self.ladder.electrical_fallback):
@@ -267,7 +255,7 @@ class _CampaignRun:
     def _record(self, enob_nominal: float) -> dict:
         spec = self.spec
         error_final = max(self.recovery.mesh_probe(),
-                          self.domain.link_error())
+                          self.recovery.domain.link_error())
         if self.ladder.electrical_fallback:
             # Terminal fallback computes digitally: accuracy is restored
             # at the electrical path's cost (visible in the overheads).
@@ -277,10 +265,8 @@ class _CampaignRun:
                 float(effective_bits(self.recovery.received_power(),
                                      self.devices)),
                 _error_enob(error_final))
-        injected = [
-            {"cycle": e.cycle, "kind": e.fault.kind,
-             "params": e.fault.params()}
-            for e in self.injector.injected]
+        faults = self.recovery.report()
+        injected, detected = faults["injected"], faults["detected_cycle"]
         offered = self.net.injected_packets
         delivered = self.net.latency.received
         stats = self.scheduler.stats
@@ -288,15 +274,11 @@ class _CampaignRun:
             "fault": spec.fault,
             "magnitude": spec.magnitude,
             "seed": self.seed,
-            "injected": injected,
-            "detected_cycle": self.recovery.detected_cycle,
+            **faults,
             "detection_latency": (
-                None if self.recovery.detected_cycle is None
-                or not injected
-                else self.recovery.detected_cycle - injected[0]["cycle"]),
-            "final_rung": self.ladder.rung.name,
+                None if detected is None or not injected
+                else detected - injected[0]["cycle"]),
             "recovered": self.ladder.healthy,
-            "ladder": self.ladder.to_dict(),
             "recalibrations": self.recovery.recalibrations,
             "error_peak": self.recovery.error_peak,
             "error_final": error_final,

@@ -8,8 +8,8 @@ regardless of what the controller programs, and hidden offsets that
 basis-injection transfer matrix, exactly like the calibration loop.
 
 :class:`FaultDomain` is the mutable blast radius shared by the injector,
-the health monitor and the degradation ladder: the mesh under test, the
-network, remaining laser power, and the dead/rerouted link sets.
+the health monitor and the degradation ladder: the mesh under test,
+remaining laser power, and the dead/rerouted link sets.
 
 :class:`FaultInjector` replays a seeded
 :class:`~repro.faults.models.FaultSchedule` during a run: call
@@ -30,8 +30,6 @@ from repro.obs import NULL_OBS, Obs
 from repro.photonics.calibration import PhaseOffsets, PhysicalMesh
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.faults.ladder import DegradationLadder
-    from repro.noc.soa import SoAFlumenNetwork
     from repro.photonics.clements import MZIMesh
 
 
@@ -92,8 +90,6 @@ class FaultDomain:
     """Mutable fault state shared by injector, monitor, and ladder."""
 
     mesh: FaultyMesh | None = None
-    network: SoAFlumenNetwork | None = None
-    ladder: DegradationLadder | None = None
     #: Remaining laser output as a fraction of nominal.
     laser_power_fraction: float = 1.0
     dead_wavelengths: int = 0

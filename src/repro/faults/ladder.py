@@ -13,16 +13,18 @@ climbing to the next:
   circuit on fault-free columns; fixes localized stuck devices and buys
   insertion-loss headroom against laser degradation.
 * **REROUTE** — program detours around dead interposer paths
-  (:meth:`repro.noc.soa.SoAFlumenNetwork.reroute_pair`) and retire
-  the affected fabric port from partition placement.
+  (:meth:`repro.noc.soa.SoAFlumenNetwork.reroute_pair`), retire the
+  fabric port the control unit maps each dead endpoint to, and cap
+  partitions at the widest even run of ports left free.
 * **ELECTRICAL** — terminal fallback: compute requests are serviced on
   the electrical core path (:mod:`repro.core.scheduler`), never the
   photonic fabric.  Accuracy is restored at digital precision, at the
   electrical path's runtime/energy cost.
 
 This module is only the *state machine* and its bookkeeping; the rung
-actions themselves are performed by the caller (the campaign runner or
-a controller loop), which reports back via :meth:`attempt_result`.
+actions themselves are performed by
+:class:`~repro.faults.recovery.FabricRecovery`, which reports back via
+:meth:`attempt_result`.
 Every transition is emitted through :mod:`repro.obs` as a ``core``-layer
 instant plus metrics, so campaigns are traceable in Perfetto.
 """
@@ -233,6 +235,13 @@ class DegradationLadder:
         """Retire a fabric port from future partition placement."""
         self.unusable_ports.add(int(port))
 
+    def cap_partition_ports(self, ports: int) -> None:
+        """Lower the partition cap to ``ports``, rounded down to even
+        and kept at or above the minimum partition."""
+        ports = max(self.min_partition_ports, ports - ports % 2)
+        self.partition_ports_cap = min(self.partition_ports_cap, ports)
+        self._g_cap.set(float(self.partition_ports_cap))
+
     # -- internals ---------------------------------------------------------
 
     def _recover(self, cycle: int) -> None:
@@ -259,10 +268,7 @@ class DegradationLadder:
         self.stats.rung_entries[rung.name] = \
             self.stats.rung_entries.get(rung.name, 0) + 1
         if rung is Rung.SHRINK:
-            half = self.partition_ports_cap // 2
-            half -= half % 2
-            self.partition_ports_cap = max(self.min_partition_ports, half)
-            self._g_cap.set(float(self.partition_ports_cap))
+            self.cap_partition_ports(self.partition_ports_cap // 2)
         if rung is Rung.ELECTRICAL:
             self.next_action_cycle = None
         else:

@@ -1,21 +1,25 @@
-"""Shared fabric-recovery controller: probe, detect, walk the ladder.
+"""Shared fabric-recovery controller: inject, probe, detect, walk the ladder.
 
 Both long-lived consumers of the fault subsystem — the batch campaign
 runner (:mod:`repro.faults.campaign`) and the serving daemon
-(:mod:`repro.serve.daemon`) — need the same reliability core: a
+(:mod:`repro.serve.daemon`) — run the same fault path, and
+:class:`FabricRecovery` is its one copy: the seeded
+:class:`~repro.faults.models.FaultSchedule` and its
+:class:`~repro.faults.injector.FaultInjector`, a
 :class:`~repro.faults.injector.FaultyMesh` programmed with a target
 unitary, the mutable :class:`~repro.faults.injector.FaultDomain`, a
 :class:`~repro.core.control_unit.HealthMonitor` whose probes read that
-domain, the :class:`~repro.faults.ladder.DegradationLadder`, and the
-rung *actions* (recalibrate / shrink / reroute) that turn ladder state
-into fabric mutations.  :class:`FabricRecovery` owns exactly that
-bundle so the two callers cannot drift apart.
+domain, the :class:`~repro.faults.ladder.DegradationLadder`, the rung
+*actions* (recalibrate / shrink / reroute) that turn ladder state into
+fabric mutations, and the fault fields both reports carry.
+:meth:`FabricRecovery.attach` connects the monitor to the control unit
+and the ladder to the scheduler; the control unit's port geometry
+decides which fabric port a dead link retires.
 
 Determinism contract: the controller consumes the caller's RNG once
-(for the target unitary) at construction, and each SHRINK re-placement
-derives its own generator from ``point_seed(seed, f"shrink/{cycle}")``
-— identical to the pre-extraction campaign behavior, so campaign
-artifacts stay byte-identical across this refactor.
+(for the target unitary) at construction, the fault schedule and the
+injector draw from ``fault_seed``, and each SHRINK re-placement
+derives its own generator from ``point_seed(seed, f"shrink/{cycle}")``.
 """
 
 from __future__ import annotations
@@ -25,14 +29,16 @@ import numpy as np
 from repro.analysis.engine import point_seed
 from repro.config import DeviceParams, SystemConfig
 from repro.core.control_unit import HealthMonitor, nodes_rule
-from repro.faults.injector import FaultDomain, FaultyMesh
+from repro.faults.injector import FaultDomain, FaultInjector, FaultyMesh
 from repro.faults.ladder import BackoffPolicy, DegradationLadder, Rung
+from repro.faults.models import FaultSchedule
 from repro.obs import NULL_OBS, Obs
 from repro.photonics.calibration import (
     calibrate_by_decomposition,
     matrix_error,
 )
-from repro.photonics.clements import decompose, random_unitary
+from repro.photonics.clements import random_unitary
+from repro.photonics.registry import make_mesh
 
 #: Received optical power at nominal laser output (the AnalogMVM default).
 NOMINAL_RECEIVED_POWER_W = 50e-6
@@ -56,16 +62,22 @@ GEOMETRY_RULES = {
 
 
 class FabricRecovery:
-    """Reliability core for one live fabric: domain, monitor, ladder,
-    and the rung actions that mutate the fabric.
+    """The fault path of one live fabric: schedule, injector, domain,
+    monitor, ladder, and the rung actions that mutate the fabric.
 
-    The caller builds the network/scheduler around this controller,
-    binds the network with :meth:`bind_network`, and calls
-    :meth:`service` once per simulated cycle after the injector tick.
+    ``fault`` (a :data:`~repro.faults.models.FAULTS` kind, ``None`` for
+    none) is scheduled once inside ``window_cycles`` from
+    ``fault_seed`` (default: ``seed``).  The caller builds the
+    scheduler, connects it with :meth:`attach`, ticks :attr:`injector`
+    and calls :meth:`service` once per simulated cycle.
     """
 
     def __init__(self, *, ports: int, nodes: int, seed: int,
                  rng: np.random.Generator,
+                 fault: str | None = None,
+                 magnitude: float = 1.0,
+                 window_cycles: int = 0,
+                 fault_seed: int | None = None,
                  backoff: BackoffPolicy | None = None,
                  probe_interval: int = 48,
                  error_threshold: float = 0.05,
@@ -76,30 +88,17 @@ class FabricRecovery:
         self.total_ports = ports
         #: Current partition width; SHRINK lowers it.
         self.ports = ports
-        self.nodes = nodes
         self.seed = seed
-        self.obs = obs
         self.devices = devices if devices is not None else DeviceParams()
         self.mesh_architecture = mesh_architecture
-        # Clements stays on the direct path (bit-identical to the golden
-        # pins); alternatives resolve through the registry, and stuck
-        # faults widen to the architecture's physical fault domains.
-        if mesh_architecture == "clements":
-            self._decompose = decompose
-            self._fault_arch = None
-        else:
-            from repro.photonics.registry import make_mesh
-            self._fault_arch = make_mesh(mesh_architecture)
-            self._decompose = self._fault_arch.decompose
+        # Stuck faults widen to the architecture's physical fault domains.
+        self._arch = make_mesh(mesh_architecture)
         self.target = random_unitary(ports, rng)
         self.domain = FaultDomain(
-            mesh=FaultyMesh(self._decompose(self.target),
-                            architecture=self._fault_arch))
-        self.ladder = DegradationLadder(
-            fabric_ports=ports,
-            policy=backoff if backoff is not None else BackoffPolicy(),
-            obs=obs)
-        self.domain.ladder = self.ladder
+            mesh=FaultyMesh(self._arch.decompose(self.target),
+                            architecture=self._arch))
+        self.ladder = DegradationLadder(fabric_ports=ports, policy=backoff,
+                                        obs=obs)
         self.monitor = HealthMonitor(
             mesh_probe=self.mesh_probe,
             link_probe=self.domain.link_error,
@@ -108,16 +107,27 @@ class FabricRecovery:
             min_effective_bits=min_effective_bits,
             interval_cycles=probe_interval,
             obs=obs)
-        self.network = None
+        fault_seed = seed if fault_seed is None else fault_seed
+        schedule = FaultSchedule() if fault is None else \
+            FaultSchedule.seeded([fault], fault_seed,
+                                 window_cycles=window_cycles, ports=ports,
+                                 nodes=nodes, magnitude=magnitude)
+        self.injector = FaultInjector(schedule, self.domain,
+                                      seed=fault_seed, obs=obs)
+        #: The attached :class:`~repro.core.control_unit.MZIMControlUnit`.
+        self.control = None
         self.recalibrations = 0
         self.detected_cycle: int | None = None
         self.error_peak = 0.0
 
-    def bind_network(self, network) -> None:
-        """Attach the interposer network so dead-link faults and the
-        REROUTE rung can reach it."""
-        self.network = network
-        self.domain.network = network
+    def attach(self, scheduler) -> None:
+        """Connect the fabric a :class:`~repro.core.scheduler.FlumenScheduler`
+        drives: the monitor gates its control unit's offload advice, the
+        ladder modulates its Algorithm 1, and REROUTE detours its network
+        and retires ports by its geometry."""
+        self.control = scheduler.control
+        self.control.health = self.monitor
+        scheduler.ladder = self.ladder
 
     # -- probes ------------------------------------------------------------
 
@@ -165,17 +175,27 @@ class FabricRecovery:
         sub_rng = np.random.default_rng(
             point_seed(self.seed, f"shrink/{cycle}"))
         self.target = random_unitary(new_ports, sub_rng)
-        self.domain.mesh = FaultyMesh(self._decompose(self.target),
-                                      architecture=self._fault_arch)
+        self.domain.mesh = FaultyMesh(self._arch.decompose(self.target),
+                                      architecture=self._arch)
         self.recalibrations += 1  # the new block is programmed once
 
     def _act_reroute(self) -> None:
+        control = self.control
         for src, dst in self.domain.unrouted_pairs():
             penalty = self.domain.detour_cycles.get((src, dst), 6)
-            self.network.reroute_pair(src, dst, penalty)
+            control.network.reroute_pair(src, dst, penalty)
             self.domain.rerouted_pairs.add((src, dst))
-            port = dst * self.total_ports // self.nodes
+            port = control.endpoint_port(dst)
+            if port is None:
+                continue  # the endpoint is on no fabric port
             self.ladder.mark_dead_port(port)
+            # Cap partitions at the widest even run of ports left free,
+            # so requests queued at the old cap still find a placement.
+            widest = run = 0
+            for p in range(control.fabric_ports):
+                run = 0 if p in self.ladder.unusable_ports else run + 1
+                widest = max(widest, run)
+            self.ladder.cap_partition_ports(widest)
 
     def run_ladder_action(self, cycle: int) -> None:
         """Perform the current rung's action and report the re-probe."""
@@ -193,12 +213,25 @@ class FabricRecovery:
 
     # -- per-cycle service -------------------------------------------------
 
-    def service(self, cycle: int) -> dict | None:
-        """One reliability step: throttled probe, detection, due action.
+    def next_due(self, cycle: int, injecting: bool = True) -> int:
+        """First cycle ``>= cycle`` at which recovery may act.
 
-        Returns the monitor sample when a probe fired this cycle (the
-        campaign uses it for error-peak accounting), else ``None``.
+        ``cycle`` itself off the healthy rung; else the next probe or,
+        while the caller ticks the injector (``injecting``), the next
+        fault tick.
         """
+        if not self.ladder.healthy:
+            return cycle
+        interval = self.monitor.interval_cycles
+        due = -(-cycle // interval) * interval
+        if injecting:
+            nxt = self.injector.next_due_cycle(cycle)
+            if nxt is not None:
+                due = min(due, nxt)
+        return due
+
+    def service(self, cycle: int) -> None:
+        """One reliability step: throttled probe, detection, due action."""
         sample = self.monitor.sample(cycle)
         if sample is not None:
             self.error_peak = max(self.error_peak,
@@ -209,4 +242,16 @@ class FabricRecovery:
                     self.detected_cycle = cycle
         if self.ladder.due(cycle):
             self.run_ladder_action(cycle)
-        return sample
+
+    # -- reporting ---------------------------------------------------------
+
+    def report(self) -> dict:
+        """The fault fields a campaign record and a serve report share."""
+        return {
+            "injected": [{"cycle": e.cycle, "kind": e.fault.kind,
+                          "params": e.fault.params()}
+                         for e in self.injector.injected],
+            "detected_cycle": self.detected_cycle,
+            "ladder": self.ladder.to_dict(),
+            "final_rung": self.ladder.rung.name,
+        }

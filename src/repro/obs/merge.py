@@ -29,13 +29,21 @@ from repro.obs.events import MonotoneClock
 REPLICA_KEY = "replica"
 
 
-def _interleave(streams: list[list[dict]]) -> list[tuple[int, dict]]:
-    """Stable ``(cycle, replica, seq)`` merge of per-replica records."""
-    tagged = [(record["cycle"], replica, record["seq"], record)
-              for replica, stream in enumerate(streams)
-              for record in stream]
-    tagged.sort(key=lambda item: item[:3])
-    return [(replica, record) for _, replica, _, record in tagged]
+def _merge(streams: list[list[dict]]) -> list[dict]:
+    """Interleave per-replica records by ``(cycle, replica, seq)``,
+    reassign ``seq``, rebase ``cycle`` and tag the source ``replica``."""
+    tagged = sorted(((record["cycle"], replica, record["seq"], record)
+                     for replica, stream in enumerate(streams)
+                     for record in stream), key=lambda item: item[:3])
+    clock = MonotoneClock()
+    merged: list[dict] = []
+    for _, replica, _, record in tagged:
+        out = dict(record)
+        out["seq"] = len(merged)
+        out["cycle"] = clock.advance(record["cycle"])
+        out[REPLICA_KEY] = replica
+        merged.append(out)
+    return merged
 
 
 def merge_event_logs(streams: list[list[dict]]) -> list[dict]:
@@ -48,32 +56,14 @@ def merge_event_logs(streams: list[list[dict]]) -> list[dict]:
     :class:`MonotoneClock`), with every record tagged by its source
     ``replica``.  Input records are not mutated.
     """
-    clock = MonotoneClock()
-    merged: list[dict] = []
-    for replica, record in _interleave(streams):
-        out = dict(record)
-        out["seq"] = len(merged)
-        out["cycle"] = clock.advance(record["cycle"])
-        out[REPLICA_KEY] = replica
-        merged.append(out)
-    return merged
+    return _merge(streams)
 
 
 def merge_snapshot_series(series: list[list[dict]]) -> list[dict]:
     """Merge per-replica snapshot series onto one monotone timeline.
 
-    Same envelope treatment as :func:`merge_event_logs`: interleave by
-    ``(cycle, replica, seq)``, reassign ``seq``, rebase ``cycle``, tag
-    the source ``replica``.  Snapshot ``metrics`` payloads are carried
-    through untouched — aggregation across replicas is the cluster
-    store's job, not the merge's.
+    Same envelope treatment as :func:`merge_event_logs`.  Snapshot
+    ``metrics`` payloads are carried through untouched — aggregation
+    across replicas is the cluster store's job, not the merge's.
     """
-    clock = MonotoneClock()
-    merged: list[dict] = []
-    for replica, record in _interleave(series):
-        out = dict(record)
-        out["seq"] = len(merged)
-        out["cycle"] = clock.advance(record["cycle"])
-        out[REPLICA_KEY] = replica
-        merged.append(out)
-    return merged
+    return _merge(series)

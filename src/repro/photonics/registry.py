@@ -111,15 +111,9 @@ def make_mesh(name: str | MeshArchitecture, **kwargs) -> MeshArchitecture:
 
 def decomposer(architecture: str | MeshArchitecture | None
                ) -> Callable[..., MZIMesh]:
-    """The ``(unitary, tol) -> MZIMesh`` decomposition of ``architecture``.
-
-    ``None`` and ``"clements"`` take the direct
-    :func:`~repro.photonics.clements.decompose` path the golden pins
-    were taken with; any other name resolves through :func:`make_mesh`.
-    """
-    if architecture is None or architecture == "clements":
-        return decompose
-    return make_mesh(architecture).decompose
+    """The ``(unitary, tol) -> MZIMesh`` decomposition of ``architecture``
+    (``None``: Clements), resolved through :func:`make_mesh`."""
+    return make_mesh(architecture or "clements").decompose
 
 
 # -- the three architectures ------------------------------------------------

@@ -60,9 +60,8 @@ from repro.config import DeviceParams, SystemConfig
 from repro.core.accelerator import BlockMatmul, plan_offload
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler
-from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
-from repro.faults.models import FAULTS, FaultSchedule
+from repro.faults.models import FAULTS
 from repro.faults.recovery import GEOMETRY_RULES, FabricRecovery
 from repro.noc.packet import Packet
 from repro.noc.soa import SoAFlumenNetwork
@@ -248,40 +247,30 @@ class ServeDaemon:
         self.state = DaemonState.BOOT
         self.system = SystemConfig()
         self.devices = DeviceParams()
-        self._rng = np.random.default_rng(
-            point_seed(config.seed, "serve/fabric"))
         self.recovery = FabricRecovery(
             ports=config.ports, nodes=config.nodes,
             seed=point_seed(config.seed, "serve/recovery"),
-            rng=self._rng, backoff=config.backoff,
-            probe_interval=config.probe_interval,
+            rng=np.random.default_rng(
+                point_seed(config.seed, "serve/fabric")),
+            fault=config.fault,
+            magnitude=config.fault_magnitude,
+            window_cycles=config.duration,
+            fault_seed=point_seed(config.seed, "serve/faults"),
+            backoff=config.backoff, probe_interval=config.probe_interval,
             devices=self.devices, obs=self.obs)
         self.ladder = self.recovery.ladder
         self.net = _ServeNetwork(config.nodes, obs=self.obs)
         self.net.on_deliver = self._on_deliver
-        self.recovery.bind_network(self.net)
-        self.control = MZIMControlUnit(self.net, self.system,
-                                       obs=self.obs,
-                                       health=self.recovery.monitor)
+        self.control = MZIMControlUnit(self.net, self.system, obs=self.obs)
         self.scheduler = FlumenScheduler(self.control, self.system,
-                                         obs=self.obs,
-                                         ladder=self.ladder)
+                                         obs=self.obs)
+        self.recovery.attach(self.scheduler)
         self.population = ClientPopulation(
             config.tenant_names(), ARRIVALS.get(config.arrival)(),
             config.rate, config.mvm_fraction, config.nodes,
             config.seed)
         self.admission = AdmissionController(
             config.admission_rate, config.admission_burst)
-        if config.fault is None:
-            schedule = FaultSchedule()
-        else:
-            schedule = FaultSchedule.seeded(
-                [config.fault], point_seed(config.seed, "serve/faults"),
-                window_cycles=config.duration, ports=config.ports,
-                nodes=config.nodes, magnitude=config.fault_magnitude)
-        self.injector = FaultInjector(
-            schedule, self.recovery.domain,
-            seed=point_seed(config.seed, "serve/faults"), obs=self.obs)
         #: The session's one record of request counts and latencies.
         self.ledger = Ledger(config.tenant_names())
         self.drained = True
@@ -515,7 +504,7 @@ class ServeDaemon:
         if self.state is DaemonState.SERVING:
             for arrival, admit in self._arrivals(cycle):
                 self._offer(arrival, admit)
-            self.injector.tick(cycle)
+            self.recovery.injector.tick(cycle)
         self.recovery.service(cycle)
         self._dispatch_due()
 
@@ -534,27 +523,24 @@ class ServeDaemon:
     def _next_due(self, cycle: int) -> int | None:
         """First cycle ``>= cycle`` at which the loop hooks may act.
 
-        ``cycle`` itself off the healthy rung; else the earliest
-        arrival, fault tick, probe, or batch reaching its size or age
-        threshold (a held-due batch re-evaluates the dispatch gate, and
-        so its metrics, every cycle).
+        The earliest of recovery's next action (probe, ladder, or fault
+        tick while serving), an arrival, or a batch reaching its size or
+        age threshold (a held-due batch re-evaluates the dispatch gate,
+        and so its metrics, every cycle).
         """
-        if not self.ladder.healthy:
-            return cycle
         config = self.config
-        interval = config.probe_interval
-        due = -(-cycle // interval) * interval
+        serving = self.state is DaemonState.SERVING
+        due = self.recovery.next_due(cycle, injecting=serving)
         for batch in self._open.values():
             if len(batch.requests) >= config.batch_size:
                 return cycle
             due = min(due, batch.opened_cycle + config.batch_window)
-        if self.state is DaemonState.SERVING:
+        if serving:
             if self._wheel.requests_for_cycle(cycle):
                 return cycle
-            for nxt in (self._wheel.next_arrival_cycle(cycle + 1),
-                        self.injector.next_due_cycle(cycle)):
-                if nxt is not None:
-                    due = min(due, nxt)
+            nxt = self._wheel.next_arrival_cycle(cycle + 1)
+            if nxt is not None:
+                due = min(due, nxt)
         return due
 
     def finish(self) -> dict:
@@ -589,10 +575,6 @@ class ServeDaemon:
     def report(self) -> dict:
         """Canonical session record (byte-stable under one seed)."""
         stats = self.scheduler.stats
-        injected = [
-            {"cycle": e.cycle, "kind": e.fault.kind,
-             "params": e.fault.params()}
-            for e in self.injector.injected]
         total_cycles = self.cycle
         books = self.ledger.render(self.held())
         return {
@@ -605,11 +587,8 @@ class ServeDaemon:
                 1000.0 * books["ledger"]["completed"] / total_cycles
                 if total_cycles else 0.0),
             "scheduler": stats.to_dict(),
-            "ladder": self.ladder.to_dict(),
-            "final_rung": self.ladder.rung.name,
+            **self.recovery.report(),
             "electrical_completions": stats.electrical_completions,
-            "injected": injected,
-            "detected_cycle": self.recovery.detected_cycle,
             "events": len(self.obs.events),
             "snapshots": len(self.obs.sampler),
         }
