@@ -42,6 +42,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
+import numpy as np
+
 from repro.config import SystemConfig
 from repro.core.accelerator import OffloadPlan, plan_offload
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
@@ -63,6 +65,13 @@ log = logging.getLogger("repro.system")
 
 #: Memory-controller endpoints on the 16-node NoP.
 MEMORY_CONTROLLERS = (0, 5, 10, 15)
+
+
+def _event_rows(cycle: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                size: int) -> np.ndarray:
+    """``(n, 4)`` int64 ``(cycle, src, dst, size)`` trace rows."""
+    return np.stack([cycle, src, dst, np.full(len(cycle), size, np.int64)],
+                    axis=1)
 
 
 @dataclass
@@ -165,27 +174,29 @@ class SystemModel:
         return total, hierarchy
 
     def _traffic_events(self, counts: HierarchyCounts, spread_cycles: int,
-                        extra_packets: int = 0
-                        ) -> tuple[list[tuple[int, int, int, int]], int]:
+                        extra_packets: int = 0) -> tuple[np.ndarray, int]:
         """Build the NoP trace: DRAM fills + writebacks as packets.
 
-        Returns ``(events, scale)`` where the trace was subsampled by
-        ``scale`` to stay simulable; energy counters are multiplied back.
+        Returns ``(events, scale)``: ``events`` is an ``(n, 4)`` int64
+        array of ``(cycle, src, dst, size)`` rows, packet ``i`` leaving
+        memory controller ``i mod 4`` for chiplet ``7i mod nodes`` (the
+        next one when that is the controller itself), spread evenly over
+        the window; the trace was subsampled by ``scale`` to stay
+        simulable, and energy counters are multiplied back.
         """
         line_flits = 3  # 64B line + header over a ~32B phit
         total_packets = counts.dram_accesses + extra_packets
         scale = self._subsample(total_packets, "NoP trace")
         packets = total_packets // scale
         window = max(1, spread_cycles // scale)
-        events = []
-        for i in range(packets):
-            cycle = (i * window) // max(packets, 1)
-            mc = MEMORY_CONTROLLERS[i % len(MEMORY_CONTROLLERS)]
-            consumer = (i * 7) % self.nodes
-            if consumer == mc:
-                consumer = (consumer + 1) % self.nodes
-            events.append((cycle, mc, consumer, line_flits))
-        return events, scale
+        i = np.arange(packets, dtype=np.int64)
+        controllers = np.array(MEMORY_CONTROLLERS, dtype=np.int64)
+        mc = controllers[i % len(controllers)]
+        consumer = (i * 7) % self.nodes
+        consumer = np.where(consumer == mc, (consumer + 1) % self.nodes,
+                            consumer)
+        return _event_rows((i * window) // max(packets, 1), mc, consumer,
+                           line_flits), scale
 
     def _subsample(self, packets: int, trace: str) -> int:
         """Subsampling factor keeping a trace under the simulated cap."""
@@ -384,18 +395,7 @@ class SystemModel:
         # Compute partition on the low fabric ports -> endpoints 0..7
         # blocked; traffic runs among the free half with a 15% tail
         # crossing into the blocked half.
-        free = [n for n in range(self.nodes // 2, self.nodes)]
-        events = []
-        for i in range(packets):
-            cycle = (i * window) // max(packets, 1)
-            mc = free[0] if i % 2 else free[len(free) // 2]
-            if i % 7 == 0:
-                consumer = (i * 5) % (self.nodes // 2)  # blocked half
-            else:
-                consumer = free[(i * 3) % len(free)]
-            if consumer == mc:
-                consumer = free[-1]
-            events.append((cycle, mc, consumer, line_flits))
+        events = self._cosim_events(packets, window, line_flits)
         net = make_network(pipeline.topology, self.nodes, obs=self.obs)
         control = MZIMControlUnit(net, self.system, obs=self.obs)
         fabric = None
@@ -434,6 +434,25 @@ class SystemModel:
             net, pipeline, window, scale, span_cycles)
         return (scheduler.stats.average_wait, avg_lat, comm_cycles,
                 nop_energy)
+
+    def _cosim_events(self, packets: int, window: int,
+                      size: int) -> np.ndarray:
+        """The co-simulation's background trace, ``(n, 4)`` int64 rows.
+
+        Packet ``i`` leaves one of two free-half controllers (alternating)
+        for a free-half chiplet, except every seventh, which crosses into
+        the blocked half; one that would target its own source goes to
+        the last free chiplet instead.
+        """
+        half = self.nodes // 2
+        free = np.arange(half, self.nodes, dtype=np.int64)
+        i = np.arange(packets, dtype=np.int64)
+        mc = np.where(i % 2 == 1, free[0], free[len(free) // 2])
+        consumer = np.where(i % 7 == 0, (i * 5) % half,
+                            free[(i * 3) % len(free)])
+        consumer = np.where(consumer == mc, free[-1], consumer)
+        return _event_rows((i * window) // max(packets, 1), mc, consumer,
+                           size)
 
     def _cores_for(self, workload: Workload) -> int:
         """Per-workload parallelism override, else the system default."""

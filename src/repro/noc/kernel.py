@@ -18,26 +18,254 @@ Only the struct-of-arrays backends (:mod:`repro.noc.soa`) are registered
 in :mod:`repro.noc.registry`; the per-object ``Network``, ``OptBusNetwork``
 and ``FlumenNetwork`` are the oracles tests pin them against.  Adding a
 topology means subclassing :class:`SimKernel`, implementing the four
-hooks and registering a factory.  Two optional hooks let a backend
-fast-forward trace playback: ``_skip_idle`` (quiescent stretches) and
-``_forward_period`` (a busy period, from the offers that wake a
-quiescent network back to quiescence).  Every skip goes through
-:meth:`SimKernel.skip_idle_cycles`, which refuses a network that is not
-quiescent; the co-simulation driver skips through it too.
+hooks and registering a factory.
+
+Trace playback (a traffic source that names its next event cycle, with
+the tracer off) has three fast-forwards, all in this module:
+
+* **idle skip** — a backend with ``_supports_idle_skip`` implements
+  ``_skip_idle``; every skip goes through :meth:`SimKernel.skip_idle_cycles`,
+  which refuses a network that is not quiescent (the co-simulation
+  driver skips through it too);
+* **busy-period replay** — a backend with ``_replays_periods`` names the
+  state a period carries over from one quiescent network to the next:
+  the rotation-state lists of ``_arbiter_arrays`` (read and written
+  through :class:`_SlotLog` while a period is recorded), clock-driven
+  rotation in ``_carry_period``, and the counters of ``_period_counts``
+  and ``_period_metrics``.  :meth:`SimKernel._forward_period` records
+  each new period by stepping it and replays a recurrence whose offers
+  match and whose decisive arbiter reads still hold;
+* **bulk runs** — a quiescent network plays the trace's next run of
+  lone packets, each a recorded one-packet period (which reads no
+  arbiter slot), in one numpy pass (:meth:`SimKernel._play_lone_run`),
+  building no ``Packet``; a snapshot sampler still gets the ticks, and
+  the counters at each, that per-packet replay would give it.
+
+The random-traffic loop (:meth:`SimKernel._run_stepped`) takes none of
+them and carries no check for them.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import time
 from contextlib import contextmanager
 
-from repro.noc.packet import Packet
+import numpy as np
+
+from repro.noc.packet import Packet, skip_packet_ids
 from repro.noc.stats import LatencyStats, SimulationResult, UtilizationTracker
 from repro.obs import NULL_OBS, Obs
 from repro.obs.snapshot import OFFER_STRIDE
 
 log = logging.getLogger("repro.noc")
+
+#: Cap on the offers one network's period memo stores; once it is full,
+#: busy periods are stepped and nothing new is recorded.
+MEMO_OFFER_CAP = 8192
+
+#: Shortest run of lone packets worth a bulk pass; a shorter one replays
+#: packet by packet, which costs less below this length.
+BULK_MIN_EVENTS = 16
+
+
+class _SlotLog(list):
+    """Arbiter-state list that logs its writes and first reads.
+
+    Period recording swaps these in for a backend's
+    :meth:`SimKernel._arbiter_arrays`.  Each write lands in ``writes``
+    (slot -> last value) even when it stores the value already there: a
+    replay applies the written slots, not a before/after diff, so it
+    reproduces the write from whatever arbiter state the network holds
+    at the time.  A read of a slot not yet written lands in ``reads``
+    with the value it saw; backends read a slot only when two or more
+    candidates compete, so these are exactly the reads that steer the
+    period.
+    """
+
+    def __init__(self, values: list[int]) -> None:
+        super().__init__(values)
+        self.writes: dict[int, int] = {}
+        self.reads: dict[int, int] = {}
+
+    def __getitem__(self, index):
+        value = super().__getitem__(index)
+        if index not in self.writes:
+            self.reads.setdefault(index, value)
+        return value
+
+    def __setitem__(self, index, value) -> None:
+        self.writes[index] = value
+        super().__setitem__(index, value)
+
+
+class _Period:
+    """One recorded busy period of a :class:`SimKernel` backend."""
+
+    __slots__ = ("steps", "later", "deliveries", "busy_runs", "deltas",
+                 "reads", "writes")
+
+    def __init__(self, steps, later, deliveries, busy_runs, deltas,
+                 logs) -> None:
+        #: Cycles from the first offers to quiescence.
+        self.steps = steps
+        #: ``(offset, src, dst, size_flits)`` of each offer after the
+        #: first cycle, in offer order (a list, as the lookup builds).
+        self.later = later
+        #: ``(packet index, step offset, delivered offset)`` per
+        #: delivery, in delivery order; packets are indexed in offer
+        #: order.  The step is the one that delivers; a backend with
+        #: propagation delay stamps a later delivered cycle.
+        self.deliveries = deliveries
+        #: ``(busy_links, cycles)`` runs, in order, for the utilization
+        #: tracker.
+        self.busy_runs = busy_runs
+        #: Deltas of the backend's ``_period_counts`` then
+        #: ``_period_metrics``.
+        self.deltas = deltas
+        #: ``(array, slot, value)`` per decisive read, the array
+        #: numbered as in :meth:`SimKernel._arbiter_arrays`.
+        self.reads = tuple((array, index, value)
+                           for array, log in enumerate(logs)
+                           for index, value in log.reads.items())
+        #: Per arbiter array: ``(slot, value)`` per slot written.
+        self.writes = tuple(tuple(log.writes.items()) for log in logs)
+
+
+class _LoneRuns:
+    """A trace laid against one network's recorded lone periods.
+
+    Built for one ``(trace, lone-period memo version, window end)``; it
+    marks every event from the current position on that can sit in a
+    bulk run (:meth:`SimKernel._play_lone_run`) and keeps, per trace key,
+    the recorded period's arrays for :meth:`play`.
+    """
+
+    def __init__(self, net: SimKernel, trace, window_end: int) -> None:
+        self.trace = trace
+        self.version = net._lone_version
+        self.window_end = window_end
+        keys, ids = trace.key_ids()
+        periods = [net._lone.get(key) for key in keys]
+        self.periods = periods
+        self.steps = np.array([0 if p is None else p.steps
+                               for p in periods], dtype=np.int64)
+        #: Offset of the step delivering each key's one packet, and of
+        #: its delivered cycle: its latency.
+        self.delivering = np.array([0 if p is None else p.deliveries[0][1]
+                                    for p in periods], dtype=np.int64)
+        self.latency = np.array([0 if p is None else p.deliveries[0][2]
+                                 for p in periods], dtype=np.int64)
+        width = len(net._period_counts) + len(net._period_metrics)
+        self.deltas = np.array([p.deltas if p is not None else (0,) * width
+                                for p in periods],
+                               dtype=np.int64).reshape(len(keys), width)
+        # Utilization template per key: an idle slot (its cycles filled
+        # per event with the gap before it), then the period's busy runs.
+        busy, cycles, first = [], [], []
+        for period in periods:
+            first.append(len(busy))
+            busy.append(0)
+            cycles.append(0)
+            for links, run in (() if period is None else period.busy_runs):
+                busy.append(links)
+                cycles.append(run)
+        self.template_busy = np.array(busy, dtype=np.int64)
+        self.template_cycles = np.array(cycles, dtype=np.int64)
+        self.template_first = np.array(first, dtype=np.int64)
+        self.template_len = np.diff(np.append(self.template_first,
+                                              len(busy)))
+        # Events from the current position on that may sit in a run.
+        base = trace._pos
+        self.ids = ids
+        cyc = trace.cycles
+        steps = self.steps[ids[base:]]
+        end = cyc[base:] + steps
+        nxt = np.append(cyc[base + 1:], np.iinfo(np.int64).max)
+        ok = ((steps > 0) & (trace.srcs[base:] != trace.dsts[base:])
+              & (end <= window_end) & (nxt >= end))
+        #: Absolute positions of the events that break a run.
+        self.breaks = (np.flatnonzero(~ok) + base).tolist()
+
+    def run_length(self, pos: int, cycle: int) -> int:
+        """Events in the run starting at ``pos`` on a network at
+        ``cycle`` (the first event may not predate the clock)."""
+        if self.trace.cycles[pos] < cycle:
+            return 0
+        at = bisect.bisect_left(self.breaks, pos)
+        stop = self.breaks[at] if at < len(self.breaks) else len(self.trace)
+        return stop - pos
+
+    def play(self, net: SimKernel, pos: int, count: int) -> int:
+        """Apply the run of ``count`` events at ``pos`` to ``net``;
+        return the cycles it advances."""
+        trace = self.trace
+        start = net.cycle
+        stop = pos + count
+        ids = self.ids[pos:stop]
+        created = trace.cycles[pos:stop]
+        ends = created + self.steps[ids]
+        end = int(ends[-1])
+        delivered = created + self.latency[ids]
+        offers = deliveries = 0
+        sampler = net._sampler
+        if sampler is not None:
+            # Replaying one by one ticks the sampler at each OFFER_STRIDE
+            # mark inside a period (idle skips between periods tick
+            # none); a tick sees the offers made before its cycle and the
+            # deliveries of earlier steps.
+            firsts = (created // OFFER_STRIDE + 1) * OFFER_STRIDE
+            marks = np.maximum(0, (ends - firsts) // OFFER_STRIDE + 1)
+            before = np.cumsum(marks) - marks
+            ticks = (np.repeat(firsts - before * OFFER_STRIDE, marks)
+                     + np.arange(int(marks.sum())) * OFFER_STRIDE)
+            steps = created + self.delivering[ids]
+            for tick in ticks.tolist():
+                offered = int(np.searchsorted(created, tick))
+                done = int(np.searchsorted(steps, tick))
+                self._account(net, pos, offers, offered, deliveries, done,
+                              delivered)
+                offers, deliveries = offered, done
+                sampler.tick(tick)
+        self._account(net, pos, offers, count, deliveries, count, delivered)
+        net._apply_period_totals(
+            (np.bincount(ids, minlength=len(self.periods))
+             @ self.deltas).tolist())
+        # Busy and idle segments: each event's idle gap since the last
+        # period's end, then its period's busy runs.
+        lengths = self.template_len[ids]
+        heads = np.cumsum(lengths)
+        total = int(heads[-1])
+        heads -= lengths
+        picks = (np.repeat(self.template_first[ids] - heads, lengths)
+                 + np.arange(total))
+        cycles = self.template_cycles[picks]
+        cycles[heads[1:]] = created[1:] - ends[:-1]
+        cycles[0] = created[0] - start
+        net.utilization.record_segments(self.template_busy[picks], cycles)
+        # The last write to each slot: keys in order of their last event.
+        for key in reversed(dict.fromkeys(reversed(ids.tolist()))):
+            net._apply_writes(self.periods[key].writes)
+        net._carry_period(end - start)
+        net.cycle = end
+        net.solo_cycles_jumped += end - start - int(cycles[heads].sum())
+        trace.skip_played(count)
+        skip_packet_ids(count)
+        return end - start
+
+    def _account(self, net: SimKernel, pos: int, offers: int, offered: int,
+                 deliveries: int, done: int, delivered: np.ndarray) -> None:
+        """Account the run's offers ``offers:offered`` and deliveries
+        ``deliveries:done`` (indices into the run starting at ``pos``)."""
+        if offered > offers:
+            net.injected_packets += offered - offers
+            net._m_injected.inc(offered - offers)
+        if done > deliveries:
+            trace, run = self.trace, slice(pos + deliveries, pos + done)
+            net._deliver_run(trace.srcs[run], trace.dsts[run],
+                             trace.cycles[run],
+                             delivered[deliveries:done], trace.sizes[run])
 
 
 class SimKernel:
@@ -74,6 +302,20 @@ class SimKernel:
         self._h_latency = metrics.histogram("noc.packet_latency_cycles",
                                             topology=name)
         self._sample_end = 0
+        #: Recorded busy periods keyed by their first cycle's
+        #: ``(src, dst, size_flits)`` offers.
+        self._periods: dict[tuple, list[_Period]] = {}
+        #: Offers stored across ``_periods`` (bounded by MEMO_OFFER_CAP).
+        self._memo_offers = 0
+        #: ``(src, dst, size_flits)`` -> its recorded lone period (one
+        #: packet, no decisive read), for bulk runs; the version counts
+        #: additions, so a stale :class:`_LoneRuns` is rebuilt.
+        self._lone: dict[tuple[int, int, int], _Period] = {}
+        self._lone_version = 0
+        self._lone_runs: _LoneRuns | None = None
+        #: Cycles advanced by replaying one-packet / multi-packet periods.
+        self.solo_cycles_jumped = 0
+        self.period_cycles_jumped = 0
         #: The open run's stamp convention; None while no run is open.
         self._run_stamp: bool | None = None
         if self._tracer.enabled:
@@ -151,22 +393,68 @@ class SimKernel:
 
     # -- busy-period fast-forward ----------------------------------------
 
+    #: Backends whose busy periods carry over only the arbiter state
+    #: :meth:`_arbiter_arrays` names (plus :meth:`_carry_period`), the
+    #: counters :attr:`_period_counts` / :attr:`_period_metrics` name and
+    #: the clock set this True: :meth:`_forward_period` then records and
+    #: replays their periods.  The per-object oracles never do.
+    _replays_periods = False
+
+    #: Integer attributes a busy period advances, replayed as deltas.
+    _period_counts: tuple[str, ...] = ("flit_hops", "link_traversals")
+
+    #: Metric counters (attribute names) a busy period advances.
+    _period_metrics: tuple[str, ...] = ()
+
+    def _arbiter_arrays(self) -> tuple[list[int], ...]:
+        """The rotation-state lists a busy period reads and writes."""
+        return ()
+
+    def _set_arbiter_arrays(self, arrays: tuple[list[int], ...]) -> None:
+        """Install ``arrays`` (same shape as :meth:`_arbiter_arrays`)."""
+
+    def _carry_period(self, cycles: int) -> None:
+        """Advance state that turns with the clock, over ``cycles`` cycles
+        a replay jumps; a recorded period's stepping already did."""
+
+    def _can_replay(self) -> bool:
+        """False while some state outside the recording would change a
+        period's outcome; the period is then stepped, unrecorded."""
+        return True
+
     def _forward_period(self, traffic, offered: list[Packet],
                         remaining: int, drain_budget: int) -> int:
         """Carry the busy period ``offered`` starts at a quiescent network.
 
         ``offered`` is this cycle's packets, not yet offered; ``traffic``
         supplies the later ones; ``remaining`` cycles are left in the run
-        window and ``drain_budget`` after it.  A backend may take the
-        period over: offer ``offered`` (and every later packet the run
-        loop would offer), advance up to ``remaining + drain_budget``
-        cycles — leaving exactly the state as many ``step()`` calls
-        would, sampler ticks included (:meth:`_sample_stepped`) — and
-        return how many it advanced.  0 declines without offering, and
-        :meth:`run` offers and steps the cycle as usual.  The base kernel
-        declines.
+        window and ``drain_budget`` after it.  A recording replays when
+        this period's offers are its offers — the first cycle's by key,
+        later ones looked up in the trace up to the period's end or the
+        window's, past which the run loop offers nothing — and every
+        slot it read decisively still holds the value it read.
+        Otherwise the period is stepped and recorded, while the memo has
+        room.  Returns the cycles advanced; 0 declines without offering,
+        and :meth:`run` offers and steps the cycle as usual.
         """
-        return 0
+        if not self._can_replay():
+            return 0
+        key = tuple([(p.src, p.dst, p.size_flits) for p in offered])
+        horizon = remaining + drain_budget
+        start = self.cycle
+        window_end = start + remaining
+        for period in self._periods.get(key, ()):
+            if period.steps > horizon or (
+                    period.reads and not self._reads_hold(period.reads)):
+                continue
+            until = min(start + period.steps, window_end)
+            if period.later == [
+                    (cycle - start, src, dst, size) for cycle, src, dst, size
+                    in traffic.upcoming(until)]:
+                return self._replay(period, traffic, offered)
+        if self._memo_offers >= MEMO_OFFER_CAP:
+            return 0
+        return self._record(key, traffic, offered, window_end, horizon)
 
     def _sample_stepped(self, first: int, last: int) -> None:
         """Tick the sampler as stepping to cycles ``first..last`` would.
@@ -181,6 +469,192 @@ class SimKernel:
         for cycle in range(-(-first // OFFER_STRIDE) * OFFER_STRIDE,
                            last + 1, OFFER_STRIDE):
             self._sampler.tick(cycle)
+
+    def _reads_hold(self, reads: tuple[tuple[int, int, int], ...]) -> bool:
+        arrays = self._arbiter_arrays()
+        return all(arrays[array][index] == value
+                   for array, index, value in reads)
+
+    def _period_totals(self) -> tuple[int, ...]:
+        return (tuple(getattr(self, name) for name in self._period_counts)
+                + tuple(getattr(self, name).value
+                        for name in self._period_metrics))
+
+    def _apply_period_totals(self, deltas) -> None:
+        """Add deltas of :meth:`_period_totals` (one period's, or a bulk
+        run's sum)."""
+        counts = len(self._period_counts)
+        for name, delta in zip(self._period_counts, deltas):
+            setattr(self, name, getattr(self, name) + delta)
+        for name, delta in zip(self._period_metrics, deltas[counts:]):
+            if delta:
+                getattr(self, name).inc(delta)
+
+    def _apply_writes(self, writes) -> None:
+        for slots, written in zip(self._arbiter_arrays(), writes):
+            for index, value in written:
+                slots[index] = value
+
+    def _replay(self, period: _Period, traffic,
+                offered: list[Packet]) -> int:
+        start, steps = self.cycle, period.steps
+        packets = list(offered)
+        # Offers and deliveries in cycle order, each after the sampler
+        # ticks of the cycles before it, as stepping would interleave
+        # them; offers precede a same-cycle delivery.  A replayed offer
+        # is accounted, not buffered: the period ends with it delivered.
+        sampled = self._sampler is not None
+        injected = self._m_injected
+        self.injected_packets += len(packets)
+        injected.inc(len(packets))
+        later = iter(period.later)
+        nxt = next(later, None)
+        ticked = start
+        for index, step, delivered in period.deliveries:
+            while nxt is not None and nxt[0] <= step:
+                cycle = start + nxt[0]
+                if sampled:
+                    self._sample_stepped(ticked + 1, cycle)
+                    ticked = cycle
+                for packet in traffic.packets_for_cycle(cycle):
+                    self.injected_packets += 1
+                    injected.inc()
+                    packets.append(packet)
+                    nxt = next(later, None)
+            if sampled:
+                self._sample_stepped(ticked + 1, start + step)
+                ticked = start + step
+            # Fast-forward runs with the tracer off: no track is drawn.
+            self._deliver(packets[index], start + delivered, "")
+        if sampled:
+            self._sample_stepped(ticked + 1, start + steps)
+        self._apply_writes(period.writes)
+        self._apply_period_totals(period.deltas)
+        record = self.utilization.record_cycles
+        for busy, cycles in period.busy_runs:
+            record(busy, cycles)
+        self._carry_period(steps)
+        self.cycle = start + steps
+        if len(packets) == 1:
+            self.solo_cycles_jumped += steps
+        else:
+            self.period_cycles_jumped += steps
+        return steps
+
+    def _record(self, key: tuple, traffic, offered: list[Packet],
+                window_end: int, horizon: int) -> int:
+        """Step the period up to ``horizon`` cycles, recording it.
+
+        Offers each trace packet as the run loop would, none from
+        ``window_end`` on.  The period is memoised only if it ends within
+        the horizon and the memo has room for its offers; otherwise the
+        steps taken stand as ordinary stepping.
+        """
+        start = self.cycle
+        room = MEMO_OFFER_CAP - self._memo_offers
+        # Offered packets stay referenced here, so their ids stay unique.
+        packets: list[Packet] = []
+        index: dict[int, int] = {}
+        later: list[tuple[int, int, int, int]] = []
+        deliveries: list[tuple[int, int, int]] = []
+        busy_runs: list[tuple[int, int]] = []
+
+        sample = self._deliver
+
+        def deliver(packet, cycle, track, **trace_args) -> None:
+            deliveries.append((index[id(packet)], self.cycle - start,
+                               cycle - start))
+            sample(packet, cycle, track, **trace_args)
+
+        logs = tuple(_SlotLog(slots) for slots in self._arbiter_arrays())
+        self._set_arbiter_arrays(logs)
+        self._deliver = deliver
+        totals = self._period_totals()
+        arrivals = offered
+        try:
+            while True:
+                for packet in arrivals:
+                    index[id(packet)] = len(packets)
+                    packets.append(packet)
+                    if self.cycle > start:
+                        later.append((self.cycle - start, packet.src,
+                                      packet.dst, packet.size_flits))
+                    self.offer_packet(packet)
+                before = self.link_traversals
+                self.step()
+                if self.cycle % OFFER_STRIDE == 0:
+                    self._sample_stepped(self.cycle, self.cycle)
+                busy = self.link_traversals - before
+                if busy_runs and busy_runs[-1][0] == busy:
+                    busy_runs[-1] = (busy, busy_runs[-1][1] + 1)
+                else:
+                    busy_runs.append((busy, 1))
+                if (self.quiescent() or self.cycle - start >= horizon
+                        or len(packets) > room):
+                    break
+                arrivals = (traffic.packets_for_cycle(self.cycle)
+                            if self.cycle < window_end else ())
+        finally:
+            del self._deliver
+            self._set_arbiter_arrays(tuple(list(log) for log in logs))
+        steps = self.cycle - start
+        if self.quiescent() and len(packets) <= room:
+            deltas = tuple(now - then for now, then
+                           in zip(self._period_totals(), totals))
+            period = _Period(steps, later, tuple(deliveries),
+                             tuple(busy_runs), deltas, logs)
+            self._periods.setdefault(key, []).append(period)
+            self._memo_offers += len(packets)
+            if len(packets) == 1 and not period.reads \
+                    and key[0] not in self._lone:
+                self._lone[key[0]] = period
+                self._lone_version += 1
+        return steps
+
+    # -- bulk lone-packet playback ----------------------------------------
+
+    def _play_lone_run(self, traffic, remaining: int) -> int:
+        """Play the trace's next run of lone packets in one numpy pass.
+
+        A run is the longest stretch of upcoming events each of which is
+        a recorded lone period (:attr:`_lone`: one packet, no decisive
+        read), lands at or after the previous one's end, ends inside the
+        run window, and sees the next event land at or after its own end
+        (so each packet crosses a quiescent network alone, and nothing
+        joins it).  The run's packets are never built: delivery cycles,
+        latencies, counters, busy and idle utilization segments, the
+        last write to each arbiter slot, the trace position and the
+        packet-id counter advance as playing them one by one would.
+        Returns the cycles advanced, 0 when the next event starts no run.
+        """
+        pos = traffic._pos
+        if pos >= len(traffic) or not self._lone or not self._can_replay():
+            return 0
+        table = self._lone_runs
+        if (table is None or table.trace is not traffic
+                or table.version != self._lone_version
+                or table.window_end != self.cycle + remaining):
+            if self._lone.get(traffic._events[pos][1:]) is None:
+                return 0
+            table = self._lone_runs = _LoneRuns(self, traffic,
+                                                self.cycle + remaining)
+        count = table.run_length(pos, self.cycle)
+        if count < BULK_MIN_EVENTS:
+            return 0
+        return table.play(self, pos, count)
+
+    def _deliver_run(self, srcs: np.ndarray, dsts: np.ndarray,
+                     created: np.ndarray, delivered: np.ndarray,
+                     sizes: np.ndarray) -> None:
+        """:meth:`_deliver` for a bulk run's packets, in delivery order
+        (the tracer is off on every bulk run)."""
+        latencies = delivered - created
+        self.latency.record_many(created, latencies, sizes)
+        self._m_delivered.inc(len(latencies))
+        counts = np.bincount(latencies)
+        values = np.flatnonzero(counts)
+        self._h_latency.observe_many(values.tolist(),
+                                     counts[values].tolist())
 
     # -- traffic ---------------------------------------------------------
 
@@ -218,56 +692,27 @@ class SimKernel:
         exhausted budget leaves the network busy and logs a warning on
         logger ``repro.noc``.
 
-        Two fast-forwards apply when the backend supports idle skip,
-        tracing is off, and the traffic source can name its next event
-        cycle (trace playback can; random generators draw RNG every cycle
-        and cannot):
-
-        * **idle skip** — runs of quiescent cycles collapse into one
-          :meth:`skip_idle_cycles` jump;
-        * **busy period** — packets offered to a quiescent network go
-          to ``_forward_period``, which may carry the whole period to
-          the next quiescent cycle, bounded by the cycles left plus
-          (when draining) the drain budget.
-
-        Every observable — cycle counts, utilization timeline, latencies,
-        arbiter state at the next busy cycle — is identical either way.
+        When the backend supports idle skip, tracing is off, and the
+        traffic source can name its next event cycle (trace playback
+        can; random generators draw RNG every cycle and cannot), the
+        window is played by :meth:`_play_trace`'s fast-forwards; else
+        every cycle is stepped.  Every observable — cycle counts,
+        utilization timeline, latencies, arbiter state at the next busy
+        cycle — is identical either way.
         """
         self.latency.warmup_cycles = warmup
         with self.running():
-            fast_forward = (self._supports_idle_skip
-                            and not self._tracer.enabled
-                            and hasattr(traffic, "next_event_cycle"))
-            sampler = self._sampler
             #: Last cycle the main loop can step to: a period
             #: fast-forward offers the sampler the OFFER_STRIDE marks up
             #: to here, as stepping would, and none in the drain phase.
             self._sample_end = self.cycle + cycles
-            remaining = cycles
             drain_budget = max_drain_cycles if drain else 0
-            while remaining > 0:
-                offered = traffic.packets_for_cycle(self.cycle)
-                if fast_forward and offered and self.quiescent():
-                    advanced = self._forward_period(
-                        traffic, offered, remaining, drain_budget)
-                    if advanced:
-                        drain_budget -= max(0, advanced - remaining)
-                        remaining -= advanced
-                        if remaining > 0 and self.quiescent():
-                            remaining -= self._skip_to_next_event(traffic,
-                                                                  remaining)
-                        continue
-                for packet in offered:
-                    self.offer_packet(packet)
-                self.step()
-                remaining -= 1
-                if sampler is not None and self.cycle % OFFER_STRIDE == 0:
-                    # Idle fast-forward below may jump past sample
-                    # points; the series then resumes at the post-jump
-                    # cycle (skipped cycles mutate no registry).
-                    sampler.tick(self.cycle)
-                if remaining > 0 and fast_forward and self.quiescent():
-                    remaining -= self._skip_to_next_event(traffic, remaining)
+            if (self._supports_idle_skip and not self._tracer.enabled
+                    and hasattr(traffic, "next_event_cycle")):
+                drain_budget = self._play_trace(traffic, cycles,
+                                                drain_budget)
+            else:
+                self._run_stepped(traffic, cycles)
             while drain_budget > 0 and not self.quiescent():
                 self.step()
                 drain_budget -= 1
@@ -276,6 +721,66 @@ class SimKernel:
                     "%s: drain budget of %d cycles exhausted with %d "
                     "flits still queued; results cover a busy network",
                     self.name, max_drain_cycles, self.total_queued_flits())
+
+    def _run_stepped(self, traffic, cycles: int) -> None:
+        """Offer and step every cycle of the window."""
+        sampler = self._sampler
+        for _ in range(cycles):
+            for packet in traffic.packets_for_cycle(self.cycle):
+                self.offer_packet(packet)
+            self.step()
+            if sampler is not None and self.cycle % OFFER_STRIDE == 0:
+                sampler.tick(self.cycle)
+
+    def _play_trace(self, traffic, remaining: int, drain_budget: int) -> int:
+        """Play a trace's window with the fast-forwards; return the drain
+        budget left.
+
+        * **idle skip** — runs of quiescent cycles collapse into one
+          :meth:`skip_idle_cycles` jump;
+        * **bulk run** — a quiescent network plays the trace's next
+          run of lone packets in one pass (:meth:`_play_lone_run`);
+        * **busy period** — packets offered to a quiescent network go
+          to :meth:`_forward_period`, which may carry the whole period
+          to the next quiescent cycle, bounded by the cycles left plus
+          (when draining) the drain budget.
+        """
+        sampler = self._sampler
+        replay = self._replays_periods
+        bulk = replay and hasattr(traffic, "key_ids")
+        while remaining > 0:
+            quiet = self.quiescent()
+            if quiet and bulk:
+                advanced = self._play_lone_run(traffic, remaining)
+                if advanced:
+                    remaining -= advanced
+                    if remaining > 0:
+                        remaining -= self._skip_to_next_event(traffic,
+                                                              remaining)
+                    continue
+            offered = traffic.packets_for_cycle(self.cycle)
+            if quiet and replay and offered:
+                advanced = self._forward_period(
+                    traffic, offered, remaining, drain_budget)
+                if advanced:
+                    drain_budget -= max(0, advanced - remaining)
+                    remaining -= advanced
+                    if remaining > 0 and self.quiescent():
+                        remaining -= self._skip_to_next_event(traffic,
+                                                              remaining)
+                    continue
+            for packet in offered:
+                self.offer_packet(packet)
+            self.step()
+            remaining -= 1
+            if sampler is not None and self.cycle % OFFER_STRIDE == 0:
+                # Idle fast-forward below may jump past sample
+                # points; the series then resumes at the post-jump
+                # cycle (skipped cycles mutate no registry).
+                sampler.tick(self.cycle)
+            if remaining > 0 and self.quiescent():
+                remaining -= self._skip_to_next_event(traffic, remaining)
+        return drain_budget
 
     @contextmanager
     def running(self, stamp_stepped: bool = False):

@@ -9,6 +9,7 @@ crosses one link per cycle.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 _packet_ids = itertools.count()
@@ -87,3 +88,8 @@ def reset_packet_ids() -> None:
     """Reset the global packet-id counter (test isolation)."""
     global _packet_ids
     _packet_ids = itertools.count()
+
+
+def skip_packet_ids(count: int) -> None:
+    """Consume ``count`` ids, as building that many packets would."""
+    deque(itertools.islice(_packet_ids, count), maxlen=0)

@@ -44,19 +44,16 @@ quiescent; the co-simulation driver (``FlumenScheduler.run``) skips
 through the same entry, so a circuit in setup or transfer, a pending
 pre-grant or a buffered source is always stepped.
 
-The router network (:class:`SoANetwork`) also takes the kernel's
-busy-period fast-forward.  A busy period runs from the offers that wake
-a quiescent ring or mesh back to quiescence; at either end credits,
-owners, buffers and pending sets hold their reset values, so only the
-three arbiter rotation arrays, the counters and the clock carry over.
-A period's outcome is therefore fixed by its offers and by the arbiter
-slots it reads *decisively* — in an arbitration with two or more
-candidates, before the period writes that slot.  Each new period is
-stepped while recording its offers, deliveries, busy links, counter
-deltas, slots written and decisive reads; a later period with the same
-offers, met while those slots hold the recorded values, replays the
-recording in one jump.  A lone packet never meets a second candidate,
-so it reads nothing and replays from any arbiter state.
+All three also take the kernel's busy-period replay and bulk runs
+(:mod:`repro.noc.kernel`).  A busy period runs from the offers that wake
+a quiescent network back to quiescence; at either end every buffer,
+circuit and pending set holds its reset value, so each backend names
+only the state that carries over: the three router arbiter arrays
+(ring, mesh), the bus round-robin pointers (optbus), and the sequential
+pointer plus the wavefront diagonal, which turns once per cycle busy or
+idle (Flumen).  Every arbitration reads its rotation state only when
+two or more candidates compete, so a lone packet reads nothing and
+replays from any arbiter state.
 
 Ordering contracts the SoA step preserves (DESIGN.md §14):
 
@@ -84,77 +81,12 @@ from repro.noc.kernel import SimKernel
 from repro.noc.packet import Flit, Packet
 from repro.noc.topology import LOCAL_PORT, Topology, check_router_geometry
 from repro.obs import NULL_OBS, Obs
-from repro.obs.snapshot import OFFER_STRIDE
 
 #: 1 ns phase programming at a 2.5 GHz network clock (Section 4.1).
 DEFAULT_RECONFIG_CYCLES = 3
 
 #: Effectively infinite credits for ejection ports (oracle's value).
 _EJECT_CREDITS = 10 ** 9
-
-
-#: Cap on the offers one network's period memo stores; once it is full,
-#: busy periods are stepped and nothing new is recorded.
-MEMO_OFFER_CAP = 8192
-
-
-class _SlotLog(list):
-    """Arbiter-state list that logs its writes and first reads.
-
-    Period recording swaps these in for ``vc_last``, ``sw_in_last`` and
-    ``sw_out_last``.  Each write lands in ``writes`` (slot -> last
-    value) even when it stores the value already there: a replay applies
-    the written slots, not a before/after diff, so it reproduces the
-    write from whatever arbiter state the network holds at the time.  A
-    read of a slot not yet written lands in ``reads`` with the value it
-    saw; arbitrations read a slot only when two or more candidates
-    compete, so these are exactly the reads that steer the period.
-    """
-
-    def __init__(self, values: list[int]) -> None:
-        super().__init__(values)
-        self.writes: dict[int, int] = {}
-        self.reads: dict[int, int] = {}
-
-    def __getitem__(self, index):
-        value = super().__getitem__(index)
-        if index not in self.writes:
-            self.reads.setdefault(index, value)
-        return value
-
-    def __setitem__(self, index, value) -> None:
-        self.writes[index] = value
-        super().__setitem__(index, value)
-
-
-class _Period:
-    """One recorded busy period of a :class:`SoANetwork`."""
-
-    __slots__ = ("steps", "later", "deliveries", "busy_runs", "deltas",
-                 "reads", "writes")
-
-    def __init__(self, steps, later, deliveries, busy_runs, deltas,
-                 logs) -> None:
-        #: Cycles from the first offers to quiescence.
-        self.steps = steps
-        #: ``(offset, src, dst, size_flits)`` of each offer after the
-        #: first cycle, in offer order (a list, as the lookup builds).
-        self.later = later
-        #: ``(packet index, offset)`` per delivery, in delivery order;
-        #: packets are indexed in offer order.
-        self.deliveries = deliveries
-        #: ``(busy_links, cycles)`` runs, in order, for the utilization
-        #: tracker.
-        self.busy_runs = busy_runs
-        #: ``flit_hops``, ``link_traversals``, ``ejected_flits`` deltas.
-        self.deltas = deltas
-        #: ``(array, slot, value)`` per decisive read, the array
-        #: numbered as in :meth:`SoANetwork._arbiter_arrays`.
-        self.reads = tuple((array, index, value)
-                           for array, log in enumerate(logs)
-                           for index, value in log.reads.items())
-        #: Per arbiter array: ``(slot, value)`` per slot written.
-        self.writes = tuple(tuple(log.writes.items()) for log in logs)
 
 
 class SoANetwork(SimKernel):
@@ -167,6 +99,8 @@ class SoANetwork(SimKernel):
     """
 
     _supports_idle_skip = True
+    _replays_periods = True
+    _period_counts = ("flit_hops", "link_traversals", "ejected_flits")
 
     def __init__(self, topology: Topology, num_vcs: int = 2,
                  buffer_depth: int = 8, utilization_interval: int = 100,
@@ -260,14 +194,6 @@ class SoANetwork(SimKernel):
         self._m_hops = obs.metrics.counter(
             "noc.flit_hops", topology=topology.name)
         self._run_hops_base = 0
-        #: Recorded busy periods keyed by their first cycle's
-        #: ``(src, dst, size_flits)`` offers.
-        self._periods: dict[tuple, list[_Period]] = {}
-        #: Offers stored across ``_periods`` (bounded by MEMO_OFFER_CAP).
-        self._memo_offers = 0
-        #: Cycles advanced by replaying one-packet / multi-packet periods.
-        self.solo_cycles_jumped = 0
-        self.period_cycles_jumped = 0
 
     # -- pending-set maintenance ----------------------------------------
 
@@ -378,156 +304,13 @@ class SoANetwork(SimKernel):
         # cycle, so only the kernel-side clock advances.
         self._advance_idle(idle_cycles)
 
-    def _arbiter_arrays(self) -> tuple[list[int], list[int], list[int]]:
+    def _arbiter_arrays(self) -> tuple[list[int], ...]:
+        # At either end of a busy period credits, owners, buffers and the
+        # pending sets hold their reset values; only these carry over.
         return self.vc_last, self.sw_in_last, self.sw_out_last
 
-    def _reads_hold(self, reads: tuple[tuple[int, int, int], ...]) -> bool:
-        arrays = self._arbiter_arrays()
-        return all(arrays[array][index] == value
-                   for array, index, value in reads)
-
-    def _forward_period(self, traffic, offered: list[Packet],
-                        remaining: int, drain_budget: int) -> int:
-        # A recording replays when this period's offers are its offers —
-        # the first cycle's by key, later ones looked up in the trace up
-        # to the period's end or the window's, past which the run loop
-        # offers nothing — and every slot it read decisively still holds
-        # the value it read.  Otherwise the period is stepped and
-        # recorded, while the memo has room.
-        key = tuple([(p.src, p.dst, p.size_flits) for p in offered])
-        horizon = remaining + drain_budget
-        start = self.cycle
-        window_end = start + remaining
-        for period in self._periods.get(key, ()):
-            if period.steps > horizon or (
-                    period.reads and not self._reads_hold(period.reads)):
-                continue
-            until = min(start + period.steps, window_end)
-            if period.later == [
-                    (cycle - start, src, dst, size) for cycle, src, dst, size
-                    in traffic.upcoming(until)]:
-                return self._replay(period, traffic, offered)
-        if self._memo_offers >= MEMO_OFFER_CAP:
-            return 0
-        return self._record(key, traffic, offered, window_end, horizon)
-
-    def _replay(self, period: _Period, traffic,
-                offered: list[Packet]) -> int:
-        start, steps = self.cycle, period.steps
-        packets = list(offered)
-        for packet in packets:
-            self.offer_packet(packet)
-        # Offers and deliveries in cycle order, each after the sampler
-        # ticks of the cycles before it, as stepping would interleave
-        # them; offers precede a same-cycle delivery.
-        sampled = self._sampler is not None
-        later = iter(period.later)
-        nxt = next(later, None)
-        ticked = start
-        for index, offset in period.deliveries:
-            while nxt is not None and nxt[0] <= offset:
-                cycle = start + nxt[0]
-                if sampled:
-                    self._sample_stepped(ticked + 1, cycle)
-                    ticked = cycle
-                for packet in traffic.packets_for_cycle(cycle):
-                    self.offer_packet(packet)
-                    packets.append(packet)
-                    nxt = next(later, None)
-            cycle = start + offset
-            if sampled:
-                self._sample_stepped(ticked + 1, cycle)
-                ticked = cycle
-            packet = packets[index]
-            self._deliver(packet, cycle, f"node{packet.src}")
-        if sampled:
-            self._sample_stepped(ticked + 1, start + steps)
-        for packet in packets:
-            self.source_queues[packet.src].clear()
-        self._waiting_sources.clear()
-        for slots, writes in zip(self._arbiter_arrays(), period.writes):
-            for index, value in writes:
-                slots[index] = value
-        hops, traversals, ejected = period.deltas
-        self.flit_hops += hops
-        self.link_traversals += traversals
-        self.ejected_flits += ejected
-        record = self.utilization.record_cycles
-        for busy, cycles in period.busy_runs:
-            record(busy, cycles)
-        self.cycle = start + steps
-        if len(packets) == 1:
-            self.solo_cycles_jumped += steps
-        else:
-            self.period_cycles_jumped += steps
-        return steps
-
-    def _record(self, key: tuple, traffic, offered: list[Packet],
-                window_end: int, horizon: int) -> int:
-        """Step the period up to ``horizon`` cycles, recording it.
-
-        Offers each trace packet as the run loop would, none from
-        ``window_end`` on.  The period is memoised only if it ends within
-        the horizon and the memo has room for its offers; otherwise the
-        steps taken stand as ordinary stepping.
-        """
-        start = self.cycle
-        room = MEMO_OFFER_CAP - self._memo_offers
-        # Offered packets stay referenced here, so their ids stay unique.
-        packets: list[Packet] = []
-        index: dict[int, int] = {}
-        later: list[tuple[int, int, int, int]] = []
-        deliveries: list[tuple[int, int]] = []
-        busy_runs: list[tuple[int, int]] = []
-
-        sample = self._deliver
-
-        def deliver(packet, cycle, track, **trace_args) -> None:
-            deliveries.append((index[id(packet)], cycle - start))
-            sample(packet, cycle, track, **trace_args)
-
-        logs = tuple(_SlotLog(slots) for slots in self._arbiter_arrays())
-        self.vc_last, self.sw_in_last, self.sw_out_last = logs
-        self._deliver = deliver
-        counts = (self.flit_hops, self.link_traversals, self.ejected_flits)
-        arrivals = offered
-        try:
-            while True:
-                for packet in arrivals:
-                    index[id(packet)] = len(packets)
-                    packets.append(packet)
-                    if self.cycle > start:
-                        later.append((self.cycle - start, packet.src,
-                                      packet.dst, packet.size_flits))
-                    self.offer_packet(packet)
-                before = self.link_traversals
-                self.step()
-                if self.cycle % OFFER_STRIDE == 0:
-                    self._sample_stepped(self.cycle, self.cycle)
-                busy = self.link_traversals - before
-                if busy_runs and busy_runs[-1][0] == busy:
-                    busy_runs[-1] = (busy, busy_runs[-1][1] + 1)
-                else:
-                    busy_runs.append((busy, 1))
-                if (self.quiescent() or self.cycle - start >= horizon
-                        or len(packets) > room):
-                    break
-                arrivals = (traffic.packets_for_cycle(self.cycle)
-                            if self.cycle < window_end else ())
-        finally:
-            del self._deliver
-            self.vc_last, self.sw_in_last, self.sw_out_last = (
-                list(log) for log in logs)
-        steps = self.cycle - start
-        if self.quiescent() and len(packets) <= room:
-            deltas = (self.flit_hops - counts[0],
-                      self.link_traversals - counts[1],
-                      self.ejected_flits - counts[2])
-            self._periods.setdefault(key, []).append(_Period(
-                steps, later, tuple(deliveries), tuple(busy_runs), deltas,
-                logs))
-            self._memo_offers += len(packets)
-        return steps
+    def _set_arbiter_arrays(self, arrays: tuple[list[int], ...]) -> None:
+        self.vc_last, self.sw_in_last, self.sw_out_last = arrays
 
     def _route_stage(self, router: int) -> None:
         pending = self._route_pending.pop(router)
@@ -732,6 +515,10 @@ class SoAFlumenNetwork(SimKernel):
     name = "flumen"
 
     _supports_idle_skip = True
+    _replays_periods = True
+    _period_counts = ("flit_hops", "link_traversals", "reconfigurations",
+                      "arbiter_conflicts")
+    _period_metrics = ("_m_reconfig", "_m_conflicts", "_m_overflow")
 
     def __init__(self, nodes: int,
                  reconfig_cycles: int = DEFAULT_RECONFIG_CYCLES,
@@ -756,7 +543,11 @@ class SoAFlumenNetwork(SimKernel):
         self.request_buffer_capacity = request_buffer_capacity
         self.pipelined_setup = pipelined_setup
         self.arbitration = arbitration
-        self._sequential_rr = 0
+        #: Sequential arbitration's rotating priority, one slot.
+        self._sequential_rr = [0]
+        #: The wavefront diagonal as of a busy period's start, one slot
+        #: that a contested allocation reads (see :meth:`_arbiter_arrays`).
+        self._diagonal = [0]
         self.request_buffers: list[deque[Packet]] = [
             deque() for _ in range(nodes)]
         self._overflow: list[deque[Packet]] = [deque() for _ in range(nodes)]
@@ -909,6 +700,27 @@ class SoAFlumenNetwork(SimKernel):
         if self.arbitration == "wavefront":
             self._arbiter.rotate(cycles)
 
+    def _arbiter_arrays(self) -> tuple[list[int], ...]:
+        # The diagonal turns once per cycle, busy or idle, so a period
+        # carries it as a rotation (_carry_period); its outcome depends
+        # on it only through a contested allocation, which reads it as of
+        # the period's start.
+        return self._sequential_rr, [self._arbiter._priority]
+
+    def _set_arbiter_arrays(self, arrays: tuple[list[int], ...]) -> None:
+        self._sequential_rr, self._diagonal = arrays
+
+    def _carry_period(self, cycles: int) -> None:
+        if self.arbitration == "wavefront":
+            self._arbiter.rotate(cycles)
+
+    def _can_replay(self) -> bool:
+        # Blocked ports and detours are scheduler state no recording
+        # keys on.  Reconfiguration and conflict counters move mid-period,
+        # where a replay cannot place them between sampler snapshots.
+        return (not self.blocked_ports and not self.reroute_penalties
+                and self._sampler is None)
+
     def _activate(self, src: int, packet: Packet, setup: int,
                   grant_cycle: int) -> None:
         self._packets[src] = packet
@@ -1006,13 +818,24 @@ class SoAFlumenNetwork(SimKernel):
             if self.arbitration == "wavefront":
                 self._arbiter.rotate()
             return
+        # A lone request wins without reading the rotation state; a
+        # contested one reads it (period recording logs the read).
         if self.arbitration == "wavefront":
+            if len(pairs) > 1:
+                # The allocator reads the diagonal itself; this read of
+                # its period-start slot is the one a recording logs (a
+                # _SlotLog while recording, an unused list otherwise).
+                self._diagonal[0]
             grants = self._arbiter.allocate_sparse(pairs)
         else:  # sequential: one grant per cycle, rotating priority
-            rr, n = self._sequential_rr, self.nodes
-            src, dst = min(pairs, key=lambda ij: (ij[0] - rr) % n)
+            n = self.nodes
+            if len(pairs) == 1:
+                src, dst = pairs[0]
+            else:
+                rr = self._sequential_rr[0]
+                src, dst = min(pairs, key=lambda ij: (ij[0] - rr) % n)
             grants = [(src, dst)]
-            self._sequential_rr = (src + 1) % n
+            self._sequential_rr[0] = (src + 1) % n
         conflicts = len(pairs) - len(grants)
         if conflicts > 0:
             self.arbiter_conflicts += conflicts
@@ -1061,6 +884,7 @@ class SoAOptBusNetwork(SimKernel):
     name = "optbus"
 
     _supports_idle_skip = True
+    _replays_periods = True
 
     def __init__(self, nodes: int, arbitration_delay: int = 4,
                  propagation_delay: int = 2,
@@ -1140,6 +964,14 @@ class SoAOptBusNetwork(SimKernel):
     def _skip_idle(self, idle_cycles: int) -> None:
         # Idle bus cycles move no arbiter or circuit state.
         self._advance_idle(idle_cycles)
+
+    def _arbiter_arrays(self) -> tuple[list[int], ...]:
+        # A quiescent bus holds no circuit; only the round-robin state
+        # carries over from one busy period to the next.
+        return (self._bus_last,)
+
+    def _set_arbiter_arrays(self, arrays: tuple[list[int], ...]) -> None:
+        (self._bus_last,) = arrays
 
     def quiescent(self) -> bool:
         return not self._waiting_sources and not self._active_buses

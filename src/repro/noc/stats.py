@@ -43,6 +43,23 @@ class LatencyStats:
             self.measured += 1
             self.measured_flits += size_flits
 
+    def record_many(self, create_cycles: np.ndarray,
+                    latencies: np.ndarray, sizes: np.ndarray) -> None:
+        """:meth:`record` for many packets at once (int64 arrays), with
+        one add per distinct latency."""
+        self.received += len(create_cycles)
+        self.received_flits += int(sizes.sum())
+        if self.warmup_cycles > 0:
+            measured = create_cycles >= self.warmup_cycles
+            latencies, sizes = latencies[measured], sizes[measured]
+        self.measured += len(latencies)
+        self.measured_flits += int(sizes.sum())
+        counts = np.bincount(latencies)
+        values = np.flatnonzero(counts)
+        histogram = self.histogram
+        for value, count in zip(values.tolist(), counts[values].tolist()):
+            histogram[value] = histogram.get(value, 0) + count
+
     @property
     def average(self) -> float:
         # One rounding of an exact sum (< 2**53), as ``np.mean`` does.
@@ -143,6 +160,48 @@ class UtilizationTracker:
             cycles -= chunk
             if self._cycle_in_interval == self.interval_cycles:
                 self._flush()
+
+    def record_segments(self, busy_links: np.ndarray,
+                        cycles: np.ndarray) -> None:
+        """:meth:`record_cycles` once per ``(busy_links[i], cycles[i])``
+        segment, in order, over integer arrays.
+
+        Interval sums are exact integers, so the same fractions land on
+        the timeline and ``on_flush`` fires as often, in the same order.
+        Raises before recording anything if a segment's busy count
+        exceeds the links.
+        """
+        busy_links = np.asarray(busy_links, dtype=np.int64)
+        cycles = np.asarray(cycles, dtype=np.int64)
+        if busy_links.size and int(busy_links.max()) > self.num_links:
+            raise ValueError(
+                f"{int(busy_links.max())} busy links exceeds "
+                f"{self.num_links}")
+        interval = self.interval_cycles
+        # Cycle position and busy-link total at each segment boundary,
+        # counted from the open interval's start.
+        at = np.concatenate(([self._cycle_in_interval],
+                             self._cycle_in_interval + np.cumsum(cycles)))
+        weight = np.concatenate(([self._busy_in_interval],
+                                 self._busy_in_interval
+                                 + np.cumsum(busy_links * cycles)))
+        closed = int(at[-1]) // interval
+        if closed:
+            # Busy total at each interval boundary: the segment holding
+            # it contributes pro rata (the boundary is a whole cycle).
+            bounds = np.arange(1, closed + 1, dtype=np.int64) * interval
+            seg = np.searchsorted(at, bounds, side="right") - 1
+            seg = np.minimum(seg, len(cycles) - 1)
+            totals = weight[seg] + busy_links[seg] * (bounds - at[seg])
+            sums = np.diff(np.concatenate(([0], totals))).tolist()
+            for total in sums:
+                self._busy_in_interval = total
+                self._cycle_in_interval = interval
+                self._flush()
+            self._busy_in_interval = int(weight[-1] - totals[-1])
+        else:
+            self._busy_in_interval = int(weight[-1])
+        self._cycle_in_interval = int(at[-1]) - closed * interval
 
     def _flush(self) -> None:
         if self._cycle_in_interval and self.num_links:

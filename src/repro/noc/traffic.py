@@ -227,28 +227,43 @@ class TracePlayback:
     """Replays an explicit list of (cycle, src, dst, size) events.
 
     Used by the full-system model to drive the NoP with workload-derived
-    traffic instead of a synthetic pattern.
+    traffic instead of a synthetic pattern.  ``events`` is a sequence of
+    ``(cycle, src, dst, size)`` tuples or an ``(n, 4)`` integer array;
+    either way the trace plays them in ``sorted(events)`` order, held as
+    int64 columns (:attr:`cycles`, :attr:`srcs`, :attr:`dsts`,
+    :attr:`sizes`) that the kernel's bulk playback reads.
     """
 
-    def __init__(self, events: list[tuple[int, int, int, int]],
-                 traffic_class: str = "data") -> None:
-        self.events = sorted(events)
+    def __init__(self, events, traffic_class: str = "data") -> None:
+        table = np.asarray(events, dtype=np.int64).reshape(-1, 4)
+        # Tuple order: cycle first, ties broken by src, dst, then size.
+        order = np.lexsort(table.T[::-1])
+        self.cycles, self.srcs, self.dsts, self.sizes = table[order].T
+        # Scalar access from Python lists beats ndarray indexing.
+        self._events = list(zip(*(column.tolist() for column in
+                                  (self.cycles, self.srcs, self.dsts,
+                                   self.sizes))))
         self.traffic_class = traffic_class
         self._pos = 0
         self.generated = 0
+        self._keys = None  # key_ids(), built on first use
+
+    def __len__(self) -> int:
+        return len(self._events)
 
     def packets_for_cycle(self, cycle: int) -> list[Packet]:
         created: list[Packet] = []
-        while self._pos < len(self.events) \
-                and self.events[self._pos][0] <= cycle:
-            _, src, dst, size = self.events[self._pos]
-            self._pos += 1
+        events, pos = self._events, self._pos
+        while pos < len(events) and events[pos][0] <= cycle:
+            _, src, dst, size = events[pos]
+            pos += 1
             if src == dst:
                 continue
             created.append(Packet(src=src, dst=dst, size_flits=size,
                                   create_cycle=cycle,
                                   traffic_class=self.traffic_class))
-            self.generated += 1
+        self.generated += len(created)
+        self._pos = pos
         return created
 
     def next_event_cycle(self, cycle: int) -> int | None:
@@ -261,9 +276,9 @@ class TracePlayback:
         The ``cycle`` argument is the caller's current cycle; all events
         at or before it have already been played.
         """
-        if self._pos >= len(self.events):
+        if self._pos >= len(self._events):
             return None
-        return self.events[self._pos][0]
+        return self._events[self._pos][0]
 
     def upcoming(self, until_cycle: int) -> list[tuple[int, int, int, int]]:
         """Unplayed events before ``until_cycle`` that become packets.
@@ -273,7 +288,7 @@ class TracePlayback:
         with self-traffic dropped as it drops it.
         """
         found = []
-        events, pos = self.events, self._pos
+        events, pos = self._events, self._pos
         while pos < len(events) and events[pos][0] < until_cycle:
             event = events[pos]
             if event[1] != event[2]:
@@ -281,6 +296,22 @@ class TracePlayback:
             pos += 1
         return found
 
+    def key_ids(self) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+        """The trace's distinct ``(src, dst, size)`` keys, and each
+        event's index into them (computed once)."""
+        if self._keys is None:
+            table = np.stack([self.srcs, self.dsts, self.sizes], axis=1)
+            keys, ids = np.unique(table, axis=0, return_inverse=True)
+            self._keys = ([tuple(key) for key in keys.tolist()],
+                          ids.reshape(-1))
+        return self._keys
+
+    def skip_played(self, count: int) -> None:
+        """Mark the next ``count`` events played, as if each had become a
+        packet; the caller vouches that none is self-traffic."""
+        self._pos += count
+        self.generated += count
+
     @property
     def exhausted(self) -> bool:
-        return self._pos >= len(self.events)
+        return self._pos >= len(self._events)

@@ -113,6 +113,32 @@ class Histogram:
         if value > self.max_seen:
             self.max_seen = value
 
+    def observe_many(self, values, counts) -> None:
+        """``observe(values[i])`` repeated ``counts[i]`` times, in order.
+
+        Equal to the repeated calls exactly, the float ``total``
+        included: a run of integer-valued additions is summed in one
+        step while every partial sum stays exact, else added one by one.
+        """
+        bounds, buckets = self.bounds, self.bucket_counts
+        for value, count in zip(values, counts):
+            if count <= 0:
+                continue
+            buckets[bisect.bisect_left(bounds, value)] += count
+            self.count += count
+            total = self.total
+            if (float(value).is_integer() and total.is_integer()
+                    and abs(total) + abs(value) * count <= 2 ** 53):
+                self.total = total + value * count
+            else:
+                for _ in range(count):
+                    total += value
+                self.total = total
+            if value < self.min_seen:
+                self.min_seen = value
+            if value > self.max_seen:
+                self.max_seen = value
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -245,6 +271,9 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values, counts) -> None:
         pass
 
     @contextmanager

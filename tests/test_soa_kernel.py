@@ -19,15 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.arbiter import RoundRobinArbiter, WavefrontArbiter, rr_sparse
+from repro.noc import kernel as kernel_module
 from repro.noc.kernel import SimKernel
 from repro.noc.registry import TOPOLOGIES
 from repro.noc.simulation import make_network
 from repro.noc import soa as soa_module
-from repro.noc.soa import SoANetwork
+from repro.noc.soa import SoAFlumenNetwork, SoANetwork, SoAOptBusNetwork
 from repro.noc.stats import UtilizationTracker
 from repro.noc.topology import make_topology
 from repro.noc.traffic import TracePlayback, TrafficGenerator
-from repro.obs import Obs
+from repro.obs import MetricsRegistry, Obs
 from tests.reference_arbiter import dense_allocate
 from tests.reference_noc import (
     ORACLES,
@@ -39,6 +40,7 @@ from tests.reference_noc import (
 BACKENDS = list(TOPOLOGIES.names())
 
 _kernel_deliver = SimKernel._deliver
+_kernel_deliver_run = SimKernel._deliver_run
 
 
 def _recording_deliver(self, packet, delivered_cycle, track, **trace_args):
@@ -49,12 +51,21 @@ def _recording_deliver(self, packet, delivered_cycle, track, **trace_args):
     _kernel_deliver(self, packet, delivered_cycle, track, **trace_args)
 
 
+def _recording_deliver_run(self, srcs, dsts, created, delivered, sizes):
+    """``SimKernel._deliver_run`` logging as :func:`_recording_deliver`."""
+    vars(self).setdefault("deliveries", []).extend(zip(
+        srcs.tolist(), dsts.tolist(), created.tolist(), delivered.tolist()))
+    _kernel_deliver_run(self, srcs, dsts, created, delivered, sizes)
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _record_deliveries():
-    # Patched on the class: the SoA busy-period recorder wraps an
-    # instance's ``_deliver`` and deletes its own wrapper afterwards.
+    # Patched on the class: the busy-period recorder wraps an instance's
+    # ``_deliver`` and deletes its own wrapper afterwards.  A bulk run of
+    # lone packets delivers them all through ``_deliver_run``.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SimKernel, "_deliver", _recording_deliver)
+        patch.setattr(SimKernel, "_deliver_run", _recording_deliver_run)
         yield
 
 
@@ -270,6 +281,43 @@ def test_record_idle_cycles_equals_repeated_zero_cycles():
         [("s",) + f[1:] for f in flushes if f[0] == "k"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(interval=st.integers(min_value=1, max_value=9),
+       lead=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5)),
+                     max_size=4),
+       segments=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 25)),
+                         max_size=20))
+def test_record_segments_equals_repeated_record_cycles(interval, lead,
+                                                       segments):
+    # Bulk runs hand the tracker arrays of (busy, cycles) segments; the
+    # timeline and flush calls must match one record_cycles per segment,
+    # from whatever partial interval earlier cycles left open.
+    flushes = {"s": [], "k": []}
+    trackers = {}
+    for kind in flushes:
+        tracker = UtilizationTracker(num_links=6, interval_cycles=interval)
+        tracker.on_flush = (lambda i, f, kind=kind:
+                            flushes[kind].append((i, f)))
+        for busy, cycles in lead:
+            tracker.record_cycles(busy, cycles)
+        trackers[kind] = tracker
+    for busy, cycles in segments:
+        trackers["s"].record_cycles(busy, cycles)
+    trackers["k"].record_segments(
+        np.array([b for b, _ in segments], dtype=np.int64),
+        np.array([c for _, c in segments], dtype=np.int64))
+    stepped, bulk = trackers["s"], trackers["k"]
+    assert bulk.timeline == stepped.timeline
+    assert flushes["k"] == flushes["s"]
+    assert (bulk._busy_in_interval, bulk._cycle_in_interval) == \
+        (stepped._busy_in_interval, stepped._cycle_in_interval)
+    stepped.finish()
+    bulk.finish()
+    assert bulk.to_dict() == stepped.to_dict()
+    with pytest.raises(ValueError, match="busy links exceeds"):
+        bulk.record_segments(np.array([7]), np.array([1]))
+
+
 def test_trace_playback_next_event_cycle():
     trace = TracePlayback([(5, 0, 1, 2), (9, 2, 3, 1)])
     assert trace.next_event_cycle(0) == 5
@@ -281,22 +329,54 @@ def test_trace_playback_next_event_cycle():
 
 # -- solo-packet fast-forward ----------------------------------------------
 #
-# A packet offered alone to a quiescent ring or mesh is stepped once per
+# A packet offered alone to a quiescent network is stepped once per
 # (src, dst, size) key while recorded, and every later lone packet with
-# that key replays the recording.  Each corpus below runs the SoA twin
-# (which takes the solo path) against the per-object oracle (which steps
-# every cycle) and demands exact equality, arbiter state included.
+# that key replays the recording — one by one, or as part of a bulk run
+# of lone packets.  Each corpus below runs two SoA twins, one taking bulk
+# runs from a single event up and one declining them, against the
+# per-object oracle (which steps every cycle) and demands exact equality,
+# arbiter state included.
 
 ROUTED = ["mesh", "ring"]
 
+#: Solo/period corpus variants: name -> (topology, network kwargs).  The
+#: Flumen crossbar runs with both arbiters and both setup modes.
+VARIANTS = {
+    "mesh": ("mesh", {}),
+    "ring": ("ring", {}),
+    "optbus": ("optbus", {}),
+    "flumen": ("flumen", {}),
+    "flumen_sequential": ("flumen", {"arbitration": "sequential"}),
+    "flumen_serial_setup": ("flumen", {"pipelined_setup": False}),
+    "flumen_sequential_serial_setup": (
+        "flumen", {"arbitration": "sequential", "pipelined_setup": False}),
+}
+SOA_VARIANTS = list(VARIANTS)
+CROSSBARS = [v for v in SOA_VARIANTS if v not in ROUTED]
+
+
+@pytest.fixture(autouse=True)
+def _bulk_from_one_event(monkeypatch):
+    # Production takes a bulk run from BULK_MIN_EVENTS lone packets on;
+    # the corpora are short, so every run of one or more goes bulk here.
+    monkeypatch.setattr(kernel_module, "BULK_MIN_EVENTS", 1)
+
 
 def _arbiter_starts(net) -> list[int]:
-    """Every router arbiter's next scan start, in the oracle's terms.
+    """Every arbiter's next scan start (router networks, in the oracle's
+    terms) or rotation state (bus and crossbar), comparable across twins.
 
     The SoA twin sizes each router's arbiters for the widest router, so
     a narrower router stores an equivalent rotation index in a wider
     space; the first line each arbiter scans next compares exactly.
     """
+    if hasattr(net, "arbitration"):
+        rr = net._sequential_rr
+        return [net._arbiter._priority, rr[0] if isinstance(rr, list) else rr]
+    if hasattr(net, "_bus_last"):
+        return list(net._bus_last)
+    if hasattr(net, "_arbiters"):
+        return [arbiter._last for arbiter in net._arbiters]
     starts: list[int] = []
     if hasattr(net, "routers"):
         for router in net.routers:
@@ -321,44 +401,53 @@ def _arbiter_starts(net) -> list[int]:
     return starts
 
 
-def _oracle_pair(topology, runs, max_drain_cycles=30_000):
-    """Run oracle and SoA twin through ``runs``; return the SoA twin.
+def _oracle_pair(variant, runs, max_drain_cycles=30_000):
+    """Run the oracle and two SoA twins through ``runs``; return the twin
+    that takes bulk runs.
 
-    Each run is ``(events, cycles)``, drained, on the same two networks;
-    event cycles count from the cycle the run starts at.
+    Each run is ``(events, cycles)``, drained, on the same networks;
+    event cycles count from the cycle the run starts at.  The second twin
+    declines every bulk run, so its lone packets replay one by one.
     """
-    nets = [make_oracle(topology, 16), make_network(topology, 16)]
-    for net in nets:
+    topology, kwargs = VARIANTS[variant]
+    oracle = make_oracle(topology, 16, **kwargs)
+    soa, stepwise = (make_network(topology, 16, **kwargs) for _ in "ab")
+    stepwise._play_lone_run = lambda traffic, remaining: 0
+    for net in (oracle, soa, stepwise):
         for events, cycles in runs:
             trace = [(net.cycle + t, *rest) for t, *rest in events]
             net.run(TracePlayback(trace), cycles=cycles, drain=True,
                     max_drain_cycles=max_drain_cycles)
-    oracle, soa = nets
-    assert _summary(soa) == _summary(oracle)
-    assert soa.ejected_flits == oracle.ejected_flits
-    assert _arbiter_starts(soa) == _arbiter_starts(oracle)
+    for twin in (soa, stepwise):
+        assert _summary(twin) == _summary(oracle)
+        assert getattr(twin, "ejected_flits", None) == \
+            getattr(oracle, "ejected_flits", None)
+        assert _arbiter_starts(twin) == _arbiter_starts(oracle)
+    assert (soa.solo_cycles_jumped, soa.period_cycles_jumped) == \
+        (stepwise.solo_cycles_jumped, stepwise.period_cycles_jumped)
     return soa
 
 
-def _solo_pair(topology, events, cycles, max_drain_cycles=30_000):
-    """Run oracle and SoA twin on one trace; return the SoA twin."""
-    return _oracle_pair(topology, [(events, cycles)], max_drain_cycles)
+def _solo_pair(variant, events, cycles, max_drain_cycles=30_000):
+    """Run oracle and SoA twins on one trace; return the bulk twin."""
+    return _oracle_pair(variant, [(events, cycles)], max_drain_cycles)
 
 
-def _replayed_cycles(events, deliveries) -> int:
+def _replayed_cycles(events, deliveries, lag=0) -> int:
     """Cycles a solo replay covers: every repeat of a key, delivered alone.
 
     Valid for traces whose packets all travel alone, so ``deliveries``
     (a network's recorded log) follow the sorted trace: the first packet
     of each key is stepped (and recorded); each later one takes
-    ``latency + 1`` cycles from offer to delivery.
+    ``latency + 1 - lag`` cycles from offer to quiescence, ``lag`` being
+    the propagation delay a bus or crossbar stamps after its last step.
     """
     seen: set[tuple[int, int, int]] = set()
     total = 0
     for (_, src, dst, size), (*_, created, delivered) in zip(sorted(events),
                                                            deliveries):
         if (src, dst, size) in seen:
-            total += delivered - created + 1
+            total += delivered - created + 1 - lag
         seen.add((src, dst, size))
     return total
 
@@ -366,15 +455,15 @@ def _replayed_cycles(events, deliveries) -> int:
 _SOLO_KEYS = [(0, 15, 3), (5, 10, 1), (12, 3, 5), (0, 15, 3), (7, 6, 2)]
 
 
-@pytest.mark.parametrize("topology", ROUTED)
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
 def test_solo_packets_replay_exactly(topology):
     events = [(i * 70, *_SOLO_KEYS[i % len(_SOLO_KEYS)]) for i in range(20)]
     soa = _solo_pair(topology, events, cycles=20 * 70)
     assert soa.solo_cycles_jumped == _replayed_cycles(
-        events, soa.deliveries) > 0
+        events, soa.deliveries, getattr(soa, "propagation_delay", 0)) > 0
 
 
-@pytest.mark.parametrize("topology", ROUTED)
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
 def test_solo_packet_finishing_in_drain_replays(topology):
     # The last lone packet is offered two cycles before the window ends;
     # its replay runs on into the drain phase.
@@ -383,10 +472,11 @@ def test_solo_packet_finishing_in_drain_replays(topology):
     assert soa.cycle > 160
     # Both repeats replay, the one finishing in the drain included.
     assert soa.solo_cycles_jumped == 2 * (soa.cycle - 158) == \
-        _replayed_cycles(events, soa.deliveries)
+        _replayed_cycles(events, soa.deliveries,
+                         getattr(soa, "propagation_delay", 0))
 
 
-@pytest.mark.parametrize("topology", ROUTED)
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
 def test_solo_packet_past_drain_budget_is_stepped(topology):
     # The last lone packet needs more cycles than the window plus the
     # drain budget leave it, so it must not replay: it is stepped until
@@ -398,7 +488,7 @@ def test_solo_packet_past_drain_budget_is_stepped(topology):
     assert soa.cycle == 163
 
 
-@pytest.mark.parametrize("topology", ROUTED)
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
 @pytest.mark.parametrize("events", [
     # contention: two packets offered in the same cycle, every time
     [(i * 60 + 5, 1, 14, 3) for i in range(6)]
@@ -421,7 +511,7 @@ _LONE = (0, 15, 3)
 _BURST = [(1, 15, 3), (4, 15, 3), (0, 11, 2), (5, 15, 1), (3, 14, 2)]
 
 
-@pytest.mark.parametrize("topology", ROUTED)
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
 @pytest.mark.parametrize("prelude", [
     [],
     # The lone key also travels in an opening burst beside a packet
@@ -444,34 +534,36 @@ def test_solo_replay_after_burst_rewrites_arbiter_slots(topology, prelude):
     assert soa.solo_cycles_jumped > 0
 
 
-@pytest.mark.parametrize("topology", ROUTED)
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
 def test_solo_replay_is_invisible_to_telemetry(topology, monkeypatch):
     # The oracle steps idle stretches the twin skips, so it samples at
     # other cycles; compare the twin with its own stepped run instead.
     # Lone packets, recorded and replayed, straddle 64-cycle sample
     # marks, and the last one runs into the drain phase, where the run
-    # loop never samples.
+    # loop never samples.  The sampler keeps bulk runs off; Flumen, whose
+    # reconfiguration counters move mid-period, steps every period.
     events = [(50 + i * 37, *_SOLO_KEYS[i % 3]) for i in range(28)]
     events += [(1111, *_SOLO_KEYS[0]), (1111, 6, 9, 2)]
     events.append((1200 - 3, *_SOLO_KEYS[0]))
+    name, kwargs = VARIANTS[topology]
 
     def run() -> tuple[dict, list, list]:
         obs = Obs.telemetry(snapshot_interval=64)
-        net = make_network(topology, 16, obs=obs)
+        net = make_network(name, 16, obs=obs, **kwargs)
         net.run(TracePlayback(list(events)), cycles=1200, drain=True)
         return (_summary(net), _arbiter_starts(net), obs.sampler.series,
                 obs.metrics.to_dict(), net.solo_cycles_jumped)
 
     *replayed, jumped = run()
-    monkeypatch.setattr(SoANetwork, "_forward_period",
-                        SimKernel._forward_period)
+    for cls in (SoANetwork, SoAFlumenNetwork, SoAOptBusNetwork):
+        monkeypatch.setattr(cls, "_replays_periods", False)
     *stepped, none = run()
     assert replayed == stepped
-    assert jumped > 0 and none == 0
+    assert (jumped > 0) == (name != "flumen") and none == 0
 
 
-@settings(max_examples=15, deadline=None)
-@given(topology=st.sampled_from(ROUTED),
+@settings(max_examples=25, deadline=None)
+@given(topology=st.sampled_from(SOA_VARIANTS),
        episodes=st.lists(
            st.tuples(st.integers(min_value=0, max_value=90),
                      st.lists(st.integers(min_value=0, max_value=5),
@@ -628,7 +720,7 @@ def test_period_memo_stops_growing_at_its_cap(topology, monkeypatch):
     # With room for five offers, two recordings of the pair fill four;
     # neither a third pair (two more) nor the staggered burst (four) fits,
     # so every later period that does not replay is stepped, unrecorded.
-    monkeypatch.setattr(soa_module, "MEMO_OFFER_CAP", 5)
+    monkeypatch.setattr(kernel_module, "MEMO_OFFER_CAP", 5)
     events = _periods(_PAIR, range(5, 600, 120))
     events += _periods(_STAGGERED, range(60, 600, 120))
     soa = _solo_pair(topology, events, 640)
@@ -657,15 +749,14 @@ def test_period_replay_is_invisible_to_telemetry(topology, jumped,
                 obs.metrics.to_dict(), net.period_cycles_jumped)
 
     *replayed, jumped_here = run()
-    monkeypatch.setattr(SoANetwork, "_forward_period",
-                        SimKernel._forward_period)
+    monkeypatch.setattr(SoANetwork, "_replays_periods", False)
     *stepped, none = run()
     assert replayed == stepped
     assert jumped_here == jumped and none == 0
 
 
-@settings(max_examples=15, deadline=None)
-@given(topology=st.sampled_from(ROUTED),
+@settings(max_examples=25, deadline=None)
+@given(topology=st.sampled_from(SOA_VARIANTS),
        episodes=st.lists(
            st.tuples(st.integers(min_value=0, max_value=60),
                      st.integers(min_value=0, max_value=3)),
@@ -684,6 +775,414 @@ def test_property_period_interleavings_match_oracle(topology, episodes,
         cycle += gap
         events += _periods(templates[pick], [cycle])
     _solo_pair(topology, events, cycles=cycle + tail)
+
+
+_TRAIN = ([(5 * k, 4, 5, 3) for k in range(10)]
+          + [(5 * k + 2, 12, 3, 2) for k in range(10)])
+
+#: The ring and mesh period corpora above, as ``(events, cycles)``.
+_PERIOD_CORPORA = {
+    "contended_pair": (_periods(_PAIR, range(5, 400, 60)), 400),
+    "staggered": (_periods(_STAGGERED + [(1, 7, 7, 2)], range(0, 400, 80)),
+                  420),
+    "long_train": (_periods(_TRAIN, [0, 200, 400]), 600),
+    "rotated_by_burst": (_periods(_PAIR, [5, 65, 125, 185])
+                         + [(240, 6, 5, 2), (241, 7, 5, 1)]
+                         + _periods(_PAIR, [305, 365]), 440),
+    "crossing_window_end": (_periods(_PAIR, [5, 65, 125, 185, 245, 297]),
+                            300),
+    "cut_by_window_end": (_periods(_STAGGERED, [0, 80, 160, 240, 319]), 320),
+}
+
+#: (cycles jumped by multi-packet replays, recordings) per bus/crossbar
+#: variant, in _PERIOD_CORPORA order.  The wavefront crossbar records a
+#: contended period once per diagonal it starts on, so it replays less
+#: than the sequential arbiter, whose pointer settles.
+_CROSSBAR_JUMPS = {
+    "optbus": [(85, 2), (81, 2), (142, 1), (51, 4), (68, 2), (54, 3)],
+    "flumen": [(45, 4), (92, 1), (106, 1), (30, 5), (30, 4), (69, 2)],
+    "flumen_sequential": [(75, 2), (69, 2), (106, 1), (45, 4), (60, 2),
+                          (46, 3)],
+    "flumen_serial_setup": [(45, 4), (92, 1), (61, 2), (30, 5), (30, 4),
+                            (69, 2)],
+    "flumen_sequential_serial_setup": [(75, 2), (69, 2), (122, 1), (45, 4),
+                                       (60, 2), (46, 3)],
+}
+
+
+@pytest.mark.parametrize("corpus", list(_PERIOD_CORPORA))
+@pytest.mark.parametrize("topology", CROSSBARS)
+def test_period_corpora_replay_on_bus_and_crossbar(topology, corpus):
+    # Each bus and crossbar variant carries its own arbiter state over a
+    # period (the bus round-robin pointers, the sequential pointer, the
+    # wavefront diagonal turning once per cycle) and must replay the
+    # router corpora exactly as its oracle steps them.
+    events, cycles = _PERIOD_CORPORA[corpus]
+    soa = _solo_pair(topology, events, cycles)
+    expected = _CROSSBAR_JUMPS[topology][list(_PERIOD_CORPORA).index(corpus)]
+    assert (soa.period_cycles_jumped, _recordings(soa)) == expected
+
+
+# -- bulk runs of lone packets ------------------------------------------------
+#
+# At a quiescent network the run loop plays the trace's next run of lone
+# packets — each a recorded one-packet period with no decisive read,
+# landing at or after the previous one's end, ending inside the window,
+# with the next event landing at or after its end — in one numpy pass.
+
+def _bulk_spy(monkeypatch) -> list[tuple[str, int, int]]:
+    """Log ``(network, position, events)`` for every bulk run played."""
+    runs: list[tuple[str, int, int]] = []
+    play = kernel_module._LoneRuns.play
+
+    def spy(self, net, pos, count):
+        runs.append((net.name, pos, count))
+        return play(self, net, pos, count)
+
+    monkeypatch.setattr(kernel_module._LoneRuns, "play", spy)
+    return runs
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_lone_request_reads_no_arbiter_state(n):
+    # A lone packet meets no second candidate on any backend: one request
+    # line wins whatever the round-robin pointer, and one crossbar pair
+    # is granted whatever the wavefront diagonal.
+    for last in range(n):
+        for line in range(n):
+            assert rr_sparse([line], last, n) == line
+    arbiter = WavefrontArbiter(n)
+    for priority in range(n):
+        for i in range(n):
+            for j in range(n):
+                arbiter._priority = priority
+                assert arbiter.allocate_sparse([(i, j)]) == [(i, j)]
+                assert arbiter._priority == (priority + 1) % n
+
+
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
+def test_lone_periods_record_no_reads(topology):
+    # ...so every recorded one-packet period is read-free and enters the
+    # bulk table, from whatever arbiter state it was recorded in.
+    keys = [(s, d, z) for s in (0, 5, 12) for d in (3, 9, 15) for z in (1, 4)
+            if s != d]
+    events = [(i * 60, *keys[i % len(keys)]) for i in range(3 * len(keys))]
+    soa = _solo_pair(topology, events, cycles=len(events) * 60)
+    assert set(soa._lone) == set(keys)
+    for key, recorded in soa._periods.items():
+        assert len(key) == 1 and [p.reads for p in recorded] == [()]
+
+
+def _lone_trace(count=60, gap=40):
+    keys = [(0, 15, 3), (5, 10, 1), (12, 3, 5), (7, 6, 2)]
+    return [(i * gap, *keys[i % len(keys)]) for i in range(count)]
+
+
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
+def test_bulk_run_stops_at_shared_and_overlapping_offers(topology,
+                                                         monkeypatch):
+    # A run stops before an event that shares its cycle, and before one
+    # whose period the next offer overlaps; both are played packet by
+    # packet, and the run after them resumes in bulk.
+    runs = _bulk_spy(monkeypatch)
+    events = _lone_trace()
+    shared, overlapped = 30, 41
+    events.append((events[shared][0], 9, 14, 2))
+    events.append((events[overlapped][0] + 1, 1, 2, 1))
+    soa = _solo_pair(topology, events, cycles=60 * 40)
+    played = {pos for _, start, count in runs
+              for pos in range(start, start + count)}
+    trace = sorted(events)
+    blocked = {trace.index(events[shared]), trace.index(events[-2]),
+               trace.index(events[overlapped])}
+    assert not blocked & played
+    assert any(start > max(blocked) for _, start, _ in runs)
+    assert soa.latency.received == len(events)
+
+
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
+def test_bulk_run_leaves_a_period_crossing_into_the_drain(topology,
+                                                          monkeypatch):
+    # The last lone packet lands two cycles before the window closes, so
+    # its period ends in the drain: the run stops short of it and it
+    # replays on its own.
+    runs = _bulk_spy(monkeypatch)
+    events = _lone_trace(count=20) + [(20 * 40 + 1, 0, 15, 3)]
+    soa = _solo_pair(topology, events, cycles=20 * 40 + 3)
+    assert runs and all(pos + count <= 20 for _, pos, count in runs)
+    assert soa.cycle > 20 * 40 + 3 and soa.latency.received == 21
+
+
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
+def test_bulk_run_opens_with_an_idle_gap(topology, monkeypatch):
+    # A second run on the same network meets recorded keys at once: its
+    # first bulk run starts at the run's first cycle, 37 idle cycles
+    # before its first packet, and must account them as idle.
+    runs = _bulk_spy(monkeypatch)
+    later = [(37 + t, *rest) for t, *rest in _lone_trace(count=12)]
+    soa = _oracle_pair(topology, [(_lone_trace(count=12), 12 * 40),
+                                  (later, 13 * 40)])
+    assert runs[-1][1] == 0 and soa.latency.received == 24
+
+
+@pytest.mark.parametrize("topology", ["mesh", "flumen"])
+def test_bulk_run_respects_warmup(topology, monkeypatch):
+    # Packets created before the warmup boundary count as received but
+    # stay out of the latency histogram and the measured totals.
+    runs = _bulk_spy(monkeypatch)
+    events = _lone_trace(count=60)
+    nets = [make_oracle(topology, 16), make_network(topology, 16)]
+    for net in nets:
+        net.run(TracePlayback(list(events)), cycles=60 * 40,
+                warmup=30 * 40 + 7, drain=True)
+    oracle, soa = nets
+    assert any(pos < 31 < pos + count for _, pos, count in runs)
+    assert soa.latency.to_dict() == oracle.latency.to_dict()
+    assert soa.latency.histogram == oracle.latency.histogram
+    assert 0 < soa.latency.measured < soa.latency.received
+
+
+def _play(topology, events, cycles, obs=None, **hooks):
+    name, kwargs = VARIANTS[topology]
+    net = make_network(name, 16, **kwargs, **({"obs": obs} if obs else {}))
+    for hook, args in hooks.items():
+        getattr(net, hook)(*args)
+    net.run(TracePlayback(list(events)), cycles=cycles, drain=True)
+    return net
+
+
+@pytest.mark.parametrize("case", ["blocked_ports", "reroute", "tracer"])
+def test_bulk_runs_decline(case, monkeypatch):
+    # Scheduler state no recording keys on (a blocked port, a detour)
+    # keeps Flumen from replaying at all; a tracer turns every
+    # fast-forward off.
+    runs = _bulk_spy(monkeypatch)
+    events = _lone_trace()
+    hooks = {"blocked_ports": {"block_ports": ({13},)},
+             "reroute": {"reroute_pair": (0, 15, 2)}}.get(case, {})
+    obs = Obs.active() if case == "tracer" else None
+    topologies = ["flumen"] if hooks else SOA_VARIANTS
+    for topology in topologies:
+        name, kwargs = VARIANTS[topology]
+        oracle = make_oracle(name, 16, **kwargs)
+        for hook, args in hooks.items():
+            getattr(oracle, hook)(*args)
+        oracle.run(TracePlayback(list(events)), cycles=60 * 40, drain=True)
+        net = _play(topology, events, 60 * 40, obs=obs, **hooks)
+        assert _summary(net) == _summary(oracle)
+        if hooks:
+            assert net.solo_cycles_jumped == net.period_cycles_jumped == 0
+    assert runs == []
+
+
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
+def test_bulk_run_ticks_the_sampler_as_replay_does(topology, monkeypatch):
+    # A snapshot sampler sees, at each 64-cycle mark inside a period, the
+    # offers and deliveries made before it: bulk runs split their
+    # counters at those marks, so the series equals per-packet replay's
+    # and plain stepping's.  Flumen, whose reconfiguration counters move
+    # mid-period, replays nothing under a sampler.
+    runs = _bulk_spy(monkeypatch)
+    keys = [(0, 15, 3), (5, 10, 1), (12, 3, 5), (7, 6, 2)]
+    events = [(i * 29 + i % 5, *keys[i % 4]) for i in range(90)]
+    name, kwargs = VARIANTS[topology]
+
+    def run() -> tuple:
+        obs = Obs.telemetry(snapshot_interval=64)
+        net = make_network(name, 16, obs=obs, **kwargs)
+        net.run(TracePlayback(list(events)), cycles=90 * 29, drain=True)
+        return (_summary(net), _arbiter_starts(net), obs.sampler.series,
+                obs.metrics.to_dict())
+
+    bulk = run()
+    assert bool(runs) == (name != "flumen")
+    monkeypatch.setattr(SimKernel, "_play_lone_run",
+                        lambda self, traffic, remaining: 0)
+    stepwise = run()
+    for cls in (SoANetwork, SoAFlumenNetwork, SoAOptBusNetwork):
+        monkeypatch.setattr(cls, "_replays_periods", False)
+    stepped = run()
+    assert bulk == stepwise == stepped
+    assert len(bulk[2]) > 5
+
+
+def test_bulk_runs_take_every_backend_past_the_default_length(monkeypatch):
+    # At the production threshold a long lone-packet trace still goes
+    # bulk on every backend, and matches the oracle.
+    monkeypatch.setattr(kernel_module, "BULK_MIN_EVENTS", 16)
+    runs = _bulk_spy(monkeypatch)
+    for topology in SOA_VARIANTS:
+        _solo_pair(topology, _lone_trace(count=80), cycles=80 * 40)
+    assert {name for name, _, _ in runs} == {"mesh", "ring", "optbus",
+                                              "flumen"}
+    assert all(count >= 16 for _, _, count in runs)
+
+
+@pytest.mark.parametrize("topology", SOA_VARIANTS)
+def test_bulk_runs_keep_metrics_exact(topology, monkeypatch):
+    # With a live registry (no sampler), a bulk run's counters and
+    # latency histogram equal per-packet replay's, and the oracle's.
+    runs = _bulk_spy(monkeypatch)
+    events = _lone_trace()
+    name, kwargs = VARIANTS[topology]
+    oracle_obs = Obs(metrics=MetricsRegistry())
+    oracle = make_oracle(name, 16, obs=oracle_obs, **kwargs)
+    oracle.run(TracePlayback(list(events)), cycles=60 * 40, drain=True)
+    bulk_obs = Obs(metrics=MetricsRegistry())
+    _play(topology, events, 60 * 40, obs=bulk_obs)
+    assert runs
+    monkeypatch.setattr(SimKernel, "_play_lone_run",
+                        lambda self, traffic, remaining: 0)
+    stepwise_obs = Obs(metrics=MetricsRegistry())
+    _play(topology, events, 60 * 40, obs=stepwise_obs)
+    snapshots = [obs.metrics.to_dict()
+                 for obs in (oracle_obs, bulk_obs, stepwise_obs)]
+    assert snapshots[1] == snapshots[2] == snapshots[0]
+
+
+def _sweep_playbacks() -> list[tuple[str, np.ndarray, int]]:
+    """``(topology, events, window)`` of every ``_simulate_nop`` trace
+    playback in the small system_point grid (the tiny sweep)."""
+    from repro.analysis.tasks import system_point
+    from repro.core.system import SystemModel
+    from repro.workloads import WORKLOAD_NAMES
+
+    playbacks = []
+    simulate = SystemModel._simulate_nop
+
+    def capture(self, pipeline, counts, core_cycles):
+        events, scale = self._traffic_events(counts, int(core_cycles))
+        window = max(1, int(core_cycles) // scale)
+        playbacks.append((pipeline.topology, events, window))
+        return simulate(self, pipeline, counts, core_cycles)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SystemModel, "_simulate_nop", capture)
+        for workload in WORKLOAD_NAMES:
+            for configuration in ("ring", "mesh", "optbus", "flumen_i"):
+                system_point({"workload": workload,
+                              "configuration": configuration,
+                              "shapes": "small"}, 17)
+    return playbacks
+
+
+def test_bulk_runs_equal_per_packet_replay_on_sweep_playbacks(monkeypatch):
+    from repro.noc import packet as packet_module
+
+    runs = _bulk_spy(monkeypatch)
+    playbacks = _sweep_playbacks()
+    assert len(playbacks) == 20
+    runs.clear()
+
+    def play(topology, events, window):
+        packet_module.reset_packet_ids()
+        net = make_network(topology, 16)
+        trace = TracePlayback(events)
+        net.run(trace, cycles=window, drain=True, max_drain_cycles=20_000)
+        return (net.result("trace", 0.0).to_dict(), _arbiter_starts(net),
+                net.solo_cycles_jumped, net.period_cycles_jumped,
+                packet_module.Packet(0, 1, 1, 0).packet_id,
+                trace._pos, trace.generated)
+
+    bulk = [play(*playback) for playback in playbacks]
+    assert len({name for name, _, _ in runs}) == 4
+    monkeypatch.setattr(SimKernel, "_play_lone_run",
+                        lambda self, traffic, remaining: 0)
+    runs.clear()
+    stepwise = [play(*playback) for playback in playbacks]
+    assert runs == []
+    assert bulk == stepwise
+
+
+def _reference_traffic_events(nodes, packets, window):
+    """The NoP trace as the per-packet loop built it (tuple list)."""
+    from repro.core.system import MEMORY_CONTROLLERS
+
+    events = []
+    for i in range(packets):
+        cycle = (i * window) // max(packets, 1)
+        mc = MEMORY_CONTROLLERS[i % len(MEMORY_CONTROLLERS)]
+        consumer = (i * 7) % nodes
+        if consumer == mc:
+            consumer = (consumer + 1) % nodes
+        events.append((cycle, mc, consumer, 3))
+    return events
+
+
+def _reference_cosim_events(nodes, packets, window):
+    """The co-simulation trace as the per-packet loop built it."""
+    free = [n for n in range(nodes // 2, nodes)]
+    events = []
+    for i in range(packets):
+        cycle = (i * window) // max(packets, 1)
+        mc = free[0] if i % 2 else free[len(free) // 2]
+        if i % 7 == 0:
+            consumer = (i * 5) % (nodes // 2)
+        else:
+            consumer = free[(i * 3) % len(free)]
+        if consumer == mc:
+            consumer = free[-1]
+        events.append((cycle, mc, consumer, 3))
+    return events
+
+
+def _columns(trace: TracePlayback) -> list[tuple[int, int, int, int]]:
+    return list(zip(*(col.tolist() for col in (
+        trace.cycles, trace.srcs, trace.dsts, trace.sizes))))
+
+
+@pytest.mark.parametrize("shapes", ["small", "paper"])
+def test_trace_columns_equal_the_tuple_lists(shapes, monkeypatch):
+    # Both system traces are built with numpy; every sweep point's
+    # columns, in play order, must equal sorted() of the tuple list the
+    # per-packet loops built.
+    from repro.analysis.tasks import system_point
+    from repro.core.pipelines import configuration_names
+    from repro.core.system import SystemModel
+    from repro.workloads import WORKLOAD_NAMES
+
+    checked = []
+    traffic_events = SystemModel._traffic_events
+    cosim_events = SystemModel._cosim_events
+
+    def check_traffic(self, counts, spread_cycles, extra_packets=0):
+        events, scale = traffic_events(self, counts, spread_cycles,
+                                       extra_packets)
+        packets = (counts.dram_accesses + extra_packets) // scale
+        window = max(1, spread_cycles // scale)
+        reference = _reference_traffic_events(self.nodes, packets, window)
+        assert _columns(TracePlayback(events)) == sorted(reference)
+        assert _columns(TracePlayback(reference)) == sorted(reference)
+        checked.append("nop")
+        return events, scale
+
+    def check_cosim(self, packets, window, size):
+        events = cosim_events(self, packets, window, size)
+        reference = _reference_cosim_events(self.nodes, packets, window)
+        assert _columns(TracePlayback(events)) == sorted(reference)
+        checked.append("cosim")
+        return events
+
+    monkeypatch.setattr(SystemModel, "_traffic_events", check_traffic)
+    monkeypatch.setattr(SystemModel, "_cosim_events", check_cosim)
+    for workload in WORKLOAD_NAMES:
+        for configuration in configuration_names():
+            system_point({"workload": workload,
+                          "configuration": configuration,
+                          "shapes": shapes}, 0)
+    assert checked.count("nop") == 20 and checked.count("cosim") == 5
+
+
+def test_trace_playback_orders_ties_like_sorted():
+    events = [(3, 2, 1, 4), (3, 1, 9, 2), (0, 5, 4, 1), (3, 1, 9, 1),
+              (3, 1, 2, 7)]
+    trace = TracePlayback(np.array(events))
+    assert _columns(trace) == sorted(events)
+    assert trace.upcoming(4) == sorted(events)
+    assert [(p.src, p.dst, p.size_flits)
+            for p in trace.packets_for_cycle(3)] == [
+        (5, 4, 1), (1, 2, 7), (1, 9, 1), (1, 9, 2), (2, 1, 4)]
+    assert trace.exhausted and trace.generated == 5
 
 
 # -- construction-time validation and drain reporting ----------------------

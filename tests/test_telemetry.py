@@ -13,6 +13,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.analysis.engine import PointSpec, ResultCache, SweepEngine
@@ -43,6 +45,7 @@ from repro.obs import (
     write_metrics_jsonl,
     write_telemetry_dir,
 )
+from repro.obs.metrics import NULL_INSTRUMENT
 
 
 def write_obs_telemetry(root, obs):
@@ -364,6 +367,37 @@ class TestHistogramQuantiles:
         snap = reg.to_dict()["histograms"]["lat"]
         assert {"p50", "p95", "p99"} <= set(snap)
         assert snap["buckets"]["+Inf"] == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(
+        st.tuples(st.one_of(st.integers(-10**6, 10**6),
+                            st.floats(-1e6, 1e6, allow_nan=False),
+                            st.sampled_from([2 ** 52, 2 ** 53 - 1, 0.5])),
+                  st.integers(0, 40)),
+        max_size=12),
+        split=st.integers(0, 12))
+    def test_observe_many_equals_repeated_observe(self, pairs, split):
+        # The bulk path's histogram must be the repeated observes'
+        # exactly: buckets, count, float sum, extremes and exposition.
+        bounds = (1.0, 5.0, 20.0, 1000.0)
+        one, many = MetricsRegistry(), MetricsRegistry()
+        h1 = one.histogram("noc.packet_latency_cycles", bounds=bounds)
+        h2 = many.histogram("noc.packet_latency_cycles", bounds=bounds)
+        for value, count in pairs:
+            for _ in range(count):
+                h1.observe(value)
+        # Two calls, so a second batch meets a non-zero running state.
+        h2.observe_many([v for v, _ in pairs[:split]],
+                        [c for _, c in pairs[:split]])
+        h2.observe_many([v for v, _ in pairs[split:]],
+                        [c for _, c in pairs[split:]])
+        for field in ("bucket_counts", "count", "total", "min_seen",
+                      "max_seen"):
+            assert getattr(h2, field) == getattr(h1, field), field
+        assert repr(h2.total) == repr(h1.total)
+        assert registry_exposition(many) == registry_exposition(one)
+        NULL_INSTRUMENT.observe_many([1], [3])
+        assert NULL_INSTRUMENT.count == 0
 
     def test_gauge_dec(self):
         g = MetricsRegistry().gauge("depth")
