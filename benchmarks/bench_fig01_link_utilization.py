@@ -14,7 +14,8 @@ from repro.analysis.report import format_table
 from repro.core.system import SystemModel
 from repro.noc.simulation import make_network
 from repro.noc.traffic import TracePlayback
-from repro.workloads import ImageBlur, VGG16FC
+from repro.workloads.image_blur import ImageBlur
+from repro.workloads.vgg16_fc import VGG16FC
 
 WAVELENGTH_FLITS = {64: 3, 32: 6, 16: 12}  # flits per 64B line transfer
 PAPER_AVG = {("image_blur", 64): 5.5, ("image_blur", 16): 19.7,

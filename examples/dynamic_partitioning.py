@@ -15,7 +15,8 @@ from repro.config import SchedulerConfig, SystemConfig
 from repro.core.accelerator import BlockMatmul, plan_offload
 from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler
-from repro.noc import TrafficGenerator, make_network
+from repro.noc.simulation import make_network
+from repro.noc.traffic import TrafficGenerator
 
 PHASES = [  # (cycles, offered load) — a bursty application profile
     (600, 0.05),

@@ -15,7 +15,7 @@ from repro.analysis.report import format_table
 from repro.core.accelerator import BlockMatmul, im2col
 from repro.core.system import SystemModel
 from repro.photonics.noise import AnalogMVM
-from repro.workloads import ImageBlur
+from repro.workloads.image_blur import ImageBlur
 
 
 def psnr(reference: np.ndarray, candidate: np.ndarray,

@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.core.accelerator import BlockMatmul
-from repro.workloads import JPEGWorkload, dct_matrix, rgb_to_ycbcr
+from repro.workloads.dct import dct_matrix
+from repro.workloads.jpeg import JPEGWorkload, rgb_to_ycbcr
 
 
 def photonic_dct_fn(mzim_size: int = 8):

@@ -9,12 +9,8 @@ Run:  python examples/network_explorer.py
 """
 
 from repro.analysis.report import ascii_chart, format_table
-from repro.noc import (
-    NetworkEnergyModel,
-    SweepConfig,
-    load_sweep,
-    run_point,
-)
+from repro.noc.energy import NetworkEnergyModel
+from repro.noc.simulation import SweepConfig, load_sweep, run_point
 
 CONFIG = SweepConfig(cycles=2500, warmup=800)
 LOADS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]

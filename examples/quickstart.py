@@ -13,12 +13,9 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.photonics import (
-    FlumenFabric,
-    MZIMComputeModel,
-    program_broadcast,
-    received_power,
-)
+from repro.photonics.compute_energy import MZIMComputeModel
+from repro.photonics.fabric import FlumenFabric
+from repro.photonics.routing import program_broadcast, received_power
 from repro.photonics.render import render_fabric
 
 rng = np.random.default_rng(7)

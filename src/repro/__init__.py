@@ -4,6 +4,13 @@ A full-system reproduction of the ISCA 2023 paper: a dual-purpose photonic
 network-on-package that communicates between chiplets and, when network load
 is low, computes linear algebra inside the interconnect.
 
+Every name has one import path: the module that defines it (for example
+``from repro.photonics.fabric import FlumenFabric``).  The subpackages
+below hold modules, not re-exported APIs; the exceptions are
+``repro.obs`` (``Obs``, ``NULL_OBS``), ``repro.workloads`` (its factory
+table) and ``repro.serve`` (``ServeConfig``, ``ServeDaemon``,
+``ReplicaSet``).
+
 Subpackages
 -----------
 ``repro.photonics``
@@ -24,22 +31,15 @@ Subpackages
 ``repro.workloads``
     The five evaluated applications, with golden NumPy references.
 ``repro.analysis``
-    Speedup/EDP metrics, sweeps, and paper-style report rendering.
+    The sweep engine and its tasks, speedup/EDP metrics, exports, the
+    ``repro perf`` harness and paper-style report rendering.
+``repro.faults``
+    Fault models, injection, the degradation ladder and fault campaigns.
+``repro.obs``
+    Metrics, cycle tracing, the event log, snapshots and telemetry; the
+    HTTP endpoint is :mod:`repro.obs.server`.
+``repro.serve``
+    The long-lived serving daemon and its replica cluster.
 """
 
-from repro.config import (
-    DEFAULT_DEVICES,
-    DEFAULT_SYSTEM,
-    DeviceParams,
-    SystemConfig,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "DEFAULT_DEVICES",
-    "DEFAULT_SYSTEM",
-    "DeviceParams",
-    "SystemConfig",
-    "__version__",
-]

@@ -98,7 +98,7 @@ def _write_telemetry(directory: str, events, snapshots, exposition: str,
     """Write a ``--telemetry-dir`` and report what went into it."""
     from pathlib import Path
 
-    from repro.obs import write_telemetry_dir
+    from repro.obs.telemetry import write_telemetry_dir
 
     paths = write_telemetry_dir(directory, events, snapshots, exposition)
     counts = f"({len(events)} events, {len(snapshots)} snapshots)"
@@ -315,7 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         _write_json(args.out, run.records(), f"{len(run.results)} records")
     if args.telemetry_dir:
-        from repro.obs import prometheus_exposition
+        from repro.obs.telemetry import prometheus_exposition
 
         _write_telemetry(args.telemetry_dir, obs.events.events,
                          obs.sampler.series,
@@ -325,14 +325,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: one daemon, or ``--replicas R`` as a cluster."""
-    from repro.obs import prometheus_exposition
-    from repro.serve import (
-        ClusterTelemetryStore,
-        LiveTelemetryStore,
-        ReplicaSet,
-        ServeConfig,
-        ServeDaemon,
-    )
+    from repro.obs.telemetry import prometheus_exposition
+    from repro.serve.cluster import ClusterTelemetryStore, ReplicaSet
+    from repro.serve.daemon import ServeConfig, ServeDaemon
+    from repro.serve.live import LiveTelemetryStore
 
     try:
         config = ServeConfig(
@@ -399,7 +395,7 @@ def _serve_http(args: argparse.Namespace, store, what: str,
         return body()
     import time
 
-    from repro.obs import TelemetryServer
+    from repro.obs.server import TelemetryServer
 
     server = TelemetryServer(store, host=args.host, port=args.http_port)
     server.start()
@@ -480,15 +476,16 @@ def _serve_check(args: argparse.Namespace, report: dict, events: list,
                  exposition: str, cluster) -> int:
     """The ``serve --check`` validator, single daemon and cluster alike.
 
-    The shared telemetry check (:func:`repro.obs.validate_telemetry`)
-    plus ledger conservation and the drain.  A cluster run on a pool
-    (``--jobs > 1``) is also byte-compared against a sequential oracle
-    re-run.  Logs each problem; returns the exit code.
+    The shared telemetry check
+    (:func:`repro.obs.telemetry.validate_telemetry`) plus ledger
+    conservation and the drain.  A cluster run on a pool (``--jobs > 1``)
+    is also byte-compared against a sequential oracle re-run.  Logs each
+    problem; returns the exit code.
     """
     import json
 
-    from repro.obs import validate_telemetry
-    from repro.serve import ReplicaSet
+    from repro.obs.telemetry import validate_telemetry
+    from repro.serve.cluster import ReplicaSet
 
     problems: list[str] = []
     pooled = cluster is not None and args.jobs > 1
@@ -525,8 +522,12 @@ def _serve_check(args: argparse.Namespace, report: dict, events: list,
 
 
 def _cmd_metrics_server(args: argparse.Namespace) -> int:
-    from repro.obs import TelemetryServer, TelemetryStore, validate_telemetry
-    from repro.obs.telemetry import EVENTS_FILE
+    from repro.obs.server import TelemetryServer
+    from repro.obs.telemetry import (
+        EVENTS_FILE,
+        TelemetryStore,
+        validate_telemetry,
+    )
 
     store = TelemetryStore(args.dir)
     if args.check:
@@ -558,7 +559,7 @@ def _cmd_metrics_server(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs import TelemetryStore, render_top
+    from repro.obs.telemetry import TelemetryStore, render_top
 
     store = TelemetryStore(args.dir)
     frames = args.frames if args.follow else 1
@@ -585,7 +586,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     from repro.analysis.report import format_table
     from repro.analysis.trace import trace_workload
-    from repro.obs import (
+    from repro.obs.export import (
         validate_chrome_trace,
         write_chrome_trace,
         write_metrics_jsonl,

@@ -38,7 +38,7 @@ import os
 import time
 import traceback
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -503,6 +503,9 @@ class SweepEngine:
             yield i, _execute(fn, dict(point.params), seed)
 
     def _evaluate_pool(self, spec: TaskSpec, pending):
+        # Imported here: it loads multiprocessing, which inline runs skip.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {

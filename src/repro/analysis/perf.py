@@ -439,7 +439,7 @@ def _bench_serve_saturation(small: bool) -> dict:
     arrivals, admission, batching, or scheduling shows up as a baseline
     digest mismatch, machine-independently.
     """
-    from repro.serve import ServeConfig, ServeDaemon
+    from repro.serve.daemon import ServeConfig, ServeDaemon
 
     rates = (0.02, 0.06, 0.12) if small else \
         (0.02, 0.04, 0.08, 0.12, 0.20)
@@ -510,7 +510,8 @@ def _bench_serve_cluster(replicas: int, small: bool) -> dict:
     records come from one memoized pair of runs and their digests pin
     ledger, latency quantiles, and per-replica completion counts.
     """
-    from repro.serve import ReplicaSet, ServeConfig
+    from repro.serve.cluster import ReplicaSet
+    from repro.serve.daemon import ServeConfig
 
     runs = _serve_cluster_memo.get(small)
     if runs is None:

@@ -1,8 +1,10 @@
 """Built-in sweep tasks for :mod:`repro.analysis.engine`.
 
 A task is a module-level function ``fn(params, seed) -> metrics`` so it
-can cross the engine's process-pool boundary by name.  The registered
-set covers the repository's standing experiments:
+can cross the engine's process-pool boundary by name.  Each task imports
+the model it runs, so resolving one task (a serve replica, say) does not
+load the others' layers.  The registered set covers the repository's
+standing experiments:
 
 ``system_point``
     One (workload, configuration) cell of the Figures 13-15 system sweep.
@@ -23,7 +25,7 @@ set covers the repository's standing experiments:
     under that architecture's depth/device accounting.
 ``serve_replica``
     One replica of a serve cluster (DESIGN.md §18), run to completion;
-    :class:`~repro.serve.ReplicaSet` maps it over its tenant shards.
+    :class:`~repro.serve.cluster.ReplicaSet` maps it over its tenant shards.
 ``selftest``
     A cheap deterministic task exercised by the engine's own tests and
     the CI smoke job; ``params={"fail": true}`` raises on purpose to
@@ -33,12 +35,14 @@ set covers the repository's standing experiments:
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 from repro.analysis.engine import register_task
 from repro.config import DeviceParams, SchedulerConfig, SystemConfig
 from repro.core.pipelines import CONFIGURATIONS
-from repro.core.system import SystemModel, WorkloadRun
-from repro.multicore.energy import EnergyBreakdown
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.core.system import WorkloadRun
 
 #: Energy components serialized into system-sweep records.
 ENERGY_COMPONENTS = ("core", "l1", "l2", "l3", "dram", "nop", "mzim")
@@ -68,6 +72,9 @@ def run_from_record(record: dict) -> WorkloadRun:
     identical to the evaluated one — cached and fresh sweeps agree to
     the last bit.
     """
+    from repro.core.system import WorkloadRun
+    from repro.multicore.energy import EnergyBreakdown
+
     energy = EnergyBreakdown(**record["energy"])
     return WorkloadRun(
         workload=record["workload"],
@@ -117,6 +124,8 @@ def system_point(params: dict, seed: int) -> dict:
     default, Clements).  The system model draws no random numbers, so
     the seed is unused; a ``traffic_seed`` param only keys the cache.
     """
+    from repro.core.system import SystemModel
+
     # Resolve early so an unknown name fails with the registered list
     # before any simulation work happens.
     configuration = CONFIGURATIONS.get(params["configuration"]).name
@@ -340,11 +349,12 @@ def mesh_comparison(params: dict, seed: int) -> dict:
 def serve_replica(params: dict, seed: int) -> dict:
     """One tenant-sharded serve replica, run to completion.
 
-    Params: the shard's :meth:`~repro.serve.ServeConfig.to_dict` record.
-    The shard config carries the session seed, so the engine-derived
-    seed is unused.  Returns the payload :class:`~repro.serve.ReplicaSet`
-    aggregates: report, event stream, snapshot series, the shard's ledger
-    (counts and exact latency histograms) and its held request count.
+    Params: the shard's :meth:`~repro.serve.daemon.ServeConfig.to_dict`
+    record.  The shard config carries the session seed, so the
+    engine-derived seed is unused.  Returns the payload
+    :class:`~repro.serve.cluster.ReplicaSet` aggregates: report, event
+    stream, snapshot series, the shard's ledger (counts and exact latency
+    histograms) and its held request count.
     """
     from repro.faults.ladder import BackoffPolicy
     from repro.serve.cluster import _run_shard

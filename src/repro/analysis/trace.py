@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 from repro.core.pipelines import CONFIGURATIONS
 from repro.core.system import SystemModel, WorkloadRun
-from repro.obs import LAYERS, Obs, chrome_trace_payload
+from repro.obs import Obs
+from repro.obs.export import chrome_trace_payload
+from repro.obs.tracer import LAYERS
 
 #: Configurations that exercise all five layers in one run.
 DEFAULT_CONFIGURATION = "flumen_a"

@@ -225,8 +225,6 @@ class MZIMControlUnit:
 
     def __init__(self, network: SoAFlumenNetwork,
                  system: SystemConfig | None = None,
-                 matrix_memory_blocks: int = 256,
-                 arbitration_latency_cycles: int = 2,
                  obs: Obs = NULL_OBS) -> None:
         self.network = network
         self.system = system or SystemConfig()
@@ -236,10 +234,7 @@ class MZIMControlUnit:
         #: Single buffer of compute requests per network edge (Figure 8);
         #: we model the merged queue the Partitioner scans.
         self.compute_buffer: deque[ComputeRequest] = deque()
-        self.matrix_memory = MatrixMemory(matrix_memory_blocks)
-        #: Cycles for a request/notification to cross the arbitration
-        #: waveguide.
-        self.arbitration_latency_cycles = arbitration_latency_cycles
+        self.matrix_memory = MatrixMemory()
         self.requests_received = 0
         #: Fabric health monitor (None = always healthy); attached by
         #: :meth:`repro.faults.recovery.FabricRecovery.attach`.

@@ -21,33 +21,3 @@ would be hardened:
     and report ENOB loss, runtime/energy overhead and recovery
     statistics per fault class (``python -m repro faults``).
 """
-
-from repro.faults.injector import FaultDomain, FaultInjector, FaultyMesh
-from repro.faults.ladder import BackoffPolicy, DegradationLadder, Rung
-from repro.faults.models import (
-    FAULTS,
-    DeadLink,
-    FaultEvent,
-    FaultModel,
-    FaultSchedule,
-    LaserDegradation,
-    PhaseDrift,
-    StuckMZI,
-)
-
-__all__ = [
-    "FAULTS",
-    "BackoffPolicy",
-    "DeadLink",
-    "DegradationLadder",
-    "FaultDomain",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultModel",
-    "FaultSchedule",
-    "FaultyMesh",
-    "LaserDegradation",
-    "PhaseDrift",
-    "Rung",
-    "StuckMZI",
-]

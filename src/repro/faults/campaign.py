@@ -313,7 +313,7 @@ def golden_numbers_record() -> dict:
     """
     from repro.analysis.tasks import run_to_record
     from repro.core.system import SystemModel
-    from repro.workloads import ImageBlur
+    from repro.workloads.image_blur import ImageBlur
 
     model = SystemModel()
     workload = ImageBlur(height=64, width=64)

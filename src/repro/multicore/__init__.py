@@ -1,44 +1,3 @@
 """Multicore substrate: caches, cores, energy and area (Sniper + McPAT
 substitute).
 """
-
-from repro.multicore.area import (
-    CHIPLET_BASE_MM2,
-    MZI_AREA_MM2,
-    AreaModel,
-    AreaReport,
-    flumen_mzim_mzis,
-)
-from repro.multicore.cache import (
-    Cache,
-    CacheHierarchy,
-    CacheStats,
-    HierarchyCounts,
-    blocked_stream,
-    strided_stream,
-)
-from repro.multicore.cpu import CoreModel, PhaseCost
-from repro.multicore.energy import (
-    CORE_MAC_ENERGY_J,
-    CoreEnergyModel,
-    EnergyBreakdown,
-)
-
-__all__ = [
-    "AreaModel",
-    "AreaReport",
-    "CHIPLET_BASE_MM2",
-    "CORE_MAC_ENERGY_J",
-    "Cache",
-    "CacheHierarchy",
-    "CacheStats",
-    "CoreEnergyModel",
-    "CoreModel",
-    "EnergyBreakdown",
-    "HierarchyCounts",
-    "MZI_AREA_MM2",
-    "PhaseCost",
-    "blocked_stream",
-    "flumen_mzim_mzis",
-    "strided_stream",
-]

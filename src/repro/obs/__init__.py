@@ -32,99 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.events import (
-    EVENT_SCHEMA_VERSION,
-    EVENT_TYPES,
-    NULL_EVENTS,
-    EventLog,
-    MonotoneClock,
-    NullEventLog,
-)
-from repro.obs.export import (
-    chrome_trace_payload,
-    load_and_validate,
-    load_and_validate_events,
-    validate_chrome_trace,
-    validate_events,
-    write_chrome_trace,
-    write_metrics_jsonl,
-)
-from repro.obs.merge import (
-    merge_event_logs,
-    merge_snapshot_series,
-)
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    Timer,
-    percentile_summary,
-)
-from repro.obs.snapshot import (
-    DEFAULT_INTERVAL_CYCLES,
-    SnapshotSampler,
-)
-from repro.obs.telemetry import (
-    TelemetryServer,
-    TelemetryStore,
-    parse_exposition,
-    prometheus_exposition,
-    registry_exposition,
-    render_top,
-    validate_telemetry,
-    write_telemetry_dir,
-)
-from repro.obs.tracer import (
-    LAYERS,
-    NULL_TRACER,
-    CycleTracer,
-    NullTracer,
-)
+# Every instrumented layer imports Obs and NULL_OBS from the package.
+from repro.obs.events import NULL_EVENTS, EventLog, NullEventLog
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.snapshot import DEFAULT_INTERVAL_CYCLES, SnapshotSampler
+from repro.obs.tracer import NULL_TRACER, CycleTracer, NullTracer
 
-__all__ = [
-    "DEFAULT_INTERVAL_CYCLES",
-    "EVENT_SCHEMA_VERSION",
-    "EVENT_TYPES",
-    "LAYERS",
-    "NULL_EVENTS",
-    "NULL_OBS",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
-    "Counter",
-    "CycleTracer",
-    "EventLog",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MonotoneClock",
-    "NullEventLog",
-    "NullMetricsRegistry",
-    "NullTracer",
-    "Obs",
-    "SnapshotSampler",
-    "TelemetryServer",
-    "TelemetryStore",
-    "Timer",
-    "chrome_trace_payload",
-    "load_and_validate",
-    "load_and_validate_events",
-    "merge_event_logs",
-    "merge_snapshot_series",
-    "parse_exposition",
-    "percentile_summary",
-    "prometheus_exposition",
-    "registry_exposition",
-    "render_top",
-    "validate_chrome_trace",
-    "validate_events",
-    "validate_telemetry",
-    "write_chrome_trace",
-    "write_metrics_jsonl",
-    "write_telemetry_dir",
-]
+__all__ = ["NULL_OBS", "Obs"]
 
 
 @dataclass(frozen=True)

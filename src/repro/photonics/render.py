@@ -5,7 +5,7 @@ marking each MZI's state — ``X`` cross, ``=`` bar, ``/`` splitting — plus
 the Flumen fabric's partition barriers and attenuator column.  Used by
 the examples and handy in a REPL:
 
->>> from repro.photonics import FlumenFabric
+>>> from repro.photonics.fabric import FlumenFabric
 >>> from repro.photonics.render import render_fabric
 >>> fab = FlumenFabric(8)
 >>> fab.configure_communication({0: 3, 3: 0})

@@ -11,47 +11,8 @@ and the degradation ladder handles faults mid-session
 standard telemetry server.  See DESIGN.md §17.
 """
 
-from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.arrivals import (
-    ARRIVALS,
-    Arrival,
-    ArrivalProcess,
-    BurstyArrivals,
-    ClientPopulation,
-    DiurnalArrivals,
-    PoissonArrivals,
-)
-from repro.serve.cluster import (
-    ClusterTelemetryStore,
-    ReplicaSet,
-    shard_configs,
-    shard_tenants,
-)
-from repro.serve.daemon import (
-    LATENCY_BOUNDS,
-    DaemonState,
-    ServeConfig,
-    ServeDaemon,
-)
-from repro.serve.live import LiveTelemetryStore
+# perfbench/cases.py imports these three names from the package.
+from repro.serve.cluster import ReplicaSet
+from repro.serve.daemon import ServeConfig, ServeDaemon
 
-__all__ = [
-    "ARRIVALS",
-    "AdmissionController",
-    "Arrival",
-    "ArrivalProcess",
-    "BurstyArrivals",
-    "ClientPopulation",
-    "ClusterTelemetryStore",
-    "DaemonState",
-    "DiurnalArrivals",
-    "LATENCY_BOUNDS",
-    "LiveTelemetryStore",
-    "PoissonArrivals",
-    "ReplicaSet",
-    "ServeConfig",
-    "ServeDaemon",
-    "TokenBucket",
-    "shard_configs",
-    "shard_tenants",
-]
+__all__ = ["ReplicaSet", "ServeConfig", "ServeDaemon"]

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.analysis.engine import PointSpec, SweepEngine
-from repro.obs import merge_event_logs, merge_snapshot_series
+from repro.obs.merge import merge_event_logs, merge_snapshot_series
 from repro.obs.telemetry import TelemetryStore
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.ledger import Ledger
@@ -181,7 +181,7 @@ class ClusterTelemetryStore(TelemetryStore):
     A :class:`~repro.obs.telemetry.TelemetryStore` over the merged
     streams — ``events() / events_tail() / snapshots() /
     latest_snapshot() / exposition() / health()`` — so
-    :class:`~repro.obs.telemetry.TelemetryServer` serves a cluster's
+    :class:`~repro.obs.server.TelemetryServer` serves a cluster's
     merged view unchanged.
     """
 

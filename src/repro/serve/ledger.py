@@ -12,7 +12,7 @@ ledgers and renders the merged one as a daemon renders its own.
 
 from __future__ import annotations
 
-from repro.obs import percentile_summary
+from repro.obs.metrics import percentile_summary
 
 #: Per-tenant row fields, in report order.
 FIELDS = ("offered", "admitted", "rejected", "completed")

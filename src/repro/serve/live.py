@@ -1,6 +1,6 @@
 """Live telemetry store: `/metrics` and `/healthz` over a running daemon.
 
-:class:`~repro.obs.telemetry.TelemetryServer` is store-agnostic — it
+:class:`~repro.obs.server.TelemetryServer` is store-agnostic — it
 calls ``exposition() / health() / events_tail() / snapshots()`` on
 whatever it is given.  The file-backed
 :class:`~repro.obs.telemetry.TelemetryStore` re-reads a telemetry

@@ -1,39 +1,12 @@
 """The five evaluated applications (Section 4.2), with golden references."""
 
-from repro.workloads.base import (
-    MatmulPhase,
-    Workload,
-    verify_photonic,
-)
-from repro.workloads.dct import (
-    blocks_from_plane,
-    dct2,
-    dct_matrix,
-    idct2,
-    plane_from_blocks,
-)
-from repro.workloads.image_blur import (
-    ImageBlur,
-    gaussian_kernel_3x3,
-    synthetic_image,
-)
-from repro.workloads.jpeg import (
-    CHROMA_QUANT,
-    LUMA_QUANT,
-    JPEGCompressor,
-    JPEGWorkload,
-    rgb_to_ycbcr,
-    run_length_decode,
-    run_length_encode,
-    zigzag_order,
-)
+# Read by perfbench: cases.py (WORKLOAD_NAMES), spans.py (make_workload).
+from repro.workloads.base import Workload
+from repro.workloads.image_blur import ImageBlur
+from repro.workloads.jpeg import JPEGWorkload
 from repro.workloads.resnet50_conv3 import ResNet50Conv3
-from repro.workloads.rotation3d import (
-    Rotation3D,
-    rotation_matrix,
-    wireframe_vertices,
-)
-from repro.workloads.vgg16_fc import VGG16FC, quantized_weights
+from repro.workloads.rotation3d import Rotation3D
+from repro.workloads.vgg16_fc import VGG16FC
 
 
 #: name -> zero-arg factory at the paper-specified shapes.  Keys match
@@ -91,35 +64,10 @@ def small_workloads() -> list[Workload]:
 
 
 __all__ = [
-    "CHROMA_QUANT",
-    "ImageBlur",
-    "JPEGCompressor",
-    "JPEGWorkload",
-    "LUMA_QUANT",
-    "MatmulPhase",
     "PAPER_FACTORIES",
     "SMALL_FACTORIES",
     "WORKLOAD_NAMES",
-    "ResNet50Conv3",
-    "Rotation3D",
-    "VGG16FC",
-    "Workload",
-    "blocks_from_plane",
-    "dct2",
-    "dct_matrix",
-    "gaussian_kernel_3x3",
-    "idct2",
     "make_workload",
     "paper_workloads",
-    "plane_from_blocks",
-    "quantized_weights",
-    "rgb_to_ycbcr",
-    "rotation_matrix",
-    "run_length_decode",
-    "run_length_encode",
     "small_workloads",
-    "synthetic_image",
-    "verify_photonic",
-    "wireframe_vertices",
-    "zigzag_order",
 ]

@@ -17,7 +17,8 @@ cannot check: the counts, counters and latency summaries themselves.
 
 from __future__ import annotations
 
-from repro.serve import ARRIVALS, AdmissionController, ClientPopulation
+from repro.serve.admission import AdmissionController
+from repro.serve.arrivals import ARRIVALS, ClientPopulation
 from repro.serve.daemon import ServeDaemon
 from tests.reference_arrivals import requests_for_cycle
 

@@ -10,8 +10,9 @@ import pytest
 
 from repro.core.accelerator import BlockMatmul
 from repro.photonics.noise import AnalogMVM
-from repro.workloads import VGG16FC, Rotation3D, dct_matrix
-from repro.workloads.dct import blocks_from_plane
+from repro.workloads.dct import blocks_from_plane, dct_matrix
+from repro.workloads.rotation3d import Rotation3D
+from repro.workloads.vgg16_fc import VGG16FC
 from repro.workloads.image_blur import synthetic_image
 from repro.workloads.jpeg import rgb_to_ycbcr
 

@@ -27,9 +27,8 @@ from repro.noc.packet import Packet
 from repro.noc.simulation import make_network
 from repro.noc.soa import SoAFlumenNetwork
 from repro.obs import Obs
-from repro.serve import ServeConfig, ServeDaemon
-from repro.serve.daemon import _ServeNetwork
-from repro.workloads import ImageBlur
+from repro.serve.daemon import ServeConfig, ServeDaemon, _ServeNetwork
+from repro.workloads.image_blur import ImageBlur
 
 
 def _assert_closed(net) -> None:

@@ -28,7 +28,7 @@ def test_jpeg_pipeline_photonic_dct_plug_in():
         from jpeg_pipeline import photonic_dct_fn
     finally:
         sys.path.pop(0)
-    from repro.workloads import JPEGWorkload
+    from repro.workloads.jpeg import JPEGWorkload
 
     wl = JPEGWorkload(height=32, width=32)
     cpu = wl.compress(dct_fn=None)

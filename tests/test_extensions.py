@@ -16,8 +16,7 @@ from repro.photonics.clements import decompose
 from repro.photonics.fabric import FlumenFabric
 from repro.photonics.render import render_fabric, render_mesh
 from repro.photonics.routing import permutation_matrix
-from repro.workloads import JPEGWorkload
-from repro.workloads.jpeg import downsample_2x2, upsample_2x2
+from repro.workloads.jpeg import JPEGWorkload, downsample_2x2, upsample_2x2
 
 
 class TestRenderMesh:

@@ -23,7 +23,7 @@ from repro.core.control_unit import MZIMControlUnit
 from repro.faults.campaign import CampaignSpec, run_single
 from repro.faults.ladder import DegradationLadder
 from repro.noc.simulation import make_network
-from repro.serve import ServeConfig, ServeDaemon
+from repro.serve.daemon import ServeConfig, ServeDaemon
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 

@@ -25,17 +25,9 @@ from repro.core.control_unit import (
     MZIMControlUnit,
 )
 from repro.core.scheduler import FlumenScheduler
-from repro.faults import (
-    FAULTS,
-    BackoffPolicy,
-    DegradationLadder,
-    FaultDomain,
-    FaultInjector,
-    FaultSchedule,
-    FaultyMesh,
-    Rung,
-    StuckMZI,
-)
+from repro.faults.injector import FaultDomain, FaultInjector, FaultyMesh
+from repro.faults.ladder import BackoffPolicy, DegradationLadder, Rung
+from repro.faults.models import FAULTS, FaultSchedule, StuckMZI
 from repro.faults.campaign import (
     CampaignSpec,
     campaign_fault_kinds,

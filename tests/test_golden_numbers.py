@@ -16,7 +16,7 @@ configuration through a fresh ``SystemModel()`` on
 import pytest
 
 from repro.core.system import SystemModel
-from repro.workloads import ImageBlur
+from repro.workloads.image_blur import ImageBlur
 
 #: Exact outputs of SystemModel() on ImageBlur(64x64),
 #: captured at commit 00a9445 (pre-refactor seed state).

@@ -21,7 +21,8 @@ from repro.core.system import (
 )
 from repro.multicore.cache import Cache
 from repro.obs import Obs
-from repro.workloads import SMALL_FACTORIES, Rotation3D, make_workload
+from repro.workloads import SMALL_FACTORIES, make_workload
+from repro.workloads.rotation3d import Rotation3D
 from repro.workloads.base import INPUT_BASE
 
 

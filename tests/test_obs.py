@@ -11,21 +11,16 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.trace import trace_workload
-from repro.obs import (
-    LAYERS,
-    NULL_OBS,
-    NULL_REGISTRY,
-    NULL_TRACER,
-    CycleTracer,
-    MetricsRegistry,
-    Obs,
+from repro.obs import NULL_OBS, Obs
+from repro.obs.export import (
     chrome_trace_payload,
     load_and_validate,
     validate_chrome_trace,
     write_chrome_trace,
     write_metrics_jsonl,
 )
-from repro.obs.metrics import NULL_INSTRUMENT
+from repro.obs.metrics import NULL_INSTRUMENT, NULL_REGISTRY, MetricsRegistry
+from repro.obs.tracer import LAYERS, NULL_TRACER, CycleTracer
 
 
 class TestMetricsRegistry:

@@ -27,13 +27,10 @@ from repro.core.scheduler import ActiveComputation, FlumenScheduler
 from repro.faults.ladder import DegradationLadder
 from repro.noc.simulation import make_network
 from repro.noc.packet import Packet
-from repro.obs import (
-    NULL_TRACER,
-    CycleTracer,
-    EventLog,
-    MetricsRegistry,
-    Obs,
-)
+from repro.obs import Obs
+from repro.obs.events import EventLog
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import NULL_TRACER, CycleTracer
 from repro.photonics.fabric import FlumenFabric
 
 from tests.reference_partitioner import ReferenceScheduler

@@ -21,7 +21,7 @@ from repro.noc.registry import TOPOLOGIES
 from repro.noc.simulation import make_network
 from repro.noc.traffic import TracePlayback
 from repro.obs import NULL_OBS
-from repro.workloads import Rotation3D
+from repro.workloads.rotation3d import Rotation3D
 
 
 class IdealNetwork(SimKernel):
@@ -219,9 +219,9 @@ def test_property_finite_trace_drains_and_conserves(topology, seed,
 
 def _registries():
     from repro.analysis.engine import TASKS, get_task
-    from repro.faults import FAULTS
+    from repro.faults.models import FAULTS
     from repro.photonics.registry import MESHES
-    from repro.serve import ARRIVALS
+    from repro.serve.arrivals import ARRIVALS
 
     get_task("selftest")  # loads the built-in task set
     return [TOPOLOGIES, CONFIGURATIONS, MESHES, FAULTS, ARRIVALS, TASKS]

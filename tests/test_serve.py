@@ -16,22 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
-from repro.obs import (
-    load_and_validate_events,
-    parse_exposition,
-    validate_events,
-)
-from repro.serve import (
+from repro.obs.export import load_and_validate_events, validate_events
+from repro.obs.telemetry import parse_exposition
+from repro.serve.admission import AdmissionController, TokenBucket
+from repro.serve.arrivals import (
     ARRIVALS,
-    AdmissionController,
+    ArrivalProcess,
+    BurstyArrivals,
     ClientPopulation,
-    DaemonState,
-    LiveTelemetryStore,
-    ServeConfig,
-    ServeDaemon,
-    TokenBucket,
+    DiurnalArrivals,
 )
-from repro.serve.arrivals import ArrivalProcess, BurstyArrivals, DiurnalArrivals
+from repro.serve.daemon import DaemonState, ServeConfig, ServeDaemon
+from repro.serve.live import LiveTelemetryStore
 
 
 def _canonical(obj) -> str:

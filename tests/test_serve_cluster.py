@@ -20,18 +20,19 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.analysis.engine import TASKS, TaskSpec
 from repro.analysis.tasks import serve_replica
-from repro.obs import Obs, parse_exposition, validate_events
+from repro.obs import Obs
+from repro.obs.export import validate_events
+from repro.obs.telemetry import parse_exposition
 from repro.obs.events import MonotoneClock
-from repro.serve import (
-    DaemonState,
+from repro.serve.admission import TokenBucket
+from repro.serve.cluster import (
+    ClusterTelemetryStore,
     ReplicaSet,
-    ServeConfig,
-    ServeDaemon,
-    TokenBucket,
+    _run_shard,
     shard_configs,
     shard_tenants,
 )
-from repro.serve.cluster import ClusterTelemetryStore, _run_shard
+from repro.serve.daemon import DaemonState, ServeConfig, ServeDaemon
 from tests.reference_serve import PerCycleDaemon
 
 
@@ -535,9 +536,9 @@ class TestClusterCLI:
                                           caplog):
         # Single daemon and cluster share one --check validator, so a
         # malformed exposition fails both.
-        import repro.obs
+        import repro.obs.telemetry
 
-        monkeypatch.setattr(repro.obs, "prometheus_exposition",
+        monkeypatch.setattr(repro.obs.telemetry, "prometheus_exposition",
                             lambda *a, **k: "not a sample line\n")
         monkeypatch.setattr(ClusterTelemetryStore, "exposition",
                             lambda self: "not a sample line\n")

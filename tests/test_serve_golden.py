@@ -4,7 +4,7 @@ Each session below runs through the ``repro serve`` CLI with ``--out``
 and ``--telemetry-dir``, and the sha256 of every file it writes — the
 report JSON, ``events.jsonl``, ``snapshots.jsonl`` and ``metrics.prom``
 — is pinned.  The per-cycle reference daemon (``tests/reference_serve.py``)
-subclasses :class:`~repro.serve.ServeDaemon` and so shares its request
+subclasses :class:`~repro.serve.daemon.ServeDaemon` and so shares its request
 ledger and counter sync; it cannot catch drift there.  These pins can:
 a counter written at a different cycle, a series created early or a
 latency summary computed another way changes a digest.

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.noc.stats import LatencyStats
-from repro.serve import ServeConfig, ServeDaemon
+from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.cluster import ReplicaSet, _run_shard, shard_configs
 from repro.serve.ledger import KINDS, Ledger
 
@@ -160,7 +160,7 @@ def test_double_counted_completion_is_not_conserved():
 
 
 def test_serve_check_fails_on_a_double_count(monkeypatch, caplog):
-    monkeypatch.setattr("repro.serve.ServeDaemon", DoubleCountingDaemon)
+    monkeypatch.setattr("repro.serve.daemon.ServeDaemon", DoubleCountingDaemon)
     assert main(["serve", "--duration", "512", "--seed", "3", "--rate",
                  "0.08", "--check"]) == 1
     assert "ledger not conserved" in caplog.text

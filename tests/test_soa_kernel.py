@@ -28,7 +28,8 @@ from repro.noc.soa import SoAFlumenNetwork, SoANetwork, SoAOptBusNetwork
 from repro.noc.stats import UtilizationTracker
 from repro.noc.topology import make_topology
 from repro.noc.traffic import TracePlayback, TrafficGenerator
-from repro.obs import MetricsRegistry, Obs
+from repro.obs import Obs
+from repro.obs.metrics import MetricsRegistry
 from tests.reference_arbiter import dense_allocate
 from tests.reference_noc import (
     ORACLES,
@@ -1266,7 +1267,7 @@ def test_end_to_end_sweep_matches_the_oracles():
 
 def test_end_to_end_serve_matches_the_oracle(monkeypatch):
     import repro.serve.daemon as daemon_module
-    from repro.serve import ServeConfig, ServeDaemon
+    from repro.serve.daemon import ServeConfig, ServeDaemon
 
     config = ServeConfig(rate=0.08, arrival="bursty", duration=1024,
                          seed=7, fault="dead_link")

@@ -11,13 +11,11 @@ import pytest
 from repro.core.pipelines import CONFIGURATIONS
 from repro.core.system import SystemModel
 from repro.obs import Obs
-from repro.workloads import (
-    VGG16FC,
-    ImageBlur,
-    JPEGWorkload,
-    Rotation3D,
-    make_workload,
-)
+from repro.workloads import make_workload
+from repro.workloads.image_blur import ImageBlur
+from repro.workloads.jpeg import JPEGWorkload
+from repro.workloads.rotation3d import Rotation3D
+from repro.workloads.vgg16_fc import VGG16FC
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,8 @@ from repro.photonics.svd import (
     program_unitary,
     UnitaryProgram,
 )
-from repro.workloads import dct_matrix, rotation_matrix
+from repro.workloads.dct import dct_matrix
+from repro.workloads.rotation3d import rotation_matrix
 
 
 class TestUnitaryProgram:

@@ -3,31 +3,35 @@
 import numpy as np
 import pytest
 
-from repro.workloads import (
-    ImageBlur,
-    JPEGWorkload,
-    ResNet50Conv3,
-    Rotation3D,
-    VGG16FC,
+from repro.workloads import paper_workloads, small_workloads
+from repro.workloads.base import verify_photonic
+from repro.workloads.dct import (
+    blocks_from_plane,
     dct2,
     dct_matrix,
-    gaussian_kernel_3x3,
     idct2,
-    paper_workloads,
-    rotation_matrix,
-    small_workloads,
-    synthetic_image,
-    verify_photonic,
-    wireframe_vertices,
+    plane_from_blocks,
 )
-from repro.workloads.dct import blocks_from_plane, plane_from_blocks
+from repro.workloads.image_blur import (
+    ImageBlur,
+    gaussian_kernel_3x3,
+    synthetic_image,
+)
 from repro.workloads.jpeg import (
+    JPEGWorkload,
     magnitude_category,
     rgb_to_ycbcr,
     run_length_decode,
     run_length_encode,
     zigzag_order,
 )
+from repro.workloads.resnet50_conv3 import ResNet50Conv3
+from repro.workloads.rotation3d import (
+    Rotation3D,
+    rotation_matrix,
+    wireframe_vertices,
+)
+from repro.workloads.vgg16_fc import VGG16FC
 
 
 class TestPaperShapes:
