@@ -574,10 +574,11 @@ class FlumenScheduler:
         (DESIGN.md §11): per cycle ``c``, ``traffic``'s packets,
         ``before_tick(c)``, tick, step, ``after_step(c)`` and a sampler
         offer every :data:`OFFER_STRIDE` cycles.  With the tracer off,
-        idle runs are skipped byte-identically while the network is
-        quiescent (``network.skip_idle_cycles``, the same skip as trace
-        playback) and the scheduler only counts down
-        (:meth:`skip_quiet_cycles`), up to the next event —
+        runs of cycles on which every participant only counts down are
+        skipped byte-identically: the network up to its horizon
+        (``network.quiet_until()``, through ``network.skip_idle_cycles``,
+        the same skip as trace playback), busy or not, and the scheduler
+        by :meth:`skip_quiet_cycles`, up to the next event —
         ``next_due(c)``, the first cycle ``>= c`` the hooks act on, and
         the traffic's ``next_event_cycle`` (required, as is ``next_due``
         with hooks).
@@ -637,9 +638,7 @@ class FlumenScheduler:
             if idle is not None and idle():
                 return True
             cycle = network.cycle
-            # Only a quiescent network is skipped; under load this is
-            # what most often forbids the skip, so it is checked first.
-            if skippable and network.quiescent():
+            if skippable:
                 skip = self._quiet_cycles(cycle, end, dues, sampler, lag)
                 if skip > 1:
                     # An idle scheduler's quiet skip is its idle skip.
@@ -665,20 +664,33 @@ class FlumenScheduler:
 
     def _quiet_cycles(self, cycle: int, end: int, dues, sampler,
                       lag: int) -> int:
-        """Length of the provably idle run of cycles from ``cycle``,
-        given a quiescent network."""
+        """Length of the run of cycles from ``cycle`` on which every
+        participant only counts down, up to ``end``.  The driver skips
+        only runs longer than one cycle, so a participant that allows
+        at most one cycle makes it read 0.
+
+        The participants are asked in the order that makes a refusal
+        cheapest: the hooks and the traffic (serve's arrivals refuse
+        most attempts), the network's horizon, the scheduler's
+        countdown, then the sampler.
+        """
         bound = end
+        for due in dues:
+            nxt = due(cycle)
+            if nxt is not None:
+                if nxt <= cycle + 1:
+                    return 0
+                bound = min(bound, nxt)
+        horizon = self.control.network.quiet_until()
+        if horizon is not None:
+            if horizon <= cycle + 1:
+                return 0
+            bound = min(bound, horizon)
         countdown = self.quiet_countdown()
         if countdown is not None:
             if countdown <= 2:
                 return 0
             bound = min(bound, cycle + countdown - 1)
-        for due in dues:
-            nxt = due(cycle)
-            if nxt is not None:
-                if nxt <= cycle:
-                    return 0
-                bound = min(bound, nxt)
         # Stop short of the next firing offer; offers that cannot fire
         # may be skipped.  The sampler fires on the rebased timeline, so
         # its global due time goes back through the shared clock.

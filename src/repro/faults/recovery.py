@@ -128,6 +128,9 @@ class FabricRecovery:
         self.control = scheduler.control
         self.control.health = self.monitor
         scheduler.ladder = self.ladder
+        # The ladder starts at the mesh under test; no partition is
+        # wider than the fabric the control unit manages.
+        self.ladder.cap_partition_ports(self.control.fabric_ports)
 
     # -- probes ------------------------------------------------------------
 

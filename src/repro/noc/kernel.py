@@ -25,8 +25,8 @@ the tracer off) has three fast-forwards, all in this module:
 
 * **idle skip** — a backend with ``_supports_idle_skip`` implements
   ``_skip_idle``; every skip goes through :meth:`SimKernel.skip_idle_cycles`,
-  which refuses a network that is not quiescent (the co-simulation
-  driver skips through it too);
+  which refuses to pass :meth:`SimKernel.quiet_until` (the co-simulation
+  driver skips through it too, busy cycles included);
 * **busy-period replay** — a backend with ``_replays_periods`` names the
   state a period carries over from one quiescent network to the next:
   the rotation-state lists of ``_arbiter_arrays`` (read and written
@@ -353,13 +353,13 @@ class SimKernel:
     _supports_idle_skip = False
 
     def _skip_idle(self, idle_cycles: int) -> None:
-        """Apply ``idle_cycles`` of quiescent stepping in one jump.
+        """Apply ``idle_cycles`` of countdown-only stepping in one jump.
 
         Must leave the backend in exactly the state ``idle_cycles``
         plain ``step()`` calls with no traffic would — including any
         per-cycle arbiter rotation the backend performs while idle.
-        Reached only through :meth:`skip_idle_cycles`, so the network is
-        quiescent.
+        Reached only through :meth:`skip_idle_cycles`, so the skip ends
+        at or before :meth:`quiet_until`.
         """
         raise NotImplementedError
 
@@ -368,18 +368,30 @@ class SimKernel:
         self.cycle += idle_cycles
         self.utilization.record_idle_cycles(idle_cycles)
 
+    def quiet_until(self) -> int | None:
+        """The first cycle at or after now whose step does more than
+        count down, or None when no cycle does until new traffic.
+
+        The default knows no countdown: now on a busy network, unbounded
+        on a quiescent one.  A backend that can tell its next event
+        (Flumen's event calendar) names a later cycle.
+        """
+        return None if self.quiescent() else self.cycle
+
     def skip_idle_cycles(self, cycles: int) -> None:
-        """Advance a quiescent network ``cycles`` cycles in one jump.
+        """Advance the network ``cycles`` countdown-only cycles in one jump.
 
         The one network-side skip: :meth:`run`'s trace playback and the
         co-simulation driver (``FlumenScheduler.run``) both come here.
-        It raises, leaving the network untouched, unless
-        :meth:`quiescent` holds — a buffered source, a circuit in setup
-        or transfer, or a pending grant is always stepped.
+        It raises, leaving the network untouched, unless the skip ends
+        at or before :meth:`quiet_until` — an arbitration that may
+        grant or a delivery is always stepped.
         """
-        if not self.quiescent():
-            raise RuntimeError("skip_idle_cycles on a non-quiescent "
-                               "network would drop in-flight work")
+        horizon = self.quiet_until()
+        if horizon is not None and self.cycle + cycles > horizon:
+            raise RuntimeError(
+                f"skip_idle_cycles past the network's horizon (cycle "
+                f"{horizon}) would drop in-flight work")
         self._skip_idle(cycles)
 
     def _skip_to_next_event(self, traffic, remaining: int) -> int:

@@ -8,10 +8,12 @@ rebuilds dense arbiter request vectors, and counts down every in-flight
 flit individually.  The classes here flatten all mutable router/source/
 bus state into parallel flat arrays indexed by ``(router, port, vc)``
 (credits, queue occupancy, output allocations, arbiter rotation state,
-circuit setup/remaining counters), bucket in-flight flit positions by
-arrival cycle so link flight needs no per-cycle countdown, and advance
-only the *active* entries each cycle through sparse pending-event sets
-— per-cycle cost tracks activity, not network size.  (At these network
+circuit cycles), bucket in-flight flit positions by arrival cycle so
+link flight needs no per-cycle countdown, and advance only the *active*
+entries each cycle through sparse pending-event sets — per-cycle cost
+tracks activity, not network size.  Flumen goes furthest: each grant
+puts its circuit's start, tail and pre-grant eligibility on an event
+calendar, so a step touches only what happens on its cycle.  (At these network
 sizes — tens of routers — flat Python lists beat ndarray scalar
 indexing for the per-element hot fields, so the SoA arrays are plain
 lists; NumPy builds the precomputed route/VC-class tables and serves
@@ -39,10 +41,15 @@ Each backend's ``_skip_idle`` advances exactly the state an idle step
 would have touched — the cycle counter, the utilization intervals, and
 (for Flumen) the wavefront priority diagonal, which the oracle rotates
 on every cycle, busy or not.  It is reached only through
-``SimKernel.skip_idle_cycles``, which refuses a network that is not
-quiescent; the co-simulation driver (``FlumenScheduler.run``) skips
-through the same entry, so a circuit in setup or transfer, a pending
-pre-grant or a buffered source is always stepped.
+``SimKernel.skip_idle_cycles``, which refuses to pass the network's
+horizon (``quiet_until``); the co-simulation driver
+(``FlumenScheduler.run``) skips through the same entry.  Ring, mesh and
+optbus keep the kernel's default horizon, so only a quiescent network
+of theirs is skipped.  Flumen reads its horizon off the calendar — the
+next tail delivery, or the next cycle arbitration may grant — and its
+``_skip_idle`` also starts the transmissions that fall inside the skip,
+so circuits in setup or transfer and sources waiting on blocked or busy
+ports are skipped through.
 
 All three also take the kernel's busy-period replay and bulk runs
 (:mod:`repro.noc.kernel`).  A busy period runs from the offers that wake
@@ -503,13 +510,25 @@ class SoANetwork(SimKernel):
 
 
 class SoAFlumenNetwork(SimKernel):
-    """MZIM crossbar with circuit state in flat arrays + sparse wavefront.
+    """MZIM crossbar driven by an event calendar, not per-cycle countdowns.
 
     Semantically identical to
     :class:`~repro.noc.flumen_net.FlumenNetwork`, including the
     scheduler hooks (port blocking, reroutes, buffer feedback) and the
-    delivery/trace ordering (circuit-table insertion order, tracked by
-    an explicit activation-order list).
+    delivery/trace ordering (circuit-table insertion order, which is
+    activation order).
+
+    A grant fixes its circuit's whole future: the cycle its first flit
+    crosses (``_start``), the cycle its tail is delivered (``_end``) and,
+    with pipelined setup, the cycle its source may take a pre-grant
+    (``_eligible_at``).  The step visits only the circuits whose start or
+    end falls on the current cycle; the busy-link count moves by those.
+    Request sources live in ``_ready`` (head packet unicast, source free
+    or eligible, not blocked, not pending), updated on the events that
+    change it, and ``_stalled`` records that the ready sources formed no
+    request pair and nothing has changed since, so the next step forms
+    none either.  That is what lets :meth:`quiet_until` name a horizon
+    on a busy network.
     """
 
     name = "flumen"
@@ -552,19 +571,24 @@ class SoAFlumenNetwork(SimKernel):
             deque() for _ in range(nodes)]
         self._overflow: list[deque[Packet]] = [deque() for _ in range(nodes)]
         self._waiting_sources: set[int] = set()
+        #: Multicast packets queued anywhere; the multicast pass runs
+        #: only while there is one.
+        self._multicasts = 0
         self._arbiter = WavefrontArbiter(nodes)
         # -- SoA circuit state, indexed by source port -------------------
-        #: Setup cycles left / flits left per *active* circuit.
-        self._setup_left = [0] * nodes
-        self._remaining = [0] * nodes
-        self._grant_cycle = [0] * nodes
         self._packets: list[Packet | None] = [None] * nodes
-        #: Active sources in activation order — the oracle's circuit-dict
-        #: insertion order, which fixes delivery order.
+        self._grant_cycle = [0] * nodes
+        #: Per active circuit: its first transmitting cycle, its tail
+        #: cycle, and the first cycle its source may be pre-granted.
+        self._start = [0] * nodes
+        self._end = [0] * nodes
+        self._eligible_at = [0] * nodes
+        #: Active sources in activation order.
         self._order: list[int] = []
-        # Pending (pipelined-setup) circuits, same flat layout.
-        self._p_setup = [0] * nodes
-        self._p_remaining = [0] * nodes
+        # Pending (pipelined-setup) circuits, same flat layout; a pending
+        # circuit transmits from ``_p_start`` or the cycle after its
+        # predecessor's tail, whichever is later.
+        self._p_start = [0] * nodes
         self._p_grant_cycle = [0] * nodes
         self._p_packets: list[Packet | None] = [None] * nodes
         self._pending_srcs: set[int] = set()
@@ -573,6 +597,19 @@ class SoAFlumenNetwork(SimKernel):
         #: pending circuit targets a given destination at a time).
         self._pending_dsts: set[int] = set()
         self._busy_outputs: set[int] = set()
+        # -- the event calendar: cycle -> what happens on it ---------------
+        #: Circuits whose first flit crosses on the cycle (a count).
+        self._starts: dict[int, int] = {}
+        #: Sources whose circuit delivers its tail on the cycle.
+        self._ends: dict[int, list[int]] = {}
+        #: Sources whose circuit becomes pre-grant eligible on the cycle.
+        self._wakes: dict[int, list[int]] = {}
+        #: Circuits transmitting a flit this cycle (busy links).
+        self._transmitting = 0
+        #: Sources that would request this cycle, destination aside.
+        self._ready: set[int] = set()
+        #: The ready sources formed no pair and nothing changed since.
+        self._stalled = False
         self.blocked_ports: set[int] = set()
         self.reroute_penalties: dict[tuple[int, int], int] = {}
         self.rerouted_grants = 0
@@ -606,9 +643,19 @@ class SoAFlumenNetwork(SimKernel):
 
     def block_ports(self, ports: set[int]) -> None:
         self.blocked_ports |= set(ports)
+        self._ports_changed(ports)
 
     def unblock_ports(self, ports: set[int]) -> None:
         self.blocked_ports -= set(ports)
+        self._ports_changed(ports)
+
+    def _ports_changed(self, ports) -> None:
+        # A port is a source whose readiness and a destination whose
+        # requests may change.
+        self._stalled = False
+        for port in ports:
+            if 0 <= port < self.nodes:
+                self._recheck(port)
 
     def ports_clear(self, ports: set[int]) -> bool:
         """True when no circuit is transmitting on any of the given ports."""
@@ -644,47 +691,62 @@ class SoAFlumenNetwork(SimKernel):
     # -- traffic ---------------------------------------------------------
 
     def _enqueue(self, packet: Packet) -> None:
-        if len(self.request_buffers[packet.src]) \
-                < self.request_buffer_capacity:
-            self.request_buffers[packet.src].append(packet)
+        src = packet.src
+        buf = self.request_buffers[src]
+        if len(buf) < self.request_buffer_capacity:
+            buf.append(packet)
+            if len(buf) == 1:
+                self._recheck(src)
         else:
-            self._overflow[packet.src].append(packet)
+            self._overflow[src].append(packet)
             self._m_overflow.inc()
-        self._waiting_sources.add(packet.src)
+        if packet.multicast_dsts:
+            self._multicasts += 1
+        self._waiting_sources.add(src)
 
-    def _drained(self, src: int) -> None:
-        if not self.request_buffers[src] and not self._overflow[src]:
+    def _pop_head(self, src: int) -> Packet:
+        """Take ``src``'s head packet and refill its buffer.
+
+        The overflow queue fills only while the buffer is full, so one
+        packet moves up, as the oracle's end-of-step refill moves it.
+        """
+        buf = self.request_buffers[src]
+        packet = buf.popleft()
+        over = self._overflow[src]
+        if over:
+            buf.append(over.popleft())
+        elif not buf:
             self._waiting_sources.discard(src)
+        return packet
 
-    def _refill_buffers(self) -> None:
-        for port in self._waiting_sources:
-            over = self._overflow[port]
-            if not over:
-                continue
-            buf = self.request_buffers[port]
-            while over and len(buf) < self.request_buffer_capacity:
-                buf.append(over.popleft())
+    def _recheck(self, src: int) -> None:
+        """Bring ``src``'s membership of :attr:`_ready` up to date."""
+        buf = self.request_buffers[src]
+        ready = bool(buf) and not buf[0].multicast_dsts \
+            and src not in self.blocked_ports \
+            and src not in self._pending_srcs \
+            and (self._packets[src] is None
+                 or (self.pipelined_setup
+                     and self.cycle >= self._eligible_at[src]))
+        if ready != (src in self._ready):
+            if ready:
+                self._ready.add(src)
+            else:
+                self._ready.discard(src)
+            self._stalled = False
 
     # -- simulation ------------------------------------------------------
 
-    def _eligible_source(self, src: int) -> bool:
-        if src in self.blocked_ports or src in self._pending_srcs:
-            return False
-        if self._packets[src] is None:
-            return True
-        return (self.pipelined_setup
-                and self._setup_left[src] == 0
-                and self._remaining[src] <= self.reconfig_cycles)
-
     def step(self) -> None:
-        busy = self._advance_circuits()
-        if self._waiting_sources:
+        busy = self._advance_circuits(self.cycle)
+        if self._multicasts:
             self._grant_multicasts()
+        if self._ready and not self._stalled:
             pairs = self._unicast_requests()
+            self._stalled = not pairs
         else:
-            pairs = []
+            pairs = ()
         self._grant_unicasts(pairs)
-        self._refill_buffers()
         self.utilization.record_cycle(busy)
         if self._tracer.enabled and self.cycle \
                 and self.cycle % self.utilization.interval_cycles == 0:
@@ -692,13 +754,50 @@ class SoAFlumenNetwork(SimKernel):
                                  self.cycle, total=self.arbiter_conflicts)
         self.cycle += 1
 
+    def quiet_until(self) -> int | None:
+        # The earliest of: now, while arbitration may grant (a ready
+        # source not known to be stalled, or a queued multicast); a tail
+        # delivery; the eligibility of a source with a head packet.
+        cycle = self.cycle
+        if self._multicasts or (self._ready and not self._stalled):
+            return cycle
+        horizon = min(self._ends) if self._ends else None
+        buffers = self.request_buffers
+        for at, srcs in self._wakes.items():
+            if (horizon is None or at < horizon) \
+                    and any(buffers[src] for src in srcs):
+                horizon = at
+        return horizon
+
     def _skip_idle(self, cycles: int) -> None:
-        # A quiescent step records an idle cycle and rotates the
-        # wavefront priority diagonal (the wavefront scan rotates on
-        # every allocation, requests or not); sequential moves nothing.
-        self._advance_idle(cycles)
+        # Every skipped step only counts down: circuits whose first flit
+        # falls inside the skip join the busy count there, eligibility
+        # events of sources with nothing buffered lapse, and the
+        # wavefront diagonal turns once per cycle (sequential moves
+        # nothing).
+        at = self.cycle
+        stop = at + cycles
+        starts = self._starts
+        if starts:
+            for start in sorted(c for c in starts if c < stop):
+                self._transmit(start - at)
+                at = start
+                self._transmitting += starts.pop(start)
+        self._transmit(stop - at)
+        wakes = self._wakes
+        if wakes:
+            for wake in [c for c in wakes if c < stop]:
+                del wakes[wake]
+        self.cycle = stop
         if self.arbitration == "wavefront":
             self._arbiter.rotate(cycles)
+
+    def _transmit(self, cycles: int) -> None:
+        """Account ``cycles`` skipped cycles of the circuits transmitting."""
+        self.utilization.record_cycles(self._transmitting, cycles)
+        hops = self._transmitting * cycles
+        self.flit_hops += hops
+        self.link_traversals += hops
 
     def _arbiter_arrays(self) -> tuple[list[int], ...]:
         # The diagonal turns once per cycle, busy or idle, so a period
@@ -721,41 +820,65 @@ class SoAFlumenNetwork(SimKernel):
         return (not self.blocked_ports and not self.reroute_penalties
                 and self._sampler is None)
 
-    def _activate(self, src: int, packet: Packet, setup: int,
+    def _activate(self, src: int, packet: Packet, start: int,
                   grant_cycle: int) -> None:
+        """Make ``packet`` ``src``'s circuit, transmitting from ``start``,
+        and put its events on the calendar."""
+        end = start + packet.size_flits - 1
         self._packets[src] = packet
-        self._setup_left[src] = setup
-        self._remaining[src] = packet.size_flits
         self._grant_cycle[src] = grant_cycle
+        self._start[src] = start
+        self._end[src] = end
         self._order.append(src)
+        self._starts[start] = self._starts.get(start, 0) + 1
+        ends = self._ends.get(end)
+        if ends is None:
+            self._ends[end] = [src]
+        else:
+            ends.append(src)
+        if self.pipelined_setup:
+            # Setup done and at most reconfig_cycles flits left.
+            at = max(start - 1, end - self.reconfig_cycles)
+            self._eligible_at[src] = at
+            if at > self.cycle:
+                wakes = self._wakes.get(at)
+                if wakes is None:
+                    self._wakes[at] = [src]
+                else:
+                    wakes.append(src)
 
-    def _advance_circuits(self) -> int:
-        busy = 0
-        for src in self._pending_srcs:
-            if self._p_setup[src] > 0:
-                self._p_setup[src] -= 1
-        if not self._order:
-            return busy
-        finished: list[int] = []
-        setup_left = self._setup_left
-        remaining = self._remaining
-        for src in self._order:
-            if setup_left[src] > 0:
-                setup_left[src] -= 1
-                continue
-            left = remaining[src] - 1
-            remaining[src] = left
-            busy += 1
-            self.flit_hops += 1
-            self.link_traversals += 1
-            if left == 0:
-                packet = self._packets[src]
-                delivered = self.cycle + self.propagation_delay
-                self._deliver(packet, delivered, f"port{src}",
-                              grant_wait=(self._grant_cycle[src]
-                                          - packet.create_cycle))
-                finished.append(src)
-        for src in finished:
+    def _advance_circuits(self, cycle: int) -> int:
+        """Apply this cycle's calendar; return the busy-link count."""
+        starting = self._starts.pop(cycle, 0)
+        if starting:
+            self._transmitting += starting
+        busy = self._transmitting
+        if busy:
+            self.flit_hops += busy
+            self.link_traversals += busy
+            ends = self._ends.pop(cycle, None)
+            if ends is not None:
+                self._finish(ends, cycle)
+        wakes = self._wakes.pop(cycle, None)
+        if wakes is not None:
+            for src in wakes:
+                self._recheck(src)
+        return busy
+
+    def _finish(self, ends: list[int], cycle: int) -> None:
+        """Deliver the tails of ``ends``' circuits, then free or promote
+        each source.  :meth:`_activate` appends a cycle's ``ends`` as it
+        activates them, so they are in activation order: the oracle's
+        circuit-dict order, which fixes delivery order."""
+        delivered = cycle + self.propagation_delay
+        for src in ends:
+            packet = self._packets[src]
+            self._deliver(packet, delivered, f"port{src}",
+                          grant_wait=(self._grant_cycle[src]
+                                      - packet.create_cycle))
+        self._transmitting -= len(ends)
+        self._stalled = False
+        for src in ends:
             for dst in self._packets[src].destinations:
                 self._busy_outputs.discard(dst)
             self._packets[src] = None
@@ -767,10 +890,10 @@ class SoAFlumenNetwork(SimKernel):
                 nxt = self._p_packets[src]
                 self._p_packets[src] = None
                 self._pending_dsts.discard(nxt.dst)
-                self._activate(src, nxt, self._p_setup[src],
+                self._activate(src, nxt, max(self._p_start[src], cycle + 1),
                                self._p_grant_cycle[src])
                 self._busy_outputs.add(nxt.dst)
-        return busy
+            self._recheck(src)
 
     def _grant_multicasts(self) -> None:
         for src in sorted(self._waiting_sources):
@@ -784,27 +907,26 @@ class SoAFlumenNetwork(SimKernel):
             if any(d in self._busy_outputs or d in self.blocked_ports
                    for d in dsts):
                 continue
-            packet = buf.popleft()
-            self._drained(src)
-            self._activate(src, packet, self.reconfig_cycles, self.cycle)
+            packet = self._pop_head(src)
+            self._multicasts -= 1
+            self._activate(src, packet, self.cycle + self.reconfig_cycles + 1,
+                           self.cycle)
             self._busy_outputs.update(dsts)
+            self._stalled = False
             self.reconfigurations += 1
             self._m_reconfig.inc()
 
     def _unicast_requests(self) -> list[tuple[int, int]]:
         """Sparse (src, dst) request pairs, ascending src (oracle order)."""
         pairs: list[tuple[int, int]] = []
-        for src in sorted(self._waiting_sources):
-            buf = self.request_buffers[src]
-            if not buf or buf[0].multicast_dsts \
-                    or not self._eligible_source(src):
-                continue
-            dst = buf[0].dst
-            if dst in self._busy_outputs or dst in self.blocked_ports:
+        busy, blocked = self._busy_outputs, self.blocked_ports
+        for src in sorted(self._ready):
+            dst = self.request_buffers[src][0].dst
+            if dst in busy or dst in blocked:
                 # A source draining toward its tail may still target the
                 # output it itself occupies (back-to-back same-dest).
                 active = self._packets[src]
-                if not (active is not None and active.dst == dst):
+                if active is None or active.dst != dst:
                     continue
             if dst in self._pending_dsts:
                 continue
@@ -840,10 +962,13 @@ class SoAFlumenNetwork(SimKernel):
         if conflicts > 0:
             self.arbiter_conflicts += conflicts
             self._m_conflicts.inc(conflicts)
+        cycle = self.cycle
         for src, dst in grants:
-            packet = self.request_buffers[src].popleft()
-            self._drained(src)
+            packet = self._pop_head(src)
             assert packet.dst == dst
+            # A granted source is busy or pending: it requests again at
+            # its circuit's eligibility event or promotion.
+            self._ready.discard(src)
             setup = self._setup_cycles(src, dst)
             self.reconfigurations += 1
             self._m_reconfig.inc()
@@ -852,14 +977,12 @@ class SoAFlumenNetwork(SimKernel):
                 # other grant races it before the circuit activates.
                 self._pending_srcs.add(src)
                 self._p_packets[src] = packet
-                self._p_setup[src] = setup
-                self._p_remaining[src] = packet.size_flits
-                self._p_grant_cycle[src] = self.cycle
+                self._p_start[src] = cycle + setup + 1
+                self._p_grant_cycle[src] = cycle
                 self._pending_dsts.add(dst)
-                self._busy_outputs.add(dst)
             else:
-                self._activate(src, packet, setup, self.cycle)
-                self._busy_outputs.add(dst)
+                self._activate(src, packet, cycle + setup + 1, cycle)
+            self._busy_outputs.add(dst)
 
     def quiescent(self) -> bool:
         return (not self._order and not self._pending_srcs
@@ -869,8 +992,11 @@ class SoAFlumenNetwork(SimKernel):
         queued = sum(p.size_flits
                      for q in self.request_buffers for p in q)
         queued += sum(p.size_flits for q in self._overflow for p in q)
-        queued += sum(self._remaining[src] for src in self._order)
-        queued += sum(self._p_remaining[src] for src in self._pending_srcs)
+        cycle = self.cycle
+        queued += sum(self._end[src] + 1 - max(cycle, self._start[src])
+                      for src in self._order)
+        queued += sum(self._p_packets[src].size_flits
+                      for src in self._pending_srcs)
         return queued
 
 

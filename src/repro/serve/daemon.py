@@ -530,14 +530,16 @@ class ServeDaemon:
         """
         config = self.config
         serving = self.state is DaemonState.SERVING
+        # An arrival now is the commonest answer under load, and the
+        # cheapest to find.
+        if serving and self._wheel.requests_for_cycle(cycle):
+            return cycle
         due = self.recovery.next_due(cycle, injecting=serving)
         for batch in self._open.values():
             if len(batch.requests) >= config.batch_size:
                 return cycle
             due = min(due, batch.opened_cycle + config.batch_window)
         if serving:
-            if self._wheel.requests_for_cycle(cycle):
-                return cycle
             nxt = self._wheel.next_arrival_cycle(cycle + 1)
             if nxt is not None:
                 due = min(due, nxt)

@@ -62,6 +62,26 @@ class TestPartitionCap:
         ladder.cap_partition_ports(1)
         assert ladder.partition_ports_cap == 2
 
+    def test_wide_mesh_session_caps_at_the_fabric(self):
+        # The mesh under test is 32 ports wide; the fabric has 8.  No
+        # transition, snapshot or report may offer a wider partition.
+        daemon = ServeDaemon(ServeConfig(duration=1024, seed=0, rate=0.08,
+                                         fault="dead_link", ports=32))
+        report = daemon.run()
+        fabric = daemon.control.fabric_ports
+        assert fabric == 8
+        transitions = [event for event in daemon.obs.events.events
+                       if event["type"] == "ladder_transition"]
+        caps = [report["ladder"]["partition_ports_cap"]]
+        caps += [event["partition_ports_cap"] for event in transitions]
+        caps += [value for sample in daemon.obs.sampler.series
+                 for name, value in sample["metrics"]["gauges"].items()
+                 if name.startswith("core.partition_ports_cap")]
+        assert len(caps) > 5 and max(caps) <= fabric
+        # SHRINK halved the fabric's width, not the mesh's.
+        assert [event["partition_ports_cap"] for event in transitions
+                if event["src"] == "SHRINK"] == [fabric // 2]
+
 
 class TestCampaignReroute:
     @pytest.mark.parametrize("geometry", [{"ports": 4}, {"nodes": 20}])

@@ -12,6 +12,7 @@ zero-rate lifecycle edges, and the shared ``serve --check`` validator.
 import json
 import multiprocessing
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -155,25 +156,29 @@ class TestSkipMachinery:
         with pytest.raises(RuntimeError):
             sched.skip_quiet_cycles(tau - phase + 1)
 
-    def test_net_skip_refuses_waiting_sources_and_completions(self):
+    def test_net_skip_refuses_past_the_horizon(self):
         daemon = ServeDaemon(ServeConfig(rate=0.2, duration=256,
                                          seed=0, mvm_fraction=0.0))
         daemon.start()
         net = daemon.net
-        refused = set()
+        refused, busy_horizons = set(), 0
         for _ in range(256):
-            if not net.quiescent():
-                # A source with buffered packets, or only circuits in
-                # flight whose completions a skip would drop.
-                cycle = net.cycle
-                with pytest.raises(RuntimeError, match="non-quiescent"):
-                    net.skip_idle_cycles(1)
-                assert net.cycle == cycle
+            horizon = net.quiet_until()
+            if not net.quiescent() and horizon is not None:
+                # One cycle past the horizon is a grant or a delivery
+                # the skip would drop, buffered sources or not.
+                # The daemon's delivery hook is not part of the state.
+                hook, net.on_deliver = net.on_deliver, None
+                before = pickle.dumps(net)
+                with pytest.raises(RuntimeError, match="horizon"):
+                    net.skip_idle_cycles(horizon - net.cycle + 1)
+                assert pickle.dumps(net) == before
+                net.on_deliver = hook
                 refused.add(bool(net._waiting_sources))
-            if len(refused) == 2:
-                break
+                busy_horizons += horizon > net.cycle
             daemon.step()
         assert refused == {True, False}
+        assert busy_horizons > 0
 
     def test_utilization_record_cycles_equivalence(self):
         from repro.noc.stats import UtilizationTracker
